@@ -16,7 +16,6 @@ automatic differentiation.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -332,7 +331,7 @@ def stencil_adjoint_apply(op_tag: str, f: Field) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: flat binary PGDF format and plain-text CSV export.
+# Serialization: flat binary PGDF format.
 # ---------------------------------------------------------------------------
 
 
@@ -370,13 +369,3 @@ def read_field(path) -> Field:
             raise ValueError(f"{path}: truncated PGDF payload")
     return Field.from_flat(spec, data)
 
-
-def write_field_csv(f: Field, path) -> None:
-    """Plain-text export: one row per cell as channel,row,col,value."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["channel", "row", "col", "value"])
-        for c in range(f.spec.channels):
-            for i in range(f.spec.height):
-                for j in range(f.spec.width):
-                    writer.writerow([c, i, j, repr(float(f.values[c, i, j]))])

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Field, GridSpec, read_field, write_field
+from .grid import Field, read_field, write_field
 
 DENSE_COVARIANCE_DIM_CAP = 4096
 
@@ -182,10 +182,6 @@ class GaussianDenoiser(Denoiser):
         return float(np.max(self._factors(sigma)))
 
 
-def gaussian_denoise(prior: GaussianPrior, x: np.ndarray, sigma: float) -> np.ndarray:
-    return GaussianDenoiser(prior).denoise(x, sigma)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian-mixture denoiser (desk-scale multimodal oracle).
 # ---------------------------------------------------------------------------
@@ -244,28 +240,6 @@ class GmmDenoiser(Denoiser):
         out = np.sum((r * proj)[..., None] * (g - g_bar[..., None, :]), axis=-2)
         out += np.sum(r * shrink, axis=-1)[..., None] * cot
         return out
-
-    def noised_log_density(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        """log of the sigma-noised mixture density (diagnostic/oracle helper)."""
-        x = np.asarray(x, dtype=float)
-        s = self.variances + sigma**2
-        diff = x[..., None, :] - self.means
-        sq = np.sum(diff**2, axis=-1)
-        logp = (
-            np.log(self.weights)
-            - 0.5 * sq / s
-            - 0.5 * self.dim * (np.log(2 * np.pi) + np.log(s))
-        )
-        m = logp.max(axis=-1, keepdims=True)
-        return np.squeeze(m, -1) + np.log(np.sum(np.exp(logp - m), axis=-1))
-
-
-def gmm_denoise(components, x: np.ndarray, sigma: float) -> np.ndarray:
-    """Denoise with a mixture given as [(weight, mean, variance), ...]."""
-    w, mu, var = zip(*components)
-    return GmmDenoiser(np.array(w), np.stack([np.asarray(m, dtype=float) for m in mu]), np.array(var)).denoise(
-        x, sigma
-    )
 
 
 # ---------------------------------------------------------------------------

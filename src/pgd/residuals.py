@@ -194,14 +194,6 @@ def default_layout(kind: str) -> StateLayout:
     raise ValueError(f"unknown system kind {kind!r}")
 
 
-def residual_channel_count(system: PdeSystem, layout: StateLayout) -> int:
-    if system.kind in _ELLIPTIC:
-        return 1
-    if system.kind == "divergence_free":
-        return len(layout.vector_pairs)
-    return len(layout.terminal_channels)
-
-
 def residual(system: PdeSystem, layout: StateLayout, x: Field) -> Field:
     """Pointwise residual field(s), one channel per governing equation."""
     layout.validate_for(system, x.spec)

@@ -19,8 +19,8 @@ and ascends the intermediate log-likelihood. Noise churn uses unit noise
 inflation.
 
 Core functions take the Gaussian draws explicitly and operate on (..., d)
-arrays, so a particle engine can batch them; the step functions draw from the
-supplied generator and handle a single state.
+arrays, so a particle engine can batch them; ``run_chain`` drives one chain
+through the same cores as a batch of one.
 """
 
 from __future__ import annotations
@@ -189,53 +189,6 @@ def heun_core(
         grad = _batched_guidance_grad(x_hat, sigma_hat, denoiser, ctx, denoised_hat)
         x_new = x_new + (sigma_k**2 - sigma_next**2) * grad
     return x_new
-
-
-# ---------------------------------------------------------------------------
-# Single-state step functions.
-# ---------------------------------------------------------------------------
-
-
-def _check_step_index(k: int, schedule: NoiseSchedule) -> tuple[float, float]:
-    if not 1 <= k <= schedule.steps:
-        raise ValueError(f"step index {k} outside 1..{schedule.steps}")
-    return schedule.sigma_at(k), schedule.sigma_at(k - 1)
-
-
-def em_step(
-    x_k: np.ndarray, k: int, denoiser: Denoiser, schedule: NoiseSchedule, rng: np.random.Generator
-) -> np.ndarray:
-    sigma_k, sigma_next = _check_step_index(k, schedule)
-    z = rng.standard_normal(np.shape(x_k))
-    sample, _ = em_core(x_k, z, sigma_k, sigma_next, denoiser)
-    return sample
-
-
-def gem_step(
-    x_k: np.ndarray,
-    k: int,
-    denoiser: Denoiser,
-    ctx: GuidanceContext,
-    schedule: NoiseSchedule,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (sample, unguided mean, guided mean)."""
-    sigma_k, sigma_next = _check_step_index(k, schedule)
-    z = rng.standard_normal(np.shape(x_k))
-    return gem_core(x_k, z, sigma_k, sigma_next, denoiser, ctx)
-
-
-def sosag_step(
-    x_k: np.ndarray,
-    k: int,
-    denoiser: Denoiser,
-    ctx: GuidanceContext | None,
-    config: SamplerConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    sigma_k, sigma_next = _check_step_index(k, config.schedule)
-    z = rng.standard_normal(np.shape(x_k))
-    return heun_core(x_k, z, sigma_k, sigma_next, denoiser, config.churn_gamma, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,11 @@
 stepping, random coefficient sampling, sparse observations, and dataset
 persistence.
 
+Poisson and helmholtz are solved directly in the sine (DST-I) basis, which
+diagonalises the dirichlet-zero 5-point Laplacian; darcy's variable
+coefficient has no such basis and is solved by preconditioned conjugate
+gradient.
+
 This is the stand-in for an external simulation pipeline: targets are
 generated with the same finite-difference discretization used by the residual
 operators, so manufactured states satisfy the discrete equations exactly.
@@ -251,34 +256,30 @@ def _conjugate_gradient(apply_op, rhs, diag, tol_rel=1e-10, max_iter=None):
     )
 
 
-def _dense_laplacian(height: int, width: int, h: float) -> np.ndarray:
-    """Dense dirichlet-zero 5-point Laplacian on the flattened grid."""
-
-    def tridiag(n):
-        t = -2.0 * np.eye(n)
-        idx = np.arange(n - 1)
-        t[idx, idx + 1] = 1.0
-        t[idx + 1, idx] = 1.0
-        return t
-
-    eye_h, eye_w = np.eye(height), np.eye(width)
-    return (np.kron(tridiag(height), eye_w) + np.kron(eye_h, tridiag(width))) / h**2
+def _sine_basis(n: int) -> np.ndarray:
+    """Orthonormal DST-I matrix; symmetric and its own inverse."""
+    j = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
 
 
 def _dirichlet_laplacian_eigenvalues(height: int, width: int, h: float) -> np.ndarray:
+    """(height, width) eigenvalues of the dirichlet-zero 5-point Laplacian in the sine basis."""
     p = np.arange(1, height + 1)
     q = np.arange(1, width + 1)
     er = -4.0 / h**2 * np.sin(p * np.pi / (2 * (height + 1))) ** 2
     ec = -4.0 / h**2 * np.sin(q * np.pi / (2 * (width + 1))) ** 2
-    return (er[:, None] + ec[None, :]).reshape(-1)
+    return er[:, None] + ec[None, :]
 
 
 def solve_elliptic(system: PdeSystem, a: Field) -> Field:
     """Solve the discrete elliptic problem for the solution field u.
 
-    poisson: lap u = a; helmholtz: lap u + k^2 u = a (dense direct solve with
-    a nonsingularity check); darcy: -div(a grad u) = source with a > 0
-    (Jacobi-preconditioned conjugate gradient).
+    poisson and helmholtz: lap u + k^2 u = a (k = 0 for poisson), solved
+    exactly in the sine basis that diagonalises the dirichlet-zero Laplacian,
+    u = S_H ((S_H a S_W) / (lambda + k^2)) S_W. A near-zero eigenvalue raises
+    SingularOperatorError, as does a relative residual above 1e-10.
+    darcy: -div(a grad u) = source with a > 0 (Jacobi-preconditioned
+    conjugate gradient).
     """
     if system.kind not in ELLIPTIC_KINDS:
         raise ValueError(f"solve_elliptic does not handle kind {system.kind!r}")
@@ -289,27 +290,19 @@ def solve_elliptic(system: PdeSystem, a: Field) -> Field:
     avals = a.channel(0)
     shape = avals.shape
 
-    if system.kind == "helmholtz":
-        eigs = _dirichlet_laplacian_eigenvalues(spec.height, spec.width, h)
-        scale = np.max(np.abs(eigs))
-        if np.min(np.abs(eigs + system.k_wave**2)) < 1e-12 * scale:
+    if system.kind != "darcy":
+        k2 = system.k_wave**2
+        lam = _dirichlet_laplacian_eigenvalues(spec.height, spec.width, h)
+        if np.min(np.abs(lam + k2)) < 1e-12 * np.max(np.abs(lam)):
             raise SingularOperatorError(
-                f"helmholtz operator is singular at k_wave={system.k_wave}"
+                f"{system.kind} operator is singular at k_wave={system.k_wave}"
             )
-        mat = _dense_laplacian(spec.height, spec.width, h) + system.k_wave**2 * np.eye(spec.cells)
-        rhs = avals.reshape(-1)
-        u = np.linalg.solve(mat, rhs)
-        if np.linalg.norm(mat @ u - rhs) > 1e-10 * max(np.linalg.norm(rhs), 1e-300):
-            raise SingularOperatorError("helmholtz direct solve failed the residual check")
-        return Field(spec.with_channels(1), u.reshape(1, *shape))
-
-    if system.kind == "poisson":
-        # -lap u = -a is SPD
-        rhs = -avals.reshape(-1)
-        diag = np.full(spec.cells, 4.0 / h**2)
-        op = lambda x: -laplacian_2d(x.reshape(shape), h, DIRICHLET).reshape(-1)
-        u = _conjugate_gradient(op, rhs, diag)
-        return Field(spec.with_channels(1), u.reshape(1, *shape))
+        s_h, s_w = _sine_basis(spec.height), _sine_basis(spec.width)
+        u = s_h @ ((s_h @ avals @ s_w) / (lam + k2)) @ s_w
+        res = laplacian_2d(u, h, DIRICHLET) + k2 * u - avals
+        if np.linalg.norm(res) > 1e-10 * max(np.linalg.norm(avals), 1e-300):
+            raise SingularOperatorError(f"{system.kind} spectral solve failed the residual check")
+        return Field(spec.with_channels(1), u[None])
 
     # darcy
     if np.min(avals) <= 0:

@@ -23,7 +23,6 @@ from pgd.grid import (
     stencil_apply,
     stencil_tags,
     write_field,
-    write_field_csv,
 )
 
 
@@ -270,17 +269,3 @@ def test_pgdf_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 40)
     with pytest.raises(ValueError):
         read_field(path)
-
-
-def test_csv_export_round_trips_values(tmp_path):
-    spec = GridSpec(3, 3, 2, 1.0)
-    rng = np.random.default_rng(23)
-    f = Field(spec, rng.standard_normal((2, 3, 3)))
-    path = tmp_path / "field.csv"
-    write_field_csv(f, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "channel,row,col,value"
-    assert len(rows) == 1 + spec.size
-    c, i, j, v = rows[1 + 1 * 9 + 2 * 3 + 1].split(",")
-    assert (int(c), int(i), int(j)) == (1, 2, 1)
-    assert float(v) == f.values[1, 2, 1]

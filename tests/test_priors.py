@@ -10,8 +10,6 @@ from pgd.priors import (
     GmmDenoiser,
     NoiseSchedule,
     fit_empirical_prior,
-    gaussian_denoise,
-    gmm_denoise,
     load_prior,
     save_prior,
     score,
@@ -54,13 +52,13 @@ def test_schedule_strictly_decreasing(steps, rho, sigma_max):
 
 def test_gaussian_denoise_unit_prior_halves():
     x = np.linspace(-2, 2, 16)
-    out = gaussian_denoise(unit_prior(), x, sigma=1.0)
+    out = GaussianDenoiser(unit_prior()).denoise(x, sigma=1.0)
     assert np.allclose(out, x / 2.0)
 
 
 def test_gaussian_denoise_sigma_zero_identity():
     x = np.arange(16.0)
-    assert np.allclose(gaussian_denoise(unit_prior(), x, 0.0), x)
+    assert np.allclose(GaussianDenoiser(unit_prior()).denoise(x, 0.0), x)
 
 
 def test_gaussian_denoise_degenerate_prior_returns_mean():
@@ -68,7 +66,7 @@ def test_gaussian_denoise_degenerate_prior_returns_mean():
     mu = Field(SPEC_4X4, rng.standard_normal((1, 4, 4)))
     prior = GaussianPrior(mu, "scalar", 0.0)
     x = rng.standard_normal(16)
-    assert np.allclose(gaussian_denoise(prior, x, 0.7), mu.flat())
+    assert np.allclose(GaussianDenoiser(prior).denoise(x, 0.7), mu.flat())
 
 
 def test_gaussian_denoiser_limit_to_identity_at_small_sigma():
@@ -121,9 +119,9 @@ def test_gmm_single_component_equals_gaussian():
     rng = np.random.default_rng(4)
     mu = rng.standard_normal(16)
     x = rng.standard_normal(16)
-    got = gmm_denoise([(1.0, mu, 0.49)], x, 0.9)
+    got = GmmDenoiser(np.array([1.0]), mu[None], np.array([0.49])).denoise(x, 0.9)
     prior = GaussianPrior(Field.from_flat(SPEC_4X4, mu), "scalar", 0.49)
-    assert np.allclose(got, gaussian_denoise(prior, x, 0.9), atol=1e-12)
+    assert np.allclose(got, GaussianDenoiser(prior).denoise(x, 0.9), atol=1e-12)
 
 
 def test_gmm_symmetric_midpoint_outputs_zero():

@@ -10,13 +10,10 @@ from pgd.samplers import (
     SamplerConfig,
     churn_gamma,
     em_core,
-    em_step,
     gem_core,
-    gem_step,
     heun_core,
     particle_stream,
     run_chain,
-    sosag_step,
 )
 from pgd.solvers import Observations
 
@@ -66,10 +63,11 @@ def test_em_step_fixed_point_denoiser_adds_only_noise():
     sample, mean = em_core(x, np.zeros(9), sched.sigma_at(5), sched.sigma_at(4), den)
     assert np.array_equal(sample, x)
     assert np.array_equal(mean, x)
-    # with a live rng the deviation has std sqrt(sigma_k^2 - sigma_{k-1}^2)
+    # with live draws the deviation has std sqrt(sigma_k^2 - sigma_{k-1}^2)
     rng = np.random.default_rng(0)
     k = 5
-    draws = np.stack([em_step(x, k, den, sched, rng) - x for _ in range(4000)])
+    sample, _ = em_core(x, rng.standard_normal((4000, 9)), sched.sigma_at(k), sched.sigma_at(k - 1), den)
+    draws = sample - x
     expected_std = np.sqrt(sched.sigma_at(k) ** 2 - sched.sigma_at(k - 1) ** 2)
     assert np.std(draws) == pytest.approx(expected_std, rel=0.05)
 
@@ -87,12 +85,6 @@ def test_em_step_gaussian_mean_matches_conditional_oracle():
     _, mean = em_core(x, np.zeros(9), s_k, s_n, den)
     want = x - delta * x / (s_k**2 + 1.0)
     assert np.allclose(mean, want, atol=1e-12)
-
-
-def test_em_step_index_guard():
-    sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=10, rho=3.0)
-    with pytest.raises(ValueError):
-        em_step(np.zeros(9), 0, IdentityDenoiser(9), sched, np.random.default_rng(0))
 
 
 def test_em_chain_recovers_gaussian_prior():
@@ -117,8 +109,10 @@ def test_gem_zero_weights_reduces_to_em_bit_exactly():
     ctx = all_cell_context(np.zeros(9), weights=GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0))
     x = np.linspace(-1, 1, 9)
     for k in (8, 4, 1):
-        out_em = em_step(x, k, den, sched, np.random.default_rng(5))
-        out_gem, _, _ = gem_step(x, k, den, ctx, sched, np.random.default_rng(5))
+        s_k, s_n = sched.sigma_at(k), sched.sigma_at(k - 1)
+        z = np.random.default_rng(5).standard_normal(9)
+        out_em, _ = em_core(x, z, s_k, s_n, den)
+        out_gem, _, _ = gem_core(x, z, s_k, s_n, den, ctx)
         assert np.array_equal(out_em, out_gem)
 
 
@@ -170,12 +164,10 @@ def test_sosag_fixed_point_denoiser_returns_churned_state_plus_guidance():
     cfg = SamplerConfig(schedule=sched, mode="sosag", s_churn=2.0, seed=0)
     x = np.zeros(9)
     k = 5
-    rng = np.random.default_rng(8)
-    out = sosag_step(x, k, den, ctx, cfg, rng)
-    # reproduce the churned state with the same draw
-    rng2 = np.random.default_rng(8)
-    z = rng2.standard_normal(9)
     s_k, s_n = sched.sigma_at(k), sched.sigma_at(k - 1)
+    z = np.random.default_rng(8).standard_normal(9)
+    out = heun_core(x, z, s_k, s_n, den, cfg.churn_gamma, ctx)
+    # reproduce the churned state from the same draw
     s_hat = s_k * (1 + cfg.churn_gamma)
     x_hat = x + np.sqrt(s_hat**2 - s_k**2) * z
     grad = 2.0 * 1.0 / 9 * (y_star - x_hat)  # beta-weighted observation pull at x_hat

@@ -24,10 +24,11 @@ def test_poisson_zero_rhs_gives_zero_solution():
     assert np.all(u.values == 0.0)
 
 
-def test_poisson_manufactured_solution_recovered():
+@pytest.mark.parametrize("height,width", [(12, 12), (7, 12), (12, 7)])
+def test_poisson_manufactured_solution_recovered(height, width):
     rng = np.random.default_rng(4)
-    spec = GridSpec(12, 12, 1, 0.2, DIRICHLET)
-    u_star = rng.standard_normal((12, 12))
+    spec = GridSpec(height, width, 1, 0.2, DIRICHLET)
+    u_star = rng.standard_normal((height, width))
     a = laplacian_2d(u_star, spec.spacing, spec.boundary)
     u = solve_elliptic(PdeSystem.poisson(), Field(spec, a[None])).channel(0)
     rel = np.linalg.norm(u - u_star) / np.linalg.norm(u_star)
@@ -49,18 +50,19 @@ def test_darcy_rejects_nonpositive_permeability():
         solve_elliptic(PdeSystem.darcy(), Field.zeros(spec))
 
 
-def test_helmholtz_solve_and_singularity_check():
+@pytest.mark.parametrize("height,width", [(8, 8), (7, 12), (12, 7)])
+def test_helmholtz_solve_and_singularity_check(height, width):
     rng = np.random.default_rng(6)
-    spec = GridSpec(8, 8, 1, 0.25, DIRICHLET)
-    u_star = rng.standard_normal((8, 8))
+    spec = GridSpec(height, width, 1, 0.25, DIRICHLET)
+    u_star = rng.standard_normal((height, width))
     k = 2.0
     a = laplacian_2d(u_star, spec.spacing, spec.boundary) + k**2 * u_star
     u = solve_elliptic(PdeSystem.helmholtz(k_wave=k), Field(spec, a[None])).channel(0)
     assert np.linalg.norm(u - u_star) / np.linalg.norm(u_star) < 1e-10
 
-    # an exact resonance: k^2 equal to an eigenvalue of -laplacian
+    # an exact resonance: k^2 equal to the lowest eigenvalue of -laplacian
     h = spec.spacing
-    lam = 4.0 / h**2 * (np.sin(np.pi / (2 * 9)) ** 2 + np.sin(np.pi / (2 * 9)) ** 2)
+    lam = 4.0 / h**2 * (np.sin(np.pi / (2 * (height + 1))) ** 2 + np.sin(np.pi / (2 * (width + 1))) ** 2)
     with pytest.raises(SingularOperatorError):
         solve_elliptic(PdeSystem.helmholtz(k_wave=np.sqrt(lam)), Field(spec, a[None]))
 
