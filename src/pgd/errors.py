@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class ConfigError(ValueError):
-    """Invalid configuration (bad key, bad value, inconsistent options)."""
-
-
 class NumericalError(RuntimeError):
     """Numerical failure during solving or sampling."""
 
@@ -18,8 +14,13 @@ class SingularOperatorError(NumericalError):
 
 
 class BlowUpError(NumericalError):
-    """Non-finite values encountered during time stepping or sampling."""
+    """Non-finite values encountered during time stepping or sampling.
 
-    def __init__(self, message: str, step: int | None = None):
+    ``step`` is the time or sampler step and ``particle`` the index of the
+    first particle affected, when known.
+    """
+
+    def __init__(self, message: str, step: int | None = None, particle: int | None = None):
         super().__init__(message)
         self.step = step
+        self.particle = particle

@@ -9,9 +9,11 @@ Fields live on an H x W grid of cells with C channels, stored row-major as
 - ``periodic``: indices wrap; cell (i, j) sits at (i h, j h) on a torus of
   side H h (resp. W h).
 
-All stencil operations are linear and pure; every stencil registered here has
-an exact adjoint so that gradients of residual norms can be assembled without
-automatic differentiation.
+All stencil operations are linear and pure, and each has an exact adjoint,
+so gradients of residual norms can be assembled without automatic
+differentiation: the Laplacian and u -> flux_divergence_2d(coef, u) are
+symmetric, the central difference is antisymmetric, and the coefficient
+adjoint of the flux divergence is ``flux_divergence_2d_adjoint_coef``.
 """
 
 from __future__ import annotations
@@ -117,9 +119,6 @@ class Field:
             raise ValueError(f"channel {c} out of range for {self.spec.channels} channels")
         return self.values[c]
 
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.spec, values)
-
 
 @dataclass(frozen=True)
 class Mask:
@@ -220,11 +219,6 @@ def diff_2d(a: np.ndarray, axis: int, h: float, boundary: str) -> np.ndarray:
     return (shift(a, axis, 1, boundary) - shift(a, axis, -1, boundary)) / (2.0 * h)
 
 
-def diff_2d_adjoint(g: np.ndarray, axis: int, h: float, boundary: str) -> np.ndarray:
-    """Adjoint of :func:`diff_2d`; equals its negative for both boundary rules."""
-    return -diff_2d(g, axis, h, boundary)
-
-
 def flux_divergence_2d(coef: np.ndarray, u: np.ndarray, h: float, boundary: str) -> np.ndarray:
     """Conservative div(coef * grad u) with arithmetic face averages of coef.
 
@@ -242,11 +236,6 @@ def flux_divergence_2d(coef: np.ndarray, u: np.ndarray, h: float, boundary: str)
     return out / (h * h)
 
 
-def flux_divergence_2d_adjoint_u(coef: np.ndarray, w: np.ndarray, h: float, boundary: str) -> np.ndarray:
-    """Adjoint in u of u -> flux_divergence_2d(coef, u); the operator is symmetric."""
-    return flux_divergence_2d(coef, w, h, boundary)
-
-
 def flux_divergence_2d_adjoint_coef(u: np.ndarray, w: np.ndarray, h: float, boundary: str) -> np.ndarray:
     """Adjoint in coef of the bilinear map coef -> flux_divergence_2d(coef, u)."""
     out = np.zeros_like(u)
@@ -259,7 +248,7 @@ def flux_divergence_2d_adjoint_coef(u: np.ndarray, w: np.ndarray, h: float, boun
 
 
 # ---------------------------------------------------------------------------
-# Field-level operations and the stencil registry.
+# Field-level operations.
 # ---------------------------------------------------------------------------
 
 
@@ -287,47 +276,6 @@ def divergence(g_row: Field, g_col: Field) -> Field:
     h, b = g_row.spec.spacing, g_row.spec.boundary
     out = diff_2d(g_row.channel(0), 0, h, b) + diff_2d(g_col.channel(0), 1, h, b)
     return _single(g_row.spec, out)
-
-
-_STENCILS = {
-    "laplacian": (
-        lambda a, h, b: laplacian_2d(a, h, b),
-        lambda a, h, b: laplacian_2d(a, h, b),  # symmetric
-    ),
-    "grad_row": (
-        lambda a, h, b: diff_2d(a, 0, h, b),
-        lambda a, h, b: diff_2d_adjoint(a, 0, h, b),
-    ),
-    "grad_col": (
-        lambda a, h, b: diff_2d(a, 1, h, b),
-        lambda a, h, b: diff_2d_adjoint(a, 1, h, b),
-    ),
-}
-
-
-def stencil_tags() -> tuple[str, ...]:
-    return tuple(_STENCILS)
-
-
-def _stencil(op_tag: str):
-    try:
-        return _STENCILS[op_tag]
-    except KeyError:
-        raise ValueError(f"unknown stencil {op_tag!r}; registered: {sorted(_STENCILS)}") from None
-
-
-def stencil_apply(op_tag: str, f: Field) -> Field:
-    """Apply a registered stencil channel-wise."""
-    fwd, _ = _stencil(op_tag)
-    out = np.stack([fwd(f.values[c], f.spec.spacing, f.spec.boundary) for c in range(f.spec.channels)])
-    return Field(f.spec, out)
-
-
-def stencil_adjoint_apply(op_tag: str, f: Field) -> Field:
-    """Apply the exact transpose of a registered stencil channel-wise."""
-    _, adj = _stencil(op_tag)
-    out = np.stack([adj(f.values[c], f.spec.spacing, f.spec.boundary) for c in range(f.spec.channels)])
-    return Field(f.spec, out)
 
 
 # ---------------------------------------------------------------------------

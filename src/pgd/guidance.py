@@ -1,4 +1,4 @@
-"""Observation/physics likelihoods, guidance gradients, and particle potentials.
+"""Observation/physics likelihoods, the covariance-aware twist, and the tds transition term.
 
 The log-likelihood of a clean state is the weighted sum of three mean-square
 terms: solution-observation misfit (weight beta), coefficient-observation
@@ -6,24 +6,25 @@ misfit (weight gamma), and the PDE residual (weight omega). Additive
 constants are dropped throughout; only differences of log-likelihoods enter
 the particle weights, so the dropped constant can never affect them.
 
-At a noisy state the likelihood is evaluated at the denoiser's reconstruction.
-Its gradient either chains through the denoiser's exact vjp
-(jacobian_mode="exact") or treats the denoiser Jacobian as the identity
-(jacobian_mode="identity", the convention of earlier guided-ODE solvers).
+At a noisy state the particle engine evaluates the likelihood at the
+denoiser's reconstruction, the point twist. The guidance gradient of
+:mod:`pgd.samplers` either chains :func:`data_log_likelihood_grad` through
+the denoiser's exact vjp (jacobian_mode="exact") or treats the denoiser
+Jacobian as the identity (jacobian_mode="identity", the convention of
+earlier guided-ODE solvers).
 
 Two weighting schemes turn proposals into a particle system:
 
 - "pbs": potentials are tempered likelihood ratios only; usable with any
   proposal, including ones without a point-evaluable density.
-- "tds": adds the log-ratio of the unguided to the guided transition density,
-  available only for proposals whose transition is an explicit Gaussian.
+- "tds": adds the log-ratio of the unguided to the guided transition density
+  (:func:`tds_transition_term`), available only for proposals whose
+  transition is an explicit Gaussian.
 
-Which intermediate likelihood (twist) each scheme uses: ``pbs``,
-``run_chain`` and every function here except :class:`CovarianceTwist` use the
-point twist, the likelihood of the reconstruction. The particle engine's ``tds``
-scheme adds :class:`CovarianceTwist`, which widens the observation terms by
-the Tweedie posterior covariance of the clean state. Its normalizing
-constant is dropped like every other constant.
+Under ``pbs`` the twist is the point twist. Under ``tds`` the engine adds
+:class:`CovarianceTwist`, which widens the observation terms by the Tweedie
+posterior covariance of the clean state. Its normalizing constant is dropped
+like every other constant.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .residuals import PdeSystem, StateLayout, residual_sq_grad, residual
 from .solvers import Observations
 
 JACOBIAN_MODES = ("exact", "identity")
-SCHEMES = ("tds", "pbs")
 
 
 @dataclass(frozen=True)
@@ -137,47 +137,6 @@ def data_log_likelihood_grad(
     return Field(x0.spec, grad)
 
 
-def intermediate_log_likelihood(
-    x_k: Field,
-    sigma_k: float,
-    denoiser: Denoiser,
-    obs: Observations,
-    system: PdeSystem | None,
-    layout: StateLayout,
-    w: GuidanceWeights,
-) -> float:
-    """Likelihood of the denoiser's reconstruction of a noisy state."""
-    if sigma_k < 0:
-        raise ValueError("sigma must be nonnegative")
-    x_hat = Field.from_flat(x_k.spec, denoiser.denoise(x_k.flat(), sigma_k))
-    return log_likelihood(x_hat, obs, system, layout, w)
-
-
-def guidance_grad(
-    x_k: Field,
-    sigma_k: float,
-    denoiser: Denoiser,
-    obs: Observations,
-    system: PdeSystem | None,
-    layout: StateLayout,
-    w: GuidanceWeights,
-) -> Field:
-    """Gradient of the intermediate log-likelihood at a noisy state.
-
-    In exact mode the data-space gradient at the reconstruction is pulled back
-    through the denoiser's vjp; in identity mode it is returned as-is.
-    """
-    if sigma_k < 0:
-        raise ValueError("sigma must be nonnegative")
-    flat = x_k.flat()
-    x_hat = Field.from_flat(x_k.spec, denoiser.denoise(flat, sigma_k))
-    g = data_log_likelihood_grad(x_hat, obs, system, layout, w)
-    if w.jacobian_mode == "identity":
-        return g
-    pulled = denoiser.vjp(flat, sigma_k, g.flat())
-    return Field.from_flat(x_k.spec, pulled)
-
-
 class CovarianceTwist:
     """Covariance-aware twist for the tds scheme of the particle engine.
 
@@ -238,74 +197,23 @@ class CovarianceTwist:
         return 0.5 * np.sum(r * gain, axis=1), grad
 
 
-# ---------------------------------------------------------------------------
-# Particle potentials.
-# ---------------------------------------------------------------------------
-
-
-def pbs_potential(loglik_old: float, loglik_new: float, temper_rho: float) -> float:
-    """Tempered likelihood-ratio potential between consecutive states."""
-    return temper_rho * (loglik_new - loglik_old)
-
-
 def tds_transition_term(
     x_new: np.ndarray,
     mean_unguided: np.ndarray,
     mean_guided: np.ndarray,
     step_var: float,
-) -> float:
-    """log N(x; mean_unguided, v I) - log N(x; mean_guided, v I) in closed form.
+) -> np.ndarray:
+    """log N(x; mean_unguided, v I) - log N(x; mean_guided, v I) per row, as (N,).
 
-    Both Gaussians share the covariance, so normalization constants cancel and
-    the ratio is the quadratic-form difference.
+    All arguments but ``step_var`` are (N, d) rows. Both Gaussians share the
+    covariance, so normalization constants cancel and the ratio is the
+    quadratic-form difference.
     """
     if step_var <= 0:
         raise ValueError("step variance must be positive")
-    x_new = np.asarray(x_new, dtype=float)
-    d_un = x_new - np.asarray(mean_unguided, dtype=float)
-    d_gd = x_new - np.asarray(mean_guided, dtype=float)
-    return float((d_gd @ d_gd - d_un @ d_un) / (2.0 * step_var))
-
-
-def potential_log(
-    x_k: Field,
-    x_new: Field,
-    sigma_k: float,
-    sigma_new: float,
-    denoiser: Denoiser,
-    obs: Observations,
-    system: PdeSystem | None,
-    layout: StateLayout,
-    w: GuidanceWeights,
-    scheme: str,
-    proposal_means: tuple[np.ndarray, np.ndarray] | None = None,
-    loglik_old: float | None = None,
-    loglik_new: float | None = None,
-) -> float:
-    """Incremental log-potential of the move x_k -> x_new.
-
-    Both schemes evaluate the point twist, the likelihood of the
-    reconstruction; the particle engine's tds scheme uses
-    :class:`CovarianceTwist` instead.
-
-    ``proposal_means`` must carry the (unguided, guided) transition means for
-    the tds scheme; proposals without a point-evaluable transition density
-    (the churned second-order step) are rejected there. Cached intermediate
-    log-likelihoods may be supplied to avoid recomputation.
-    """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}")
-    if loglik_old is None:
-        loglik_old = intermediate_log_likelihood(x_k, sigma_k, denoiser, obs, system, layout, w)
-    if loglik_new is None:
-        loglik_new = intermediate_log_likelihood(x_new, sigma_new, denoiser, obs, system, layout, w)
-    pot = pbs_potential(loglik_old, loglik_new, w.temper_rho)
-    if scheme == "tds":
-        if proposal_means is None:
-            raise ValueError(
-                "tds weights need the proposal's Gaussian transition means; "
-                "use pbs for proposals without a point-evaluable density"
-            )
-        step_var = sigma_k**2 - sigma_new**2
-        pot += tds_transition_term(x_new.flat(), proposal_means[0], proposal_means[1], step_var)
-    return pot
+    d_un = x_new - mean_unguided
+    d_gd = x_new - mean_guided
+    # stacked (1, d) @ (d, 1) products round like a per-row 1-D dot (einsum does
+    # not), so fixed-seed tds weights match the per-row form bit for bit
+    sq = d_gd[:, None, :] @ d_gd[:, :, None] - d_un[:, None, :] @ d_un[:, :, None]
+    return sq[:, 0, 0] / (2.0 * step_var)

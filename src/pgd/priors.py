@@ -178,9 +178,6 @@ class GaussianDenoiser(Denoiser):
         # the Jacobian S (S + sigma^2 I)^{-1} is symmetric and x-independent
         return self._apply_jacobian(np.asarray(cotangent, dtype=float), sigma)
 
-    def jacobian_operator_norm(self, sigma: float) -> float:
-        return float(np.max(self._factors(sigma)))
-
 
 # ---------------------------------------------------------------------------
 # Gaussian-mixture denoiser (desk-scale multimodal oracle).

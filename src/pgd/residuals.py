@@ -318,7 +318,3 @@ def residual_sq_grad(system: PdeSystem, layout: StateLayout, x: Field) -> Field:
 
     return Field(x.spec, grad)
 
-
-def mean_square_residual(system: PdeSystem, layout: StateLayout, x: Field) -> float:
-    r = residual(system, layout, x)
-    return float(np.mean(r.values**2))

@@ -1,15 +1,12 @@
-"""Reverse-time single-chain integrators.
+"""Reverse-time proposal cores for the particle engine.
 
-Modes:
-
-- ``em``: Euler-Maruyama discretization of the reverse SDE.
-- ``gem``: em plus the guidance increment on the mean; reports both Gaussian
-  transition means so density-ratio weights can be formed.
-- ``second_order``: noise churn followed by a Heun (trapezoidal) step of the
-  probability-flow dynamics.
-- ``sosag``: second_order plus the guidance increment, applied at the churned
-  state with the unjittered squared-sigma step scaling.
-- ``ode_heun`` / ``ode_heun_guided``: the churn-free deterministic variants.
+- ``em_core``: Euler-Maruyama discretization of the reverse SDE.
+- ``gem_core``: em plus the guidance increment on the mean; reports both
+  Gaussian transition means so density-ratio weights can be formed.
+- ``heun_core``: noise churn followed by a Heun (trapezoidal) step of the
+  probability-flow dynamics, optionally plus the guidance increment applied
+  at the churned state with the unjittered squared-sigma step scaling. With
+  no churn it is the deterministic probability-flow ODE step.
 
 The printed update equations use the sigma-difference (next minus current),
 which is negative along a decreasing schedule; all steps here use the
@@ -18,47 +15,22 @@ drift and guidance signs fixed so the mean moves toward the denoised state
 and ascends the intermediate log-likelihood. Noise churn uses unit noise
 inflation.
 
-Core functions take the Gaussian draws explicitly and operate on (..., d)
-arrays, so a particle engine can batch them; ``run_chain`` drives one chain
-through the same cores as a batch of one.
+The cores take the Gaussian draws explicitly and act on (N, d) particle
+rows; :func:`pgd.smc.smc_run` drives them, and a single chain is a run with
+N = 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError
 from .grid import Field, GridSpec
-from .guidance import GuidanceContext, data_log_likelihood_grad, intermediate_log_likelihood
-from .priors import Denoiser, NoiseSchedule
-
-MODES = ("em", "gem", "second_order", "sosag", "ode_heun", "ode_heun_guided")
-GUIDED_MODES = ("gem", "sosag", "ode_heun_guided")
+from .guidance import GuidanceContext, data_log_likelihood_grad
+from .priors import Denoiser
 
 CHURN_CAP = math.sqrt(2.0) - 1.0
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    schedule: NoiseSchedule
-    mode: str = "em"
-    s_churn: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.s_churn < 0:
-            raise ValueError("s_churn must be nonnegative")
-
-    @property
-    def churn_gamma(self) -> float:
-        if self.mode in ("em", "gem", "ode_heun", "ode_heun_guided"):
-            return 0.0
-        return churn_gamma(self.s_churn, self.schedule.steps)
 
 
 def churn_gamma(s_churn: float, steps: int) -> float:
@@ -76,12 +48,7 @@ def state_spec(ctx: GuidanceContext) -> GridSpec:
     return ctx.obs.mask_u.spec.with_channels(ctx.layout.channel_count)
 
 
-def _batch_rows(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return x[None] if x.ndim == 1 else x
-
-
-def _batched_guidance_grad(
+def _guidance_rows(
     x: np.ndarray,
     sigma: float,
     denoiser: Denoiser,
@@ -89,7 +56,7 @@ def _batched_guidance_grad(
     denoised: np.ndarray,
     extra_data_grad: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Guidance gradient rows at (x, sigma), reusing the already-denoised states.
+    """Guidance gradient rows at (x, sigma), reusing the already-denoised rows.
 
     ``extra_data_grad`` is added to the data-space gradient before the
     pull-back through the denoiser, so it costs no second vjp.
@@ -100,21 +67,14 @@ def _batched_guidance_grad(
             data_log_likelihood_grad(
                 Field.from_flat(spec, row), ctx.obs, ctx.system, ctx.layout, ctx.weights
             ).flat()
-            for row in _batch_rows(denoised)
+            for row in denoised
         ]
     )
-    if x.ndim == 1:
-        data = data[0]
     if extra_data_grad is not None:
         data = data + extra_data_grad
     if ctx.weights.jacobian_mode == "identity":
         return data
     return denoiser.vjp(x, sigma, data)
-
-
-# ---------------------------------------------------------------------------
-# Batch-capable cores. All take the standard-normal draw explicitly.
-# ---------------------------------------------------------------------------
 
 
 def em_core(
@@ -153,8 +113,8 @@ def gem_core(
     if denoised is None:
         denoised = denoiser.denoise(x, sigma_k)
     delta = sigma_k**2 - sigma_next**2
-    mean_em = x + delta * (denoised - x) / sigma_k**2
-    grad = _batched_guidance_grad(x, sigma_k, denoiser, ctx, denoised, extra_data_grad)
+    _, mean_em = em_core(x, z, sigma_k, sigma_next, denoiser, denoised)
+    grad = _guidance_rows(x, sigma_k, denoiser, ctx, denoised, extra_data_grad)
     mean_guided = mean_em + delta * grad
     return mean_guided + math.sqrt(delta) * z, mean_em, mean_guided
 
@@ -186,84 +146,6 @@ def heun_core(
         d_next = (x_new - denoiser.denoise(x_new, sigma_next)) / sigma_next
         x_new = x_hat + (sigma_next - sigma_hat) * 0.5 * (d_cur + d_next)
     if ctx is not None:
-        grad = _batched_guidance_grad(x_hat, sigma_hat, denoiser, ctx, denoised_hat)
+        grad = _guidance_rows(x_hat, sigma_hat, denoiser, ctx, denoised_hat)
         x_new = x_new + (sigma_k**2 - sigma_next**2) * grad
     return x_new
-
-
-# ---------------------------------------------------------------------------
-# Chain driver.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ChainResult:
-    x0: np.ndarray
-    loglik_trace: list[float] | None
-    step_norms: list[float]
-
-
-def run_chain(
-    config: SamplerConfig,
-    denoiser: Denoiser,
-    ctx: GuidanceContext | None = None,
-    x_init: np.ndarray | None = None,
-) -> ChainResult:
-    """Iterate the configured step from k = K down to 1.
-
-    The chain starts from N(0, sigma_max^2 I) drawn from the particle-0
-    stream of ``config.seed`` unless an explicit initial state is given.
-    Guided modes require a guidance context. Deterministic under a fixed
-    seed; raises BlowUpError (with the step index) if the state leaves the
-    finite range.
-    """
-    if config.mode in GUIDED_MODES and ctx is None:
-        raise ValueError(f"mode {config.mode!r} needs a guidance context")
-    if ctx is not None:
-        dim = state_spec(ctx).size
-    elif x_init is not None:
-        dim = np.asarray(x_init).size
-    else:
-        dim = denoiser.dim
-    schedule = config.schedule
-    stream = particle_stream(config.seed, 0)
-    if x_init is None:
-        x = schedule.sigma_max * stream.standard_normal(dim)
-    else:
-        x = np.asarray(x_init, dtype=float).reshape(dim).copy()
-    x = x[None]  # batch-of-one keeps the arithmetic identical to the engine
-
-    guided = config.mode in GUIDED_MODES
-    use_heun = config.mode in ("second_order", "sosag", "ode_heun", "ode_heun_guided")
-    gamma = config.churn_gamma
-
-    lls: list[float] | None = [] if ctx is not None else None
-    norms: list[float] = []
-    spec = state_spec(ctx) if ctx is not None else None
-
-    for k in range(schedule.steps, 0, -1):
-        sigma_k, sigma_next = schedule.sigma_at(k), schedule.sigma_at(k - 1)
-        z = stream.standard_normal(dim)[None]
-        if use_heun:
-            x_new = heun_core(x, z, sigma_k, sigma_next, denoiser, gamma, ctx if guided else None)
-        elif config.mode == "gem":
-            x_new, _, _ = gem_core(x, z, sigma_k, sigma_next, denoiser, ctx)
-        else:
-            x_new, _ = em_core(x, z, sigma_k, sigma_next, denoiser)
-        if not np.all(np.isfinite(x_new)):
-            raise BlowUpError(f"non-finite state while stepping k={k}", step=k)
-        norms.append(float(np.linalg.norm(x_new - x)))
-        if lls is not None:
-            lls.append(
-                intermediate_log_likelihood(
-                    Field.from_flat(spec, x_new[0]),
-                    sigma_next,
-                    denoiser,
-                    ctx.obs,
-                    ctx.system,
-                    ctx.layout,
-                    ctx.weights,
-                )
-            )
-        x = x_new
-    return ChainResult(x0=x[0], loglik_trace=lls, step_norms=norms)

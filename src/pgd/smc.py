@@ -15,9 +15,10 @@ normalizer among them, are dropped, so the log-evidence estimate is defined
 up to a constant.
 
 Particles evolve as rows of an (N, d) array drawn from per-particle streams
-keyed by (seed, particle index); resampling uses its own stream. With N = 1
-the engine walks exactly the same arithmetic as the single-chain driver, so
-the two are bit-identical under a shared seed.
+keyed by (seed, particle index); resampling uses its own stream. A single
+chain is a run with N = 1: it walks the proposal cores of
+:mod:`pgd.samplers` on the particle-0 stream, and the unguided or
+deterministic chains are runs with zero guidance weights or no churn.
 """
 
 from __future__ import annotations
@@ -175,6 +176,16 @@ def _log_mean_increment(log_weights: np.ndarray, potentials: np.ndarray) -> floa
     return _logsumexp(log_weights + potentials) - _logsumexp(log_weights)
 
 
+def _require_finite(rows: np.ndarray, step: int, what: str) -> None:
+    """Raise :class:`BlowUpError` at the first particle whose row is not finite."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        particle = int(bad[0])
+        raise BlowUpError(
+            f"non-finite {what} for particle {particle} at step {step}", step=step, particle=particle
+        )
+
+
 def smc_run(
     config: SmcConfig,
     denoiser: Denoiser,
@@ -226,6 +237,7 @@ def smc_run(
 
     states = np.stack([sched.sigma_max * s.standard_normal(d) for s in streams])
     denoised = denoiser.denoise(states, sched.sigma_max)
+    _require_finite(denoised, sched.steps, "reconstruction")
     cached_ll, corr_grad = twist_log(states, denoised, sched.sigma_max)
     log_w = rho * cached_ll
     log_evidence = _log_mean_increment(np.zeros(n), log_w)
@@ -253,21 +265,15 @@ def smc_run(
         else:
             samples = heun_core(pop.states, z, sigma_k, sigma_next, denoiser, gamma, ctx)
             mean_em = mean_gd = None
-        if not np.all(np.isfinite(samples)):
-            bad = int(np.where(~np.isfinite(samples).all(axis=1))[0][0])
-            raise BlowUpError(f"non-finite state for particle {bad} at step {k}", step=k)
+        _require_finite(samples, k, "state")
 
         denoised = denoiser.denoise(samples, sigma_next)
+        _require_finite(denoised, k, "reconstruction")
         ll_new, corr_grad = twist_log(samples, denoised, sigma_next)
         potentials = rho * (ll_new - pop.cached_loglik)
         if config.scheme == "tds":
             step_var = sigma_k**2 - sigma_next**2
-            potentials = potentials + np.array(
-                [
-                    tds_transition_term(samples[i], mean_em[i], mean_gd[i], step_var)
-                    for i in range(n)
-                ]
-            )
+            potentials = potentials + tds_transition_term(samples, mean_em, mean_gd, step_var)
         if not np.all(np.isfinite(potentials)):
             bad = int(np.where(~np.isfinite(potentials))[0][0])
             raise NumericalError(f"non-finite weight for particle {bad} at step {k}")

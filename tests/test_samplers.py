@@ -3,18 +3,11 @@ import pytest
 
 from pgd.errors import BlowUpError
 from pgd.grid import Field, GridSpec, Mask
-from pgd.guidance import GuidanceContext, GuidanceWeights, guidance_grad
+from pgd.guidance import GuidanceContext, GuidanceWeights
 from pgd.priors import Denoiser, GaussianDenoiser, GaussianPrior, NoiseSchedule
 from pgd.residuals import StateLayout
-from pgd.samplers import (
-    SamplerConfig,
-    churn_gamma,
-    em_core,
-    gem_core,
-    heun_core,
-    particle_stream,
-    run_chain,
-)
+from pgd.samplers import churn_gamma, em_core, gem_core, heun_core, particle_stream
+from pgd.smc import SmcConfig, smc_run
 from pgd.solvers import Observations
 
 SPEC9 = GridSpec(3, 3, 1, 1.0)
@@ -107,10 +100,10 @@ def test_gem_zero_weights_reduces_to_em_bit_exactly():
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=8, rho=3.0)
     den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", 1.0))
     ctx = all_cell_context(np.zeros(9), weights=GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0))
-    x = np.linspace(-1, 1, 9)
+    x = np.linspace(-1, 1, 9)[None]
     for k in (8, 4, 1):
         s_k, s_n = sched.sigma_at(k), sched.sigma_at(k - 1)
-        z = np.random.default_rng(5).standard_normal(9)
+        z = np.random.default_rng(5).standard_normal((1, 9))
         out_em, _ = em_core(x, z, s_k, s_n, den)
         out_gem, _, _ = gem_core(x, z, s_k, s_n, den, ctx)
         assert np.array_equal(out_em, out_gem)
@@ -122,38 +115,50 @@ def test_gem_guided_mean_strictly_closer_to_target():
     y_star = np.full(9, 1.5)
     ctx = all_cell_context(y_star, beta=0.5)
     rng = particle_stream(3, 0)
-    x = sched.sigma_max * rng.standard_normal(9)
+    x = sched.sigma_max * rng.standard_normal((1, 9))
     for k in range(sched.steps, 0, -1):
-        z = rng.standard_normal(9)
+        z = rng.standard_normal((1, 9))
         x, mean_em, mean_gd = gem_core(x, z, sched.sigma_at(k), sched.sigma_at(k - 1), den, ctx)
         assert np.linalg.norm(mean_gd - y_star) < np.linalg.norm(mean_em - y_star)
 
 
 def test_gem_mean_pair_differs_by_scaled_gradient():
+    # Closed-form guidance for prior N(0, s I) with every cell observed: the
+    # reconstruction is c x with c = s/(s + sigma^2), the data-space gradient
+    # 2 beta/n (y - c x), and the exact-mode pull-back multiplies it by c.
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=10, rho=3.0)
-    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", 1.0))
+    s, beta = 1.0, 1.2
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", s))
     rng = np.random.default_rng(4)
     y_star = rng.standard_normal(9)
-    ctx = all_cell_context(y_star, beta=1.2)
-    x = rng.standard_normal(9)
+    ctx = all_cell_context(y_star, beta=beta)
+    x = rng.standard_normal((3, 9))
     k = 7
     s_k, s_n = sched.sigma_at(k), sched.sigma_at(k - 1)
-    _, mean_em, mean_gd = gem_core(x, rng.standard_normal(9), s_k, s_n, den, ctx)
-    grad = guidance_grad(
-        Field.from_flat(SPEC9, x), s_k, den, ctx.obs, ctx.system, ctx.layout, ctx.weights
-    ).flat()
+    _, mean_em, mean_gd = gem_core(x, rng.standard_normal((3, 9)), s_k, s_n, den, ctx)
+    c = s / (s + s_k**2)
+    grad = c * 2.0 * beta / 9 * (y_star - c * x)
     assert np.allclose(mean_gd - mean_em, (s_k**2 - s_n**2) * grad, atol=1e-12)
 
 
+def heun_chain(x, sched, den, gamma, draws, ctx=None):
+    """Reference loop of heun_core from k = K down to 1 with the given draws."""
+    for k in range(sched.steps, 0, -1):
+        x = heun_core(x, draws(), sched.sigma_at(k), sched.sigma_at(k - 1), den, gamma, ctx)
+    return x
+
+
 def test_sosag_without_churn_or_guidance_matches_ode_heun():
+    # A sosag run with s_churn = 0 and zero weights is the deterministic
+    # probability-flow Heun chain from its initial draw: no churn draw counts.
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=12, rho=3.0)
     den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", 1.0))
-    cfg_sosag = SamplerConfig(schedule=sched, mode="second_order", s_churn=0.0, seed=11)
-    cfg_ode = SamplerConfig(schedule=sched, mode="ode_heun", seed=99)  # seed must not matter
-    x0 = np.linspace(-2, 2, 9)
-    a = run_chain(cfg_sosag, den, x_init=x0)
-    b = run_chain(cfg_ode, den, x_init=x0)
-    assert np.array_equal(a.x0, b.x0)
+    ctx = all_cell_context(np.zeros(9), weights=GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0))
+    cfg = SmcConfig(1, sched, ctx.weights, proposal="sosag", s_churn=0.0, seed=11)
+    pop, _ = smc_run(cfg, den, ctx.obs, None, ctx.layout)
+    x0 = sched.sigma_max * particle_stream(11, 0).standard_normal((1, 9))
+    ode = heun_chain(x0, sched, den, 0.0, lambda: np.zeros((1, 9)))
+    assert np.array_equal(pop.states, ode)
 
 
 def test_sosag_fixed_point_denoiser_returns_churned_state_plus_guidance():
@@ -161,14 +166,14 @@ def test_sosag_fixed_point_denoiser_returns_churned_state_plus_guidance():
     den = IdentityDenoiser(9)
     y_star = np.full(9, 0.7)
     ctx = all_cell_context(y_star, beta=1.0)
-    cfg = SamplerConfig(schedule=sched, mode="sosag", s_churn=2.0, seed=0)
-    x = np.zeros(9)
+    gamma = churn_gamma(2.0, sched.steps)
+    x = np.zeros((1, 9))
     k = 5
     s_k, s_n = sched.sigma_at(k), sched.sigma_at(k - 1)
-    z = np.random.default_rng(8).standard_normal(9)
-    out = heun_core(x, z, s_k, s_n, den, cfg.churn_gamma, ctx)
+    z = np.random.default_rng(8).standard_normal((1, 9))
+    out = heun_core(x, z, s_k, s_n, den, gamma, ctx)
     # reproduce the churned state from the same draw
-    s_hat = s_k * (1 + cfg.churn_gamma)
+    s_hat = s_k * (1 + gamma)
     x_hat = x + np.sqrt(s_hat**2 - s_k**2) * z
     grad = 2.0 * 1.0 / 9 * (y_star - x_hat)  # beta-weighted observation pull at x_hat
     assert np.allclose(out, x_hat + (s_k**2 - s_n**2) * grad, atol=1e-12)
@@ -192,52 +197,41 @@ def test_sosag_chain_recovers_gaussian_prior_with_churn():
 def test_ode_heun_deterministic_regardless_of_seed():
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=15, rho=3.0)
     den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", 1.0))
-    x0 = np.linspace(-1, 1, 9)
-    a = run_chain(SamplerConfig(schedule=sched, mode="ode_heun", seed=1), den, x_init=x0)
-    b = run_chain(SamplerConfig(schedule=sched, mode="ode_heun", seed=2), den, x_init=x0)
-    assert np.array_equal(a.x0, b.x0)
+    x0 = np.linspace(-1, 1, 9)[None]
+    a = heun_chain(x0, sched, den, 0.0, lambda: particle_stream(1, 0).standard_normal((1, 9)))
+    b = heun_chain(x0, sched, den, 0.0, lambda: particle_stream(2, 0).standard_normal((1, 9)))
+    assert np.array_equal(a, b)
 
 
-def test_run_chain_guided_mode_requires_context():
-    sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=5, rho=3.0)
-    den = IdentityDenoiser(9)
-    with pytest.raises(ValueError):
-        run_chain(SamplerConfig(schedule=sched, mode="gem"), den)
-
-
-def test_run_chain_records_diagnostics_and_is_seed_deterministic():
+def test_smc_run_single_particle_is_seed_deterministic():
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=6, rho=3.0)
     den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", 1.0))
     ctx = all_cell_context(np.full(9, 0.3), beta=1.0)
-    cfg = SamplerConfig(schedule=sched, mode="gem", seed=21)
-    a = run_chain(cfg, den, ctx=ctx)
-    b = run_chain(cfg, den, ctx=ctx)
-    assert np.array_equal(a.x0, b.x0)
-    assert a.loglik_trace is not None and len(a.loglik_trace) == sched.steps
-    assert len(a.step_norms) == sched.steps
-    assert a.loglik_trace == b.loglik_trace
+    cfg = SmcConfig(particle_count=1, schedule=sched, weights=ctx.weights, proposal="gem", seed=21)
+    (pop_a, diag_a), (pop_b, diag_b) = (smc_run(cfg, den, ctx.obs, None, ctx.layout) for _ in range(2))
+    assert np.array_equal(pop_a.states, pop_b.states)
+    assert np.array_equal(pop_a.cached_loglik, pop_b.cached_loglik)
+    assert diag_a.steps == list(range(sched.steps - 1, -1, -1))
+    assert diag_a.log_evidence_trace == diag_b.log_evidence_trace
 
 
-def test_run_chain_reports_blow_up_step():
-    class ExplodingDenoiser(Denoiser):
-        def __init__(self):
-            self.dim = 9
+class ExplodingDenoiser(Denoiser):
+    def __init__(self):
+        self.dim = 9
 
-        def denoise(self, x, sigma):
-            return np.full_like(np.asarray(x, dtype=float), np.inf)
+    def denoise(self, x, sigma):
+        return np.full_like(np.asarray(x, dtype=float), np.inf)
 
-        def vjp(self, x, sigma, cot):
-            return np.asarray(cot, dtype=float)
+    def vjp(self, x, sigma, cot):
+        return np.asarray(cot, dtype=float)
 
+
+@pytest.mark.parametrize("proposal,scheme", [("gem", "pbs"), ("sosag", "pbs"), ("gem", "tds")])
+def test_smc_run_reports_blow_up_step(proposal, scheme):
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=5, rho=3.0)
+    ctx = all_cell_context(np.full(9, 0.3), beta=1.0)
+    cfg = SmcConfig(3, sched, ctx.weights, proposal, scheme, seed=0)
     with pytest.raises(BlowUpError) as exc:
-        run_chain(SamplerConfig(schedule=sched, mode="em", seed=0), ExplodingDenoiser())
+        smc_run(cfg, ExplodingDenoiser(), ctx.obs, None, ctx.layout)
     assert exc.value.step == 5
-
-
-def test_mode_validation():
-    sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=5, rho=3.0)
-    with pytest.raises(ValueError):
-        SamplerConfig(schedule=sched, mode="rk4")
-    with pytest.raises(ValueError):
-        SamplerConfig(schedule=sched, mode="em", s_churn=-1.0)
+    assert exc.value.particle == 0

@@ -7,7 +7,7 @@ from pgd.grid import Field, GridSpec, Mask
 from pgd.guidance import CovarianceTwist, GuidanceContext, GuidanceWeights, log_likelihood
 from pgd.priors import GaussianDenoiser, GaussianPrior, NoiseSchedule
 from pgd.residuals import StateLayout
-from pgd.samplers import SamplerConfig, run_chain
+from pgd.samplers import churn_gamma, em_core, gem_core, heun_core, particle_stream
 from pgd.smc import (
     ESTIMATE_MODES,
     ParticlePopulation,
@@ -142,26 +142,59 @@ def test_config_validation():
         SmcConfig(particle_count=2, schedule=sched, scheme="tds", proposal="sosag")
     with pytest.raises(ValueError):
         SmcConfig(particle_count=2, schedule=sched, resample_threshold=0.0)
+    with pytest.raises(ValueError):
+        SmcConfig(particle_count=2, schedule=sched, proposal="rk4")
+    with pytest.raises(ValueError):
+        SmcConfig(particle_count=2, schedule=sched, s_churn=-1.0)
 
 
-@pytest.mark.parametrize("proposal,mode", [("gem", "gem"), ("sosag", "sosag")])
+# Each single-chain sampler as (proposal, chain): em is gem with zero
+# weights, second_order is sosag with zero weights, and the ode chains are
+# sosag without churn.
+CHAINS = [
+    ("gem", "gem"),
+    ("sosag", "sosag"),
+    ("gem", "em"),
+    ("sosag", "second_order"),
+    ("sosag", "ode_heun"),
+    ("sosag", "ode_heun_guided"),
+]
+
+
+@pytest.mark.parametrize("proposal,mode", CHAINS)
 def test_single_particle_run_matches_chain_bit_exactly(proposal, mode):
+    # Reference: the chain's own loop over the cores on the particle-0 stream.
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=12, rho=3.0)
     den, obs, w = small_problem(beta=1.5)
+    guided = mode in ("gem", "sosag", "ode_heun_guided")
+    s_churn = 0.0 if mode.startswith("ode") else 2.0
+    if not guided:
+        w = GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0)
     cfg = SmcConfig(
         particle_count=1,
         schedule=sched,
         weights=w,
         proposal=proposal,
         scheme="pbs",
-        s_churn=2.0,
+        s_churn=s_churn,
         seed=31,
     )
     pop, _ = smc_run(cfg, den, obs, None, SOLUTION_ONLY)
-    chain_cfg = SamplerConfig(schedule=sched, mode=mode, s_churn=2.0, seed=31)
+
     ctx = GuidanceContext(obs=obs, system=None, layout=SOLUTION_ONLY, weights=w)
-    chain = run_chain(chain_cfg, den, ctx=ctx)
-    assert np.array_equal(pop.states[0], chain.x0)
+    stream = particle_stream(31, 0)
+    x = sched.sigma_max * stream.standard_normal((1, 9))
+    gamma = churn_gamma(s_churn, sched.steps)
+    for k in range(sched.steps, 0, -1):
+        s_k, s_n = sched.sigma_at(k), sched.sigma_at(k - 1)
+        z = stream.standard_normal((1, 9))
+        if mode == "gem":
+            x = gem_core(x, z, s_k, s_n, den, ctx)[0]
+        elif mode == "em":
+            x = em_core(x, z, s_k, s_n, den)[0]
+        else:
+            x = heun_core(x, z, s_k, s_n, den, gamma, ctx if guided else None)
+    assert np.array_equal(pop.states, x)
 
 
 def test_zero_temper_rho_keeps_uniform_weights_and_never_resamples():
