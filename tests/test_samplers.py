@@ -203,6 +203,18 @@ def test_ode_heun_deterministic_regardless_of_seed():
     assert np.array_equal(a, b)
 
 
+def test_mode_validation():
+    # The sampler mode is the smc proposal: each known one is accepted,
+    # an unknown one and negative churn are rejected.
+    sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=5, rho=3.0)
+    for proposal in ("gem", "sosag"):
+        assert SmcConfig(1, sched, proposal=proposal, s_churn=0.0).proposal == proposal
+    with pytest.raises(ValueError):
+        SmcConfig(1, sched, proposal="rk4")
+    with pytest.raises(ValueError):
+        SmcConfig(1, sched, proposal="gem", s_churn=-1.0)
+
+
 def test_smc_run_single_particle_is_seed_deterministic():
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=6, rho=3.0)
     den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", 1.0))
