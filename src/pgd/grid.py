@@ -1,7 +1,11 @@
 """Uniform 2-D grids, fields, finite-difference stencils and their exact adjoints.
 
 Fields live on an H x W grid of cells with C channels, stored row-major as
-(channel, row, col). Two boundary rules are supported:
+(channel, row, col). A field may carry leading batch axes, one per particle
+of a population, so its values are (..., C, H, W); every stencil acts on the
+last two axes of an (..., H, W) array, where axis 0 is the row axis and
+axis 1 the column axis, and maps each leading index independently. Two
+boundary rules are supported:
 
 - ``dirichlet_zero``: ghost cells outside the domain are fixed at 0. Cell
   (i, j) sits at coordinates ((i+1)h, (j+1)h), so the ghost ring lies exactly
@@ -83,17 +87,25 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Field:
-    """Multi-channel scalar field on a grid. Values are (C, H, W) float64, finite."""
+    """Multi-channel scalar field on a grid, or a batch of them.
+
+    Values are (C, H, W) float64, or (..., C, H, W) for a batch, C-contiguous
+    and finite. An array with more than three axes whose last three are
+    (C, H, W) is a batch; any other array of exactly C*H*W values is reshaped
+    to one field. Finiteness is checked once for the whole batch.
+    """
 
     spec: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        # C order lets consumers write through reshaped views of the values
+        arr = np.ascontiguousarray(self.values, dtype=float)
         shape = (self.spec.channels, self.spec.height, self.spec.width)
-        if arr.size != self.spec.size:
-            raise ValueError(f"expected {self.spec.size} values, got {arr.size}")
-        arr = arr.reshape(shape)
+        if arr.ndim <= 3 or arr.shape[-3:] != shape:
+            if arr.size != self.spec.size:
+                raise ValueError(f"expected {self.spec.size} values, got {arr.size}")
+            arr = arr.reshape(shape)
         if not np.all(np.isfinite(arr)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", arr)
@@ -108,16 +120,24 @@ class Field:
 
     @classmethod
     def from_flat(cls, spec: GridSpec, flat: np.ndarray) -> "Field":
-        return cls(spec, np.asarray(flat, dtype=float).reshape(spec.channels, spec.height, spec.width))
+        """Field from (d,) values, or a batch from (..., d) rows, in (channel, row, col) order."""
+        flat = np.asarray(flat, dtype=float)
+        return cls(spec, flat.reshape(flat.shape[:-1] + (spec.channels, spec.height, spec.width)))
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """Leading batch axes of the values; () for a single field."""
+        return self.values.shape[:-3]
 
     def flat(self) -> np.ndarray:
-        """Copy of values flattened in (channel, row, col) order."""
-        return self.values.reshape(-1).copy()
+        """Copy of values flattened in (channel, row, col) order, as (..., d)."""
+        return self.values.reshape(self.batch_shape + (-1,)).copy()
 
     def channel(self, c: int) -> np.ndarray:
+        """Channel ``c`` as (..., H, W)."""
         if not 0 <= c < self.spec.channels:
             raise ValueError(f"channel {c} out of range for {self.spec.channels} channels")
-        return self.values[c]
+        return self.values[..., c, :, :]
 
 
 @dataclass(frozen=True)
@@ -161,15 +181,19 @@ class Mask:
 
 
 def _axis_slices(axis: int, sl: slice) -> tuple:
-    return (sl, slice(None)) if axis == 0 else (slice(None), sl)
+    return (Ellipsis, sl, slice(None)) if axis == 0 else (Ellipsis, sl)
 
 
 def shift(a: np.ndarray, axis: int, step: int, boundary: str, fill: str = "zero") -> np.ndarray:
-    """Return b with b[idx] = a[idx + step] along ``axis`` (step in {-1, +1})."""
+    """Return b with b[idx] = a[idx + step] along ``axis`` (step in {-1, +1}).
+
+    ``a`` is (..., H, W); axis 0 is the row axis (-2) and axis 1 the column
+    axis (-1), so leading batch axes are never mixed.
+    """
     if step not in (-1, 1):
         raise ValueError("step must be -1 or +1")
     if boundary == PERIODIC:
-        return np.roll(a, -step, axis=axis)
+        return np.roll(a, -step, axis=axis - 2)
     out = np.empty_like(a)
     if step == 1:
         out[_axis_slices(axis, slice(None, -1))] = a[_axis_slices(axis, slice(1, None))]
@@ -185,7 +209,7 @@ def shift(a: np.ndarray, axis: int, step: int, boundary: str, fill: str = "zero"
 def shift_adjoint(g: np.ndarray, axis: int, step: int, boundary: str, fill: str = "zero") -> np.ndarray:
     """Adjoint of :func:`shift` with the same (axis, step, boundary, fill)."""
     if boundary == PERIODIC:
-        return np.roll(g, step, axis=axis)
+        return np.roll(g, step, axis=axis - 2)
     out = shift(g, axis, -step, boundary, fill="zero")
     if fill == "edge":
         out = out.copy()
@@ -198,7 +222,7 @@ def shift_adjoint(g: np.ndarray, axis: int, step: int, boundary: str, fill: str 
 
 
 # ---------------------------------------------------------------------------
-# Stencils on 2-D arrays.
+# Stencils on (..., H, W) arrays.
 # ---------------------------------------------------------------------------
 
 
@@ -253,7 +277,7 @@ def flux_divergence_2d_adjoint_coef(u: np.ndarray, w: np.ndarray, h: float, boun
 
 
 def _single(spec: GridSpec, arr: np.ndarray) -> Field:
-    return Field(spec.with_channels(1), arr[None])
+    return Field(spec.with_channels(1), arr[..., None, :, :])
 
 
 def laplacian(f: Field, channel: int = 0) -> Field:
@@ -285,6 +309,8 @@ def divergence(g_row: Field, g_col: Field) -> Field:
 
 def write_field(f: Field, path) -> None:
     """Write a field in the PGDF binary format (header + little-endian f64)."""
+    if f.batch_shape:
+        raise ValueError(f"PGDF holds one field, got a batch of shape {f.batch_shape}")
     header = _PGDF_HEADER.pack(
         PGDF_MAGIC,
         PGDF_VERSION,

@@ -6,6 +6,11 @@ misfit (weight gamma), and the PDE residual (weight omega). Additive
 constants are dropped throughout; only differences of log-likelihoods enter
 the particle weights, so the dropped constant can never affect them.
 
+:func:`log_likelihood` and :func:`data_log_likelihood_grad` take a single
+field or a batch (see :class:`~pgd.grid.Field`): a (N, C, H, W) population
+gives (N,) log-likelihoods and (N, C, H, W) gradients, each row equal to the
+single-field result. The particle engine makes one call per step.
+
 At a noisy state the particle engine evaluates the likelihood at the
 denoiser's reconstruction, the point twist. The guidance gradient of
 :mod:`pgd.samplers` either chains :func:`data_log_likelihood_grad` through
@@ -60,28 +65,44 @@ class GuidanceWeights:
             raise ValueError(f"jacobian_mode must be one of {JACOBIAN_MODES}")
 
 
+def _observed_groups(obs: Observations, layout: StateLayout, w: GuidanceWeights) -> list:
+    """(weight, observed cell indices, values, channels) of each weighted, observed group.
+
+    Raises ``ValueError`` when a group's values are not one row per channel
+    and one column per observed cell.
+    """
+    groups = []
+    for weight, mask, values, channels in (
+        (w.beta, obs.mask_u, obs.values_u, layout.solution_channels),
+        (w.gamma, obs.mask_a, obs.values_a, layout.coeff_channels),
+    ):
+        idx = mask.flat_indices()
+        if weight > 0 and channels and idx.size:
+            if values.shape != (len(channels), idx.size):
+                raise ValueError("observation values do not match mask count and channel group")
+            groups.append((weight, idx, values, channels))
+    return groups
+
+
 @dataclass(frozen=True)
 class GuidanceContext:
-    """Bundle of everything a guided step needs besides the state itself."""
+    """Bundle of everything a guided step needs besides the state itself.
+
+    The observation groups are checked against the layout on construction.
+    """
 
     obs: Observations
     system: PdeSystem | None
     layout: StateLayout
     weights: GuidanceWeights
 
+    def __post_init__(self):
+        _observed_groups(self.obs, self.layout, self.weights)
 
-def _group_misfit(x: Field, mask, values, channels) -> tuple[float, int]:
-    """Sum of squared observation errors over a channel group and the entry count."""
-    idx = mask.flat_indices()
-    if len(channels) == 0 or idx.size == 0:
-        return 0.0, 0
-    if values.shape != (len(channels), idx.size):
-        raise ValueError("observation values do not match mask count and channel group")
-    total = 0.0
-    for row, c in enumerate(channels):
-        diff = values[row] - x.values[c].reshape(-1)[idx]
-        total += float(diff @ diff)
-    return total, values.size
+
+def _cell_rows(x: Field) -> np.ndarray:
+    """State values as (..., C, H*W)."""
+    return x.values.reshape(x.batch_shape + (x.spec.channels, x.spec.cells))
 
 
 def log_likelihood(
@@ -90,23 +111,27 @@ def log_likelihood(
     system: PdeSystem | None,
     layout: StateLayout,
     w: GuidanceWeights,
-) -> float:
-    """Weighted negative mean-square misfits of a clean state (constant dropped)."""
-    total = 0.0
-    if w.beta > 0:
-        sq, n = _group_misfit(x0, obs.mask_u, obs.values_u, layout.solution_channels)
-        if n:
-            total -= w.beta * sq / n
-    if w.gamma > 0:
-        sq, n = _group_misfit(x0, obs.mask_a, obs.values_a, layout.coeff_channels)
-        if n:
-            total -= w.gamma * sq / n
+) -> float | np.ndarray:
+    """Weighted negative mean-square misfits of a clean state (constant dropped).
+
+    A float for a single field, (N,) for a batch of N.
+    """
+    v = _cell_rows(x0)
+    total = np.zeros(x0.batch_shape)
+    for weight, idx, values, channels in _observed_groups(obs, layout, w):
+        sq = np.zeros(x0.batch_shape)
+        for row, c in enumerate(channels):
+            # contiguous rows and a stacked (1, m) @ (m, 1) product round like
+            # the 1-D dot of a single field, so each row matches it bit for bit
+            diff = np.ascontiguousarray(values[row] - v[..., c, idx])
+            sq = sq + (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+        total = total - weight * sq / values.size
     if w.omega > 0:
         if system is None:
             raise ValueError("omega > 0 requires a PDE system")
-        r = residual(system, layout, x0)
-        total -= w.omega * float(np.mean(r.values**2))
-    return total
+        r = residual(system, layout, x0).values
+        total = total - w.omega * np.mean(r.reshape(x0.batch_shape + (-1,)) ** 2, axis=-1)
+    return total if x0.batch_shape else float(total)
 
 
 def data_log_likelihood_grad(
@@ -116,20 +141,16 @@ def data_log_likelihood_grad(
     layout: StateLayout,
     w: GuidanceWeights,
 ) -> Field:
-    """Gradient of :func:`log_likelihood` with respect to the clean state."""
+    """Gradient of :func:`log_likelihood` with respect to the clean state.
+
+    (C, H, W) for a single field, (N, C, H, W) for a batch of N.
+    """
+    v = _cell_rows(x0)
     grad = np.zeros_like(x0.values)
-    if w.beta > 0 and layout.solution_channels and obs.mask_u.count:
-        idx = obs.mask_u.flat_indices()
-        n = obs.values_u.size
-        for row, c in enumerate(layout.solution_channels):
-            g = grad[c].reshape(-1)
-            g[idx] += 2.0 * w.beta / n * (obs.values_u[row] - x0.values[c].reshape(-1)[idx])
-    if w.gamma > 0 and layout.coeff_channels and obs.mask_a.count:
-        idx = obs.mask_a.flat_indices()
-        n = obs.values_a.size
-        for row, c in enumerate(layout.coeff_channels):
-            g = grad[c].reshape(-1)
-            g[idx] += 2.0 * w.gamma / n * (obs.values_a[row] - x0.values[c].reshape(-1)[idx])
+    g = grad.reshape(v.shape)  # view
+    for weight, idx, values, channels in _observed_groups(obs, layout, w):
+        for row, c in enumerate(channels):
+            g[..., c, idx] += 2.0 * weight / values.size * (values[row] - v[..., c, idx])
     if w.omega > 0:
         if system is None:
             raise ValueError("omega > 0 requires a PDE system")
@@ -155,19 +176,12 @@ class CovarianceTwist:
 
     def __init__(self, ctx: GuidanceContext):
         cells = ctx.obs.mask_u.spec.cells
-        w = ctx.weights
-        groups = (
-            (w.beta, ctx.obs.mask_u, ctx.obs.values_u, ctx.layout.solution_channels),
-            (w.gamma, ctx.obs.mask_a, ctx.obs.values_a, ctx.layout.coeff_channels),
-        )
         index, values, variance = [], [], []
-        for weight, mask, vals, channels in groups:
-            if weight > 0 and channels and mask.count:
-                cell_idx = mask.flat_indices()
-                for row, c in enumerate(channels):
-                    index.append(c * cells + cell_idx)
-                    values.append(vals[row])
-                    variance.append(np.full(cell_idx.size, vals.size / (2.0 * weight)))
+        for weight, cell_idx, vals, channels in _observed_groups(ctx.obs, ctx.layout, ctx.weights):
+            for row, c in enumerate(channels):
+                index.append(c * cells + cell_idx)
+                values.append(vals[row])
+                variance.append(np.full(cell_idx.size, vals.size / (2.0 * weight)))
         self.index = np.concatenate([np.zeros(0, dtype=int), *index])
         self.values = np.concatenate([np.zeros(0), *values])
         self.variance = np.concatenate([np.zeros(0), *variance])

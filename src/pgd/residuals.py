@@ -12,6 +12,10 @@ two-channel vector snapshots.
 Gradients are assembled from stencil adjoints and product-rule terms, never
 by automatic differentiation, so they can be cross-checked against finite
 differences.
+
+Both operators take a single field or a batch (see :class:`~pgd.grid.Field`)
+and act per particle: a (N, C, H, W) state gives (N, R, H, W) residuals and
+(N, C, H, W) gradients, each row equal to the single-field result.
 """
 
 from __future__ import annotations
@@ -195,29 +199,30 @@ def default_layout(kind: str) -> StateLayout:
 
 
 def residual(system: PdeSystem, layout: StateLayout, x: Field) -> Field:
-    """Pointwise residual field(s), one channel per governing equation."""
+    """Pointwise residual field(s), one channel per governing equation.
+
+    A batched ``x`` of shape (..., C, H, W) gives residuals (..., R, H, W).
+    """
     layout.validate_for(system, x.spec)
     h, boundary = x.spec.spacing, x.spec.boundary
-    v = x.values
+    v = np.moveaxis(x.values, -3, 0)  # channel-first view: v[c] is (..., H, W)
     kind = system.kind
 
     if kind in ("poisson", "helmholtz"):
         a = v[layout.a_channel]
         u = v[layout.u_channel]
         res = laplacian_2d(u, h, boundary) + system.k_wave**2 * u - a
-        out = res[None]
+        rows = [res]
     elif kind == "darcy":
         a = v[layout.a_channel]
         u = v[layout.u_channel]
         res = -flux_divergence_2d(a, u, h, boundary) - system.source
-        out = res[None]
+        rows = [res]
     elif kind == "divergence_free":
-        out = np.stack(
-            [
-                diff_2d(v[p], 0, h, boundary) + diff_2d(v[q], 1, h, boundary)
-                for p, q in layout.vector_pairs
-            ]
-        )
+        rows = [
+            diff_2d(v[p], 0, h, boundary) + diff_2d(v[q], 1, h, boundary)
+            for p, q in layout.vector_pairs
+        ]
     elif kind == "gray_scott_2":
         du, dv = (v[c] for c in layout.diffusion_channels)
         u0, v0 = (v[c] for c in layout.initial_channels)
@@ -225,7 +230,7 @@ def residual(system: PdeSystem, layout: StateLayout, x: Field) -> Field:
         horizon, feed, removal = system.horizon, system.feed, system.removal
         f_u = (ut - u0) / horizon - du * laplacian_2d(ut, h, boundary) + ut * vt**2 - feed * (1.0 - ut)
         f_v = (vt - v0) / horizon - dv * laplacian_2d(vt, h, boundary) - ut * vt**2 + (feed + removal) * vt
-        out = np.stack([f_u, f_v])
+        rows = [f_u, f_v]
     elif kind == "competitive_3":
         mat = system.coupling_matrix
         diff = [v[c] for c in layout.diffusion_channels]
@@ -241,22 +246,26 @@ def residual(system: PdeSystem, layout: StateLayout, x: Field) -> Field:
                 - flux_divergence_2d(diff[i], term[i], h, boundary)
                 - growth
             )
-        out = np.stack(rows)
     else:  # pragma: no cover - guarded by PdeSystem validation
         raise ValueError(f"unknown system kind {kind!r}")
 
-    spec = GridSpec(x.spec.height, x.spec.width, out.shape[0], h, boundary)
-    return Field(spec, out)
+    spec = GridSpec(x.spec.height, x.spec.width, len(rows), h, boundary)
+    return Field(spec, np.stack(rows, axis=-3))
 
 
 def residual_sq_grad(system: PdeSystem, layout: StateLayout, x: Field) -> Field:
-    """Gradient of (1/m) * ||residual(x)||^2 with respect to every state channel."""
+    """Gradient of (1/m) * ||residual(x)||^2 with respect to every state channel.
+
+    m counts the residual entries of one field; a batched ``x`` gives one
+    gradient per field, (..., C, H, W).
+    """
     res = residual(system, layout, x)
     m = res.spec.size
-    r = res.values
+    r = np.moveaxis(res.values, -3, 0)
     h, boundary = x.spec.spacing, x.spec.boundary
-    v = x.values
-    grad = np.zeros_like(v)
+    v = np.moveaxis(x.values, -3, 0)
+    grad_values = np.zeros_like(x.values)
+    grad = np.moveaxis(grad_values, -3, 0)  # writable channel-first view
     kind = system.kind
     scale = 2.0 / m
 
@@ -316,5 +325,5 @@ def residual_sq_grad(system: PdeSystem, layout: StateLayout, x: Field) -> Field:
     else:  # pragma: no cover
         raise ValueError(f"unknown system kind {kind!r}")
 
-    return Field(x.spec, grad)
+    return Field(x.spec, grad_values)
 

@@ -61,15 +61,8 @@ def _guidance_rows(
     ``extra_data_grad`` is added to the data-space gradient before the
     pull-back through the denoiser, so it costs no second vjp.
     """
-    spec = state_spec(ctx)
-    data = np.stack(
-        [
-            data_log_likelihood_grad(
-                Field.from_flat(spec, row), ctx.obs, ctx.system, ctx.layout, ctx.weights
-            ).flat()
-            for row in denoised
-        ]
-    )
+    batch = Field.from_flat(state_spec(ctx), denoised)
+    data = data_log_likelihood_grad(batch, ctx.obs, ctx.system, ctx.layout, ctx.weights).flat()
     if extra_data_grad is not None:
         data = data + extra_data_grad
     if ctx.weights.jacobian_mode == "identity":

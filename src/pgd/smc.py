@@ -224,12 +224,7 @@ def smc_run(
 
     def twist_log(x: np.ndarray, x_hat: np.ndarray, sigma: float):
         """Per-row twist at (x, sigma) and the data-space gradient of its correction."""
-        ll = np.array(
-            [
-                log_likelihood(Field.from_flat(spec, row), obs, system, layout, config.weights)
-                for row in x_hat
-            ]
-        )
+        ll = log_likelihood(Field.from_flat(spec, x_hat), obs, system, layout, config.weights)
         if twist is None:
             return ll, None
         corr, corr_grad = twist.correction(denoiser, x, x_hat, sigma)

@@ -103,6 +103,33 @@ def test_log_likelihood_count_mismatch_rejected():
         log_likelihood(x, two_rows, PdeSystem.poisson(), layout, GuidanceWeights())
 
 
+def test_observation_rows_checked_by_the_context_and_every_consumer():
+    spec, x, layout, obs = poisson_case(5)
+    # two value rows for the single solution channel
+    two_rows = Observations(obs.mask_a, obs.values_a, obs.mask_u, np.vstack([obs.values_u] * 2), 0.0)
+    w = GuidanceWeights(beta=1.0, gamma=1.0, omega=0.0)
+    with pytest.raises(ValueError, match="observation values"):
+        GuidanceContext(two_rows, PdeSystem.poisson(), layout, w)
+    batch = Field(spec, np.stack([x.values, x.values]))
+    for f in (x, batch):
+        with pytest.raises(ValueError, match="observation values"):
+            data_log_likelihood_grad(f, two_rows, PdeSystem.poisson(), layout, w)
+        with pytest.raises(ValueError, match="observation values"):
+            log_likelihood(f, two_rows, PdeSystem.poisson(), layout, w)
+    # an unweighted group is not read, so it is not checked either
+    GuidanceContext(two_rows, PdeSystem.poisson(), layout, GuidanceWeights(beta=0.0, gamma=1.0))
+
+
+def test_data_grad_does_not_depend_on_memory_order_of_the_state():
+    spec, truth, layout, obs = poisson_case(3)
+    x = Field(spec, truth.values + np.random.default_rng(4).standard_normal(truth.values.shape))
+    w = GuidanceWeights(beta=1.0, gamma=1.0, omega=1.0)
+    want = data_log_likelihood_grad(x, obs, PdeSystem.poisson(), layout, w).values
+    fortran = Field(spec, np.asfortranarray(x.values))
+    got = data_log_likelihood_grad(fortran, obs, PdeSystem.poisson(), layout, w).values
+    np.testing.assert_array_equal(got, want)
+
+
 def test_weights_validation():
     with pytest.raises(ValueError):
         GuidanceWeights(beta=-1.0)

@@ -1,9 +1,12 @@
 """Fixed-seed golden outputs of ``smc_run``.
 
 ``smc_golden.json`` holds the final states, log-weights and log-evidence of
-three small runs, one per proposal/scheme pairing in use: poisson gem/pbs
+seven small runs: one per proposal/scheme pairing in use (poisson gem/pbs
 with a PDE term, a dense Gaussian prior under gem/tds, and gray_scott_2
-sosag/pbs. Refactors of the sampler must reproduce them to a relative
+sosag/pbs), plus one per remaining system with a PDE term (darcy gem/pbs,
+helmholtz gem/tds, divergence_free sosag/pbs and competitive_3 gem/pbs).
+The latter use non-square grids, so a stencil acting on a swapped axis
+changes them. Refactors of the sampler must reproduce them to a relative
 tolerance of 1e-12. The file was written once by running this module as a
 script (``PYTHONPATH=src python tests/test_smc_golden.py``); rewrite it only
 for a change that is meant to alter the sampler's arithmetic.
@@ -76,7 +79,60 @@ def gray_scott_sosag_pbs():
     return GaussianDenoiser(prior), obs, PdeSystem.gray_scott(), layout, w, "sosag", "pbs"
 
 
-CASES = {f.__name__: f for f in (poisson_gem_pbs, dense_gem_tds, gray_scott_sosag_pbs)}
+def darcy_gem_pbs():
+    rng = np.random.default_rng(104)
+    spec = GridSpec(4, 5, 2, 1 / 6, DIRICHLET)
+    layout = StateLayout.scalar_pair()
+    prior = _dense_prior(rng, spec)
+    obs = _observations(rng, spec, layout, [1, 8, 17], [0, 6, 12, 19])
+    w = GuidanceWeights(beta=10.0, gamma=10.0, omega=1e-3)
+    return GaussianDenoiser(prior), obs, PdeSystem.darcy(), layout, w, "gem", "pbs"
+
+
+def helmholtz_gem_tds():
+    rng = np.random.default_rng(105)
+    spec = GridSpec(5, 4, 2, 1 / 6, DIRICHLET)
+    layout = StateLayout.scalar_pair()
+    prior = _dense_prior(rng, spec)
+    obs = _observations(rng, spec, layout, [2, 9, 15], [0, 7, 13, 18])
+    w = GuidanceWeights(beta=10.0, gamma=10.0, omega=1e-3)
+    return GaussianDenoiser(prior), obs, PdeSystem.helmholtz(2.0), layout, w, "gem", "tds"
+
+
+def divergence_free_sosag_pbs():
+    rng = np.random.default_rng(106)
+    spec = GridSpec(3, 4, 4, 1 / 4, PERIODIC)
+    layout = default_layout("divergence_free")
+    prior = GaussianPrior(Field.zeros(spec), "diagonal", rng.uniform(0.5, 1.5, spec.size))
+    obs = _observations(rng, spec, layout, [1, 6], [0, 5, 11])
+    w = GuidanceWeights(beta=10.0, gamma=10.0, omega=1e-2)
+    return GaussianDenoiser(prior), obs, PdeSystem.divergence_free(), layout, w, "sosag", "pbs"
+
+
+def competitive_gem_pbs():
+    rng = np.random.default_rng(107)
+    spec = GridSpec(4, 3, 9, 1 / 4, PERIODIC)
+    layout = default_layout("competitive_3")
+    mean = 0.5 + 0.1 * rng.standard_normal((9, 4, 3))
+    prior = GaussianPrior(Field(spec, mean), "diagonal", rng.uniform(0.01, 0.05, spec.size))
+    obs = _observations(rng, spec, layout, [2, 7], [0, 4, 10])
+    w = GuidanceWeights(beta=10.0, gamma=10.0, omega=1e-3)
+    system = PdeSystem.competitive([[0.0, 1.5, 0.6], [0.4, 0.0, 1.7], [1.3, 0.5, 0.0]])
+    return GaussianDenoiser(prior), obs, system, layout, w, "gem", "pbs"
+
+
+CASES = {
+    f.__name__: f
+    for f in (
+        poisson_gem_pbs,
+        dense_gem_tds,
+        gray_scott_sosag_pbs,
+        darcy_gem_pbs,
+        helmholtz_gem_tds,
+        divergence_free_sosag_pbs,
+        competitive_gem_pbs,
+    )
+}
 
 
 def run_case(name):
