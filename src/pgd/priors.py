@@ -8,22 +8,21 @@ neural implementation only needs ``denoise`` and ``vjp``.
 
 All denoiser operations act on flattened states of shape (..., d) so particle
 populations batch through the same code path.
+
+A ``"dense"`` covariance is stored factored, as :class:`FactoredCov`: an
+isotropic level plus r orthonormal eigenpairs, so the denoiser applies it in
+O(d r) per state and no d x d matrix is kept. A fitted prior has r <= n (the
+sample count), with no cap on d; a hand-built (d, d) matrix has r = d.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .grid import Field, read_field, write_field
-
-DENSE_COVARIANCE_DIM_CAP = 4096
+from .grid import Field
 
 
 @dataclass(frozen=True)
@@ -59,9 +58,6 @@ class NoiseSchedule:
         hi = self.sigma_max ** (1.0 / self.rho)
         return float((lo + (k / self.steps) * (hi - lo)) ** self.rho)
 
-    def sigmas(self) -> np.ndarray:
-        return np.array([self.sigma_at(k) for k in range(self.steps + 1)])
-
 
 class Denoiser(ABC):
     """Map (x, sigma) -> estimate of the clean state, with exact vjp access."""
@@ -77,16 +73,6 @@ class Denoiser(ABC):
         """J(x, sigma)^T @ cotangent for J the Jacobian of denoise in x."""
 
 
-def score(denoiser: Denoiser, x: np.ndarray, sigma: float) -> np.ndarray:
-    """Ascent direction of the noised log-density: (denoise(x, sigma) - x) / sigma^2.
-
-    For a Gaussian prior N(mu, S) this equals -(S + sigma^2 I)^{-1} (x - mu).
-    """
-    if sigma <= 0:
-        raise ValueError("score requires sigma > 0")
-    return (denoiser.denoise(x, sigma) - np.asarray(x, dtype=float)) / sigma**2
-
-
 # ---------------------------------------------------------------------------
 # Gaussian priors.
 # ---------------------------------------------------------------------------
@@ -95,13 +81,32 @@ COV_KINDS = ("scalar", "diagonal", "dense")
 
 
 @dataclass(frozen=True)
+class FactoredCov:
+    """Dense covariance iso * I + basis^T diag(evals - iso) basis.
+
+    ``basis`` is (r, d) with orthonormal rows and ``evals`` holds their r
+    eigenvalues; every direction orthogonal to the rows has eigenvalue ``iso``.
+    This is the probabilistic-PCA form (Tipping & Bishop, 1999).
+    """
+
+    iso: float
+    basis: np.ndarray
+    evals: np.ndarray
+
+
+@dataclass(frozen=True)
 class GaussianPrior:
-    """Gaussian over flattened states: mean field plus scalar/diagonal/dense covariance."""
+    """Gaussian over flattened states: mean field plus scalar/diagonal/dense covariance.
+
+    A dense covariance may be given as a symmetric positive semidefinite (d, d)
+    matrix. It is checked and eigendecomposed once here and stored as a
+    :class:`FactoredCov` with iso = 0 and r = d; eigenvalues are clipped at
+    zero against tiny negative round-off modes.
+    """
 
     mean: Field
     cov_kind: str
-    cov: float | np.ndarray
-    shrinkage: float | None = None
+    cov: float | np.ndarray | FactoredCov
 
     def __post_init__(self):
         if self.cov_kind not in COV_KINDS:
@@ -116,59 +121,55 @@ class GaussianPrior:
             if arr.shape != (d,) or np.any(arr < 0):
                 raise ValueError("diagonal covariance must be a nonnegative (d,) vector")
             object.__setattr__(self, "cov", arr)
+        elif isinstance(self.cov, FactoredCov):
+            cov = self.cov
+            if cov.basis.shape != (cov.evals.size, d) or cov.iso < 0 or np.any(cov.evals < 0):
+                raise ValueError("factored covariance needs an (r, d) basis and nonnegative iso and evals")
         else:
             arr = np.asarray(self.cov, dtype=float)
             if arr.shape != (d, d):
                 raise ValueError("dense covariance must be (d, d)")
             if not np.allclose(arr, arr.T, atol=1e-10):
                 raise ValueError("dense covariance must be symmetric")
+            evals, evecs = np.linalg.eigh(arr)
+            if np.min(evals) < -1e-8 * max(np.max(np.abs(evals)), 1.0):
+                raise ValueError("dense covariance is not positive semidefinite")
+            object.__setattr__(self, "cov", FactoredCov(0.0, evecs.T, np.maximum(evals, 0.0)))
 
     @property
     def dim(self) -> int:
         return self.mean.spec.size
 
 
+def _shrink(lam, sigma: float) -> np.ndarray:
+    """Per-mode shrinkage factors lam/(lam + sigma^2); at sigma=0 modes with lam>0 pass through."""
+    lam = np.asarray(lam)
+    denom = lam + sigma**2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denom > 0, lam / np.where(denom > 0, denom, 1.0), 0.0)
+
+
 class GaussianDenoiser(Denoiser):
     """Exact posterior-mean denoiser mu + S (S + sigma^2 I)^{-1} (x - mu).
 
-    Dense covariances are eigendecomposed once at construction; eigenvalues
-    clipped at zero guard against tiny negative round-off modes.
+    The Jacobian S (S + sigma^2 I)^{-1} shares the eigenvectors of S. A dense
+    S applies through its factored form as
+    f_iso v + ((v basis^T) (f_r - f_iso)) basis, at O(d r) per state.
     """
 
     def __init__(self, prior: GaussianPrior):
         self.prior = prior
         self.dim = prior.dim
         self._mu = prior.mean.flat()
-        if prior.cov_kind == "dense":
-            evals, evecs = np.linalg.eigh(prior.cov)
-            if np.min(evals) < -1e-8 * max(np.max(np.abs(evals)), 1.0):
-                raise ValueError("dense covariance is not positive semidefinite")
-            self._evals = np.maximum(evals, 0.0)
-            self._evecs = evecs
-
-    def _factors(self, sigma: float) -> np.ndarray:
-        """Per-mode shrinkage factors s/(s + sigma^2); at sigma=0 modes with s>0 pass through."""
-        kind = self.prior.cov_kind
-        if kind == "scalar":
-            s = self.prior.cov
-            lam = np.array([s])
-        elif kind == "diagonal":
-            lam = self.prior.cov
-        else:
-            lam = self._evals
-        denom = lam + sigma**2
-        with np.errstate(invalid="ignore", divide="ignore"):
-            f = np.where(denom > 0, lam / np.where(denom > 0, denom, 1.0), 0.0)
-        return f
 
     def _apply_jacobian(self, vec: np.ndarray, sigma: float) -> np.ndarray:
-        f = self._factors(sigma)
-        kind = self.prior.cov_kind
-        if kind == "scalar":
-            return f[0] * vec
-        if kind == "diagonal":
-            return vec * f
-        return (vec @ self._evecs) * f @ self._evecs.T
+        cov = self.prior.cov
+        if self.prior.cov_kind != "dense":
+            return vec * _shrink(cov, sigma)
+        f = _shrink(np.append(cov.evals, cov.iso), sigma)  # r modes, then the isotropic level
+        out = ((vec @ cov.basis.T) * (f[:-1] - f[-1])) @ cov.basis
+        out += f[-1] * vec
+        return out
 
     def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -240,16 +241,19 @@ class GmmDenoiser(Denoiser):
 
 
 # ---------------------------------------------------------------------------
-# Fitting and persistence.
+# Fitting.
 # ---------------------------------------------------------------------------
 
 
-def fit_empirical_prior(dataset: list[Field], lam: float, cov_kind: str = "auto") -> GaussianPrior:
+def fit_empirical_prior(dataset: list[Field], lam: float, cov_kind: str = "dense") -> GaussianPrior:
     """Shrunk empirical Gaussian: (1 - lam) * empirical + lam * (trace/d) * identity.
 
-    Dense covariance is only permitted up to state dimension 4096; ``auto``
-    picks dense when allowed and diagonal otherwise. A zero-trace empirical
-    covariance (identical samples) falls back to a unit trace scale so the
+    The shrinkage target is that of Ledoit & Wolf (2004). A ``"dense"`` fit
+    comes from the thin SVD C = U diag(s) V of the n centred samples and is
+    stored as :class:`FactoredCov`: iso = lam * trace/d, basis = V and
+    evals = (1 - lam) s^2/n + iso. No d x d matrix is formed, so any d is
+    allowed and storage is O(min(n, d) d). A zero-trace empirical covariance
+    (one sample, or identical samples) falls back to a unit trace scale so the
     result stays positive definite for lam > 0.
     """
     if not dataset:
@@ -258,65 +262,21 @@ def fit_empirical_prior(dataset: list[Field], lam: float, cov_kind: str = "auto"
         raise ValueError("shrinkage must lie in (0, 1]")
     spec = dataset[0].spec
     mat = np.stack([f.flat() for f in dataset])
-    d = mat.shape[1]
-    if cov_kind == "auto":
-        cov_kind = "dense" if d <= DENSE_COVARIANCE_DIM_CAP else "diagonal"
-    if cov_kind == "dense" and d > DENSE_COVARIANCE_DIM_CAP:
-        raise ValueError(f"dense covariance capped at dimension {DENSE_COVARIANCE_DIM_CAP}, got {d}")
+    n, d = mat.shape
     mean = mat.mean(axis=0)
     centered = mat - mean
     if cov_kind == "dense":
-        emp = centered.T @ centered / mat.shape[0]
-        trace_scale = np.trace(emp) / d
+        _, s, basis = np.linalg.svd(centered, full_matrices=False)
+        emp = s**2 / n
+        trace_scale = emp.sum() / d
         if trace_scale == 0.0:
             trace_scale = 1.0
-        cov = (1.0 - lam) * emp + lam * trace_scale * np.eye(d)
-        return GaussianPrior(Field.from_flat(spec, mean), "dense", cov, shrinkage=lam)
+        iso = lam * trace_scale
+        cov = FactoredCov(iso, basis, (1.0 - lam) * emp + iso)
+        return GaussianPrior(Field.from_flat(spec, mean), "dense", cov)
     if cov_kind == "diagonal":
         emp = np.mean(centered**2, axis=0)
         trace_scale = emp.mean() if emp.mean() > 0 else 1.0
         cov = (1.0 - lam) * emp + lam * trace_scale
-        return GaussianPrior(Field.from_flat(spec, mean), "diagonal", cov, shrinkage=lam)
+        return GaussianPrior(Field.from_flat(spec, mean), "diagonal", cov)
     raise ValueError(f"cannot fit cov_kind {cov_kind!r}")
-
-
-_COV_HEADER = struct.Struct("<BI")
-_COV_CODES = {"scalar": 0, "diagonal": 1, "dense": 2}
-_COV_NAMES = {v: k for k, v in _COV_CODES.items()}
-
-
-def save_prior(prior: GaussianPrior, out_dir: str | Path, dataset_manifest: str | Path | None = None) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_field(prior.mean, out / "mean.pgdf")
-    cov = np.atleast_1d(np.asarray(prior.cov, dtype=float))
-    with open(out / "cov.bin", "wb") as fh:
-        fh.write(_COV_HEADER.pack(_COV_CODES[prior.cov_kind], prior.dim))
-        fh.write(cov.astype("<f8").tobytes())
-    manifest_hash = None
-    if dataset_manifest is not None:
-        manifest_hash = hashlib.sha256(Path(dataset_manifest).read_bytes()).hexdigest()
-    meta = {
-        "cov_kind": prior.cov_kind,
-        "shrinkage": prior.shrinkage,
-        "dataset_manifest_sha256": manifest_hash,
-    }
-    (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return out
-
-
-def load_prior(out_dir: str | Path) -> GaussianPrior:
-    out = Path(out_dir)
-    mean = read_field(out / "mean.pgdf")
-    meta = json.loads((out / "meta.json").read_text())
-    with open(out / "cov.bin", "rb") as fh:
-        code, dim = _COV_HEADER.unpack(fh.read(_COV_HEADER.size))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    kind = _COV_NAMES[code]
-    if kind == "scalar":
-        cov: float | np.ndarray = float(data[0])
-    elif kind == "diagonal":
-        cov = data.copy()
-    else:
-        cov = data.reshape(dim, dim).copy()
-    return GaussianPrior(mean, kind, cov, shrinkage=meta.get("shrinkage"))

@@ -4,16 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgd.grid import Field, GridSpec
-from pgd.priors import (
-    GaussianDenoiser,
-    GaussianPrior,
-    GmmDenoiser,
-    NoiseSchedule,
-    fit_empirical_prior,
-    load_prior,
-    save_prior,
-    score,
-)
+from pgd.priors import FactoredCov, GaussianDenoiser, GaussianPrior, GmmDenoiser, NoiseSchedule, fit_empirical_prior
 
 SPEC_4X4 = GridSpec(4, 4, 1, 1.0)  # flattened dimension 16
 
@@ -21,6 +12,25 @@ SPEC_4X4 = GridSpec(4, 4, 1, 1.0)  # flattened dimension 16
 def unit_prior(mean=None):
     mu = Field.zeros(SPEC_4X4) if mean is None else mean
     return GaussianPrior(mu, "scalar", 1.0)
+
+
+def score(den, x, sigma):
+    """Ascent direction of the noised log-density, (D(x, sigma) - x) / sigma^2."""
+    return (den.denoise(x, sigma) - x) / sigma**2
+
+
+def dense_matrix(cov):
+    """The matrix iso * I + basis^T diag(evals - iso) basis of a factored covariance."""
+    d = cov.basis.shape[1]
+    return cov.iso * np.eye(d) + cov.basis.T @ np.diag(cov.evals - cov.iso) @ cov.basis
+
+
+def shrunk_cov_apply(samples, lam, v):
+    """S v for S = (1 - lam) C^T C / n + lam t I, with C the centred samples and t = tr(C^T C / n) / d."""
+    c = samples - samples.mean(axis=0)
+    n, d = c.shape
+    t = np.sum(c**2) / (n * d) or 1.0
+    return (1.0 - lam) * c.T @ (c @ v) / n + lam * t * v
 
 
 def test_schedule_endpoints_exact():
@@ -45,7 +55,7 @@ def test_schedule_midpoint_frozen_value():
 )
 def test_schedule_strictly_decreasing(steps, rho, sigma_max):
     sched = NoiseSchedule(sigma_max=sigma_max, sigma_min=0.002, steps=steps, rho=rho)
-    sig = sched.sigmas()
+    sig = np.array([sched.sigma_at(k) for k in range(steps + 1)])
     assert np.all(np.diff(sig) > 0)  # increasing in k means decreasing toward k=0
     assert sig[0] == sched.sigma_min and sig[-1] == sched.sigma_max
 
@@ -92,11 +102,6 @@ def test_gaussian_score_matches_conjugate_formula():
     want = -np.linalg.solve(cov + sigma**2 * np.eye(16), x - mu)
     assert np.allclose(got, want, atol=1e-10)
     assert np.allclose(score(den, mu, sigma), 0.0, atol=1e-12)
-
-
-def test_score_rejects_sigma_zero():
-    with pytest.raises(ValueError):
-        score(GaussianDenoiser(unit_prior()), np.zeros(16), 0.0)
 
 
 def test_gaussian_denoiser_is_contraction():
@@ -211,16 +216,17 @@ def test_fit_identical_fields_gives_identity_covariance():
     prior = fit_empirical_prior([f, f, f], lam=0.5, cov_kind="dense")
     assert np.allclose(prior.mean.flat(), 2.5)
     # zero empirical part; unit fallback trace scale
-    assert np.allclose(prior.cov, 0.5 * np.eye(16))
+    assert np.allclose(dense_matrix(prior.cov), 0.5 * np.eye(16))
 
 
 def test_fit_full_shrinkage_is_scaled_identity():
     rng = np.random.default_rng(8)
     fields = [Field(SPEC_4X4, rng.standard_normal((1, 4, 4))) for _ in range(20)]
     prior = fit_empirical_prior(fields, lam=1.0, cov_kind="dense")
-    offdiag = prior.cov - np.diag(np.diag(prior.cov))
+    cov = dense_matrix(prior.cov)
+    offdiag = cov - np.diag(np.diag(cov))
     assert np.allclose(offdiag, 0.0)
-    assert np.allclose(np.diag(prior.cov), prior.cov[0, 0])
+    assert np.allclose(np.diag(cov), cov[0, 0])
 
 
 def test_fit_recovers_synthetic_gaussian_mean():
@@ -233,13 +239,71 @@ def test_fit_recovers_synthetic_gaussian_mean():
     assert np.all(np.abs(prior.mean.flat() - true_mean) < 3 * se + 1e-9)
 
 
-def test_fit_dimension_cap():
-    spec = GridSpec(65, 64, 1, 1.0)  # 4160 > 4096
-    fields = [Field.zeros(spec)]
-    with pytest.raises(ValueError):
-        fit_empirical_prior(fields, lam=0.5, cov_kind="dense")
-    prior = fit_empirical_prior(fields, lam=0.5, cov_kind="auto")
-    assert prior.cov_kind == "diagonal"
+def test_fit_beyond_the_old_dense_cap_keeps_a_correlated_prior():
+    # d = 8192 was over the retired 4096 dense cap. The fitted Jacobian
+    # J = S (S + sigma^2 I)^{-1} must satisfy (S + sigma^2 I) J v = S v, with S v
+    # built from the samples alone, so no d x d matrix appears anywhere.
+    rng = np.random.default_rng(13)
+    spec = GridSpec(64, 64, 2, 1.0)
+    fields = [Field(spec, rng.standard_normal((2, 64, 64)).cumsum(axis=2)) for _ in range(12)]
+    lam = 0.2
+    prior = fit_empirical_prior(fields, lam=lam)
+    assert prior.cov_kind == "dense"
+    den = GaussianDenoiser(prior)
+    samples = np.stack([f.flat() for f in fields])
+    v = rng.standard_normal(spec.size)
+    sv = shrunk_cov_apply(samples, lam, v)
+    for sigma in (0.0, 0.3, 5.0):
+        jv = den.vjp(None, sigma, v)
+        lhs = shrunk_cov_apply(samples, lam, jv) + sigma**2 * jv
+        assert np.linalg.norm(lhs - sv) <= 1e-12 * np.linalg.norm(sv)
+
+
+@pytest.mark.parametrize(("n", "lam"), [(5, 0.3), (40, 0.3), (9, 1.0)], ids=["n<d", "n>d", "lam=1"])
+def test_fitted_dense_denoiser_matches_the_shrunk_covariance(n, lam):
+    # Oracle: mu + S (S + sigma^2 I)^{-1} (x - mu) with S formed explicitly
+    # from the samples; d = 16.
+    rng = np.random.default_rng(14)
+    mix = rng.standard_normal((16, 16))
+    fields = [Field.from_flat(SPEC_4X4, 1.5 + mix @ rng.standard_normal(16)) for _ in range(n)]
+    prior = fit_empirical_prior(fields, lam=lam, cov_kind="dense")
+    den = GaussianDenoiser(prior)
+    samples = np.stack([f.flat() for f in fields])
+    mu = samples.mean(axis=0)
+    cov = shrunk_cov_apply(samples, lam, np.eye(16))
+    x = rng.standard_normal((3, 16))
+    cot = rng.standard_normal((3, 16))
+    for sigma in (0.0, 0.3, 5.0):
+        jac = cov @ np.linalg.inv(cov + sigma**2 * np.eye(16))
+        want = mu + (x - mu) @ jac.T
+        assert np.allclose(den.denoise(x, sigma), want, rtol=1e-10, atol=1e-10)
+        assert np.allclose(den.vjp(x, sigma, cot), cot @ jac, rtol=1e-10, atol=1e-10)
+
+
+def test_dense_prior_rejects_a_non_symmetric_matrix():
+    cov = np.eye(16)
+    cov[0, 1] = 0.5
+    with pytest.raises(ValueError, match="symmetric"):
+        GaussianPrior(Field.zeros(SPEC_4X4), "dense", cov)
+
+
+def test_dense_prior_rejects_an_indefinite_matrix():
+    cov = np.eye(16)
+    cov[3, 3] = -0.2
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        GaussianPrior(Field.zeros(SPEC_4X4), "dense", cov)
+
+
+def test_dense_prior_rejects_a_malformed_factored_cov():
+    basis = np.eye(16)[:3]
+    for cov in (
+        FactoredCov(0.1, basis[:, :8], np.ones(3)),  # basis rows are not of length d
+        FactoredCov(0.1, basis, np.ones(2)),  # one eigenvalue short
+        FactoredCov(-0.1, basis, np.ones(3)),
+        FactoredCov(0.1, basis, np.array([1.0, -1.0, 1.0])),
+    ):
+        with pytest.raises(ValueError, match="factored"):
+            GaussianPrior(Field.zeros(SPEC_4X4), "dense", cov)
 
 
 def test_fit_rejects_bad_arguments():
@@ -247,26 +311,6 @@ def test_fit_rejects_bad_arguments():
         fit_empirical_prior([], 0.5)
     with pytest.raises(ValueError):
         fit_empirical_prior([Field.zeros(SPEC_4X4)], 0.0)
-
-
-@pytest.mark.parametrize("cov_kind", ["scalar", "diagonal", "dense"])
-def test_prior_round_trip(tmp_path, cov_kind):
-    rng = np.random.default_rng(10)
-    mean = Field(SPEC_4X4, rng.standard_normal((1, 4, 4)))
-    if cov_kind == "scalar":
-        cov = 1.7
-    elif cov_kind == "diagonal":
-        cov = rng.uniform(0.5, 2.0, 16)
-    else:
-        raw = rng.standard_normal((16, 16))
-        cov = raw @ raw.T + np.eye(16)
-    prior = GaussianPrior(mean, cov_kind, cov, shrinkage=0.25)
-    save_prior(prior, tmp_path / "prior")
-    back = load_prior(tmp_path / "prior")
-    assert back.cov_kind == cov_kind
-    assert back.shrinkage == 0.25
-    assert np.array_equal(back.mean.values, prior.mean.values)
-    assert np.allclose(back.cov, prior.cov)
 
 
 def test_gaussian_score_via_denoiser_matches_analytic_everywhere():
