@@ -18,11 +18,16 @@ so gradients of residual norms can be assembled without automatic
 differentiation: the Laplacian and u -> flux_divergence_2d(coef, u) are
 symmetric, the central difference is antisymmetric, and the coefficient
 adjoint of the flux divergence is ``flux_divergence_2d_adjoint_coef``.
+
+The flux divergence is written in face form: ``face_averages`` turns the
+coefficient into one array of face values per axis, and
+``flux_divergence_faces`` forms each face flux once and shares it between
+the two cells it separates. A solver that applies the operator many times
+with one coefficient computes the faces once.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,13 +35,6 @@ import numpy as np
 DIRICHLET = "dirichlet_zero"
 PERIODIC = "periodic"
 BOUNDARIES = (DIRICHLET, PERIODIC)
-
-_BOUNDARY_CODES = {DIRICHLET: 0, PERIODIC: 1}
-_BOUNDARY_NAMES = {v: k for k, v in _BOUNDARY_CODES.items()}
-
-PGDF_MAGIC = b"PGDF"
-PGDF_VERSION = 1
-_PGDF_HEADER = struct.Struct("<4sIIIIdB")
 
 
 @dataclass(frozen=True)
@@ -69,20 +67,6 @@ class GridSpec:
 
     def with_channels(self, channels: int) -> "GridSpec":
         return replace(self, channels=channels)
-
-    def axis_coords(self, axis: int) -> np.ndarray:
-        """Physical coordinates of cell centers along one axis."""
-        n = self.height if axis == 0 else self.width
-        idx = np.arange(n, dtype=float)
-        if self.boundary == DIRICHLET:
-            return (idx + 1.0) * self.spacing
-        return idx * self.spacing
-
-    def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Meshgrid (rows, cols) of cell-center coordinates, each (H, W)."""
-        r = self.axis_coords(0)
-        c = self.axis_coords(1)
-        return np.meshgrid(r, c, indexing="ij")
 
 
 @dataclass(frozen=True)
@@ -173,10 +157,11 @@ class Mask:
 
 
 # ---------------------------------------------------------------------------
-# Shift primitives. All stencils below are compositions of these, which keeps
-# the adjoints exact: shifting with zero fill transposes to the opposite
-# shift, periodic rolls are orthogonal, and edge-replication transposes to a
-# zero-fill shift plus an edge correction.
+# Shift primitives. The stencils below are compositions of these, or of ghost
+# cells filled by the same rules, which keeps the adjoints exact: shifting
+# with zero fill transposes to the opposite shift, periodic rolls are
+# orthogonal, and edge-replication transposes to a zero-fill shift plus an
+# edge correction.
 # ---------------------------------------------------------------------------
 
 
@@ -243,6 +228,45 @@ def diff_2d(a: np.ndarray, axis: int, h: float, boundary: str) -> np.ndarray:
     return (shift(a, axis, 1, boundary) - shift(a, axis, -1, boundary)) / (2.0 * h)
 
 
+def _ghost_pad(a: np.ndarray, axis: int, boundary: str, fill: str = "zero") -> np.ndarray:
+    """``a`` with one ghost cell on each side along ``axis``, as :func:`shift` fills them."""
+    first, last = a[_axis_slices(axis, slice(None, 1))], a[_axis_slices(axis, slice(-1, None))]
+    if boundary == PERIODIC:
+        first, last = last, first
+    elif fill == "zero":
+        first = last = np.zeros_like(first)
+    return np.concatenate([first, a, last], axis=axis - 2)
+
+
+def face_averages(coef: np.ndarray, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """Arithmetic averages of ``coef`` on the cell faces, one array per axis.
+
+    For an (..., H, W) coefficient the row faces are (..., H+1, W) and the
+    column faces (..., H, W+1); face k along an axis lies between cells k-1
+    and k. Ghost values of coef are replicated from the nearest interior cell
+    (dirichlet_zero) or wrapped (periodic).
+    """
+    row, col = (_ghost_pad(coef, axis, boundary, fill="edge") for axis in (0, 1))
+    return 0.5 * (row[..., :-1, :] + row[..., 1:, :]), 0.5 * (col[..., :-1] + col[..., 1:])
+
+
+def flux_divergence_faces(
+    faces: tuple[np.ndarray, np.ndarray], u: np.ndarray, h: float, boundary: str
+) -> np.ndarray:
+    """div(coef * grad u) from the face averages of coef given by :func:`face_averages`.
+
+    Each face flux is formed once and shared by the two cells it separates;
+    ghost values of u follow the boundary rule.
+    """
+    upper, lower = slice(1, None), slice(None, -1)
+    out = np.zeros_like(u)
+    for axis, face in zip((0, 1), faces):
+        padded = _ghost_pad(u, axis, boundary)
+        flux = face * (padded[_axis_slices(axis, upper)] - padded[_axis_slices(axis, lower)])
+        out += flux[_axis_slices(axis, upper)] - flux[_axis_slices(axis, lower)]
+    return out / (h * h)
+
+
 def flux_divergence_2d(coef: np.ndarray, u: np.ndarray, h: float, boundary: str) -> np.ndarray:
     """Conservative div(coef * grad u) with arithmetic face averages of coef.
 
@@ -250,14 +274,7 @@ def flux_divergence_2d(coef: np.ndarray, u: np.ndarray, h: float, boundary: str)
     ghost values of coef are replicated from the nearest interior cell, which
     keeps the operator bilinear in (coef, u).
     """
-    out = np.zeros_like(u)
-    for axis in (0, 1):
-        c_plus = 0.5 * (coef + shift(coef, axis, 1, boundary, fill="edge"))
-        c_minus = 0.5 * (coef + shift(coef, axis, -1, boundary, fill="edge"))
-        d_plus = shift(u, axis, 1, boundary) - u
-        d_minus = u - shift(u, axis, -1, boundary)
-        out += c_plus * d_plus - c_minus * d_minus
-    return out / (h * h)
+    return flux_divergence_faces(face_averages(coef, boundary), u, h, boundary)
 
 
 def flux_divergence_2d_adjoint_coef(u: np.ndarray, w: np.ndarray, h: float, boundary: str) -> np.ndarray:
@@ -300,46 +317,3 @@ def divergence(g_row: Field, g_col: Field) -> Field:
     h, b = g_row.spec.spacing, g_row.spec.boundary
     out = diff_2d(g_row.channel(0), 0, h, b) + diff_2d(g_col.channel(0), 1, h, b)
     return _single(g_row.spec, out)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: flat binary PGDF format.
-# ---------------------------------------------------------------------------
-
-
-def write_field(f: Field, path) -> None:
-    """Write a field in the PGDF binary format (header + little-endian f64)."""
-    if f.batch_shape:
-        raise ValueError(f"PGDF holds one field, got a batch of shape {f.batch_shape}")
-    header = _PGDF_HEADER.pack(
-        PGDF_MAGIC,
-        PGDF_VERSION,
-        f.spec.height,
-        f.spec.width,
-        f.spec.channels,
-        f.spec.spacing,
-        _BOUNDARY_CODES[f.spec.boundary],
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(f.values.astype("<f8").tobytes())
-
-
-def read_field(path) -> Field:
-    with open(path, "rb") as fh:
-        raw = fh.read(_PGDF_HEADER.size)
-        if len(raw) != _PGDF_HEADER.size:
-            raise ValueError(f"{path}: truncated PGDF header")
-        magic, version, height, width, channels, spacing, bcode = _PGDF_HEADER.unpack(raw)
-        if magic != PGDF_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != PGDF_VERSION:
-            raise ValueError(f"{path}: unsupported PGDF version {version}")
-        if bcode not in _BOUNDARY_NAMES:
-            raise ValueError(f"{path}: unknown boundary code {bcode}")
-        spec = GridSpec(height, width, channels, spacing, _BOUNDARY_NAMES[bcode])
-        data = np.frombuffer(fh.read(8 * spec.size), dtype="<f8")
-        if data.size != spec.size:
-            raise ValueError(f"{path}: truncated PGDF payload")
-    return Field.from_flat(spec, data)
-

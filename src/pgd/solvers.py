@@ -1,11 +1,15 @@
 """Ground-truth data generation: elliptic solves, reaction-diffusion time
-stepping, random coefficient sampling, sparse observations, and dataset
-persistence.
+stepping, random coefficient sampling and sparse observations.
+
+A dataset is generated as one batch: each sample's coefficients are drawn
+from its own stream, then all S samples are solved or time-stepped together
+as one (S, C, H, W) array. Every operation is independent per sample, so a
+sample of the batch equals the same sample solved alone, bit for bit.
 
 Poisson and helmholtz are solved directly in the sine (DST-I) basis, which
 diagonalises the dirichlet-zero 5-point Laplacian; darcy's variable
-coefficient has no such basis and is solved by preconditioned conjugate
-gradient.
+coefficient has no such basis and is solved by Jacobi-preconditioned
+conjugate gradient, one row per sample.
 
 This is the stand-in for an external simulation pipeline: targets are
 generated with the same finite-difference discretization used by the residual
@@ -14,10 +18,7 @@ operators, so manufactured states satisfy the discrete equations exactly.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -28,10 +29,10 @@ from .grid import (
     Field,
     GridSpec,
     Mask,
+    face_averages,
     flux_divergence_2d,
+    flux_divergence_faces,
     laplacian_2d,
-    read_field,
-    write_field,
 )
 from .residuals import PdeSystem, StateLayout, default_layout
 
@@ -226,34 +227,45 @@ def _rd_initial_state(kind: str, h: int, w: int, rng: np.random.Generator) -> np
 # ---------------------------------------------------------------------------
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each (..., n) row; equals ``np.linalg.norm`` of the row bit for bit."""
+    return np.sqrt(np.vecdot(rows, rows))
+
+
 def _conjugate_gradient(apply_op, rhs, diag, tol_rel=1e-10, max_iter=None):
-    """Jacobi-preconditioned CG for SPD operators on flattened grids."""
-    n = rhs.size
+    """Jacobi-preconditioned CG for SPD operators, one independent system per (..., n) row.
+
+    Each row keeps its own step sizes. A row that reaches the tolerance is
+    frozen (zero step, unchanged iterate), so it stops exactly where a solve
+    of that row alone would.
+    """
+    n = rhs.shape[-1]
     max_iter = max_iter if max_iter is not None else 10 * n
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm == 0.0:
-        return x
+    tol = tol_rel * _row_norms(rhs)
+    done = _row_norms(r) <= tol
     z = r / diag
     p = z.copy()
-    rz = float(r @ z)
+    rz = np.vecdot(r, z)
     for _ in range(max_iter):
-        if np.linalg.norm(r) <= tol_rel * rhs_norm:
-            return x
+        if done.all():
+            break
         ap = apply_op(p)
-        alpha = rz / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        if np.linalg.norm(r) <= tol_rel * rhs_norm:
-            return x
+        alpha = np.divide(rz, np.vecdot(p, ap), out=np.zeros_like(rz), where=~done)
+        x += alpha[..., None] * p
+        r -= alpha[..., None] * ap
+        done |= _row_norms(r) <= tol
         z = r / diag
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        rz_new = np.vecdot(r, z)
+        beta = np.divide(rz_new, rz, out=np.zeros_like(rz), where=~done)
+        p = z + beta[..., None] * p
         rz = rz_new
-    raise SolverConvergenceError(
-        f"conjugate gradient did not reach {tol_rel:g} relative residual in {max_iter} iterations"
-    )
+    if not done.all():
+        raise SolverConvergenceError(
+            f"conjugate gradient did not reach {tol_rel:g} relative residual in {max_iter} iterations"
+        )
+    return x
 
 
 def _sine_basis(n: int) -> np.ndarray:
@@ -274,12 +286,17 @@ def _dirichlet_laplacian_eigenvalues(height: int, width: int, h: float) -> np.nd
 def solve_elliptic(system: PdeSystem, a: Field) -> Field:
     """Solve the discrete elliptic problem for the solution field u.
 
+    ``a`` is one coefficient field (1, H, W) or a batch (..., 1, H, W); each
+    sample is solved independently and the result has the same shape.
+
     poisson and helmholtz: lap u + k^2 u = a (k = 0 for poisson), solved
     exactly in the sine basis that diagonalises the dirichlet-zero Laplacian,
-    u = S_H ((S_H a S_W) / (lambda + k^2)) S_W. A near-zero eigenvalue raises
-    SingularOperatorError, as does a relative residual above 1e-10.
-    darcy: -div(a grad u) = source with a > 0 (Jacobi-preconditioned
-    conjugate gradient).
+    u = S_H ((S_H a S_W) / (lambda + k^2)) S_W, applied to the whole batch by
+    broadcasting. A near-zero eigenvalue raises SingularOperatorError, as does
+    a relative residual above 1e-10 on any sample.
+    darcy: -div(a grad u) = source with a > 0, by Jacobi-preconditioned
+    conjugate gradient with one row per sample. The face averages of a are
+    formed once per solve; the working set is about 8 S H W floats.
     """
     if system.kind not in ELLIPTIC_KINDS:
         raise ValueError(f"solve_elliptic does not handle kind {system.kind!r}")
@@ -288,7 +305,7 @@ def solve_elliptic(system: PdeSystem, a: Field) -> Field:
         raise ValueError("elliptic solves require dirichlet_zero boundary")
     h = spec.spacing
     avals = a.channel(0)
-    shape = avals.shape
+    flat_shape = avals.shape[:-2] + (spec.cells,)
 
     if system.kind != "darcy":
         k2 = system.k_wave**2
@@ -300,24 +317,25 @@ def solve_elliptic(system: PdeSystem, a: Field) -> Field:
         s_h, s_w = _sine_basis(spec.height), _sine_basis(spec.width)
         u = s_h @ ((s_h @ avals @ s_w) / (lam + k2)) @ s_w
         res = laplacian_2d(u, h, DIRICHLET) + k2 * u - avals
-        if np.linalg.norm(res) > 1e-10 * max(np.linalg.norm(avals), 1e-300):
-            raise SingularOperatorError(f"{system.kind} spectral solve failed the residual check")
-        return Field(spec.with_channels(1), u[None])
+        scale = np.maximum(_row_norms(avals.reshape(flat_shape)), 1e-300)
+        failed = np.flatnonzero(_row_norms(res.reshape(flat_shape)) > 1e-10 * scale)
+        if failed.size:
+            raise SingularOperatorError(
+                f"{system.kind} spectral solve failed the residual check on sample {failed[0]}"
+            )
+        return Field(spec.with_channels(1), u[..., None, :, :])
 
     # darcy
     if np.min(avals) <= 0:
         raise ValueError("darcy requires strictly positive permeability")
-    rhs = np.full(spec.cells, float(system.source))
-    from .grid import shift  # local import keeps module surface tidy
-
-    diag2d = np.zeros(shape)
-    for axis in (0, 1):
-        diag2d += 0.5 * (avals + shift(avals, axis, 1, DIRICHLET, fill="edge"))
-        diag2d += 0.5 * (avals + shift(avals, axis, -1, DIRICHLET, fill="edge"))
-    diag = (diag2d / h**2).reshape(-1)
-    op = lambda x: -flux_divergence_2d(avals, x.reshape(shape), h, DIRICHLET).reshape(-1)
+    faces = face_averages(avals, DIRICHLET)
+    row_faces, col_faces = faces
+    diag2d = row_faces[..., 1:, :] + row_faces[..., :-1, :] + col_faces[..., 1:] + col_faces[..., :-1]
+    diag = (diag2d / h**2).reshape(flat_shape)
+    rhs = np.full(flat_shape, float(system.source))
+    op = lambda x: -flux_divergence_faces(faces, x.reshape(avals.shape), h, DIRICHLET).reshape(flat_shape)
     u = _conjugate_gradient(op, rhs, diag)
-    return Field(spec.with_channels(1), u.reshape(1, *shape))
+    return Field(spec.with_channels(1), u.reshape(avals.shape)[..., None, :, :])
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +351,15 @@ def simulate_rd(
     steps: int,
     snapshot_count: int = 10,
 ) -> list[Field]:
-    """Explicit-Euler simulation; returns evenly spaced snapshots incl. endpoints."""
+    """Explicit-Euler simulation; returns evenly spaced snapshots incl. endpoints.
+
+    ``diffusion`` and ``initial`` are one (species, H, W) field each, or
+    batches of the same (..., species, H, W) shape whose samples are stepped
+    together; every snapshot has the shape of ``initial``. One finiteness
+    check per step covers the batch: a non-finite state raises BlowUpError
+    with the step and the flat index of the first non-finite sample (0 for
+    a single field) as ``particle``.
+    """
     if system.kind not in RD_KINDS:
         raise ValueError(f"simulate_rd does not handle kind {system.kind!r}")
     spec = initial.spec
@@ -342,6 +368,10 @@ def simulate_rd(
     species = 2 if system.kind == "gray_scott_2" else 3
     if diffusion.spec.channels != species or initial.spec.channels != species:
         raise ValueError(f"expected {species} diffusion and state channels")
+    if diffusion.batch_shape != initial.batch_shape:
+        raise ValueError(
+            f"diffusion batch {diffusion.batch_shape} does not match initial batch {initial.batch_shape}"
+        )
     h = spec.spacing
     dmax = float(np.max(diffusion.values))
     if dt > h**2 / (4.0 * dmax):
@@ -359,28 +389,31 @@ def simulate_rd(
     for step in range(1, steps + 1):
         state = state + dt * _rd_rate(system, dvals, state, h)
         if not np.all(np.isfinite(state)):
-            raise BlowUpError(f"non-finite state at step {step}", step=step)
+            particle = int(np.flatnonzero(~np.isfinite(state.reshape(-1, spec.size)).all(axis=1))[0])
+            raise BlowUpError(
+                f"non-finite state for sample {particle} at step {step}", step=step, particle=particle
+            )
         if step in record_at:
             snapshots.append(Field(spec, state.copy()))
     return snapshots
 
 
 def _rd_rate(system: PdeSystem, dvals: np.ndarray, state: np.ndarray, h: float) -> np.ndarray:
+    """Time derivative of (..., species, H, W) states; species sit on axis -3."""
+    species = lambda a, i: a[..., i, :, :]
     if system.kind == "gray_scott_2":
-        u, v = state
+        u, v = species(state, 0), species(state, 1)
         uvv = u * v * v
-        du = dvals[0] * laplacian_2d(u, h, PERIODIC) - uvv + system.feed * (1.0 - u)
-        dv = dvals[1] * laplacian_2d(v, h, PERIODIC) + uvv - (system.feed + system.removal) * v
-        return np.stack([du, dv])
+        du = species(dvals, 0) * laplacian_2d(u, h, PERIODIC) - uvv + system.feed * (1.0 - u)
+        dv = species(dvals, 1) * laplacian_2d(v, h, PERIODIC) + uvv - (system.feed + system.removal) * v
+        return np.stack([du, dv], axis=-3)
     mat = system.coupling_matrix
     rates = []
     for i in range(3):
-        others = sum(mat[i, j] * state[j] for j in range(3) if j != i)
-        rates.append(
-            flux_divergence_2d(dvals[i], state[i], h, PERIODIC)
-            + state[i] * (1.0 - state[i] - others)
-        )
-    return np.stack(rates)
+        s_i = species(state, i)
+        others = sum(mat[i, j] * species(state, j) for j in range(3) if j != i)
+        rates.append(flux_divergence_2d(species(dvals, i), s_i, h, PERIODIC) + s_i * (1.0 - s_i - others))
+    return np.stack(rates, axis=-3)
 
 
 # ---------------------------------------------------------------------------
@@ -419,96 +452,31 @@ def make_observations(
 
 
 # ---------------------------------------------------------------------------
-# Dataset assembly and persistence.
+# Dataset assembly.
 # ---------------------------------------------------------------------------
 
 
-def generate_sample(spec: DatasetSpec, sample_index: int) -> Field:
-    """One full state sample (coefficients plus solved/simulated solutions)."""
+def generate_dataset(spec: DatasetSpec) -> list[Field]:
+    """The spec's samples (coefficients plus solved or simulated solutions), in index order.
+
+    Each sample's coefficients come from its own stream (see
+    :func:`sample_coefficients`); the S samples are then solved by one
+    :func:`solve_elliptic` or stepped by one :func:`simulate_rd` call on an
+    (S, C, H, W) batch, with the per-sample checks those functions make.
+    """
     kind = spec.system.kind
-    coeff = sample_coefficients(spec, sample_index)
+    coeffs = np.stack([sample_coefficients(spec, i).values for i in range(spec.sample_count)])
     if kind in ELLIPTIC_KINDS:
-        a = coeff
         if kind == "darcy" and not isinstance(spec.coeff_model, ThresholdedGrf):
             # keep permeability positive for smooth models
-            a = Field(a.spec, np.exp(0.5 * a.values))
-        u = solve_elliptic(spec.system, a)
-        state = np.concatenate([a.values, u.values])
-        return Field(spec.grid, state)
-    species = 2 if kind == "gray_scott_2" else 3
-    sub = GridSpec(spec.grid.height, spec.grid.width, species, spec.grid.spacing, spec.grid.boundary)
-    diffusion = Field(sub, coeff.values[:species])
-    initial = Field(sub, coeff.values[species:])
-    traj = simulate_rd(spec.system, diffusion, initial, spec.rd_dt, spec.rd_steps, spec.rd_snapshots)
-    state = np.concatenate([diffusion.values, initial.values, traj[-1].values])
-    return Field(spec.grid, state)
-
-
-def generate_dataset(spec: DatasetSpec, out_dir: str | Path | None = None) -> list[Field]:
-    samples = [generate_sample(spec, i) for i in range(spec.sample_count)]
-    if out_dir is not None:
-        save_dataset(spec, samples, out_dir)
-    return samples
-
-
-def _file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def dataset_spec_dict(spec: DatasetSpec) -> dict:
-    sys_d = {
-        "kind": spec.system.kind,
-        "source": spec.system.source,
-        "k_wave": spec.system.k_wave,
-        "feed": spec.system.feed,
-        "removal": spec.system.removal,
-        "horizon": spec.system.horizon,
-        "coupling": spec.system.coupling,
-    }
-    return {
-        "system": sys_d,
-        "grid": {
-            "height": spec.grid.height,
-            "width": spec.grid.width,
-            "channels": spec.grid.channels,
-            "spacing": spec.grid.spacing,
-            "boundary": spec.grid.boundary,
-        },
-        "sample_count": spec.sample_count,
-        "coeff_model": {
-            "type": type(spec.coeff_model).__name__,
-            **spec.coeff_model.__dict__,
-        },
-        "rng_seed": spec.rng_seed,
-        "rd_dt": spec.rd_dt,
-        "rd_steps": spec.rd_steps,
-        "rd_snapshots": spec.rd_snapshots,
-        "rd_diffusion_base": list(spec.rd_diffusion_base),
-        "rd_diffusion_rel_amp": spec.rd_diffusion_rel_amp,
-    }
-
-
-def save_dataset(spec: DatasetSpec, samples: list[Field], out_dir: str | Path) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i, sample in enumerate(samples):
-        name = f"sample_{i:05d}.pgdf"
-        write_field(sample, out / name)
-        entries.append({"index": i, "file": name, "sha256": _file_sha256(out / name)})
-    manifest = {"spec": dataset_spec_dict(spec), "seed": spec.rng_seed, "files": entries}
-    path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_dataset(out_dir: str | Path) -> tuple[dict, list[Field]]:
-    out = Path(out_dir)
-    manifest = json.loads((out / "manifest.json").read_text())
-    samples = []
-    for entry in manifest["files"]:
-        path = out / entry["file"]
-        if _file_sha256(path) != entry["sha256"]:
-            raise ValueError(f"{path}: digest mismatch against manifest")
-        samples.append(read_field(path))
-    return manifest, samples
+            coeffs = np.exp(0.5 * coeffs)
+        solutions = solve_elliptic(spec.system, Field(spec.grid.with_channels(1), coeffs)).values
+    else:
+        species = 2 if kind == "gray_scott_2" else 3
+        sub = spec.grid.with_channels(species)
+        diffusion = Field(sub, coeffs[:, :species])
+        initial = Field(sub, coeffs[:, species:])
+        traj = simulate_rd(spec.system, diffusion, initial, spec.rd_dt, spec.rd_steps, spec.rd_snapshots)
+        solutions = traj[-1].values
+    # each sample owns its values, so a caller keeping one does not keep the batch alive
+    return [Field(spec.grid, np.concatenate([c, u])) for c, u in zip(coeffs, solutions)]

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import pgd.grid
+import pgd.solvers
+from pgd.errors import BlowUpError
 from pgd.grid import (
     BOUNDARIES,
     DIRICHLET,
@@ -17,8 +19,10 @@ from pgd.grid import (
     GridSpec,
     Mask,
     diff_2d,
+    face_averages,
     flux_divergence_2d,
     flux_divergence_2d_adjoint_coef,
+    flux_divergence_faces,
     laplacian_2d,
     shift,
     shift_adjoint,
@@ -27,7 +31,7 @@ from pgd.guidance import GuidanceWeights, data_log_likelihood_grad, log_likeliho
 from pgd.priors import GaussianDenoiser, GaussianPrior, NoiseSchedule
 from pgd.residuals import KINDS, PdeSystem, StateLayout, default_layout, residual, residual_sq_grad
 from pgd.smc import SmcConfig, smc_run
-from pgd.solvers import Observations
+from pgd.solvers import Observations, simulate_rd, solve_elliptic
 
 H, W, BATCH = 5, 7, 3
 
@@ -103,11 +107,6 @@ def test_field_batch_axes_round_trip():
         Field(spec, np.zeros((BATCH, 2, W, H)))
 
 
-def test_write_field_rejects_a_batch(tmp_path):
-    with pytest.raises(ValueError, match="batch"):
-        pgd.grid.write_field(Field.from_flat(GridSpec(H, W), np.zeros((2, H * W))), tmp_path / "b.pgdf")
-
-
 @pytest.mark.parametrize("fill", ["zero", "edge"])
 @pytest.mark.parametrize("step", [-1, 1])
 @pytest.mark.parametrize("axis", [0, 1])
@@ -120,6 +119,30 @@ def test_shift_on_a_batch_matches_slices_of_a_padded_array(boundary, axis, step,
     dr, dc = (step, 0) if axis == 0 else (0, step)
     want = padded[:, 1 + dr : 1 + dr + H, 1 + dc : 1 + dc + W]
     np.testing.assert_array_equal(shift(a, axis, step, boundary, fill), want)
+
+
+def _shift_flux_divergence(coef, u, h, boundary):
+    """The flux divergence written with shifts, two face averages per cell: the reference."""
+    out = np.zeros_like(u)
+    for axis in (0, 1):
+        c_plus = 0.5 * (coef + shift(coef, axis, 1, boundary, fill="edge"))
+        c_minus = 0.5 * (coef + shift(coef, axis, -1, boundary, fill="edge"))
+        d_plus = shift(u, axis, 1, boundary) - u
+        d_minus = u - shift(u, axis, -1, boundary)
+        out += c_plus * d_plus - c_minus * d_minus
+    return out / (h * h)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_face_form_flux_divergence_matches_the_shift_form(boundary):
+    rng = np.random.default_rng(8)
+    coef = rng.uniform(0.5, 2.0, (BATCH, H, W))
+    u = rng.standard_normal((BATCH, H, W))
+    faces = face_averages(coef, boundary)
+    assert [f.shape for f in faces] == [(BATCH, H + 1, W), (BATCH, H, W + 1)]
+    want = _shift_flux_divergence(coef, u, 0.25, boundary)
+    np.testing.assert_array_equal(flux_divergence_faces(faces, u, 0.25, boundary), want)
+    np.testing.assert_array_equal(flux_divergence_2d(coef, u, 0.25, boundary), want)
 
 
 def _stencil_cases(rng):
@@ -199,3 +222,66 @@ def test_stencil_work_does_not_grow_with_particle_count(monkeypatch):
         counts.append(len(calls))
     assert counts[0] > 0
     assert counts[0] == counts[1]
+
+
+def _elliptic_batch(kind):
+    """(BATCH, 1, H, W) coefficients; darcy mixes a constant, a smooth and a thresholded permeability."""
+    rng = np.random.default_rng(12)
+    if kind != "darcy":
+        return rng.standard_normal((BATCH, 1, H, W))
+    rows, cols = np.mgrid[0:H, 0:W]
+    smooth = np.exp(0.5 * np.sin(rows / 2.0) * np.cos(cols / 3.0))
+    thresholded = np.where(rng.standard_normal((H, W)) >= 0.0, 12.0, 3.0)
+    return np.stack([np.full((H, W), 2.0), smooth, thresholded])[:, None]
+
+
+@pytest.mark.parametrize("kind", ["poisson", "helmholtz", "darcy"])
+def test_batched_elliptic_solve_matches_solo_solves(kind, monkeypatch):
+    spec = GridSpec(H, W, 1, 1 / 8, DIRICHLET)
+    coeffs = _elliptic_batch(kind)
+    batch = solve_elliptic(SYSTEMS[kind], Field(spec, coeffs))
+    assert batch.batch_shape == (BATCH,)
+    applies = []
+    original = pgd.solvers.flux_divergence_faces
+
+    def counting(*args, **kwargs):
+        applies.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pgd.solvers, "flux_divergence_faces", counting)
+    singles, iterations = [], []
+    for a in coeffs:
+        applies.clear()
+        singles.append(solve_elliptic(SYSTEMS[kind], Field(spec, a)).values)
+        iterations.append(len(applies))
+    assert_rows_identical(batch.values, singles)
+    if kind == "darcy":
+        # rows that stop at different iterations exercise the freezing of converged rows
+        assert len(set(iterations)) == BATCH, iterations
+
+
+@pytest.mark.parametrize("kind", ["gray_scott_2", "competitive_3"])
+def test_batched_rd_simulation_matches_solo_runs(kind):
+    rng = np.random.default_rng(13)
+    species = 2 if kind == "gray_scott_2" else 3
+    spec = GridSpec(H, W, species, 1 / 8, PERIODIC)
+    diffusion = rng.uniform(1e-4, 3e-4, (BATCH, species, H, W))
+    initial = rng.uniform(0.0, 1.0, (BATCH, species, H, W))
+    def run(diffusion, initial):
+        return simulate_rd(SYSTEMS[kind], Field(spec, diffusion), Field(spec, initial), 1e-2, 30, snapshot_count=4)
+
+    batch = run(diffusion, initial)
+    solo = [run(d, x) for d, x in zip(diffusion, initial)]
+    assert len(batch) == 4
+    for t, snap in enumerate(batch):
+        assert_rows_identical(snap.values, [traj[t].values for traj in solo])
+
+
+def test_rd_blow_up_names_the_first_non_finite_sample():
+    spec = GridSpec(H, W, 2, 1 / 8, PERIODIC)
+    initial = np.stack([np.full((2, H, W), 0.5), np.full((2, H, W), 1e60), np.full((2, H, W), 0.5)])
+    diffusion = np.full((BATCH, 2, H, W), 1e-4)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as err:
+        simulate_rd(SYSTEMS["gray_scott_2"], Field(spec, diffusion), Field(spec, initial), 1e-3, 10)
+    assert err.value.particle == 1
+    assert err.value.step is not None and 1 <= err.value.step <= 10

@@ -18,8 +18,6 @@ from pgd.grid import (
     gradient,
     laplacian,
     laplacian_2d,
-    read_field,
-    write_field,
 )
 
 # Each linear stencil on (H, W) arrays with its exact adjoint: the Laplacian is
@@ -246,20 +244,3 @@ def test_mask_count_and_indices():
     assert mask.count == 3
     assert list(mask.flat_indices()) == [0, 5, 15]
 
-
-def test_pgdf_round_trip(tmp_path):
-    rng = np.random.default_rng(17)
-    spec = GridSpec(5, 4, 3, 0.125, PERIODIC)
-    f = Field(spec, rng.standard_normal((3, 5, 4)))
-    path = tmp_path / "field.pgdf"
-    write_field(f, path)
-    g = read_field(path)
-    assert g.spec == spec
-    assert np.array_equal(g.values, f.values)
-
-
-def test_pgdf_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.pgdf"
-    path.write_bytes(b"NOPE" + b"\0" * 40)
-    with pytest.raises(ValueError):
-        read_field(path)

@@ -9,8 +9,6 @@ from pgd.solvers import (
     SmoothGrf,
     ThresholdedGrf,
     generate_dataset,
-    generate_sample,
-    load_dataset,
     make_observations,
     sample_coefficients,
     simulate_rd,
@@ -75,8 +73,9 @@ def test_solver_residual_bound_on_emitted_samples():
         coeff_model=SmoothGrf(3.0),
         rng_seed=11,
     )
-    for i in range(spec.sample_count):
-        x = generate_sample(spec, i)
+    samples = generate_dataset(spec)
+    assert len(samples) == spec.sample_count
+    for x in samples:
         r = residual(spec.system, spec.layout, x)
         rhs = np.linalg.norm(x.channel(0))
         assert np.linalg.norm(r.values) <= 1e-9 * max(rhs, 1.0)
@@ -220,31 +219,12 @@ def test_rd_dataset_nonnegative_and_finite():
         rd_dt=1e-3,
         rd_steps=500,
     )
-    for i in range(spec.sample_count):
-        x = generate_sample(spec, i)
+    samples = generate_dataset(spec)
+    assert len(samples) == spec.sample_count
+    for x in samples:
         terminal = x.values[[4, 5]]
         assert np.all(np.isfinite(terminal))
         assert terminal.min() >= -1e-9
-
-
-def test_dataset_round_trip_and_digests(tmp_path):
-    spec = DatasetSpec(
-        system=PdeSystem.poisson(),
-        grid=GridSpec(8, 8, 2, 1.0 / 9, DIRICHLET),
-        sample_count=3,
-        rng_seed=13,
-    )
-    samples = generate_dataset(spec, tmp_path / "ds")
-    manifest, loaded = load_dataset(tmp_path / "ds")
-    assert manifest["spec"]["system"]["kind"] == "poisson"
-    assert len(loaded) == 3
-    for orig, back in zip(samples, loaded):
-        assert np.array_equal(orig.values, back.values)
-    # tamper with a file -> digest mismatch
-    victim = tmp_path / "ds" / manifest["files"][0]["file"]
-    victim.write_bytes(victim.read_bytes()[:-8] + b"\0" * 8)
-    with pytest.raises(ValueError):
-        load_dataset(tmp_path / "ds")
 
 
 def test_dataset_generation_is_pure_function_of_spec():
