@@ -286,34 +286,3 @@ def flux_divergence_2d_adjoint_coef(u: np.ndarray, w: np.ndarray, h: float, boun
         out += 0.5 * (g_plus + shift_adjoint(g_plus, axis, 1, boundary, fill="edge"))
         out -= 0.5 * (g_minus + shift_adjoint(g_minus, axis, -1, boundary, fill="edge"))
     return out / (h * h)
-
-
-# ---------------------------------------------------------------------------
-# Field-level operations.
-# ---------------------------------------------------------------------------
-
-
-def _single(spec: GridSpec, arr: np.ndarray) -> Field:
-    return Field(spec.with_channels(1), arr[..., None, :, :])
-
-
-def laplacian(f: Field, channel: int = 0) -> Field:
-    """Discrete Laplacian of one channel under the field's boundary rule."""
-    a = f.channel(channel)
-    return _single(f.spec, laplacian_2d(a, f.spec.spacing, f.spec.boundary))
-
-
-def gradient(f: Field, channel: int = 0) -> tuple[Field, Field]:
-    """Central-difference gradient of one channel: (d/d row-axis, d/d col-axis)."""
-    a = f.channel(channel)
-    h, b = f.spec.spacing, f.spec.boundary
-    return _single(f.spec, diff_2d(a, 0, h, b)), _single(f.spec, diff_2d(a, 1, h, b))
-
-
-def divergence(g_row: Field, g_col: Field) -> Field:
-    """Central-difference divergence, the adjoint-consistent pair of :func:`gradient`."""
-    if g_row.spec != g_col.spec:
-        raise ValueError("divergence components must share a grid spec")
-    h, b = g_row.spec.spacing, g_row.spec.boundary
-    out = diff_2d(g_row.channel(0), 0, h, b) + diff_2d(g_col.channel(0), 1, h, b)
-    return _single(g_row.spec, out)

@@ -6,10 +6,14 @@ misfit (weight gamma), and the PDE residual (weight omega). Additive
 constants are dropped throughout; only differences of log-likelihoods enter
 the particle weights, so the dropped constant can never affect them.
 
-:func:`log_likelihood` and :func:`data_log_likelihood_grad` take a single
-field or a batch (see :class:`~pgd.grid.Field`): a (N, C, H, W) population
-gives (N,) log-likelihoods and (N, C, H, W) gradients, each row equal to the
-single-field result. The particle engine makes one call per step.
+:class:`GuidanceContext` owns the observation operator. It checks the
+observations against the layout once, on construction, and flattens the
+weighted groups into the observed state entries with their values and the
+variance that each group's mean-square term implies. :func:`log_likelihood`,
+:func:`data_log_likelihood_grad` and :func:`twist_correction` read those
+arrays and take flat state rows: a (d,) row gives a float log-likelihood, an
+(N, d) population gives (N,), and gradients are shaped like the rows. A
+:class:`~pgd.grid.Field` is formed only for the PDE residual.
 
 At a noisy state the particle engine evaluates the likelihood at the
 denoiser's reconstruction, the point twist. The guidance gradient of
@@ -27,18 +31,18 @@ Two weighting schemes turn proposals into a particle system:
   transition is an explicit Gaussian.
 
 Under ``pbs`` the twist is the point twist. Under ``tds`` the engine adds
-:class:`CovarianceTwist`, which widens the observation terms by the Tweedie
+:func:`twist_correction`, which widens the observation terms by the Tweedie
 posterior covariance of the clean state. Its normalizing constant is dropped
 like every other constant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field
+from .grid import Field, GridSpec
 from .priors import Denoiser
 from .residuals import PdeSystem, StateLayout, residual_sq_grad, residual
 from .solvers import Observations
@@ -65,150 +69,115 @@ class GuidanceWeights:
             raise ValueError(f"jacobian_mode must be one of {JACOBIAN_MODES}")
 
 
-def _observed_groups(obs: Observations, layout: StateLayout, w: GuidanceWeights) -> list:
-    """(weight, observed cell indices, values, channels) of each weighted, observed group.
-
-    Raises ``ValueError`` when a group's values are not one row per channel
-    and one column per observed cell.
-    """
-    groups = []
-    for weight, mask, values, channels in (
-        (w.beta, obs.mask_u, obs.values_u, layout.solution_channels),
-        (w.gamma, obs.mask_a, obs.values_a, layout.coeff_channels),
-    ):
-        idx = mask.flat_indices()
-        if weight > 0 and channels and idx.size:
-            if values.shape != (len(channels), idx.size):
-                raise ValueError("observation values do not match mask count and channel group")
-            groups.append((weight, idx, values, channels))
-    return groups
-
-
 @dataclass(frozen=True)
 class GuidanceContext:
     """Bundle of everything a guided step needs besides the state itself.
 
-    The observation groups are checked against the layout on construction.
+    Construction checks the observation groups against the layout and that a
+    PDE term has a system, then builds the observation operator: ``index``
+    holds the flat state entry (channel * cells + cell) of each observed value
+    of a weighted group, ``values`` the observed values and ``variance`` the
+    per-entry variance n / (2 weight) of its group's mean-square term, where n
+    counts the group's values. An entry observed by both groups appears twice.
     """
 
     obs: Observations
     system: PdeSystem | None
     layout: StateLayout
     weights: GuidanceWeights
+    index: np.ndarray = field(init=False, compare=False, repr=False)
+    values: np.ndarray = field(init=False, compare=False, repr=False)
+    variance: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _observed_groups(self.obs, self.layout, self.weights)
-
-
-def _cell_rows(x: Field) -> np.ndarray:
-    """State values as (..., C, H*W)."""
-    return x.values.reshape(x.batch_shape + (x.spec.channels, x.spec.cells))
-
-
-def log_likelihood(
-    x0: Field,
-    obs: Observations,
-    system: PdeSystem | None,
-    layout: StateLayout,
-    w: GuidanceWeights,
-) -> float | np.ndarray:
-    """Weighted negative mean-square misfits of a clean state (constant dropped).
-
-    A float for a single field, (N,) for a batch of N.
-    """
-    v = _cell_rows(x0)
-    total = np.zeros(x0.batch_shape)
-    for weight, idx, values, channels in _observed_groups(obs, layout, w):
-        sq = np.zeros(x0.batch_shape)
-        for row, c in enumerate(channels):
-            # contiguous rows and a stacked (1, m) @ (m, 1) product round like
-            # the 1-D dot of a single field, so each row matches it bit for bit
-            diff = np.ascontiguousarray(values[row] - v[..., c, idx])
-            sq = sq + (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
-        total = total - weight * sq / values.size
-    if w.omega > 0:
-        if system is None:
+        w = self.weights
+        if w.omega > 0 and self.system is None:
             raise ValueError("omega > 0 requires a PDE system")
-        r = residual(system, layout, x0).values
-        total = total - w.omega * np.mean(r.reshape(x0.batch_shape + (-1,)) ** 2, axis=-1)
-    return total if x0.batch_shape else float(total)
+        cells = self.obs.mask_u.spec.cells
+        index, values, variance = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0)]
+        for weight, mask, vals, channels in (
+            (w.beta, self.obs.mask_u, self.obs.values_u, self.layout.solution_channels),
+            (w.gamma, self.obs.mask_a, self.obs.values_a, self.layout.coeff_channels),
+        ):
+            idx = mask.flat_indices()
+            if not (weight > 0 and channels and idx.size):
+                continue
+            if vals.shape != (len(channels), idx.size):
+                raise ValueError("observation values do not match mask count and channel group")
+            for row, c in enumerate(channels):
+                index.append(c * cells + idx)
+                values.append(vals[row])
+                variance.append(np.full(idx.size, vals.size / (2.0 * weight)))
+        object.__setattr__(self, "index", np.concatenate(index))
+        object.__setattr__(self, "values", np.concatenate(values))
+        object.__setattr__(self, "variance", np.concatenate(variance))
+
+    @property
+    def spec(self) -> GridSpec:
+        """Grid spec of the full state."""
+        return self.obs.mask_u.spec.with_channels(self.layout.channel_count)
 
 
-def data_log_likelihood_grad(
-    x0: Field,
-    obs: Observations,
-    system: PdeSystem | None,
-    layout: StateLayout,
-    w: GuidanceWeights,
-) -> Field:
-    """Gradient of :func:`log_likelihood` with respect to the clean state.
+def log_likelihood(ctx: GuidanceContext, rows: np.ndarray) -> float | np.ndarray:
+    """Weighted negative mean-square misfits of clean states (constant dropped).
 
-    (C, H, W) for a single field, (N, C, H, W) for a batch of N.
+    A float for a (d,) row, (N,) for (N, d) rows.
     """
-    v = _cell_rows(x0)
-    grad = np.zeros_like(x0.values)
-    g = grad.reshape(v.shape)  # view
-    for weight, idx, values, channels in _observed_groups(obs, layout, w):
-        for row, c in enumerate(channels):
-            g[..., c, idx] += 2.0 * weight / values.size * (values[row] - v[..., c, idx])
-    if w.omega > 0:
-        if system is None:
-            raise ValueError("omega > 0 requires a PDE system")
-        grad -= w.omega * residual_sq_grad(system, layout, x0).values
-    return Field(x0.spec, grad)
+    rows = np.asarray(rows, dtype=float)
+    r = ctx.values - rows[..., ctx.index]
+    total = -np.sum(r * r / (2.0 * ctx.variance), axis=-1)
+    if ctx.weights.omega > 0:
+        res = residual(ctx.system, ctx.layout, Field.from_flat(ctx.spec, rows)).values
+        total = total - ctx.weights.omega * np.mean(res.reshape(rows.shape[:-1] + (-1,)) ** 2, axis=-1)
+    return total if rows.ndim > 1 else float(total)
 
 
-class CovarianceTwist:
-    """Covariance-aware twist for the tds scheme of the particle engine.
+def data_log_likelihood_grad(ctx: GuidanceContext, rows: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`log_likelihood` with respect to the clean state, shaped like ``rows``."""
+    rows = np.asarray(rows, dtype=float)
+    grad = np.zeros(rows.shape)
+    np.add.at(grad, (Ellipsis, ctx.index), (ctx.values - rows[..., ctx.index]) / ctx.variance)
+    if ctx.weights.omega > 0:
+        res_grad = residual_sq_grad(ctx.system, ctx.layout, Field.from_flat(ctx.spec, rows)).values
+        grad -= ctx.weights.omega * res_grad.reshape(rows.shape)
+    return grad
+
+
+def twist_correction(
+    ctx: GuidanceContext, denoiser: Denoiser, states: np.ndarray, denoised: np.ndarray, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance-aware twist correction for the tds scheme of the particle engine.
 
     log p~_k(y | x_k) = log_likelihood(x_hat) + 1/2 r^T (V^-1 - C_k^-1) r,
     with C_k = V + sigma_k^2 A J_k A^T. Here x_hat is the reconstruction, J_k
-    the denoiser Jacobian, A picks the observed entries of the beta and gamma
-    groups, r = y - A x_hat, and V = diag(n/(2 beta), n/(2 gamma)) holds the
-    variances that those groups' mean-square terms imply. The beta and gamma
-    terms of ``log_likelihood`` equal -1/2 r^T V^-1 r, so the twist replaces
-    them by log N(y; A x_hat, C_k), whose covariance adds the Tweedie
-    posterior covariance sigma_k^2 J_k of the clean state. The omega term
-    stays at the reconstruction point. The normalizing constant
-    -1/2 log det C_k is dropped. The twist is exact for Gaussian priors with
-    linear observations, and the correction vanishes as sigma -> 0.
+    the denoiser Jacobian, A picks the entries ``ctx.index``, r = y - A x_hat,
+    and V = diag(``ctx.variance``). The beta and gamma terms of
+    :func:`log_likelihood` equal -1/2 r^T V^-1 r, so the twist replaces them
+    by log N(y; A x_hat, C_k), whose covariance adds the Tweedie posterior
+    covariance sigma_k^2 J_k of the clean state. The omega term stays at the
+    reconstruction point. The normalizing constant -1/2 log det C_k is
+    dropped. The twist is exact for Gaussian priors with linear observations,
+    and the correction vanishes as sigma -> 0.
+
+    Returns the correction per row of ``states`` and its data-space gradient
+    -A^T (V^-1 - C^-1) r, as ((N,), (N, d)). C is built once from m vjp rows,
+    one per observed entry. That is exact for a denoiser whose Jacobian does
+    not depend on the state, such as :class:`~pgd.priors.GaussianDenoiser`. A
+    state-dependent denoiser, such as :class:`~pgd.priors.GmmDenoiser`, gets
+    the symmetrized Jacobian at the rows' mean state, and the gradient treats
+    C as constant.
     """
-
-    def __init__(self, ctx: GuidanceContext):
-        cells = ctx.obs.mask_u.spec.cells
-        index, values, variance = [], [], []
-        for weight, cell_idx, vals, channels in _observed_groups(ctx.obs, ctx.layout, ctx.weights):
-            for row, c in enumerate(channels):
-                index.append(c * cells + cell_idx)
-                values.append(vals[row])
-                variance.append(np.full(cell_idx.size, vals.size / (2.0 * weight)))
-        self.index = np.concatenate([np.zeros(0, dtype=int), *index])
-        self.values = np.concatenate([np.zeros(0), *values])
-        self.variance = np.concatenate([np.zeros(0), *variance])
-
-    def correction(
-        self, denoiser: Denoiser, states: np.ndarray, denoised: np.ndarray, sigma: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The correction 1/2 r^T (V^-1 - C^-1) r per row of ``states`` and its
-        data-space gradient -A^T (V^-1 - C^-1) r, as ((N,), (N, d)).
-
-        C is built once from m vjp rows, one per observed entry. That is exact
-        for a denoiser whose Jacobian does not depend on the state, such as
-        :class:`~pgd.priors.GaussianDenoiser`. A state-dependent denoiser, such
-        as :class:`~pgd.priors.GmmDenoiser`, gets the symmetrized Jacobian at
-        the rows' mean state, and the gradient treats C as constant.
-        """
-        n, d = states.shape
-        m = self.index.size
-        probe = np.zeros((m, d))
-        probe[np.arange(m), self.index] = 1.0
-        ajat = denoiser.vjp(states.mean(axis=0), sigma, probe)[:, self.index]
-        cov = np.diag(self.variance) + sigma**2 * 0.5 * (ajat + ajat.T)
-        r = self.values - denoised[:, self.index]
-        gain = r / self.variance - np.linalg.solve(cov, r.T).T
-        grad = np.zeros((n, d))
-        grad[:, self.index] = -gain
-        return 0.5 * np.sum(r * gain, axis=1), grad
+    n, d = states.shape
+    m = ctx.index.size
+    probe = np.zeros((m, d))
+    probe[np.arange(m), ctx.index] = 1.0
+    ajat = denoiser.vjp(states.mean(axis=0), sigma, probe)[:, ctx.index]
+    cov = np.diag(ctx.variance) + sigma**2 * 0.5 * (ajat + ajat.T)
+    r = ctx.values - denoised[:, ctx.index]
+    gain = r / ctx.variance - np.linalg.solve(cov, r.T).T
+    grad = np.zeros((n, d))
+    np.add.at(grad, (Ellipsis, ctx.index), -gain)
+    return 0.5 * np.sum(r * gain, axis=1), grad
 
 
 def tds_transition_term(

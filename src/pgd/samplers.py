@@ -26,7 +26,6 @@ import math
 
 import numpy as np
 
-from .grid import Field, GridSpec
 from .guidance import GuidanceContext, data_log_likelihood_grad
 from .priors import Denoiser
 
@@ -43,11 +42,6 @@ def particle_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(0, int(index))))
 
 
-def state_spec(ctx: GuidanceContext) -> GridSpec:
-    """Grid spec of the full state implied by a guidance context."""
-    return ctx.obs.mask_u.spec.with_channels(ctx.layout.channel_count)
-
-
 def _guidance_rows(
     x: np.ndarray,
     sigma: float,
@@ -61,8 +55,7 @@ def _guidance_rows(
     ``extra_data_grad`` is added to the data-space gradient before the
     pull-back through the denoiser, so it costs no second vjp.
     """
-    batch = Field.from_flat(state_spec(ctx), denoised)
-    data = data_log_likelihood_grad(batch, ctx.obs, ctx.system, ctx.layout, ctx.weights).flat()
+    data = data_log_likelihood_grad(ctx, denoised)
     if extra_data_grad is not None:
         data = data + extra_data_grad
     if ctx.weights.jacobian_mode == "identity":

@@ -7,8 +7,8 @@ falls below a threshold fraction of N, and tracks a running log-evidence
 estimate (the normalizer of the underlying Feynman-Kac model).
 
 The pbs scheme weights with the point twist, the likelihood of the denoiser's
-reconstruction. The tds scheme weights and guides with
-:class:`~pgd.guidance.CovarianceTwist`, which adds the Tweedie posterior
+reconstruction. The tds scheme weights and guides with the point twist plus
+:func:`~pgd.guidance.twist_correction`, which adds the Tweedie posterior
 covariance of the clean state to the observation terms and is exact for
 Gaussian priors with linear observations. Additive constants, the twist's
 normalizer among them, are dropped, so the log-evidence estimate is defined
@@ -33,15 +33,15 @@ import numpy as np
 from .errors import BlowUpError, NumericalError
 from .grid import Field, GridSpec
 from .guidance import (
-    CovarianceTwist,
     GuidanceContext,
     GuidanceWeights,
     log_likelihood,
     tds_transition_term,
+    twist_correction,
 )
 from .priors import Denoiser, NoiseSchedule
 from .residuals import PdeSystem, StateLayout
-from .samplers import churn_gamma, gem_core, heun_core, particle_stream, state_spec
+from .samplers import churn_gamma, gem_core, heun_core, particle_stream
 from .solvers import Observations
 
 PROPOSALS = ("gem", "sosag")
@@ -100,12 +100,6 @@ class ParticlePopulation:
         lw = self.log_weights - m
         w = np.exp(lw)
         return w / w.sum()
-
-    def ess(self) -> float:
-        return ess(self.log_weights)
-
-    def fields(self) -> list[Field]:
-        return [Field.from_flat(self.spec, row) for row in self.states]
 
 
 def ess(log_weights: np.ndarray) -> float:
@@ -202,13 +196,13 @@ def smc_run(
     ESS <= threshold * N (recorded ESS is pre-resampling).
 
     Under pbs the twist is the point likelihood of the reconstruction. Under
-    tds it is :class:`~pgd.guidance.CovarianceTwist`, in the initial weights,
-    the incremental weights and the gem guidance alike; its covariance is
-    built once per noise level, and its gradient is pulled back together with
-    the likelihood's. Constants are dropped.
+    tds it adds :func:`~pgd.guidance.twist_correction`, in the initial
+    weights, the incremental weights and the gem guidance alike; its
+    covariance is built once per noise level, and its gradient is pulled back
+    together with the likelihood's. Constants are dropped.
     """
     ctx = GuidanceContext(obs=obs, system=system, layout=layout, weights=config.weights)
-    spec = state_spec(ctx)
+    spec = ctx.spec
     d = spec.size
     n = config.particle_count
     sched = config.schedule
@@ -220,14 +214,12 @@ def smc_run(
         np.random.SeedSequence(entropy=int(config.seed), spawn_key=(1,))
     )
 
-    twist = CovarianceTwist(ctx) if config.scheme == "tds" else None
-
     def twist_log(x: np.ndarray, x_hat: np.ndarray, sigma: float):
         """Per-row twist at (x, sigma) and the data-space gradient of its correction."""
-        ll = log_likelihood(Field.from_flat(spec, x_hat), obs, system, layout, config.weights)
-        if twist is None:
+        ll = log_likelihood(ctx, x_hat)
+        if config.scheme != "tds":
             return ll, None
-        corr, corr_grad = twist.correction(denoiser, x, x_hat, sigma)
+        corr, corr_grad = twist_correction(ctx, denoiser, x, x_hat, sigma)
         return ll + corr, corr_grad
 
     states = np.stack([sched.sigma_max * s.standard_normal(d) for s in streams])
@@ -283,7 +275,7 @@ def smc_run(
             step_index=k - 1,
         )
 
-        current_ess = pop.ess()
+        current_ess = ess(pop.log_weights)
         fire = current_ess <= config.resample_threshold * n
         diag.steps.append(k - 1)
         diag.ess_trace.append(current_ess)
@@ -297,13 +289,6 @@ def smc_run(
 
     diag.log_evidence = log_evidence
     return pop, diag
-
-
-def weighted_estimate(population: ParticlePopulation, statistic) -> np.ndarray | float:
-    """Self-normalized importance estimate sum_i w_i * statistic(x_i)."""
-    w = population.normalized_weights()
-    vals = [statistic(f) for f in population.fields()]
-    return sum(wi * np.asarray(vi, dtype=float) for wi, vi in zip(w, vals))
 
 
 def point_estimate(

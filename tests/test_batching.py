@@ -27,7 +27,7 @@ from pgd.grid import (
     shift,
     shift_adjoint,
 )
-from pgd.guidance import GuidanceWeights, data_log_likelihood_grad, log_likelihood
+from pgd.guidance import GuidanceContext, GuidanceWeights, data_log_likelihood_grad, log_likelihood
 from pgd.priors import GaussianDenoiser, GaussianPrior, NoiseSchedule
 from pgd.residuals import KINDS, PdeSystem, StateLayout, default_layout, residual, residual_sq_grad
 from pgd.smc import SmcConfig, smc_run
@@ -82,12 +82,14 @@ def test_batched_residual_and_likelihood_match_single_fields(kind):
     assert_rows_identical(res.values, [residual(system, layout, f).values for f in singles])
     grad = residual_sq_grad(system, layout, batch)
     assert_rows_identical(grad.values, [residual_sq_grad(system, layout, f).values for f in singles])
-    ll = log_likelihood(batch, obs, system, layout, w)
-    single_ll = [log_likelihood(f, obs, system, layout, w) for f in singles]
+    ctx = GuidanceContext(obs, system, layout, w)
+    rows = batch.flat()
+    ll = log_likelihood(ctx, rows)
+    single_ll = [log_likelihood(ctx, row) for row in rows]
     assert all(isinstance(v, float) for v in single_ll)
     assert_rows_identical(ll, single_ll)
-    data = data_log_likelihood_grad(batch, obs, system, layout, w)
-    assert_rows_identical(data.values, [data_log_likelihood_grad(f, obs, system, layout, w).values for f in singles])
+    data = data_log_likelihood_grad(ctx, rows)
+    assert_rows_identical(data, [data_log_likelihood_grad(ctx, row) for row in rows])
 
 
 def test_field_batch_axes_round_trip():

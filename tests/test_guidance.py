@@ -5,12 +5,12 @@ import pgd.samplers
 import pgd.smc
 from pgd.grid import DIRICHLET, Field, GridSpec, Mask
 from pgd.guidance import (
-    CovarianceTwist,
     GuidanceContext,
     GuidanceWeights,
     data_log_likelihood_grad,
     log_likelihood,
     tds_transition_term,
+    twist_correction,
 )
 from pgd.priors import GaussianDenoiser, GaussianPrior, NoiseSchedule
 from pgd.residuals import PdeSystem, StateLayout, residual
@@ -49,7 +49,7 @@ def poisson_case(seed=0, n=8):
 def test_log_likelihood_zero_at_truth_with_zero_noise():
     _, x, layout, obs = poisson_case()
     w = GuidanceWeights(beta=1.0, gamma=1.0, omega=1.0)
-    val = log_likelihood(x, obs, PdeSystem.poisson(), layout, w)
+    val = log_likelihood(GuidanceContext(obs, PdeSystem.poisson(), layout, w), x.flat())
     assert abs(val) < 1e-16
 
 
@@ -58,7 +58,7 @@ def test_log_likelihood_zero_weights():
     spec, x, layout, obs = poisson_case(2)
     noisy = Field(spec, x.values + rng.standard_normal(x.values.shape))
     w = GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0)
-    assert log_likelihood(noisy, obs, PdeSystem.poisson(), layout, w) == 0.0
+    assert log_likelihood(GuidanceContext(obs, PdeSystem.poisson(), layout, w), noisy.flat()) == 0.0
 
 
 def test_log_likelihood_matches_independent_quadratic_form():
@@ -68,7 +68,7 @@ def test_log_likelihood_matches_independent_quadratic_form():
     spec, truth, layout, obs = poisson_case(4)
     x = Field(spec, rng.standard_normal(truth.values.shape))
     w = GuidanceWeights(beta=0.7, gamma=1.3, omega=2.1)
-    got = log_likelihood(x, obs, PdeSystem.poisson(), layout, w)
+    got = log_likelihood(GuidanceContext(obs, PdeSystem.poisson(), layout, w), x.flat())
 
     idx_u = obs.mask_u.flat_indices()
     idx_a = obs.mask_a.flat_indices()
@@ -81,7 +81,7 @@ def test_log_likelihood_matches_independent_quadratic_form():
 
 
 def test_log_likelihood_count_mismatch_rejected():
-    spec, x, layout, obs = poisson_case(5)
+    _, _, layout, obs = poisson_case(5)
     # truncated values are rejected when the observations are built
     with pytest.raises(ValueError):
         Observations(
@@ -91,7 +91,7 @@ def test_log_likelihood_count_mismatch_rejected():
             values_u=obs.values_u,
             sigma_o=0.0,
         )
-    # a group/value row mismatch surfaces at evaluation time
+    # a group/value row mismatch surfaces when the likelihood's context is built
     two_rows = Observations(
         mask_a=obs.mask_a,
         values_a=obs.values_a,
@@ -100,33 +100,35 @@ def test_log_likelihood_count_mismatch_rejected():
         sigma_o=0.0,
     )
     with pytest.raises(ValueError):
-        log_likelihood(x, two_rows, PdeSystem.poisson(), layout, GuidanceWeights())
+        GuidanceContext(two_rows, PdeSystem.poisson(), layout, GuidanceWeights())
 
 
 def test_observation_rows_checked_by_the_context_and_every_consumer():
-    spec, x, layout, obs = poisson_case(5)
+    # the consumers take only a context, so the context's check covers them all
+    _, _, layout, obs = poisson_case(5)
     # two value rows for the single solution channel
     two_rows = Observations(obs.mask_a, obs.values_a, obs.mask_u, np.vstack([obs.values_u] * 2), 0.0)
     w = GuidanceWeights(beta=1.0, gamma=1.0, omega=0.0)
     with pytest.raises(ValueError, match="observation values"):
         GuidanceContext(two_rows, PdeSystem.poisson(), layout, w)
-    batch = Field(spec, np.stack([x.values, x.values]))
-    for f in (x, batch):
-        with pytest.raises(ValueError, match="observation values"):
-            data_log_likelihood_grad(f, two_rows, PdeSystem.poisson(), layout, w)
-        with pytest.raises(ValueError, match="observation values"):
-            log_likelihood(f, two_rows, PdeSystem.poisson(), layout, w)
     # an unweighted group is not read, so it is not checked either
     GuidanceContext(two_rows, PdeSystem.poisson(), layout, GuidanceWeights(beta=0.0, gamma=1.0))
+
+
+def test_context_requires_a_system_for_the_pde_term():
+    _, _, layout, obs = poisson_case(5)
+    with pytest.raises(ValueError, match="requires a PDE system"):
+        GuidanceContext(obs, None, layout, GuidanceWeights(omega=1.0))
+    GuidanceContext(obs, None, layout, GuidanceWeights(omega=0.0))
 
 
 def test_data_grad_does_not_depend_on_memory_order_of_the_state():
     spec, truth, layout, obs = poisson_case(3)
     x = Field(spec, truth.values + np.random.default_rng(4).standard_normal(truth.values.shape))
-    w = GuidanceWeights(beta=1.0, gamma=1.0, omega=1.0)
-    want = data_log_likelihood_grad(x, obs, PdeSystem.poisson(), layout, w).values
-    fortran = Field(spec, np.asfortranarray(x.values))
-    got = data_log_likelihood_grad(fortran, obs, PdeSystem.poisson(), layout, w).values
+    ctx = GuidanceContext(obs, PdeSystem.poisson(), layout, GuidanceWeights(beta=1.0, gamma=1.0, omega=1.0))
+    rows = np.stack([x.flat(), -x.flat()])
+    want = data_log_likelihood_grad(ctx, rows)
+    got = data_log_likelihood_grad(ctx, np.asfortranarray(rows))
     np.testing.assert_array_equal(got, want)
 
 
@@ -139,8 +141,8 @@ def test_weights_validation():
 
 def intermediate_ll(flat, sigma, den, obs, w):
     """Point twist of a noisy state: the likelihood of its reconstruction."""
-    x_hat = Field.from_flat(SPEC16, den.denoise(flat, sigma))
-    return log_likelihood(x_hat, obs, None, SOLUTION_ONLY, w)
+    ctx = GuidanceContext(obs=obs, system=None, layout=SOLUTION_ONLY, weights=w)
+    return log_likelihood(ctx, den.denoise(flat, sigma))
 
 
 def guidance_rows(x, sigma, den, obs, w):
@@ -158,7 +160,7 @@ def test_intermediate_equals_terminal_at_sigma_zero():
     den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC16), "scalar", 1.0))
     w = GuidanceWeights(beta=1.0, gamma=0.0, omega=0.0)
     a = intermediate_ll(x.flat(), 0.0, den, obs, w)
-    b = log_likelihood(x, obs, None, SOLUTION_ONLY, w)
+    b = log_likelihood(GuidanceContext(obs, None, SOLUTION_ONLY, w), x.flat())
     assert a == pytest.approx(b, abs=1e-14)
 
 
@@ -273,8 +275,8 @@ def test_tds_chain_reproduces_direct_path_weight(monkeypatch):
     assert np.array_equal(x0[0], steps[-1][0])
     sigma_min = sched.sigma_at(0)
     x_hat = den.denoise(x0, sigma_min)
-    twist = log_likelihood(Field.from_flat(SPEC16, x_hat[0]), obs, None, SOLUTION_ONLY, w)
-    twist += CovarianceTwist(ctx).correction(den, x0, x_hat, sigma_min)[0][0]
+    twist = log_likelihood(ctx, x_hat[0])
+    twist += twist_correction(ctx, den, x0, x_hat, sigma_min)[0][0]
     direct = w.temper_rho * twist + log_em_path - log_gd_path
     assert pop.log_weights[0] == pytest.approx(direct, abs=1e-8)
 
@@ -288,5 +290,5 @@ def test_data_grad_zero_noise_truth_is_stationary():
     # stationary up to the elliptic solver's residual tolerance
     _, x, layout, obs = poisson_case(15)
     w = GuidanceWeights(beta=1.0, gamma=1.0, omega=1.0)
-    g = data_log_likelihood_grad(x, obs, PdeSystem.poisson(), layout, w)
-    assert np.max(np.abs(g.values)) < 1e-7
+    g = data_log_likelihood_grad(GuidanceContext(obs, PdeSystem.poisson(), layout, w), x.flat())
+    assert np.max(np.abs(g)) < 1e-7

@@ -4,7 +4,7 @@ import pytest
 import pgd.samplers
 import pgd.smc
 from pgd.grid import Field, GridSpec, Mask
-from pgd.guidance import CovarianceTwist, GuidanceContext, GuidanceWeights, log_likelihood
+from pgd.guidance import GuidanceContext, GuidanceWeights, log_likelihood, twist_correction
 from pgd.priors import GaussianDenoiser, GaussianPrior, NoiseSchedule
 from pgd.residuals import StateLayout
 from pgd.samplers import churn_gamma, em_core, gem_core, heun_core, particle_stream
@@ -16,7 +16,6 @@ from pgd.smc import (
     multinomial_resample,
     point_estimate,
     smc_run,
-    weighted_estimate,
 )
 from pgd.solvers import Observations
 
@@ -247,27 +246,26 @@ def test_weighted_estimate_uniform_is_arithmetic_mean():
     rng = np.random.default_rng(7)
     states = rng.standard_normal((5, 9))
     pop = population_from(states, np.zeros(5))
-    got = weighted_estimate(pop, lambda f: f.flat())
+    got = point_estimate(pop, "weighted_mean").flat()
     assert np.allclose(got, states.mean(axis=0), atol=1e-14)
 
 
 def test_weighted_estimate_single_survivor():
     states = np.random.default_rng(8).standard_normal((4, 9))
     pop = population_from(states, [-np.inf, 0.0, -np.inf, -np.inf])
-    got = weighted_estimate(pop, lambda f: f.flat())
+    got = point_estimate(pop, "weighted_mean").flat()
     assert np.allclose(got, states[1])
 
 
-def test_weighted_estimate_quadratic_matches_recomputation():
+def test_weighted_mean_matches_recomputed_normalized_weights():
     rng = np.random.default_rng(9)
     states = rng.standard_normal((6, 9))
     lw = rng.standard_normal(6)
     pop = population_from(states, lw)
-    got = weighted_estimate(pop, lambda f: float(np.sum(f.values**2)))
+    got = point_estimate(pop, "weighted_mean").flat()
     w = np.exp(lw - lw.max())
     w /= w.sum()
-    want = float(np.sum(w * np.sum(states**2, axis=1)))
-    assert got == pytest.approx(want, abs=1e-14)
+    np.testing.assert_allclose(got, w @ states, rtol=0, atol=1e-14)
 
 
 def test_point_estimate_modes():
@@ -342,12 +340,11 @@ def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):
     )
     layout = StateLayout.scalar_pair()
     w = GuidanceWeights(beta=20.0, gamma=8.0, omega=0.0)
-    twist = CovarianceTwist(GuidanceContext(obs=obs, system=None, layout=layout, weights=w))
+    ctx = GuidanceContext(obs=obs, system=None, layout=layout, weights=w)
 
     def twist_log(x, sigma):
         x_hat = den.denoise(x, sigma)
-        ll = np.array([log_likelihood(Field.from_flat(spec, row), obs, None, layout, w) for row in x_hat])
-        return ll + twist.correction(den, x, x_hat, sigma)[0]
+        return log_likelihood(ctx, x_hat) + twist_correction(ctx, den, x, x_hat, sigma)[0]
 
     # closed form: A picks coefficient cells in channel 0, solution cells in channel 1
     rows = np.concatenate([9 + idx_u, idx_a])
@@ -363,15 +360,15 @@ def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):
     assert np.allclose(gap, gap[0], atol=1e-10)
 
     # at sigma = 0 the reconstruction is the state and the correction vanishes
-    corr, corr_grad = twist.correction(den, states, den.denoise(states, 0.0), 0.0)
+    corr, corr_grad = twist_correction(ctx, den, states, den.denoise(states, 0.0), 0.0)
     assert np.allclose(corr, 0.0, atol=1e-12) and np.allclose(corr_grad, 0.0, atol=1e-12)
-    point = [log_likelihood(Field.from_flat(spec, row), obs, None, layout, w) for row in states]
+    point = [log_likelihood(ctx, row) for row in states]
     assert np.allclose(twist_log(states, 0.0), point, rtol=1e-12)
 
     # without observed entries there is nothing to correct
     no_obs = GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0)
-    empty = CovarianceTwist(GuidanceContext(obs=obs, system=None, layout=layout, weights=no_obs))
-    corr, corr_grad = empty.correction(den, states, den.denoise(states, sigma), sigma)
+    empty = GuidanceContext(obs=obs, system=None, layout=layout, weights=no_obs)
+    corr, corr_grad = twist_correction(empty, den, states, den.denoise(states, sigma), sigma)
     assert corr.shape == (6,) and not corr.any() and not corr_grad.any()
 
     # the guided mean that smc_run forms under tds ascends the twist
@@ -394,6 +391,40 @@ def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):
             axis=1,
         )
         assert np.allclose((mean_gd - mean_em) / delta, fd, rtol=1e-6, atol=1e-6)
+
+
+def test_twist_correction_gradient_sums_an_entry_observed_by_both_groups():
+    # Both groups read channel 0 and cell 4 is in both masks, so the
+    # observation operator picks that entry twice: its gradient must be the
+    # sum of both rows' terms, as central differences of the correction say.
+    rng = np.random.default_rng(22)
+    d = SPEC9.size
+    b = rng.standard_normal((d, d))
+    cov = b @ b.T / d + 0.1 * np.eye(d)
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "dense", cov))
+    obs = Observations(
+        mask_a=Mask.from_indices(SPEC9, [1, 4]),
+        values_a=rng.standard_normal((1, 2)),
+        mask_u=Mask.from_indices(SPEC9, [4, 6, 8]),
+        values_u=rng.standard_normal((1, 3)),
+        sigma_o=0.1,
+    )
+    layout = StateLayout(coeff_channels=(0,), solution_channels=(0,))
+    w = GuidanceWeights(beta=20.0, gamma=8.0, omega=0.0)
+    ctx = GuidanceContext(obs=obs, system=None, layout=layout, weights=w)
+    assert np.count_nonzero(ctx.index == 4) == 2
+
+    sigma = 0.7
+    states = 2.0 * rng.standard_normal((3, d))
+    x_hat = den.denoise(states, sigma)
+    _, grad = twist_correction(ctx, den, states, x_hat, sigma)
+    h = 1e-6
+
+    def corr(rows):
+        return twist_correction(ctx, den, states, rows, sigma)[0]
+
+    fd = np.stack([(corr(x_hat + h * e) - corr(x_hat - h * e)) / (2 * h) for e in np.eye(d)], axis=1)
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
 
 
 def test_em_pbs_and_tds_coincidence_smoke():
