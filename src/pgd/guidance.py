@@ -14,10 +14,14 @@ variance that each group's mean-square term implies. :func:`log_likelihood`,
 arrays and take flat state rows: a (d,) row gives a float log-likelihood, an
 (N, d) population gives (N,), and gradients are shaped like the rows. A
 :class:`~pgd.grid.Field` is formed only for the PDE residual.
+``log_likelihood(ctx, rows, grad=True)`` returns the value and its gradient
+from one residual evaluation; :func:`data_log_likelihood_grad` is its
+gradient alone.
 
 At a noisy state the particle engine evaluates the likelihood at the
-denoiser's reconstruction, the point twist. The guidance gradient of
-:mod:`pgd.samplers` either chains :func:`data_log_likelihood_grad` through
+denoiser's reconstruction, the point twist, together with its gradient when
+the next step is guided at that reconstruction. The guidance gradient of
+:mod:`pgd.samplers` either chains that data-space gradient through
 the denoiser's exact vjp (jacobian_mode="exact") or treats the denoiser
 Jacobian as the identity (jacobian_mode="identity", the convention of
 earlier guided-ODE solvers).
@@ -118,29 +122,37 @@ class GuidanceContext:
         return self.obs.mask_u.spec.with_channels(self.layout.channel_count)
 
 
-def log_likelihood(ctx: GuidanceContext, rows: np.ndarray) -> float | np.ndarray:
+def log_likelihood(
+    ctx: GuidanceContext, rows: np.ndarray, grad: bool = False
+) -> float | np.ndarray | tuple[float | np.ndarray, np.ndarray]:
     """Weighted negative mean-square misfits of clean states (constant dropped).
 
-    A float for a (d,) row, (N,) for (N, d) rows.
+    A float for a (d,) row, (N,) for (N, d) rows. With ``grad=True`` it
+    returns (value, gradient with respect to the rows, shaped like ``rows``)
+    from one residual evaluation.
     """
     rows = np.asarray(rows, dtype=float)
     r = ctx.values - rows[..., ctx.index]
     total = -np.sum(r * r / (2.0 * ctx.variance), axis=-1)
+    if grad:
+        data = np.zeros(rows.shape)
+        np.add.at(data, (Ellipsis, ctx.index), r / ctx.variance)
     if ctx.weights.omega > 0:
-        res = residual(ctx.system, ctx.layout, Field.from_flat(ctx.spec, rows)).values
-        total = total - ctx.weights.omega * np.mean(res.reshape(rows.shape[:-1] + (-1,)) ** 2, axis=-1)
-    return total if rows.ndim > 1 else float(total)
+        x = Field.from_flat(ctx.spec, rows)
+        if grad:
+            res, res_grad = residual_sq_grad(ctx.system, ctx.layout, x)
+            data -= ctx.weights.omega * res_grad.reshape(rows.shape)
+        else:
+            res = residual(ctx.system, ctx.layout, x)
+        total = total - ctx.weights.omega * np.mean(res.values.reshape(rows.shape[:-1] + (-1,)) ** 2, axis=-1)
+    if rows.ndim == 1:
+        total = float(total)
+    return (total, data) if grad else total
 
 
 def data_log_likelihood_grad(ctx: GuidanceContext, rows: np.ndarray) -> np.ndarray:
     """Gradient of :func:`log_likelihood` with respect to the clean state, shaped like ``rows``."""
-    rows = np.asarray(rows, dtype=float)
-    grad = np.zeros(rows.shape)
-    np.add.at(grad, (Ellipsis, ctx.index), (ctx.values - rows[..., ctx.index]) / ctx.variance)
-    if ctx.weights.omega > 0:
-        res_grad = residual_sq_grad(ctx.system, ctx.layout, Field.from_flat(ctx.spec, rows)).values
-        grad -= ctx.weights.omega * res_grad.reshape(rows.shape)
-    return grad
+    return log_likelihood(ctx, rows, grad=True)[1]
 
 
 def twist_correction(

@@ -253,11 +253,15 @@ def residual(system: PdeSystem, layout: StateLayout, x: Field) -> Field:
     return Field(spec, np.stack(rows, axis=-3))
 
 
-def residual_sq_grad(system: PdeSystem, layout: StateLayout, x: Field) -> Field:
-    """Gradient of (1/m) * ||residual(x)||^2 with respect to every state channel.
+def residual_sq_grad(system: PdeSystem, layout: StateLayout, x: Field) -> tuple[Field, np.ndarray]:
+    """Residual of ``x`` and the gradient of (1/m) * ||residual(x)||^2 in every state channel.
 
-    m counts the residual entries of one field; a batched ``x`` gives one
-    gradient per field, (..., C, H, W).
+    m counts the residual entries of one field. The residual is the one the
+    gradient is built from, so a caller that needs both evaluates it once. A
+    batched ``x`` gives one residual and one gradient per field,
+    (..., R, H, W) and (..., C, H, W). The gradient is a bare array shaped
+    like ``x.values``, not a :class:`~pgd.grid.Field`: it is not checked for
+    finiteness, so an overflow reaches the caller's located checks.
     """
     res = residual(system, layout, x)
     m = res.spec.size
@@ -325,5 +329,5 @@ def residual_sq_grad(system: PdeSystem, layout: StateLayout, x: Field) -> Field:
     else:  # pragma: no cover
         raise ValueError(f"unknown system kind {kind!r}")
 
-    return Field(x.spec, grad_values)
+    return res, grad_values
 

@@ -17,7 +17,11 @@ inflation.
 
 The cores take the Gaussian draws explicitly and act on (N, d) particle
 rows; :func:`pgd.smc.smc_run` drives them, and a single chain is a run with
-N = 1.
+N = 1. ``gem_core`` takes the data-space guidance gradient at the
+reconstruction as ``data_grad``: the engine computes it together with the
+twist that weights the particle, so the likelihood is evaluated once per
+reconstruction. ``heun_core`` guides at the churned state, a point that no
+weight is evaluated at, so it computes its own gradient.
 """
 
 from __future__ import annotations
@@ -48,19 +52,19 @@ def _guidance_rows(
     denoiser: Denoiser,
     ctx: GuidanceContext,
     denoised: np.ndarray,
-    extra_data_grad: np.ndarray | None = None,
+    data_grad: np.ndarray | None = None,
 ) -> np.ndarray:
     """Guidance gradient rows at (x, sigma), reusing the already-denoised rows.
 
-    ``extra_data_grad`` is added to the data-space gradient before the
-    pull-back through the denoiser, so it costs no second vjp.
+    ``data_grad`` is the data-space gradient at ``denoised`` when the caller
+    has it already; otherwise it is computed here. It is pulled back through
+    the denoiser with one vjp.
     """
-    data = data_log_likelihood_grad(ctx, denoised)
-    if extra_data_grad is not None:
-        data = data + extra_data_grad
+    if data_grad is None:
+        data_grad = data_log_likelihood_grad(ctx, denoised)
     if ctx.weights.jacobian_mode == "identity":
-        return data
-    return denoiser.vjp(x, sigma, data)
+        return data_grad
+    return denoiser.vjp(x, sigma, data_grad)
 
 
 def em_core(
@@ -88,19 +92,20 @@ def gem_core(
     denoiser: Denoiser,
     ctx: GuidanceContext,
     denoised: np.ndarray | None = None,
-    extra_data_grad: np.ndarray | None = None,
+    data_grad: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Guided Euler-Maruyama step; returns (sample, unguided mean, guided mean).
 
-    The guidance ascends the point twist, plus ``extra_data_grad`` when given:
-    a data-space gradient pulled back together with the likelihood's.
+    The guidance ascends the twist whose data-space gradient at ``denoised``
+    is ``data_grad``. When it is not given, the gradient of the point twist
+    is computed here.
     """
     x = np.asarray(x, dtype=float)
     if denoised is None:
         denoised = denoiser.denoise(x, sigma_k)
     delta = sigma_k**2 - sigma_next**2
     _, mean_em = em_core(x, z, sigma_k, sigma_next, denoiser, denoised)
-    grad = _guidance_rows(x, sigma_k, denoiser, ctx, denoised, extra_data_grad)
+    grad = _guidance_rows(x, sigma_k, denoiser, ctx, denoised, data_grad)
     mean_guided = mean_em + delta * grad
     return mean_guided + math.sqrt(delta) * z, mean_em, mean_guided
 

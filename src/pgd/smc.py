@@ -15,10 +15,19 @@ normalizer among them, are dropped, so the log-evidence estimate is defined
 up to a constant.
 
 Particles evolve as rows of an (N, d) array drawn from per-particle streams
-keyed by (seed, particle index); resampling uses its own stream. A single
-chain is a run with N = 1: it walks the proposal cores of
-:mod:`pgd.samplers` on the particle-0 stream, and the unguided or
-deterministic chains are runs with zero guidance weights or no churn.
+keyed by (seed, particle index); resampling uses its own stream. Each stream
+fills its particle's Gaussian noise for a block of steps at once, sized so
+that the (N, steps, d) block stays within :data:`NOISE_BLOCK_BYTES`. One
+(c, d) draw equals c successive (d,) draws bit for bit, so the block size
+never changes a run. A single chain is a run with N = 1: it walks the
+proposal cores of :mod:`pgd.samplers` on the particle-0 stream, and the
+unguided or deterministic chains are runs with zero guidance weights or no
+churn.
+
+The likelihood of each reconstruction is evaluated once: under ``gem`` the
+twist that weights a particle is computed together with its data-space
+gradient, which travels with the reconstruction (through resampling too)
+and guides the next step.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowUpError, NumericalError
+from .errors import BlowUpError
 from .grid import Field, GridSpec
 from .guidance import (
     GuidanceContext,
@@ -47,6 +56,7 @@ from .solvers import Observations
 PROPOSALS = ("gem", "sosag")
 SCHEMES = ("tds", "pbs")
 ESTIMATE_MODES = ("best", "weighted_mean", "random")
+NOISE_BLOCK_BYTES = 1 << 20  # budget of the per-run block of pre-drawn step noise
 
 
 @dataclass(frozen=True)
@@ -122,9 +132,9 @@ def multinomial_resample(
     ancestors = rng.choice(n, size=n, p=probs)
     return ParticlePopulation(
         spec=population.spec,
-        states=population.states[ancestors].copy(),
+        states=population.states[ancestors],
         log_weights=np.zeros(n),
-        cached_loglik=population.cached_loglik[ancestors].copy(),
+        cached_loglik=population.cached_loglik[ancestors],
         step_index=population.step_index,
         ancestors=ancestors,
     )
@@ -200,6 +210,11 @@ def smc_run(
     weights, the incremental weights and the gem guidance alike; its
     covariance is built once per noise level, and its gradient is pulled back
     together with the likelihood's. Constants are dropped.
+
+    Under gem, the twist's data-space gradient is evaluated with the twist
+    whenever another step follows, and handed to that step's
+    :func:`~pgd.samplers.gem_core`. Step noise is drawn c steps at a time per
+    particle, c = max(1, min(K, NOISE_BLOCK_BYTES // (8 N d))).
     """
     ctx = GuidanceContext(obs=obs, system=system, layout=layout, weights=config.weights)
     spec = ctx.spec
@@ -214,18 +229,21 @@ def smc_run(
         np.random.SeedSequence(entropy=int(config.seed), spawn_key=(1,))
     )
 
-    def twist_log(x: np.ndarray, x_hat: np.ndarray, sigma: float):
-        """Per-row twist at (x, sigma) and the data-space gradient of its correction."""
-        ll = log_likelihood(ctx, x_hat)
+    def twist_log(x: np.ndarray, x_hat: np.ndarray, sigma: float, k: int):
+        """Per-row twist at (x, sigma) and, when step k guides with it, its data-space gradient."""
+        if config.proposal == "gem" and k > 0:
+            ll, grad = log_likelihood(ctx, x_hat, grad=True)
+        else:
+            ll, grad = log_likelihood(ctx, x_hat), None
         if config.scheme != "tds":
-            return ll, None
+            return ll, grad
         corr, corr_grad = twist_correction(ctx, denoiser, x, x_hat, sigma)
-        return ll + corr, corr_grad
+        return ll + corr, None if grad is None else grad + corr_grad
 
     states = np.stack([sched.sigma_max * s.standard_normal(d) for s in streams])
     denoised = denoiser.denoise(states, sched.sigma_max)
     _require_finite(denoised, sched.steps, "reconstruction")
-    cached_ll, corr_grad = twist_log(states, denoised, sched.sigma_max)
+    cached_ll, data_grad = twist_log(states, denoised, sched.sigma_max, sched.steps)
     log_w = rho * cached_ll
     log_evidence = _log_mean_increment(np.zeros(n), log_w)
 
@@ -234,9 +252,15 @@ def smc_run(
     )
     diag = SmcDiagnostics()
 
+    block_steps = max(1, min(sched.steps, NOISE_BLOCK_BYTES // (8 * n * d)))
+    noise = np.empty((n, block_steps, d))
     for k in range(sched.steps, 0, -1):
         sigma_k, sigma_next = sched.sigma_at(k), sched.sigma_at(k - 1)
-        z = np.stack([s.standard_normal(d) for s in streams])
+        j = (sched.steps - k) % block_steps
+        if j == 0:
+            for row, s in zip(noise, streams):
+                s.standard_normal(out=row[: min(block_steps, k)])
+        z = noise[:, j]
 
         if config.proposal == "gem":
             samples, mean_em, mean_gd = gem_core(
@@ -247,7 +271,7 @@ def smc_run(
                 denoiser,
                 ctx,
                 denoised=denoised,
-                extra_data_grad=corr_grad,
+                data_grad=data_grad,
             )
         else:
             samples = heun_core(pop.states, z, sigma_k, sigma_next, denoiser, gamma, ctx)
@@ -256,14 +280,14 @@ def smc_run(
 
         denoised = denoiser.denoise(samples, sigma_next)
         _require_finite(denoised, k, "reconstruction")
-        ll_new, corr_grad = twist_log(samples, denoised, sigma_next)
+        ll_new, data_grad = twist_log(samples, denoised, sigma_next, k - 1)
         potentials = rho * (ll_new - pop.cached_loglik)
         if config.scheme == "tds":
             step_var = sigma_k**2 - sigma_next**2
             potentials = potentials + tds_transition_term(samples, mean_em, mean_gd, step_var)
         if not np.all(np.isfinite(potentials)):
-            bad = int(np.where(~np.isfinite(potentials))[0][0])
-            raise NumericalError(f"non-finite weight for particle {bad} at step {k}")
+            bad = int(np.flatnonzero(~np.isfinite(potentials))[0])
+            raise BlowUpError(f"non-finite weight for particle {bad} at step {k}", step=k, particle=bad)
 
         log_evidence += _log_mean_increment(pop.log_weights, potentials)
 
@@ -283,9 +307,9 @@ def smc_run(
         diag.log_evidence_trace.append(log_evidence)
         if fire:
             pop = multinomial_resample(pop, resample_rng)
-            denoised = denoised[pop.ancestors].copy()
-            if corr_grad is not None:
-                corr_grad = corr_grad[pop.ancestors]
+            denoised = denoised[pop.ancestors]
+            if data_grad is not None:
+                data_grad = data_grad[pop.ancestors]
 
     diag.log_evidence = log_evidence
     return pop, diag

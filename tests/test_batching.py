@@ -80,8 +80,9 @@ def test_batched_residual_and_likelihood_match_single_fields(kind):
 
     res = residual(system, layout, batch)
     assert_rows_identical(res.values, [residual(system, layout, f).values for f in singles])
-    grad = residual_sq_grad(system, layout, batch)
-    assert_rows_identical(grad.values, [residual_sq_grad(system, layout, f).values for f in singles])
+    res_again, grad = residual_sq_grad(system, layout, batch)
+    np.testing.assert_array_equal(res_again.values, res.values)
+    assert_rows_identical(grad, [residual_sq_grad(system, layout, f)[1] for f in singles])
     ctx = GuidanceContext(obs, system, layout, w)
     rows = batch.flat()
     ll = log_likelihood(ctx, rows)
@@ -90,6 +91,14 @@ def test_batched_residual_and_likelihood_match_single_fields(kind):
     assert_rows_identical(ll, single_ll)
     data = data_log_likelihood_grad(ctx, rows)
     assert_rows_identical(data, [data_log_likelihood_grad(ctx, row) for row in rows])
+    # the fused evaluation returns the value and the gradient of the separate calls
+    fused_ll, fused_data = log_likelihood(ctx, rows, grad=True)
+    np.testing.assert_array_equal(fused_ll, ll)
+    np.testing.assert_array_equal(fused_data, data)
+    for row, single, single_data in zip(rows, single_ll, data):
+        value, row_grad = log_likelihood(ctx, row, grad=True)
+        assert isinstance(value, float) and value == single
+        np.testing.assert_array_equal(row_grad, single_data)
 
 
 def test_field_batch_axes_round_trip():

@@ -164,8 +164,8 @@ def test_divergence_free_curl_field_is_annihilated():
     layout = StateLayout.vector_snapshots(1)
     r = residual(PdeSystem.divergence_free(), layout, x)
     assert np.max(np.abs(r.values)) < 1e-13
-    g = residual_sq_grad(PdeSystem.divergence_free(), layout, x)
-    assert np.max(np.abs(g.values)) < 1e-13
+    _, g = residual_sq_grad(PdeSystem.divergence_free(), layout, x)
+    assert np.max(np.abs(g)) < 1e-13
 
 
 def test_gradient_zero_at_discrete_solution():
@@ -174,8 +174,8 @@ def test_gradient_zero_at_discrete_solution():
     u = rng.standard_normal((8, 8))
     a = laplacian_2d(u, spec.spacing, spec.boundary)
     x = Field(spec, np.stack([a, u]))
-    g = residual_sq_grad(PdeSystem.poisson(), StateLayout.scalar_pair(), x)
-    assert np.max(np.abs(g.values)) < 1e-12
+    _, g = residual_sq_grad(PdeSystem.poisson(), StateLayout.scalar_pair(), x)
+    assert np.max(np.abs(g)) < 1e-12
 
 
 def mean_square_residual(system, layout, x):
@@ -187,7 +187,9 @@ def test_gradient_matches_finite_differences(kind):
     # Central finite differences of the mean-square residual are the oracle.
     rng = np.random.default_rng(17)
     system, layout, x = make_state(kind, rng)
-    grad = residual_sq_grad(system, layout, x).values
+    res, grad = residual_sq_grad(system, layout, x)
+    np.testing.assert_array_equal(res.values, residual(system, layout, x).values)
+    assert grad.shape == x.values.shape
     eps = 1e-6
     flat = x.values.reshape(-1)
     fd = np.zeros_like(flat)

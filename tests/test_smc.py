@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import pgd.guidance
+import pgd.residuals
 import pgd.samplers
 import pgd.smc
-from pgd.grid import Field, GridSpec, Mask
+from pgd.errors import BlowUpError, NumericalError
+from pgd.grid import DIRICHLET, Field, GridSpec, Mask
 from pgd.guidance import GuidanceContext, GuidanceWeights, log_likelihood, twist_correction
-from pgd.priors import GaussianDenoiser, GaussianPrior, NoiseSchedule
-from pgd.residuals import StateLayout
+from pgd.priors import GaussianDenoiser, GaussianPrior, NoiseSchedule, fit_empirical_prior
+from pgd.residuals import PdeSystem, StateLayout, default_layout
 from pgd.samplers import churn_gamma, em_core, gem_core, heun_core, particle_stream
 from pgd.smc import (
     ESTIMATE_MODES,
@@ -17,7 +20,7 @@ from pgd.smc import (
     point_estimate,
     smc_run,
 )
-from pgd.solvers import Observations
+from pgd.solvers import DatasetSpec, Observations, generate_dataset, make_observations
 
 SPEC9 = GridSpec(3, 3, 1, 1.0)
 SOLUTION_ONLY = StateLayout(coeff_channels=(), solution_channels=(0,))
@@ -194,6 +197,83 @@ def test_single_particle_run_matches_chain_bit_exactly(proposal, mode):
         else:
             x = heun_core(x, z, s_k, s_n, den, gamma, ctx if guided else None)
     assert np.array_equal(pop.states, x)
+
+
+def poisson_problem():
+    """A 4 x 4 poisson state with a dense prior and a PDE term (omega > 0)."""
+    rng = np.random.default_rng(41)
+    spec = GridSpec(4, 4, 2, 1 / 5, DIRICHLET)
+    b = rng.standard_normal((spec.size, spec.size))
+    cov = b @ b.T / spec.size + 0.1 * np.eye(spec.size)
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(spec), "dense", cov))
+    cells = spec.with_channels(1)
+    obs = Observations(
+        Mask.from_indices(cells, [1, 6, 11]),
+        rng.standard_normal((1, 3)),
+        Mask.from_indices(cells, [0, 5, 10, 15]),
+        rng.standard_normal((1, 4)),
+        0.1,
+    )
+    w = GuidanceWeights(beta=10.0, gamma=10.0, omega=1e-3)
+    return den, obs, StateLayout.scalar_pair(), w
+
+
+@pytest.mark.parametrize("scheme", ["pbs", "tds"])
+def test_gem_run_evaluates_the_residual_once_per_reconstruction(monkeypatch, scheme):
+    # K steps reconstruct K + 1 times; the weight and the next step's guidance
+    # share each reconstruction's residual.
+    den, obs, layout, w = poisson_problem()
+    calls = []
+
+    def counting(original):
+        def residual(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        return residual
+
+    # log_likelihood looks the residual up in guidance, residual_sq_grad in residuals
+    monkeypatch.setattr(pgd.guidance, "residual", counting(pgd.guidance.residual))
+    monkeypatch.setattr(pgd.residuals, "residual", counting(pgd.residuals.residual))
+    steps = 7
+    cfg = SmcConfig(4, NoiseSchedule(sigma_max=3.0, sigma_min=0.01, steps=steps), w, "gem", scheme, seed=5)
+    smc_run(cfg, den, obs, PdeSystem.poisson(), layout)
+    assert len(calls) == steps + 1
+
+
+@pytest.mark.parametrize("particles", [1, 4])
+@pytest.mark.parametrize("proposal,scheme", [("gem", "pbs"), ("gem", "tds"), ("sosag", "pbs")])
+def test_noise_block_size_leaves_runs_unchanged(monkeypatch, particles, proposal, scheme):
+    # blocks of 1 step, of 3 steps (which do not divide K = 7) and of all K steps
+    den, obs, layout, w = poisson_problem()
+    steps = 7
+    sched = NoiseSchedule(sigma_max=3.0, sigma_min=0.01, steps=steps, rho=3.0)
+    cfg = SmcConfig(particles, sched, w, proposal, scheme, resample_threshold=0.9, seed=9)
+    runs = []
+    for block_steps in (1, 3, steps):
+        monkeypatch.setattr(pgd.smc, "NOISE_BLOCK_BYTES", 8 * particles * den.prior.mean.spec.size * block_steps)
+        pop, diag = smc_run(cfg, den, obs, PdeSystem.poisson(), layout)
+        runs.append((pop.states, pop.log_weights, diag.log_evidence, diag.resampled))
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_non_finite_weight_raises_a_located_blow_up():
+    # The darcy benchmark problem (16 x 16, fitted dense prior, set-up seed 7,
+    # run seed 1) with omega = 0.1: the explicit PDE guidance overflows and the
+    # weights go non-finite at step 12.
+    system, layout = PdeSystem.darcy(), default_layout("darcy")
+    data = generate_dataset(DatasetSpec(system, GridSpec(16, 16, 2, 1 / 17, DIRICHLET), 65, rng_seed=7))
+    den = GaussianDenoiser(fit_empirical_prior(data[:64], 0.1, "dense"))
+    obs = make_observations(data[64], layout, 16, 0.01, np.random.default_rng(7))
+    w = GuidanceWeights(beta=100.0, gamma=100.0, omega=0.1)
+    cfg = SmcConfig(64, NoiseSchedule(steps=50), w, "gem", "pbs", seed=1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError, match="weight") as err:
+        smc_run(cfg, den, obs, system, layout)
+    assert isinstance(err.value, NumericalError)
+    assert err.value.step == 12
+    assert err.value.particle is not None and 0 <= err.value.particle < 64
 
 
 def test_zero_temper_rho_keeps_uniform_weights_and_never_resamples():
