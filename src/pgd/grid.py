@@ -76,11 +76,14 @@ class Field:
     Values are (C, H, W) float64, or (..., C, H, W) for a batch, C-contiguous
     and finite. An array with more than three axes whose last three are
     (C, H, W) is a batch; any other array of exactly C*H*W values is reshaped
-    to one field. Finiteness is checked once for the whole batch.
+    to one field. Finiteness is checked once for the whole batch, unless
+    ``check_finite`` is off: a computed field, such as the residual of a
+    diverging state, leaves that judgement to its caller.
     """
 
     spec: GridSpec
     values: np.ndarray
+    check_finite: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         # C order lets consumers write through reshaped views of the values
@@ -90,7 +93,7 @@ class Field:
             if arr.size != self.spec.size:
                 raise ValueError(f"expected {self.spec.size} values, got {arr.size}")
             arr = arr.reshape(shape)
-        if not np.all(np.isfinite(arr)):
+        if self.check_finite and not np.all(np.isfinite(arr)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", arr)
 
@@ -159,9 +162,9 @@ class Mask:
 # ---------------------------------------------------------------------------
 # Shift primitives. The stencils below are compositions of these, or of ghost
 # cells filled by the same rules, which keeps the adjoints exact: shifting
-# with zero fill transposes to the opposite shift, periodic rolls are
-# orthogonal, and edge-replication transposes to a zero-fill shift plus an
-# edge correction.
+# with zero fill transposes to the opposite shift, a periodic shift is a
+# permutation whose transpose is the opposite periodic shift, and
+# edge-replication transposes to a zero-fill shift plus an edge correction.
 # ---------------------------------------------------------------------------
 
 
@@ -173,35 +176,29 @@ def shift(a: np.ndarray, axis: int, step: int, boundary: str, fill: str = "zero"
     """Return b with b[idx] = a[idx + step] along ``axis`` (step in {-1, +1}).
 
     ``a`` is (..., H, W); axis 0 is the row axis (-2) and axis 1 the column
-    axis (-1), so leading batch axes are never mixed.
+    axis (-1), so leading batch axes are never mixed. The interior is one
+    slice copy; the vacated edge line is filled with the opposite edge of
+    ``a`` (periodic), with a's own edge (``fill="edge"``) or with zeros.
     """
     if step not in (-1, 1):
         raise ValueError("step must be -1 or +1")
-    if boundary == PERIODIC:
-        return np.roll(a, -step, axis=axis - 2)
+    head, tail = slice(None, -1), slice(1, None)  # all lines but the last; all but the first
+    first, last = slice(None, 1), slice(-1, None)
+    body, src, edge, wrap = (head, tail, last, first) if step == 1 else (tail, head, first, last)
     out = np.empty_like(a)
-    if step == 1:
-        out[_axis_slices(axis, slice(None, -1))] = a[_axis_slices(axis, slice(1, None))]
-        edge = a[_axis_slices(axis, slice(-1, None))] if fill == "edge" else 0.0
-        out[_axis_slices(axis, slice(-1, None))] = edge
+    out[_axis_slices(axis, body)] = a[_axis_slices(axis, src)]
+    if boundary == PERIODIC:
+        out[_axis_slices(axis, edge)] = a[_axis_slices(axis, wrap)]
     else:
-        out[_axis_slices(axis, slice(1, None))] = a[_axis_slices(axis, slice(None, -1))]
-        edge = a[_axis_slices(axis, slice(None, 1))] if fill == "edge" else 0.0
-        out[_axis_slices(axis, slice(None, 1))] = edge
+        out[_axis_slices(axis, edge)] = a[_axis_slices(axis, edge)] if fill == "edge" else 0.0
     return out
 
 
 def shift_adjoint(g: np.ndarray, axis: int, step: int, boundary: str, fill: str = "zero") -> np.ndarray:
     """Adjoint of :func:`shift` with the same (axis, step, boundary, fill)."""
-    if boundary == PERIODIC:
-        return np.roll(g, step, axis=axis - 2)
     out = shift(g, axis, -step, boundary, fill="zero")
-    if fill == "edge":
-        out = out.copy()
-        if step == 1:
-            sl = _axis_slices(axis, slice(-1, None))
-        else:
-            sl = _axis_slices(axis, slice(None, 1))
+    if fill == "edge" and boundary != PERIODIC:
+        sl = _axis_slices(axis, slice(-1, None) if step == 1 else slice(None, 1))
         out[sl] += g[sl]
     return out
 
@@ -213,14 +210,13 @@ def shift_adjoint(g: np.ndarray, axis: int, step: int, boundary: str, fill: str 
 
 def laplacian_2d(a: np.ndarray, h: float, boundary: str) -> np.ndarray:
     """5-point Laplacian (neighbors minus 4x center) / h^2."""
-    total = (
-        shift(a, 0, 1, boundary)
-        + shift(a, 0, -1, boundary)
-        + shift(a, 1, 1, boundary)
-        + shift(a, 1, -1, boundary)
-        - 4.0 * a
-    )
-    return total / (h * h)
+    total = shift(a, 0, 1, boundary)  # summed in place, left to right
+    total += shift(a, 0, -1, boundary)
+    total += shift(a, 1, 1, boundary)
+    total += shift(a, 1, -1, boundary)
+    total -= 4.0 * a
+    total /= h * h
+    return total
 
 
 def diff_2d(a: np.ndarray, axis: int, h: float, boundary: str) -> np.ndarray:

@@ -141,7 +141,8 @@ def log_likelihood(
         x = Field.from_flat(ctx.spec, rows)
         if grad:
             res, res_grad = residual_sq_grad(ctx.system, ctx.layout, x)
-            data -= ctx.weights.omega * res_grad.reshape(rows.shape)
+            res_grad *= ctx.weights.omega
+            data -= res_grad.reshape(rows.shape)
         else:
             res = residual(ctx.system, ctx.layout, x)
         total = total - ctx.weights.omega * np.mean(res.values.reshape(rows.shape[:-1] + (-1,)) ** 2, axis=-1)

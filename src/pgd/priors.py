@@ -7,7 +7,9 @@ realize the optimal denoiser exactly, which makes every downstream quantity
 neural implementation only needs ``denoise`` and ``vjp``.
 
 All denoiser operations act on flattened states of shape (..., d) so particle
-populations batch through the same code path.
+populations batch through the same code path. They never write to their
+inputs: :class:`GaussianDenoiser` works in place only on the arrays it
+allocates.
 
 A ``"dense"`` covariance is stored factored, as :class:`FactoredCov`: an
 isotropic level plus r orthonormal eigenpairs, so the denoiser applies it in
@@ -145,6 +147,8 @@ def _shrink(lam, sigma: float) -> np.ndarray:
     """Per-mode shrinkage factors lam/(lam + sigma^2); at sigma=0 modes with lam>0 pass through."""
     lam = np.asarray(lam)
     denom = lam + sigma**2
+    if sigma**2 > 0:  # every denominator is positive, since lam >= 0
+        return lam / denom
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(denom > 0, lam / np.where(denom > 0, denom, 1.0), 0.0)
 
@@ -162,18 +166,22 @@ class GaussianDenoiser(Denoiser):
         self.dim = prior.dim
         self._mu = prior.mean.flat()
 
-    def _apply_jacobian(self, vec: np.ndarray, sigma: float) -> np.ndarray:
+    def _apply_jacobian(self, vec: np.ndarray, sigma: float, own: bool = False) -> np.ndarray:
+        """J vec; with ``own`` the caller gives up ``vec``, and it is scaled in place."""
         cov = self.prior.cov
+        scratch = vec if own else None
         if self.prior.cov_kind != "dense":
-            return vec * _shrink(cov, sigma)
+            return np.multiply(vec, _shrink(cov, sigma), out=scratch)
         f = _shrink(np.append(cov.evals, cov.iso), sigma)  # r modes, then the isotropic level
         out = ((vec @ cov.basis.T) * (f[:-1] - f[-1])) @ cov.basis
-        out += f[-1] * vec
+        out += np.multiply(f[-1], vec, out=scratch)
         return out
 
     def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return self._mu + self._apply_jacobian(x - self._mu, sigma)
+        out = self._apply_jacobian(x - self._mu, sigma, own=True)
+        out += self._mu
+        return out
 
     def vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray) -> np.ndarray:
         # the Jacobian S (S + sigma^2 I)^{-1} is symmetric and x-independent

@@ -202,6 +202,8 @@ def residual(system: PdeSystem, layout: StateLayout, x: Field) -> Field:
     """Pointwise residual field(s), one channel per governing equation.
 
     A batched ``x`` of shape (..., C, H, W) gives residuals (..., R, H, W).
+    The residual is not checked for finiteness, so an overflow reaches the
+    caller's located checks instead of failing in the ``Field`` constructor.
     """
     layout.validate_for(system, x.spec)
     h, boundary = x.spec.spacing, x.spec.boundary
@@ -228,29 +230,27 @@ def residual(system: PdeSystem, layout: StateLayout, x: Field) -> Field:
         u0, v0 = (v[c] for c in layout.initial_channels)
         ut, vt = (v[c] for c in layout.terminal_channels)
         horizon, feed, removal = system.horizon, system.feed, system.removal
-        f_u = (ut - u0) / horizon - du * laplacian_2d(ut, h, boundary) + ut * vt**2 - feed * (1.0 - ut)
-        f_v = (vt - v0) / horizon - dv * laplacian_2d(vt, h, boundary) - ut * vt**2 + (feed + removal) * vt
+        lap_u, lap_v = laplacian_2d(v[list(layout.terminal_channels)], h, boundary)
+        uvv = ut * vt**2
+        f_u = (ut - u0) / horizon - du * lap_u + uvv - feed * (1.0 - ut)
+        f_v = (vt - v0) / horizon - dv * lap_v - uvv + (feed + removal) * vt
         rows = [f_u, f_v]
     elif kind == "competitive_3":
         mat = system.coupling_matrix
-        diff = [v[c] for c in layout.diffusion_channels]
         init = [v[c] for c in layout.initial_channels]
-        term = [v[c] for c in layout.terminal_channels]
+        term = v[list(layout.terminal_channels)]
         horizon = system.horizon
+        flux = flux_divergence_2d(v[list(layout.diffusion_channels)], term, h, boundary)
         rows = []
         for i in range(3):
             others = sum(mat[i, j] * term[j] for j in range(3) if j != i)
             growth = term[i] * (1.0 - term[i] - others)
-            rows.append(
-                (term[i] - init[i]) / horizon
-                - flux_divergence_2d(diff[i], term[i], h, boundary)
-                - growth
-            )
+            rows.append((term[i] - init[i]) / horizon - flux[i] - growth)
     else:  # pragma: no cover - guarded by PdeSystem validation
         raise ValueError(f"unknown system kind {kind!r}")
 
     spec = GridSpec(x.spec.height, x.spec.width, len(rows), h, boundary)
-    return Field(spec, np.stack(rows, axis=-3))
+    return Field(spec, np.stack(rows, axis=-3), check_finite=False)
 
 
 def residual_sq_grad(system: PdeSystem, layout: StateLayout, x: Field) -> tuple[Field, np.ndarray]:
@@ -295,35 +295,27 @@ def residual_sq_grad(system: PdeSystem, layout: StateLayout, x: Field) -> tuple[
         c_du, c_dv = layout.diffusion_channels
         c_u0, c_v0 = layout.initial_channels
         c_ut, c_vt = layout.terminal_channels
+        lap_u, lap_v = laplacian_2d(v[[c_ut, c_vt]], h, boundary)
+        lap_fu, lap_fv = laplacian_2d(np.stack([du * f_u, dv * f_v]), h, boundary)
+        vv, uv2 = vt**2, 2.0 * ut * vt
         grad[c_u0] = -scale * f_u / horizon
         grad[c_v0] = -scale * f_v / horizon
-        grad[c_du] = -scale * laplacian_2d(ut, h, boundary) * f_u
-        grad[c_dv] = -scale * laplacian_2d(vt, h, boundary) * f_v
-        grad[c_ut] = scale * (
-            (1.0 / horizon + vt**2 + feed) * f_u
-            - laplacian_2d(du * f_u, h, boundary)
-            - vt**2 * f_v
-        )
-        grad[c_vt] = scale * (
-            2.0 * ut * vt * f_u
-            + (1.0 / horizon - 2.0 * ut * vt + feed + removal) * f_v
-            - laplacian_2d(dv * f_v, h, boundary)
-        )
+        grad[c_du] = -scale * lap_u * f_u
+        grad[c_dv] = -scale * lap_v * f_v
+        grad[c_ut] = scale * ((1.0 / horizon + vv + feed) * f_u - lap_fu - vv * f_v)
+        grad[c_vt] = scale * (uv2 * f_u + (1.0 / horizon - uv2 + feed + removal) * f_v - lap_fv)
     elif kind == "competitive_3":
         mat = system.coupling_matrix
-        diff = [v[c] for c in layout.diffusion_channels]
-        term = [v[c] for c in layout.terminal_channels]
+        diff = v[list(layout.diffusion_channels)]
+        term = v[list(layout.terminal_channels)]
         horizon = system.horizon
+        coef_adj = flux_divergence_2d_adjoint_coef(term, r, h, boundary)
+        flux = flux_divergence_2d(diff, r, h, boundary)
         for i in range(3):
             grad[layout.initial_channels[i]] = -scale * r[i] / horizon
-            grad[layout.diffusion_channels[i]] = -scale * flux_divergence_2d_adjoint_coef(
-                term[i], r[i], h, boundary
-            )
+            grad[layout.diffusion_channels[i]] = -scale * coef_adj[i]
             others = sum(mat[i, j] * term[j] for j in range(3) if j != i)
-            own = scale * (
-                (1.0 / horizon - (1.0 - 2.0 * term[i] - others)) * r[i]
-                - flux_divergence_2d(diff[i], r[i], h, boundary)
-            )
+            own = scale * ((1.0 / horizon - (1.0 - 2.0 * term[i] - others)) * r[i] - flux[i])
             cross = sum(scale * mat[j, i] * term[j] * r[j] for j in range(3) if j != i)
             grad[layout.terminal_channels[i]] = own + cross
     else:  # pragma: no cover

@@ -22,6 +22,9 @@ reconstruction as ``data_grad``: the engine computes it together with the
 twist that weights the particle, so the likelihood is evaluated once per
 reconstruction. ``heun_core`` guides at the churned state, a point that no
 weight is evaluated at, so it computes its own gradient.
+
+The cores never write to their inputs. They work in place only on arrays
+they allocate, in the operand order of the plain expressions.
 """
 
 from __future__ import annotations
@@ -80,8 +83,13 @@ def em_core(
     if denoised is None:
         denoised = denoiser.denoise(x, sigma_k)
     delta = sigma_k**2 - sigma_next**2
-    mean = x + delta * (denoised - x) / sigma_k**2
-    return mean + math.sqrt(delta) * z, mean
+    mean = denoised - x  # x + delta * (denoised - x) / sigma_k^2, in place
+    mean *= delta
+    mean /= sigma_k**2
+    mean += x
+    sample = math.sqrt(delta) * z
+    sample += mean
+    return sample, mean
 
 
 def gem_core(
@@ -104,10 +112,12 @@ def gem_core(
     if denoised is None:
         denoised = denoiser.denoise(x, sigma_k)
     delta = sigma_k**2 - sigma_next**2
-    _, mean_em = em_core(x, z, sigma_k, sigma_next, denoiser, denoised)
-    grad = _guidance_rows(x, sigma_k, denoiser, ctx, denoised, data_grad)
-    mean_guided = mean_em + delta * grad
-    return mean_guided + math.sqrt(delta) * z, mean_em, mean_guided
+    sample, mean_em = em_core(x, z, sigma_k, sigma_next, denoiser, denoised)
+    mean_guided = delta * _guidance_rows(x, sigma_k, denoiser, ctx, denoised, data_grad)
+    mean_guided += mean_em
+    np.multiply(math.sqrt(delta), z, out=sample)  # the unguided sample's buffer is reused
+    sample += mean_guided
+    return sample, mean_em, mean_guided
 
 
 def heun_core(
@@ -129,14 +139,20 @@ def heun_core(
     """
     x = np.asarray(x, dtype=float)
     sigma_hat = sigma_k * (1.0 + gamma_k)
-    x_hat = x + math.sqrt(max(sigma_hat**2 - sigma_k**2, 0.0)) * z
+    x_hat = math.sqrt(max(sigma_hat**2 - sigma_k**2, 0.0)) * z
+    x_hat += x
     denoised_hat = denoiser.denoise(x_hat, sigma_hat)
-    d_cur = (x_hat - denoised_hat) / sigma_hat
-    x_new = x_hat + (sigma_next - sigma_hat) * d_cur
+    d_cur = x_hat - denoised_hat
+    d_cur /= sigma_hat
+    x_new = (sigma_next - sigma_hat) * d_cur
+    x_new += x_hat
     if sigma_next != 0.0:
-        d_next = (x_new - denoiser.denoise(x_new, sigma_next)) / sigma_next
-        x_new = x_hat + (sigma_next - sigma_hat) * 0.5 * (d_cur + d_next)
+        d_next = x_new - denoiser.denoise(x_new, sigma_next)
+        d_next /= sigma_next
+        d_cur += d_next
+        d_cur *= (sigma_next - sigma_hat) * 0.5
+        np.add(x_hat, d_cur, out=x_new)
     if ctx is not None:
         grad = _guidance_rows(x_hat, sigma_hat, denoiser, ctx, denoised_hat)
-        x_new = x_new + (sigma_k**2 - sigma_next**2) * grad
+        x_new += np.multiply(sigma_k**2 - sigma_next**2, grad, out=d_cur)
     return x_new

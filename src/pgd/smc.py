@@ -181,8 +181,8 @@ def _log_mean_increment(log_weights: np.ndarray, potentials: np.ndarray) -> floa
 
 
 def _require_finite(rows: np.ndarray, step: int, what: str) -> None:
-    """Raise :class:`BlowUpError` at the first particle whose row is not finite."""
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    """Raise :class:`BlowUpError` at the first particle whose (N,) value or (N, d) row is not finite."""
+    bad = np.flatnonzero(~np.isfinite(rows).reshape(len(rows), -1).all(axis=1))
     if bad.size:
         particle = int(bad[0])
         raise BlowUpError(
@@ -244,6 +244,7 @@ def smc_run(
     denoised = denoiser.denoise(states, sched.sigma_max)
     _require_finite(denoised, sched.steps, "reconstruction")
     cached_ll, data_grad = twist_log(states, denoised, sched.sigma_max, sched.steps)
+    _require_finite(cached_ll, sched.steps, "weight")
     log_w = rho * cached_ll
     log_evidence = _log_mean_increment(np.zeros(n), log_w)
 
@@ -285,9 +286,7 @@ def smc_run(
         if config.scheme == "tds":
             step_var = sigma_k**2 - sigma_next**2
             potentials = potentials + tds_transition_term(samples, mean_em, mean_gd, step_var)
-        if not np.all(np.isfinite(potentials)):
-            bad = int(np.flatnonzero(~np.isfinite(potentials))[0])
-            raise BlowUpError(f"non-finite weight for particle {bad} at step {k}", step=k, particle=bad)
+        _require_finite(potentials, k, "weight")
 
         log_evidence += _log_mean_increment(pop.log_weights, potentials)
 

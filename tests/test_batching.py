@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pgd.grid
+import pgd.residuals
 import pgd.solvers
 from pgd.errors import BlowUpError
 from pgd.grid import (
@@ -296,3 +297,87 @@ def test_rd_blow_up_names_the_first_non_finite_sample():
         simulate_rd(SYSTEMS["gray_scott_2"], Field(spec, diffusion), Field(spec, initial), 1e-3, 10)
     assert err.value.particle == 1
     assert err.value.step is not None and 1 <= err.value.step <= 10
+
+
+@pytest.mark.parametrize("step", [-1, 1])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_periodic_shift_and_adjoint_equal_the_roll_formula(axis, step):
+    """Reference: b[idx] = a[idx + step] is np.roll by -step; its adjoint rolls by +step."""
+    a = np.random.default_rng(14).standard_normal((BATCH, 2, H, W))
+    np.testing.assert_array_equal(shift(a, axis, step, PERIODIC), np.roll(a, -step, axis=axis - 2))
+    for fill in ("zero", "edge"):
+        np.testing.assert_array_equal(shift_adjoint(a, axis, step, PERIODIC, fill), np.roll(a, step, axis=axis - 2))
+
+
+def _gray_scott_per_species(system, layout, x):
+    """The gray_scott_2 residual and gradient with one Laplacian call per species: the reference."""
+    v = np.moveaxis(x.values, -3, 0)
+    h, b = x.spec.spacing, x.spec.boundary
+    du, dv, u0, v0, ut, vt = (v[c] for c in range(6))
+    tau, feed, removal = system.horizon, system.feed, system.removal
+    f_u = (ut - u0) / tau - du * laplacian_2d(ut, h, b) + ut * vt**2 - feed * (1.0 - ut)
+    f_v = (vt - v0) / tau - dv * laplacian_2d(vt, h, b) - ut * vt**2 + (feed + removal) * vt
+    s = 2.0 / (2 * x.spec.cells)
+    grad = [
+        -s * laplacian_2d(ut, h, b) * f_u,
+        -s * laplacian_2d(vt, h, b) * f_v,
+        -s * f_u / tau,
+        -s * f_v / tau,
+        s * ((1.0 / tau + vt**2 + feed) * f_u - laplacian_2d(du * f_u, h, b) - vt**2 * f_v),
+        s * (2.0 * ut * vt * f_u + (1.0 / tau - 2.0 * ut * vt + feed + removal) * f_v - laplacian_2d(dv * f_v, h, b)),
+    ]
+    return np.stack([f_u, f_v], axis=-3), np.stack(grad, axis=-3)
+
+
+def _competitive_per_species(system, layout, x):
+    """The competitive_3 residual and gradient with one flux-divergence call per species: the reference."""
+    v = np.moveaxis(x.values, -3, 0)
+    h, b, mat, tau = x.spec.spacing, x.spec.boundary, system.coupling_matrix, system.horizon
+    diff, init, term = v[0:3], v[3:6], v[6:9]
+    others = [sum(mat[i, j] * term[j] for j in range(3) if j != i) for i in range(3)]
+    res = [
+        (term[i] - init[i]) / tau - flux_divergence_2d(diff[i], term[i], h, b) - term[i] * (1.0 - term[i] - others[i])
+        for i in range(3)
+    ]
+    s = 2.0 / (3 * x.spec.cells)
+    grad = np.zeros_like(v)
+    for i in range(3):
+        grad[3 + i] = -s * res[i] / tau
+        grad[i] = -s * flux_divergence_2d_adjoint_coef(term[i], res[i], h, b)
+        own = s * ((1.0 / tau - (1.0 - 2.0 * term[i] - others[i])) * res[i] - flux_divergence_2d(diff[i], res[i], h, b))
+        grad[6 + i] = own + sum(s * mat[j, i] * term[j] * res[j] for j in range(3) if j != i)
+    return np.stack(res, axis=-3), np.moveaxis(grad, 0, -3)
+
+
+@pytest.mark.parametrize(
+    "kind,reference", [("gray_scott_2", _gray_scott_per_species), ("competitive_3", _competitive_per_species)]
+)
+def test_stacked_species_stencils_equal_per_species_calls(kind, reference):
+    system, layout, spec, _, states = batch_problem(kind)
+    states[:, : len(layout.diffusion_channels)] = np.abs(states[:, : len(layout.diffusion_channels)])
+    x = Field(spec, states)
+    want_res, want_grad = reference(system, layout, x)
+    np.testing.assert_array_equal(residual(system, layout, x).values, want_res)
+    res, grad = residual_sq_grad(system, layout, x)
+    np.testing.assert_array_equal(res.values, want_res)
+    np.testing.assert_array_equal(grad, want_grad)
+
+
+def test_gray_scott_likelihood_runs_the_laplacian_once_per_species_stack(monkeypatch):
+    """Value: one stacked Laplacian. Value and gradient: at most three."""
+    system, layout, spec, obs, states = batch_problem("gray_scott_2")
+    ctx = GuidanceContext(obs, system, layout, GuidanceWeights(beta=3.0, gamma=2.0, omega=0.5))
+    calls = []
+    original = pgd.residuals.laplacian_2d
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pgd.residuals, "laplacian_2d", counting)
+    rows = Field(spec, states).flat()
+    log_likelihood(ctx, rows)
+    assert len(calls) == 1
+    calls.clear()
+    log_likelihood(ctx, rows, grad=True)
+    assert len(calls) <= 3

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -259,20 +261,39 @@ def test_noise_block_size_leaves_runs_unchanged(monkeypatch, particles, proposal
             np.testing.assert_array_equal(got, want)
 
 
-def test_non_finite_weight_raises_a_located_blow_up():
-    # The darcy benchmark problem (16 x 16, fitted dense prior, set-up seed 7,
-    # run seed 1) with omega = 0.1: the explicit PDE guidance overflows and the
-    # weights go non-finite at step 12.
+@functools.cache
+def darcy_bench_problem():
+    """The darcy benchmark problem: 16 x 16, fitted dense prior, set-up seed 7."""
     system, layout = PdeSystem.darcy(), default_layout("darcy")
     data = generate_dataset(DatasetSpec(system, GridSpec(16, 16, 2, 1 / 17, DIRICHLET), 65, rng_seed=7))
     den = GaussianDenoiser(fit_empirical_prior(data[:64], 0.1, "dense"))
     obs = make_observations(data[64], layout, 16, 0.01, np.random.default_rng(7))
+    return system, layout, den, obs
+
+
+def test_non_finite_weight_raises_a_located_blow_up():
+    # The darcy benchmark problem with run seed 1 and omega = 0.1: the explicit
+    # PDE guidance overflows and the weights go non-finite at step 12.
+    system, layout, den, obs = darcy_bench_problem()
     w = GuidanceWeights(beta=100.0, gamma=100.0, omega=0.1)
     cfg = SmcConfig(64, NoiseSchedule(steps=50), w, "gem", "pbs", seed=1)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError, match="weight") as err:
         smc_run(cfg, den, obs, system, layout)
     assert isinstance(err.value, NumericalError)
     assert err.value.step == 12
+    assert err.value.particle is not None and 0 <= err.value.particle < 64
+
+
+@pytest.mark.parametrize("proposal,step", [("gem", 17), ("sosag", 16)])
+def test_overflowing_residual_raises_a_located_blow_up_not_a_field_error(proposal, step):
+    # At omega = 1 the residual of a reconstruction overflows. The residual
+    # Field leaves its finiteness to smc_run, which names the step and particle.
+    system, layout, den, obs = darcy_bench_problem()
+    w = GuidanceWeights(beta=100.0, gamma=100.0, omega=1.0)
+    cfg = SmcConfig(64, NoiseSchedule(steps=50), w, proposal, "pbs", seed=1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError, match="weight") as err:
+        smc_run(cfg, den, obs, system, layout)
+    assert err.value.step == step
     assert err.value.particle is not None and 0 <= err.value.particle < 64
 
 
