@@ -76,14 +76,13 @@ class Field:
     Values are (C, H, W) float64, or (..., C, H, W) for a batch, C-contiguous
     and finite. An array with more than three axes whose last three are
     (C, H, W) is a batch; any other array of exactly C*H*W values is reshaped
-    to one field. Finiteness is checked once for the whole batch, unless
-    ``check_finite`` is off: a computed field, such as the residual of a
-    diverging state, leaves that judgement to its caller.
+    to one field. Finiteness is checked once for the whole batch. A field is
+    the type of the API boundary (datasets, solves, priors, point estimates,
+    the public residual); the sampler's inner loop works on plain arrays.
     """
 
     spec: GridSpec
     values: np.ndarray
-    check_finite: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         # C order lets consumers write through reshaped views of the values
@@ -93,7 +92,7 @@ class Field:
             if arr.size != self.spec.size:
                 raise ValueError(f"expected {self.spec.size} values, got {arr.size}")
             arr = arr.reshape(shape)
-        if self.check_finite and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", arr)
 

@@ -12,8 +12,10 @@ weighted groups into the observed state entries with their values and the
 variance that each group's mean-square term implies. :func:`log_likelihood`,
 :func:`data_log_likelihood_grad` and :func:`twist_correction` read those
 arrays and take flat state rows: a (d,) row gives a float log-likelihood, an
-(N, d) population gives (N,), and gradients are shaped like the rows. A
-:class:`~pgd.grid.Field` is formed only for the PDE residual.
+(N, d) population gives (N,), and gradients are shaped like the rows. The
+PDE term views the rows as (..., C, H, W) states and calls the residual
+kernel on them: no :class:`~pgd.grid.Field` is formed, and nothing is
+validated per call.
 ``log_likelihood(ctx, rows, grad=True)`` returns the value and its gradient
 from one residual evaluation; :func:`data_log_likelihood_grad` is its
 gradient alone.
@@ -46,9 +48,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, GridSpec
+from .grid import GridSpec
 from .priors import Denoiser
-from .residuals import PdeSystem, StateLayout, residual_sq_grad, residual
+from .residuals import PdeSystem, StateLayout, residual_sq_grad
+from .residuals import residual  # unused here; bench/tracer.py binds it until ROADMAP item 6 re-maps it
 from .solvers import Observations
 
 JACOBIAN_MODES = ("exact", "identity")
@@ -77,8 +80,10 @@ class GuidanceWeights:
 class GuidanceContext:
     """Bundle of everything a guided step needs besides the state itself.
 
-    Construction checks the observation groups against the layout and that a
-    PDE term has a system, then builds the observation operator: ``index``
+    Construction sets ``spec``, the grid spec of the full state, and checks
+    the observation groups against the layout. When the PDE term is on, it
+    checks that there is a system and validates the layout for it on
+    ``spec``. Then it builds the observation operator: ``index``
     holds the flat state entry (channel * cells + cell) of each observed value
     of a weighted group, ``values`` the observed values and ``variance`` the
     per-entry variance n / (2 weight) of its group's mean-square term, where n
@@ -89,15 +94,20 @@ class GuidanceContext:
     system: PdeSystem | None
     layout: StateLayout
     weights: GuidanceWeights
+    spec: GridSpec = field(init=False, compare=False, repr=False)
     index: np.ndarray = field(init=False, compare=False, repr=False)
     values: np.ndarray = field(init=False, compare=False, repr=False)
     variance: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         w = self.weights
-        if w.omega > 0 and self.system is None:
-            raise ValueError("omega > 0 requires a PDE system")
-        cells = self.obs.mask_u.spec.cells
+        spec = self.obs.mask_u.spec.with_channels(self.layout.channel_count)
+        if w.omega > 0:
+            if self.system is None:
+                raise ValueError("omega > 0 requires a PDE system")
+            self.layout.validate_for(self.system, spec)
+        object.__setattr__(self, "spec", spec)
+        cells = spec.cells
         index, values, variance = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0)]
         for weight, mask, vals, channels in (
             (w.beta, self.obs.mask_u, self.obs.values_u, self.layout.solution_channels),
@@ -116,11 +126,6 @@ class GuidanceContext:
         object.__setattr__(self, "values", np.concatenate(values))
         object.__setattr__(self, "variance", np.concatenate(variance))
 
-    @property
-    def spec(self) -> GridSpec:
-        """Grid spec of the full state."""
-        return self.obs.mask_u.spec.with_channels(self.layout.channel_count)
-
 
 def log_likelihood(
     ctx: GuidanceContext, rows: np.ndarray, grad: bool = False
@@ -138,14 +143,13 @@ def log_likelihood(
         data = np.zeros(rows.shape)
         np.add.at(data, (Ellipsis, ctx.index), r / ctx.variance)
     if ctx.weights.omega > 0:
-        x = Field.from_flat(ctx.spec, rows)
+        spec = ctx.spec
+        x = rows.reshape(rows.shape[:-1] + (spec.channels, spec.height, spec.width))
+        res, res_grad = residual_sq_grad(ctx.system, ctx.layout, spec, x, grad=grad)
         if grad:
-            res, res_grad = residual_sq_grad(ctx.system, ctx.layout, x)
             res_grad *= ctx.weights.omega
             data -= res_grad.reshape(rows.shape)
-        else:
-            res = residual(ctx.system, ctx.layout, x)
-        total = total - ctx.weights.omega * np.mean(res.values.reshape(rows.shape[:-1] + (-1,)) ** 2, axis=-1)
+        total = total - ctx.weights.omega * np.mean(res.reshape(rows.shape[:-1] + (-1,)) ** 2, axis=-1)
     if rows.ndim == 1:
         total = float(total)
     return (total, data) if grad else total

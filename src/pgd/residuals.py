@@ -13,9 +13,15 @@ Gradients are assembled from stencil adjoints and product-rule terms, never
 by automatic differentiation, so they can be cross-checked against finite
 differences.
 
-Both operators take a single field or a batch (see :class:`~pgd.grid.Field`)
-and act per particle: a (N, C, H, W) state gives (N, R, H, W) residuals and
-(N, C, H, W) gradients, each row equal to the single-field result.
+Each system is written once, in :func:`residual_sq_grad`: a kernel on plain
+(..., C, H, W) state arrays that returns the residual and, when asked, the
+gradient of its mean square, built from the residual's own intermediates. It
+acts per particle: a (N, C, H, W) state gives (N, R, H, W) residuals and
+(N, C, H, W) gradients, each row equal to the single-state result. It
+validates nothing; the sampler's :class:`~pgd.guidance.GuidanceContext`
+validates the layout once. :class:`~pgd.grid.Field` stays at the boundary:
+:func:`residual` validates a field's layout, calls the kernel and wraps the
+result.
 """
 
 from __future__ import annotations
@@ -199,127 +205,107 @@ def default_layout(kind: str) -> StateLayout:
 
 
 def residual(system: PdeSystem, layout: StateLayout, x: Field) -> Field:
-    """Pointwise residual field(s), one channel per governing equation.
+    """Pointwise residual field(s) of ``x``, one channel per governing equation.
 
-    A batched ``x`` of shape (..., C, H, W) gives residuals (..., R, H, W).
-    The residual is not checked for finiteness, so an overflow reaches the
-    caller's located checks instead of failing in the ``Field`` constructor.
+    The layout is validated against ``x.spec``, and the residual is checked
+    for finiteness like any ``Field``. A batched ``x`` of shape
+    (..., C, H, W) gives residuals (..., R, H, W).
     """
     layout.validate_for(system, x.spec)
-    h, boundary = x.spec.spacing, x.spec.boundary
-    v = np.moveaxis(x.values, -3, 0)  # channel-first view: v[c] is (..., H, W)
+    res, _ = residual_sq_grad(system, layout, x.spec, x.values)
+    return Field(x.spec.with_channels(res.shape[-3]), res)
+
+
+def residual_sq_grad(
+    system: PdeSystem, layout: StateLayout, spec: GridSpec, x: np.ndarray, grad: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Residual of the (..., C, H, W) states ``x`` and, with ``grad=True``, the gradient of its mean square.
+
+    Returns (residual (..., R, H, W), gradient of (1/m) * ||residual||^2 in
+    every state channel, shaped like ``x``, or None). m counts the residual
+    entries of one state. The gradient reuses the residual's intermediates.
+    ``spec`` supplies the spacing and boundary; the layout is assumed valid
+    for it, and nothing is checked for finiteness, so an overflow reaches the
+    caller's located checks.
+    """
+    h, boundary = spec.spacing, spec.boundary
+    v = np.moveaxis(x, -3, 0)  # channel-first view: v[c] is (..., H, W)
     kind = system.kind
+    if grad:
+        out = np.zeros_like(x)
+        g = np.moveaxis(out, -3, 0)  # writable channel-first view
+        equations = {"gray_scott_2": 2, "competitive_3": 3, "divergence_free": len(layout.vector_pairs)}
+        scale = 2.0 / (equations.get(kind, 1) * spec.cells)
 
     if kind in ("poisson", "helmholtz"):
         a = v[layout.a_channel]
         u = v[layout.u_channel]
-        res = laplacian_2d(u, h, boundary) + system.k_wave**2 * u - a
-        rows = [res]
+        f = laplacian_2d(u, h, boundary) + system.k_wave**2 * u - a
+        rows = [f]
+        if grad:
+            g[layout.u_channel] = scale * (laplacian_2d(f, h, boundary) + system.k_wave**2 * f)
+            g[layout.a_channel] = -scale * f
     elif kind == "darcy":
         a = v[layout.a_channel]
         u = v[layout.u_channel]
-        res = -flux_divergence_2d(a, u, h, boundary) - system.source
-        rows = [res]
+        f = -flux_divergence_2d(a, u, h, boundary) - system.source
+        rows = [f]
+        if grad:
+            g[layout.u_channel] = -scale * flux_divergence_2d(a, f, h, boundary)
+            g[layout.a_channel] = -scale * flux_divergence_2d_adjoint_coef(u, f, h, boundary)
     elif kind == "divergence_free":
         rows = [
             diff_2d(v[p], 0, h, boundary) + diff_2d(v[q], 1, h, boundary)
             for p, q in layout.vector_pairs
         ]
+        if grad:
+            for f, (p, q) in zip(rows, layout.vector_pairs):
+                g[p] = -scale * diff_2d(f, 0, h, boundary)
+                g[q] = -scale * diff_2d(f, 1, h, boundary)
     elif kind == "gray_scott_2":
-        du, dv = (v[c] for c in layout.diffusion_channels)
-        u0, v0 = (v[c] for c in layout.initial_channels)
-        ut, vt = (v[c] for c in layout.terminal_channels)
-        horizon, feed, removal = system.horizon, system.feed, system.removal
-        lap_u, lap_v = laplacian_2d(v[list(layout.terminal_channels)], h, boundary)
-        uvv = ut * vt**2
-        f_u = (ut - u0) / horizon - du * lap_u + uvv - feed * (1.0 - ut)
-        f_v = (vt - v0) / horizon - dv * lap_v - uvv + (feed + removal) * vt
-        rows = [f_u, f_v]
-    elif kind == "competitive_3":
-        mat = system.coupling_matrix
-        init = [v[c] for c in layout.initial_channels]
-        term = v[list(layout.terminal_channels)]
-        horizon = system.horizon
-        flux = flux_divergence_2d(v[list(layout.diffusion_channels)], term, h, boundary)
-        rows = []
-        for i in range(3):
-            others = sum(mat[i, j] * term[j] for j in range(3) if j != i)
-            growth = term[i] * (1.0 - term[i] - others)
-            rows.append((term[i] - init[i]) / horizon - flux[i] - growth)
-    else:  # pragma: no cover - guarded by PdeSystem validation
-        raise ValueError(f"unknown system kind {kind!r}")
-
-    spec = GridSpec(x.spec.height, x.spec.width, len(rows), h, boundary)
-    return Field(spec, np.stack(rows, axis=-3), check_finite=False)
-
-
-def residual_sq_grad(system: PdeSystem, layout: StateLayout, x: Field) -> tuple[Field, np.ndarray]:
-    """Residual of ``x`` and the gradient of (1/m) * ||residual(x)||^2 in every state channel.
-
-    m counts the residual entries of one field. The residual is the one the
-    gradient is built from, so a caller that needs both evaluates it once. A
-    batched ``x`` gives one residual and one gradient per field,
-    (..., R, H, W) and (..., C, H, W). The gradient is a bare array shaped
-    like ``x.values``, not a :class:`~pgd.grid.Field`: it is not checked for
-    finiteness, so an overflow reaches the caller's located checks.
-    """
-    res = residual(system, layout, x)
-    m = res.spec.size
-    r = np.moveaxis(res.values, -3, 0)
-    h, boundary = x.spec.spacing, x.spec.boundary
-    v = np.moveaxis(x.values, -3, 0)
-    grad_values = np.zeros_like(x.values)
-    grad = np.moveaxis(grad_values, -3, 0)  # writable channel-first view
-    kind = system.kind
-    scale = 2.0 / m
-
-    if kind in ("poisson", "helmholtz"):
-        f = r[0]
-        grad[layout.u_channel] = scale * (laplacian_2d(f, h, boundary) + system.k_wave**2 * f)
-        grad[layout.a_channel] = -scale * f
-    elif kind == "darcy":
-        f = r[0]
-        a = v[layout.a_channel]
-        u = v[layout.u_channel]
-        grad[layout.u_channel] = -scale * flux_divergence_2d(a, f, h, boundary)
-        grad[layout.a_channel] = -scale * flux_divergence_2d_adjoint_coef(u, f, h, boundary)
-    elif kind == "divergence_free":
-        for f, (p, q) in zip(r, layout.vector_pairs):
-            grad[p] = -scale * diff_2d(f, 0, h, boundary)
-            grad[q] = -scale * diff_2d(f, 1, h, boundary)
-    elif kind == "gray_scott_2":
-        du, dv = (v[c] for c in layout.diffusion_channels)
-        ut, vt = (v[c] for c in layout.terminal_channels)
-        horizon, feed, removal = system.horizon, system.feed, system.removal
-        f_u, f_v = r
         c_du, c_dv = layout.diffusion_channels
         c_u0, c_v0 = layout.initial_channels
         c_ut, c_vt = layout.terminal_channels
+        du, dv, u0, v0, ut, vt = (v[c] for c in (c_du, c_dv, c_u0, c_v0, c_ut, c_vt))
+        horizon, feed, removal = system.horizon, system.feed, system.removal
         lap_u, lap_v = laplacian_2d(v[[c_ut, c_vt]], h, boundary)
-        lap_fu, lap_fv = laplacian_2d(np.stack([du * f_u, dv * f_v]), h, boundary)
-        vv, uv2 = vt**2, 2.0 * ut * vt
-        grad[c_u0] = -scale * f_u / horizon
-        grad[c_v0] = -scale * f_v / horizon
-        grad[c_du] = -scale * lap_u * f_u
-        grad[c_dv] = -scale * lap_v * f_v
-        grad[c_ut] = scale * ((1.0 / horizon + vv + feed) * f_u - lap_fu - vv * f_v)
-        grad[c_vt] = scale * (uv2 * f_u + (1.0 / horizon - uv2 + feed + removal) * f_v - lap_fv)
+        vv = vt**2
+        uvv = ut * vv
+        f_u = (ut - u0) / horizon - du * lap_u + uvv - feed * (1.0 - ut)
+        f_v = (vt - v0) / horizon - dv * lap_v - uvv + (feed + removal) * vt
+        rows = [f_u, f_v]
+        if grad:
+            lap_fu, lap_fv = laplacian_2d(np.stack([du * f_u, dv * f_v]), h, boundary)
+            uv2 = 2.0 * ut * vt
+            g[c_u0] = -scale * f_u / horizon
+            g[c_v0] = -scale * f_v / horizon
+            g[c_du] = -scale * lap_u * f_u
+            g[c_dv] = -scale * lap_v * f_v
+            g[c_ut] = scale * ((1.0 / horizon + vv + feed) * f_u - lap_fu - vv * f_v)
+            g[c_vt] = scale * (uv2 * f_u + (1.0 / horizon - uv2 + feed + removal) * f_v - lap_fv)
     elif kind == "competitive_3":
         mat = system.coupling_matrix
+        init = [v[c] for c in layout.initial_channels]
         diff = v[list(layout.diffusion_channels)]
         term = v[list(layout.terminal_channels)]
         horizon = system.horizon
-        coef_adj = flux_divergence_2d_adjoint_coef(term, r, h, boundary)
-        flux = flux_divergence_2d(diff, r, h, boundary)
-        for i in range(3):
-            grad[layout.initial_channels[i]] = -scale * r[i] / horizon
-            grad[layout.diffusion_channels[i]] = -scale * coef_adj[i]
-            others = sum(mat[i, j] * term[j] for j in range(3) if j != i)
-            own = scale * ((1.0 / horizon - (1.0 - 2.0 * term[i] - others)) * r[i] - flux[i])
-            cross = sum(scale * mat[j, i] * term[j] * r[j] for j in range(3) if j != i)
-            grad[layout.terminal_channels[i]] = own + cross
-    else:  # pragma: no cover
+        flux = flux_divergence_2d(diff, term, h, boundary)
+        others = [sum(mat[i, j] * term[j] for j in range(3) if j != i) for i in range(3)]
+        rows = [
+            (term[i] - init[i]) / horizon - flux[i] - term[i] * (1.0 - term[i] - others[i])
+            for i in range(3)
+        ]
+        if grad:
+            r = np.stack(rows)
+            coef_adj = flux_divergence_2d_adjoint_coef(term, r, h, boundary)
+            flux_r = flux_divergence_2d(diff, r, h, boundary)
+            for i in range(3):
+                g[layout.initial_channels[i]] = -scale * r[i] / horizon
+                g[layout.diffusion_channels[i]] = -scale * coef_adj[i]
+                own = scale * ((1.0 / horizon - (1.0 - 2.0 * term[i] - others[i])) * r[i] - flux_r[i])
+                cross = sum(scale * mat[j, i] * term[j] * r[j] for j in range(3) if j != i)
+                g[layout.terminal_channels[i]] = own + cross
+    else:  # pragma: no cover - guarded by PdeSystem validation
         raise ValueError(f"unknown system kind {kind!r}")
 
-    return res, grad_values
-
+    return np.stack(rows, axis=-3), out if grad else None

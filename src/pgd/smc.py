@@ -28,12 +28,17 @@ The likelihood of each reconstruction is evaluated once: under ``gem`` the
 twist that weights a particle is computed together with its data-space
 gradient, which travels with the reconstruction (through resampling too)
 and guides the next step.
+
+The run works on arrays only and builds no :class:`~pgd.grid.Field`:
+inputs are validated once, when the :class:`~pgd.guidance.GuidanceContext`
+is built, and the located :class:`~pgd.errors.BlowUpError` checks on
+states, reconstructions and weights are the run's only finiteness checks.
+:class:`SmcDiagnostics` keeps its traces in memory; :func:`point_estimate`
+turns a population into a ``Field`` at the boundary.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -55,7 +60,7 @@ from .solvers import Observations
 
 PROPOSALS = ("gem", "sosag")
 SCHEMES = ("tds", "pbs")
-ESTIMATE_MODES = ("best", "weighted_mean", "random")
+ESTIMATE_MODES = ("best", "weighted_mean")
 NOISE_BLOCK_BYTES = 1 << 20  # budget of the per-run block of pre-drawn step noise
 
 
@@ -150,24 +155,6 @@ class SmcDiagnostics:
     resampled: list[bool] = field(default_factory=list)
     log_evidence_trace: list[float] = field(default_factory=list)
     log_evidence: float = 0.0
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["step", "ess", "resampled_flag", "log_evidence_running"])
-            for s, e, r, z in zip(self.steps, self.ess_trace, self.resampled, self.log_evidence_trace):
-                writer.writerow([s, repr(float(e)), int(r), repr(float(z))])
-
-    def write_json(self, path) -> None:
-        summary = {
-            "iterations": len(self.steps),
-            "resample_count": int(sum(self.resampled)),
-            "final_ess": self.ess_trace[-1] if self.ess_trace else None,
-            "log_evidence": self.log_evidence,
-        }
-        with open(path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -314,26 +301,16 @@ def smc_run(
     return pop, diag
 
 
-def point_estimate(
-    population: ParticlePopulation,
-    mode: str = "best",
-    rng: np.random.Generator | None = None,
-) -> Field:
+def point_estimate(population: ParticlePopulation, mode: str = "best") -> Field:
     """Single-field summary of the population.
 
     ``best`` returns the highest-weight particle, ``weighted_mean`` the
-    self-normalized mean, ``random`` a draw proportional to the weights.
+    self-normalized mean.
     """
     if mode not in ESTIMATE_MODES:
         raise ValueError(f"mode must be one of {ESTIMATE_MODES}")
     if mode == "best":
         idx = int(np.argmax(population.log_weights))
         return Field.from_flat(population.spec, population.states[idx])
-    if mode == "weighted_mean":
-        w = population.normalized_weights()
-        return Field.from_flat(population.spec, w @ population.states)
-    if rng is None:
-        raise ValueError("random point estimate needs a generator")
     w = population.normalized_weights()
-    idx = int(rng.choice(population.count, p=w))
-    return Field.from_flat(population.spec, population.states[idx])
+    return Field.from_flat(population.spec, w @ population.states)

@@ -81,9 +81,12 @@ def test_batched_residual_and_likelihood_match_single_fields(kind):
 
     res = residual(system, layout, batch)
     assert_rows_identical(res.values, [residual(system, layout, f).values for f in singles])
-    res_again, grad = residual_sq_grad(system, layout, batch)
-    np.testing.assert_array_equal(res_again.values, res.values)
-    assert_rows_identical(grad, [residual_sq_grad(system, layout, f)[1] for f in singles])
+    res_again, grad = residual_sq_grad(system, layout, spec, states, grad=True)
+    np.testing.assert_array_equal(res_again, res.values)
+    assert_rows_identical(grad, [residual_sq_grad(system, layout, spec, s, grad=True)[1] for s in states])
+    value_only, no_grad = residual_sq_grad(system, layout, spec, states)
+    np.testing.assert_array_equal(value_only, res.values)
+    assert no_grad is None
     ctx = GuidanceContext(obs, system, layout, w)
     rows = batch.flat()
     ll = log_likelihood(ctx, rows)
@@ -358,13 +361,13 @@ def test_stacked_species_stencils_equal_per_species_calls(kind, reference):
     x = Field(spec, states)
     want_res, want_grad = reference(system, layout, x)
     np.testing.assert_array_equal(residual(system, layout, x).values, want_res)
-    res, grad = residual_sq_grad(system, layout, x)
-    np.testing.assert_array_equal(res.values, want_res)
+    res, grad = residual_sq_grad(system, layout, spec, states, grad=True)
+    np.testing.assert_array_equal(res, want_res)
     np.testing.assert_array_equal(grad, want_grad)
 
 
 def test_gray_scott_likelihood_runs_the_laplacian_once_per_species_stack(monkeypatch):
-    """Value: one stacked Laplacian. Value and gradient: at most three."""
+    """Value: one stacked Laplacian. Value and gradient: two, the terminal Laplacian shared."""
     system, layout, spec, obs, states = batch_problem("gray_scott_2")
     ctx = GuidanceContext(obs, system, layout, GuidanceWeights(beta=3.0, gamma=2.0, omega=0.5))
     calls = []
@@ -380,4 +383,4 @@ def test_gray_scott_likelihood_runs_the_laplacian_once_per_species_stack(monkeyp
     assert len(calls) == 1
     calls.clear()
     log_likelihood(ctx, rows, grad=True)
-    assert len(calls) <= 3
+    assert len(calls) == 2

@@ -122,6 +122,21 @@ def test_context_requires_a_system_for_the_pde_term():
     GuidanceContext(obs, None, layout, GuidanceWeights(omega=0.0))
 
 
+def test_context_validates_the_layout_once_when_the_pde_term_is_on(monkeypatch):
+    spec, x, layout, obs = poisson_case(5)
+    with pytest.raises(ValueError, match="layout needs"):
+        GuidanceContext(obs, PdeSystem.gray_scott(), layout, GuidanceWeights(omega=1.0))
+    GuidanceContext(obs, PdeSystem.gray_scott(), layout, GuidanceWeights(omega=0.0))
+    ctx = GuidanceContext(obs, PdeSystem.poisson(), layout, GuidanceWeights(omega=1.0))
+    assert ctx.spec == spec and ctx.spec is ctx.spec
+    calls = []
+    monkeypatch.setattr(StateLayout, "validate_for", lambda *args: calls.append(1))
+    rows = np.stack([x.flat(), -x.flat()])
+    log_likelihood(ctx, rows)
+    log_likelihood(ctx, rows, grad=True)
+    assert calls == []
+
+
 def test_data_grad_does_not_depend_on_memory_order_of_the_state():
     spec, truth, layout, obs = poisson_case(3)
     x = Field(spec, truth.values + np.random.default_rng(4).standard_normal(truth.values.shape))

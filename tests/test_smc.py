@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import pgd.guidance
-import pgd.residuals
 import pgd.samplers
 import pgd.smc
 from pgd.errors import BlowUpError, NumericalError
@@ -226,21 +225,36 @@ def test_gem_run_evaluates_the_residual_once_per_reconstruction(monkeypatch, sch
     # share each reconstruction's residual.
     den, obs, layout, w = poisson_problem()
     calls = []
+    original = pgd.guidance.residual_sq_grad
 
-    def counting(original):
-        def residual(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
 
-        return residual
-
-    # log_likelihood looks the residual up in guidance, residual_sq_grad in residuals
-    monkeypatch.setattr(pgd.guidance, "residual", counting(pgd.guidance.residual))
-    monkeypatch.setattr(pgd.residuals, "residual", counting(pgd.residuals.residual))
+    # the residual kernel, as log_likelihood looks it up
+    monkeypatch.setattr(pgd.guidance, "residual_sq_grad", counting)
     steps = 7
     cfg = SmcConfig(4, NoiseSchedule(sigma_max=3.0, sigma_min=0.01, steps=steps), w, "gem", scheme, seed=5)
     smc_run(cfg, den, obs, PdeSystem.poisson(), layout)
     assert len(calls) == steps + 1
+
+
+@pytest.mark.parametrize("proposal", ["gem", "sosag"])
+def test_smc_run_builds_no_field(monkeypatch, proposal):
+    # the residual is evaluated on array views of the rows: no Field (and so
+    # no per-step validation or finiteness pass) between entry and return
+    den, obs, layout, w = poisson_problem()
+    built = []
+    original = Field.__post_init__
+
+    def counting(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(Field, "__post_init__", counting)
+    cfg = SmcConfig(4, NoiseSchedule(sigma_max=3.0, sigma_min=0.01, steps=7), w, proposal, "pbs", seed=5)
+    smc_run(cfg, den, obs, PdeSystem.poisson(), layout)
+    assert built == []
 
 
 @pytest.mark.parametrize("particles", [1, 4])
@@ -376,11 +390,9 @@ def test_point_estimate_modes():
     assert np.allclose(point_estimate(pop, "best").flat(), states[1])
     w = pop.normalized_weights()
     assert np.allclose(point_estimate(pop, "weighted_mean").flat(), w @ states)
-    drawn = point_estimate(pop, "random", rng=np.random.default_rng(0)).flat()
-    assert any(np.allclose(drawn, s) for s in states)
     with pytest.raises(ValueError):
         point_estimate(pop, "map")
-    assert set(ESTIMATE_MODES) == {"best", "weighted_mean", "random"}
+    assert set(ESTIMATE_MODES) == {"best", "weighted_mean"}
 
 
 def test_conjugate_gaussian_posterior_mean_small():
@@ -541,22 +553,3 @@ def test_em_pbs_and_tds_coincidence_smoke():
         assert np.all(np.isfinite(pop.states))
         outs[scheme] = diag
     assert len(outs["pbs"].ess_trace) == len(outs["tds"].ess_trace)
-
-
-def test_diagnostics_files(tmp_path):
-    sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=8, rho=3.0)
-    den, obs, w = small_problem(beta=5.0)
-    cfg = SmcConfig(particle_count=4, schedule=sched, weights=w, proposal="gem", scheme="pbs", seed=1)
-    _, diag = smc_run(cfg, den, obs, None, SOLUTION_ONLY)
-    csv_path = tmp_path / "trace.csv"
-    json_path = tmp_path / "summary.json"
-    diag.write_csv(csv_path)
-    diag.write_json(json_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "step,ess,resampled_flag,log_evidence_running"
-    assert len(lines) == 1 + sched.steps
-    import json
-
-    summary = json.loads(json_path.read_text())
-    assert summary["iterations"] == sched.steps
-    assert "log_evidence" in summary
