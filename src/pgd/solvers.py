@@ -7,9 +7,10 @@ as one (S, C, H, W) array. Every operation is independent per sample, so a
 sample of the batch equals the same sample solved alone, bit for bit.
 
 Poisson and helmholtz are solved directly in the sine (DST-I) basis, which
-diagonalises the dirichlet-zero 5-point Laplacian; darcy's variable
-coefficient has no such basis and is solved by Jacobi-preconditioned
-conjugate gradient, one row per sample.
+diagonalises the dirichlet-zero 5-point Laplacian. Darcy's variable
+coefficient has no such basis; it is solved by conjugate gradient, one row
+per sample, preconditioned by the same sine-basis Poisson solve scaled by
+a^(-1/2) on both sides (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).
 
 This is the stand-in for an external simulation pipeline: targets are
 generated with the same finite-difference discretization used by the residual
@@ -137,18 +138,21 @@ def sample_stream(seed: int, index: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def smooth_grf_2d(height: int, width: int, length_scale: float, rng: np.random.Generator) -> np.ndarray:
-    """Standardized smooth random field via Gaussian spectral filtering."""
-    noise = rng.standard_normal((height, width))
+def smooth_grf_2d(noise: np.ndarray, length_scale: float) -> np.ndarray:
+    """Standardized smooth random fields from white noise of shape (..., H, W).
+
+    The noise is Gaussian-filtered in Fourier space over its last two axes,
+    with one filter and one ``fft2`` for the whole stack; each (H, W) field is
+    then shifted and scaled to zero mean and unit variance.
+    """
+    height, width = noise.shape[-2:]
     kr = np.fft.fftfreq(height)[:, None]
     kc = np.fft.fftfreq(width)[None, :]
     filt = np.exp(-2.0 * np.pi**2 * length_scale**2 * (kr**2 + kc**2))
     out = np.fft.ifft2(np.fft.fft2(noise) * filt).real
-    out -= out.mean()
-    std = out.std()
-    if std > 0:
-        out /= std
-    return out
+    out -= out.mean(axis=(-2, -1), keepdims=True)
+    std = out.std(axis=(-2, -1), keepdims=True)
+    return np.divide(out, std, out=out, where=std > 0)
 
 
 def sample_coefficients(spec: DatasetSpec, sample_index: int = 0) -> Field:
@@ -158,34 +162,40 @@ def sample_coefficients(spec: DatasetSpec, sample_index: int = 0) -> Field:
     kinds return (diffusion fields, initial states): diffusion coefficients
     are positive smooth fields around the per-species base values, and
     initial states follow patch recipes with additive Gaussian noise of
-    standard deviation 0.01.
+    standard deviation 0.01. The sample equals row ``sample_index`` of the
+    batch that :func:`generate_dataset` draws, bit for bit.
     """
-    rng = sample_stream(spec.rng_seed, sample_index)
+    coeffs = _draw_coefficients(spec, [sample_index])[0]
+    return Field(spec.grid.with_channels(coeffs.shape[0]), coeffs)
+
+
+def _draw_coefficients(spec: DatasetSpec, indices) -> np.ndarray:
+    """(S, C, H, W) coefficients of the given samples.
+
+    Each sample draws from its own :func:`sample_stream`: the white noise of
+    its random fields (one per species for reaction-diffusion kinds), then its
+    initial-state noise. The noise of all samples is then filtered together.
+    """
     h, w = spec.grid.height, spec.grid.width
     kind = spec.system.kind
     model = spec.coeff_model
+    streams = [sample_stream(spec.rng_seed, i) for i in indices]
 
     if kind in ELLIPTIC_KINDS:
-        g = smooth_grf_2d(h, w, model.length_scale, rng)
+        g = smooth_grf_2d(np.stack([rng.standard_normal((h, w)) for rng in streams]), model.length_scale)
         if isinstance(model, ThresholdedGrf):
-            vals = np.where(g >= 0.0, model.high, model.low)
-        else:
-            vals = g
-        out_spec = GridSpec(h, w, 1, spec.grid.spacing, spec.grid.boundary)
-        return Field(out_spec, vals[None])
+            g = np.where(g >= 0.0, model.high, model.low)
+        return g[:, None]
 
     if kind in RD_KINDS:
         species = 2 if kind == "gray_scott_2" else 3
-        diff = np.stack(
-            [
-                spec.rd_diffusion_base[s]
-                * (1.0 + spec.rd_diffusion_rel_amp * smooth_grf_2d(h, w, model.length_scale, rng))
-                for s in range(species)
-            ]
-        )
-        init = _rd_initial_state(kind, h, w, rng)
-        out_spec = GridSpec(h, w, 2 * species, spec.grid.spacing, spec.grid.boundary)
-        return Field(out_spec, np.concatenate([diff, init]))
+        noise, init = [], []
+        for rng in streams:
+            noise.append(rng.standard_normal((species, h, w)))
+            init.append(_rd_initial_state(kind, h, w, rng))
+        base = np.array(spec.rd_diffusion_base)[:, None, None]
+        diff = base * (1.0 + spec.rd_diffusion_rel_amp * smooth_grf_2d(np.stack(noise), model.length_scale))
+        return np.concatenate([diff, np.stack(init)], axis=1)
 
     raise ValueError(f"no coefficient model for kind {kind!r}")
 
@@ -232,12 +242,14 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(rows, rows))
 
 
-def _conjugate_gradient(apply_op, rhs, diag, tol_rel=1e-10, max_iter=None):
-    """Jacobi-preconditioned CG for SPD operators, one independent system per (..., n) row.
+def _conjugate_gradient(apply_op, rhs, precondition, tol_rel=1e-10, max_iter=None):
+    """Preconditioned CG for SPD operators, one independent system per (..., n) row.
 
-    Each row keeps its own step sizes. A row that reaches the tolerance is
-    frozen (zero step, unchanged iterate), so it stops exactly where a solve
-    of that row alone would.
+    ``precondition`` applies an SPD approximation of the operator's inverse to
+    (..., n) rows, each row on its own. A row stops when its residual, not its
+    preconditioned residual, reaches ``tol_rel`` of its right-hand side; it is
+    then frozen (zero step, unchanged iterate), so it stops exactly where a
+    solve of that row alone would.
     """
     n = rhs.shape[-1]
     max_iter = max_iter if max_iter is not None else 10 * n
@@ -245,7 +257,7 @@ def _conjugate_gradient(apply_op, rhs, diag, tol_rel=1e-10, max_iter=None):
     r = rhs.copy()
     tol = tol_rel * _row_norms(rhs)
     done = _row_norms(r) <= tol
-    z = r / diag
+    z = precondition(r)
     p = z.copy()
     rz = np.vecdot(r, z)
     for _ in range(max_iter):
@@ -256,7 +268,7 @@ def _conjugate_gradient(apply_op, rhs, diag, tol_rel=1e-10, max_iter=None):
         x += alpha[..., None] * p
         r -= alpha[..., None] * ap
         done |= _row_norms(r) <= tol
-        z = r / diag
+        z = precondition(r)
         rz_new = np.vecdot(r, z)
         beta = np.divide(rz_new, rz, out=np.zeros_like(rz), where=~done)
         p = z + beta[..., None] * p
@@ -283,6 +295,16 @@ def _dirichlet_laplacian_eigenvalues(height: int, width: int, h: float) -> np.nd
     return er[:, None] + ec[None, :]
 
 
+def _sine_solver(eigenvalues: np.ndarray):
+    """Inverse of the operator that the sine basis diagonalises with these (H, W) eigenvalues.
+
+    Returns x -> S_H ((S_H x S_W) / eigenvalues) S_W on (..., H, W) arrays;
+    the matrix products broadcast over the leading axes, one sample at a time.
+    """
+    s_h, s_w = (_sine_basis(n) for n in eigenvalues.shape)
+    return lambda x: s_h @ ((s_h @ x @ s_w) / eigenvalues) @ s_w
+
+
 def solve_elliptic(system: PdeSystem, a: Field) -> Field:
     """Solve the discrete elliptic problem for the solution field u.
 
@@ -294,8 +316,11 @@ def solve_elliptic(system: PdeSystem, a: Field) -> Field:
     u = S_H ((S_H a S_W) / (lambda + k^2)) S_W, applied to the whole batch by
     broadcasting. A near-zero eigenvalue raises SingularOperatorError, as does
     a relative residual above 1e-10 on any sample.
-    darcy: -div(a grad u) = source with a > 0, by Jacobi-preconditioned
-    conjugate gradient with one row per sample. The face averages of a are
+    darcy: -div(a grad u) = source with a > 0, by conjugate gradient with one
+    row per sample, to a relative residual of 1e-10. The preconditioner is
+    M^-1 r = a^(-1/2) (-lap)^(-1) (a^(-1/2) r), with (-lap)^(-1) the sine-basis
+    solve above: exact for constant a, and its iteration count depends on the
+    variation of a, not on the grid size alone. The face averages of a are
     formed once per solve; the working set is about 8 S H W floats.
     """
     if system.kind not in ELLIPTIC_KINDS:
@@ -306,16 +331,15 @@ def solve_elliptic(system: PdeSystem, a: Field) -> Field:
     h = spec.spacing
     avals = a.channel(0)
     flat_shape = avals.shape[:-2] + (spec.cells,)
+    lam = _dirichlet_laplacian_eigenvalues(spec.height, spec.width, h)
 
     if system.kind != "darcy":
         k2 = system.k_wave**2
-        lam = _dirichlet_laplacian_eigenvalues(spec.height, spec.width, h)
         if np.min(np.abs(lam + k2)) < 1e-12 * np.max(np.abs(lam)):
             raise SingularOperatorError(
                 f"{system.kind} operator is singular at k_wave={system.k_wave}"
             )
-        s_h, s_w = _sine_basis(spec.height), _sine_basis(spec.width)
-        u = s_h @ ((s_h @ avals @ s_w) / (lam + k2)) @ s_w
+        u = _sine_solver(lam + k2)(avals)
         res = laplacian_2d(u, h, DIRICHLET) + k2 * u - avals
         scale = np.maximum(_row_norms(avals.reshape(flat_shape)), 1e-300)
         failed = np.flatnonzero(_row_norms(res.reshape(flat_shape)) > 1e-10 * scale)
@@ -329,12 +353,15 @@ def solve_elliptic(system: PdeSystem, a: Field) -> Field:
     if np.min(avals) <= 0:
         raise ValueError("darcy requires strictly positive permeability")
     faces = face_averages(avals, DIRICHLET)
-    row_faces, col_faces = faces
-    diag2d = row_faces[..., 1:, :] + row_faces[..., :-1, :] + col_faces[..., 1:] + col_faces[..., :-1]
-    diag = (diag2d / h**2).reshape(flat_shape)
     rhs = np.full(flat_shape, float(system.source))
     op = lambda x: -flux_divergence_faces(faces, x.reshape(avals.shape), h, DIRICHLET).reshape(flat_shape)
-    u = _conjugate_gradient(op, rhs, diag)
+    inv_sqrt_a = 1.0 / np.sqrt(avals)
+    poisson_inverse = _sine_solver(-lam)
+
+    def precondition(r):
+        return (inv_sqrt_a * poisson_inverse(inv_sqrt_a * r.reshape(avals.shape))).reshape(flat_shape)
+
+    u = _conjugate_gradient(op, rhs, precondition)
     return Field(spec.with_channels(1), u.reshape(avals.shape)[..., None, :, :])
 
 
@@ -465,7 +492,7 @@ def generate_dataset(spec: DatasetSpec) -> list[Field]:
     (S, C, H, W) batch, with the per-sample checks those functions make.
     """
     kind = spec.system.kind
-    coeffs = np.stack([sample_coefficients(spec, i).values for i in range(spec.sample_count)])
+    coeffs = _draw_coefficients(spec, range(spec.sample_count))
     if kind in ELLIPTIC_KINDS:
         if kind == "darcy" and not isinstance(spec.coeff_model, ThresholdedGrf):
             # keep permeability positive for smooth models

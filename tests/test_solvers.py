@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import pgd.solvers
 from pgd.errors import SingularOperatorError
 from pgd.grid import DIRICHLET, PERIODIC, Field, GridSpec, laplacian_2d
 from pgd.residuals import PdeSystem, StateLayout, residual
@@ -33,13 +36,43 @@ def test_poisson_manufactured_solution_recovered(height, width):
     assert rel < 1e-8
 
 
-def test_darcy_unit_permeability_matches_poisson():
+def _count_operator_applications(monkeypatch) -> list:
+    """Record one entry per application of darcy's operator inside ``pgd.solvers``."""
+    applies = []
+    original = pgd.solvers.flux_divergence_faces
+
+    def counting(*args, **kwargs):
+        applies.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pgd.solvers, "flux_divergence_faces", counting)
+    return applies
+
+
+def test_darcy_unit_permeability_matches_poisson(monkeypatch):
+    # for constant a the preconditioner a^-1/2 (-lap)^-1 a^-1/2 is the exact
+    # inverse, so CG converges after one application of the operator
     spec = GridSpec(10, 10, 1, 0.3, DIRICHLET)
-    a = Field.constant(spec, 1.0)
-    u_darcy = solve_elliptic(PdeSystem.darcy(source=1.0), a).channel(0)
-    rhs = Field.constant(spec, -1.0)
-    u_poisson = solve_elliptic(PdeSystem.poisson(), rhs).channel(0)
-    assert np.allclose(u_darcy, u_poisson, atol=1e-9)
+    applies = _count_operator_applications(monkeypatch)
+    for value in (1.0, 2.5):
+        applies.clear()
+        u_darcy = solve_elliptic(PdeSystem.darcy(source=1.0), Field.constant(spec, value)).channel(0)
+        assert len(applies) == 1
+        rhs = Field.constant(spec, -1.0 / value)
+        u_poisson = solve_elliptic(PdeSystem.poisson(), rhs).channel(0)
+        assert np.allclose(u_darcy, u_poisson, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "model,limit", [(SmoothGrf(), 30), (ThresholdedGrf(), 120)], ids=["SmoothGrf", "ThresholdedGrf"]
+)
+def test_darcy_preconditioned_cg_iteration_count_at_64(model, limit, monkeypatch):
+    # this seed takes 23 (smooth) and 79 (3/12 thresholded) applications;
+    # Jacobi preconditioning took about 280 and 300 on 64 x 64 fields
+    spec = DatasetSpec(PdeSystem.darcy(), GridSpec(64, 64, 2, 1.0 / 65, DIRICHLET), 1, model, rng_seed=0)
+    applies = _count_operator_applications(monkeypatch)
+    generate_dataset(spec)
+    assert len(applies) <= limit
 
 
 def test_darcy_rejects_nonpositive_permeability():
@@ -238,3 +271,53 @@ def test_dataset_generation_is_pure_function_of_spec():
     b = generate_dataset(spec)
     for x, y in zip(a, b):
         assert np.array_equal(x.values, y.values)
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+DIGEST_SPECS = {
+    "darcy": DatasetSpec(
+        PdeSystem.darcy(), GridSpec(12, 10, 2, 1 / 13, DIRICHLET), 3, SmoothGrf(3.0), rng_seed=21
+    ),
+    "poisson": DatasetSpec(
+        PdeSystem.poisson(), GridSpec(12, 10, 2, 1 / 13, DIRICHLET), 3, SmoothGrf(3.0), rng_seed=23
+    ),
+    "gray_scott_2": DatasetSpec(
+        PdeSystem.gray_scott(), GridSpec(12, 10, 6, 1 / 12, PERIODIC), 2, SmoothGrf(3.0),
+        rng_seed=24, rd_steps=40, rd_snapshots=2,
+    ),
+}
+# SHA-256 of the float64 bytes of generate_dataset's samples in index order,
+# recorded when each sample's random fields were still filtered one at a
+# time. Darcy's digest covers the permeability channel only, since its CG
+# solution moves in the last bits with the preconditioner.
+DATASET_DIGESTS = {
+    "darcy": "d24d20f8f85500a1315a8ac3c074b7e1e18002231bac0585cfd52d34df7b62e4",
+    "poisson": "8a88a4002a2ab4aad5a59a8887e369467d5fe448df638ead6665e4d8dbb1d050",
+    "gray_scott_2": "816fbb1a66d250b2250488b0f07d0a22cfd42b0ac44c56d8ef500c3308356502",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DATASET_DIGESTS))
+def test_generated_dataset_matches_recorded_digest(kind):
+    spec = DIGEST_SPECS[kind]
+    samples = generate_dataset(spec)
+    rows = [x.values[list(spec.layout.coeff_channels)] if kind == "darcy" else x.values for x in samples]
+    assert _digest(rows) == DATASET_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(DATASET_DIGESTS))
+def test_sample_coefficients_equal_rows_of_the_dataset_batch(kind):
+    spec = DIGEST_SPECS[kind]
+    samples = generate_dataset(spec)
+    channels = list(spec.layout.coeff_channels)
+    for i, x in enumerate(samples):
+        coeff = sample_coefficients(spec, i).values
+        if kind == "darcy":
+            coeff = np.exp(0.5 * coeff)  # generate_dataset keeps smooth permeability positive
+        np.testing.assert_array_equal(x.values[channels], coeff)
