@@ -36,8 +36,10 @@ from .grid import (
     Field,
     GridSpec,
     diff_2d,
+    face_averages,
     flux_divergence_2d,
     flux_divergence_2d_adjoint_coef,
+    flux_divergence_faces,
     laplacian_2d,
 )
 
@@ -248,10 +250,11 @@ def residual_sq_grad(
     elif kind == "darcy":
         a = v[layout.a_channel]
         u = v[layout.u_channel]
-        f = -flux_divergence_2d(a, u, h, boundary) - system.source
+        faces = face_averages(a, boundary)  # shared by the residual and its u-gradient
+        f = -flux_divergence_faces(faces, u, h, boundary) - system.source
         rows = [f]
         if grad:
-            g[layout.u_channel] = -scale * flux_divergence_2d(a, f, h, boundary)
+            g[layout.u_channel] = -scale * flux_divergence_faces(faces, f, h, boundary)
             g[layout.a_channel] = -scale * flux_divergence_2d_adjoint_coef(u, f, h, boundary)
     elif kind == "divergence_free":
         rows = [

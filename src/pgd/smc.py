@@ -19,10 +19,18 @@ keyed by (seed, particle index); resampling uses its own stream. Each stream
 fills its particle's Gaussian noise for a block of steps at once, sized so
 that the (N, steps, d) block stays within :data:`NOISE_BLOCK_BYTES`. One
 (c, d) draw equals c successive (d,) draws bit for bit, so the block size
-never changes a run. A single chain is a run with N = 1: it walks the
-proposal cores of :mod:`pgd.samplers` on the particle-0 stream, and the
-unguided or deterministic chains are runs with zero guidance weights or no
-churn.
+never changes a run. When one stream call fills at least
+:data:`HELPER_FILL_VALUES` values, a helper thread draws block b+1 into a
+second buffer while the main thread runs the steps of block b. NumPy's
+generators fill without holding the interpreter lock, so the draw overlaps
+the step arithmetic; each stream is still read by one thread at a time and in
+the same order (initial state, then the blocks in step order), so the run is
+bit-identical to an inline draw. Smaller blocks are drawn inline, where the
+lock handoffs of a thread would cost more than the overlap saves.
+
+A single chain is a run with N = 1: it walks the proposal cores of
+:mod:`pgd.samplers` on the particle-0 stream, and the unguided or
+deterministic chains are runs with zero guidance weights or no churn.
 
 The likelihood of each reconstruction is evaluated once: under ``gem`` the
 twist that weights a particle is computed together with its data-space
@@ -40,6 +48,7 @@ turns a population into a ``Field`` at the boundary.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +71,8 @@ PROPOSALS = ("gem", "sosag")
 SCHEMES = ("tds", "pbs")
 ESTIMATE_MODES = ("best", "weighted_mean")
 NOISE_BLOCK_BYTES = 1 << 20  # budget of the per-run block of pre-drawn step noise
+# fewest values per stream call (c * d) for which a helper thread draws the noise
+HELPER_FILL_VALUES = 1024
 
 
 @dataclass(frozen=True)
@@ -201,7 +212,12 @@ def smc_run(
     Under gem, the twist's data-space gradient is evaluated with the twist
     whenever another step follows, and handed to that step's
     :func:`~pgd.samplers.gem_core`. Step noise is drawn c steps at a time per
-    particle, c = max(1, min(K, NOISE_BLOCK_BYTES // (8 N d))).
+    particle, c = max(1, min(K, NOISE_BLOCK_BYTES // (8 N d))). When
+    c d >= HELPER_FILL_VALUES, one helper thread, started after the initial
+    states are drawn and shut down when the run returns or raises, draws each
+    next block while the current one is used; otherwise the main thread draws
+    each block when it is reached. Both use the same streams in the same
+    order, so the results are the same bit for bit.
     """
     ctx = GuidanceContext(obs=obs, system=system, layout=layout, weights=config.weights)
     spec = ctx.spec
@@ -227,75 +243,93 @@ def smc_run(
         corr, corr_grad = twist_correction(ctx, denoiser, x, x_hat, sigma)
         return ll + corr, None if grad is None else grad + corr_grad
 
+    def fill(buffer: np.ndarray, steps: int) -> np.ndarray:
+        """Draw every particle's noise for the next ``steps`` steps into ``buffer[:, :steps]``."""
+        for row, s in zip(buffer, streams):
+            s.standard_normal(out=row[:steps])
+        return buffer
+
     states = np.stack([sched.sigma_max * s.standard_normal(d) for s in streams])
-    denoised = denoiser.denoise(states, sched.sigma_max)
-    _require_finite(denoised, sched.steps, "reconstruction")
-    cached_ll, data_grad = twist_log(states, denoised, sched.sigma_max, sched.steps)
-    _require_finite(cached_ll, sched.steps, "weight")
-    log_w = rho * cached_ll
-    log_evidence = _log_mean_increment(np.zeros(n), log_w)
-
-    pop = ParticlePopulation(
-        spec=spec, states=states, log_weights=log_w, cached_loglik=cached_ll, step_index=sched.steps
-    )
-    diag = SmcDiagnostics()
-
+    # block b holds the noise of steps K - b c down to K - (b + 1) c + 1; the helper fills buffers[b % 2]
     block_steps = max(1, min(sched.steps, NOISE_BLOCK_BYTES // (8 * n * d)))
-    noise = np.empty((n, block_steps, d))
-    for k in range(sched.steps, 0, -1):
-        sigma_k, sigma_next = sched.sigma_at(k), sched.sigma_at(k - 1)
-        j = (sched.steps - k) % block_steps
-        if j == 0:
-            for row, s in zip(noise, streams):
-                s.standard_normal(out=row[: min(block_steps, k)])
-        z = noise[:, j]
-
-        if config.proposal == "gem":
-            samples, mean_em, mean_gd = gem_core(
-                pop.states,
-                z,
-                sigma_k,
-                sigma_next,
-                denoiser,
-                ctx,
-                denoised=denoised,
-                data_grad=data_grad,
-            )
-        else:
-            samples = heun_core(pop.states, z, sigma_k, sigma_next, denoiser, gamma, ctx)
-            mean_em = mean_gd = None
-        _require_finite(samples, k, "state")
-
-        denoised = denoiser.denoise(samples, sigma_next)
-        _require_finite(denoised, k, "reconstruction")
-        ll_new, data_grad = twist_log(samples, denoised, sigma_next, k - 1)
-        potentials = rho * (ll_new - pop.cached_loglik)
-        if config.scheme == "tds":
-            step_var = sigma_k**2 - sigma_next**2
-            potentials = potentials + tds_transition_term(samples, mean_em, mean_gd, step_var)
-        _require_finite(potentials, k, "weight")
-
-        log_evidence += _log_mean_increment(pop.log_weights, potentials)
+    helper = ThreadPoolExecutor(max_workers=1) if block_steps * d >= HELPER_FILL_VALUES else None
+    buffers = [np.empty((n, block_steps, d)) for _ in range(1 if helper is None else 2)]
+    try:
+        if helper is not None:
+            pending = helper.submit(fill, buffers[0], block_steps)
+        denoised = denoiser.denoise(states, sched.sigma_max)
+        _require_finite(denoised, sched.steps, "reconstruction")
+        cached_ll, data_grad = twist_log(states, denoised, sched.sigma_max, sched.steps)
+        _require_finite(cached_ll, sched.steps, "weight")
+        log_w = rho * cached_ll
+        log_evidence = _log_mean_increment(np.zeros(n), log_w)
 
         pop = ParticlePopulation(
-            spec=spec,
-            states=samples,
-            log_weights=pop.log_weights + potentials,
-            cached_loglik=ll_new,
-            step_index=k - 1,
+            spec=spec, states=states, log_weights=log_w, cached_loglik=cached_ll, step_index=sched.steps
         )
+        diag = SmcDiagnostics()
 
-        current_ess = ess(pop.log_weights)
-        fire = current_ess <= config.resample_threshold * n
-        diag.steps.append(k - 1)
-        diag.ess_trace.append(current_ess)
-        diag.resampled.append(bool(fire))
-        diag.log_evidence_trace.append(log_evidence)
-        if fire:
-            pop = multinomial_resample(pop, resample_rng)
-            denoised = denoised[pop.ancestors]
-            if data_grad is not None:
-                data_grad = data_grad[pop.ancestors]
+        for k in range(sched.steps, 0, -1):
+            sigma_k, sigma_next = sched.sigma_at(k), sched.sigma_at(k - 1)
+            b, j = divmod(sched.steps - k, block_steps)
+            if j == 0:
+                if helper is None:
+                    noise = fill(buffers[0], min(block_steps, k))
+                else:
+                    noise = pending.result()
+                    if k > block_steps:
+                        pending = helper.submit(fill, buffers[(b + 1) % 2], min(block_steps, k - block_steps))
+            z = noise[:, j]
+
+            if config.proposal == "gem":
+                samples, mean_em, mean_gd = gem_core(
+                    pop.states,
+                    z,
+                    sigma_k,
+                    sigma_next,
+                    denoiser,
+                    ctx,
+                    denoised=denoised,
+                    data_grad=data_grad,
+                )
+            else:
+                samples = heun_core(pop.states, z, sigma_k, sigma_next, denoiser, gamma, ctx)
+                mean_em = mean_gd = None
+            _require_finite(samples, k, "state")
+
+            denoised = denoiser.denoise(samples, sigma_next)
+            _require_finite(denoised, k, "reconstruction")
+            ll_new, data_grad = twist_log(samples, denoised, sigma_next, k - 1)
+            potentials = rho * (ll_new - pop.cached_loglik)
+            if config.scheme == "tds":
+                step_var = sigma_k**2 - sigma_next**2
+                potentials = potentials + tds_transition_term(samples, mean_em, mean_gd, step_var)
+            _require_finite(potentials, k, "weight")
+
+            log_evidence += _log_mean_increment(pop.log_weights, potentials)
+
+            pop = ParticlePopulation(
+                spec=spec,
+                states=samples,
+                log_weights=pop.log_weights + potentials,
+                cached_loglik=ll_new,
+                step_index=k - 1,
+            )
+
+            current_ess = ess(pop.log_weights)
+            fire = current_ess <= config.resample_threshold * n
+            diag.steps.append(k - 1)
+            diag.ess_trace.append(current_ess)
+            diag.resampled.append(bool(fire))
+            diag.log_evidence_trace.append(log_evidence)
+            if fire:
+                pop = multinomial_resample(pop, resample_rng)
+                denoised = denoised[pop.ancestors]
+                if data_grad is not None:
+                    data_grad = data_grad[pop.ancestors]
+    finally:
+        if helper is not None:
+            helper.shutdown(cancel_futures=True)
 
     diag.log_evidence = log_evidence
     return pop, diag
