@@ -153,8 +153,13 @@ class Mask:
 
     @classmethod
     def from_indices(cls, spec: GridSpec, indices: np.ndarray) -> "Mask":
-        ind = np.zeros(spec.height * spec.width, dtype=np.uint8)
-        ind[np.asarray(indices, dtype=int)] = 1
+        """Mask of the cells at the given flat (row-major) indices, each in [0, H * W)."""
+        cells = spec.height * spec.width
+        idx = np.asarray(indices, dtype=int)
+        if idx.size and not (0 <= idx.min() and idx.max() < cells):
+            raise ValueError(f"mask indices must lie in [0, {cells})")
+        ind = np.zeros(cells, dtype=np.uint8)
+        ind[idx] = 1
         return cls(spec.with_channels(1), ind.reshape(spec.height, spec.width))
 
 

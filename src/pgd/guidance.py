@@ -80,10 +80,13 @@ class GuidanceWeights:
 class GuidanceContext:
     """Bundle of everything a guided step needs besides the state itself.
 
-    Construction sets ``spec``, the grid spec of the full state, and checks
-    the observation groups against the layout. When the PDE term is on, it
-    checks that there is a system and validates the layout for it on
-    ``spec``. Then it builds the observation operator: ``index``
+    Construction sets ``spec``, the grid spec of the full state: the grid
+    that both observation masks share, with the layout's channel count. When
+    the PDE term is on, it checks that there is a system and that the layout
+    is that system's own on ``spec``, since the residual kernel reads each
+    channel from the slot the system fixes for it. Then it checks the
+    observation groups against the layout and builds the observation
+    operator: ``index``
     holds the flat state entry (channel * cells + cell) of each observed value
     of a weighted group, ``values`` the observed values and ``variance`` the
     per-entry variance n / (2 weight) of its group's mean-square term, where n
@@ -145,7 +148,7 @@ def log_likelihood(
     if ctx.weights.omega > 0:
         spec = ctx.spec
         x = rows.reshape(rows.shape[:-1] + (spec.channels, spec.height, spec.width))
-        res, res_grad = residual_sq_grad(ctx.system, ctx.layout, spec, x, grad=grad)
+        res, res_grad = residual_sq_grad(ctx.system, spec, x, grad=grad)
         if grad:
             res_grad *= ctx.weights.omega
             data -= res_grad.reshape(rows.shape)

@@ -9,6 +9,11 @@ the horizon. Diffusion and reaction terms are evaluated at the terminal
 snapshot. The divergence_free system penalizes the divergence of one or more
 two-channel vector snapshots.
 
+Each system fixes the role of every channel of its state, from its kind and
+the channel count alone (the slots are listed in :func:`residual_sq_grad`).
+A :class:`StateLayout` names only the two observation groups, and a layout
+used with a system must be that system's own.
+
 Gradients are assembled from stencil adjoints and product-rule terms, never
 by automatic differentiation, so they can be cross-checked against finite
 differences.
@@ -45,8 +50,8 @@ from .grid import (
 
 KINDS = ("darcy", "poisson", "helmholtz", "divergence_free", "gray_scott_2", "competitive_3")
 
-_ELLIPTIC = ("darcy", "poisson", "helmholtz")
-_REACTION_DIFFUSION = ("gray_scott_2", "competitive_3")
+ELLIPTIC_KINDS = ("darcy", "poisson", "helmholtz")
+RD_SPECIES = {"gray_scott_2": 2, "competitive_3": 3}  # the reaction-diffusion kinds and their species counts
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,7 @@ class PdeSystem:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown system kind {self.kind!r}")
-        if self.kind in _REACTION_DIFFUSION and not self.horizon > 0:
+        if self.kind in RD_SPECIES and not self.horizon > 0:
             raise ValueError("horizon must be positive")
         if self.kind == "competitive_3":
             mat = np.asarray(self.coupling, dtype=float) if self.coupling is not None else None
@@ -111,21 +116,17 @@ class PdeSystem:
 
 @dataclass(frozen=True)
 class StateLayout:
-    """Assignment of state channels to roles.
+    """The two observation groups of a state: coefficient and solution channels.
 
-    ``coeff_channels`` and ``solution_channels`` define the two observation
-    groups; the remaining fields carry the per-kind structure used by the
-    residual operators.
+    Each system fixes the role of every channel of its state (see
+    :func:`residual_sq_grad`); the layout says only which channels each
+    observation group reads. Without a system any two groups that together
+    cover the channels will do; with one, :meth:`validate_for` requires the
+    system's own layout.
     """
 
     coeff_channels: tuple[int, ...]
     solution_channels: tuple[int, ...]
-    a_channel: int | None = None
-    u_channel: int | None = None
-    diffusion_channels: tuple[int, ...] = ()
-    initial_channels: tuple[int, ...] = ()
-    terminal_channels: tuple[int, ...] = ()
-    vector_pairs: tuple[tuple[int, int], ...] = ()
 
     @property
     def channel_count(self) -> int:
@@ -135,74 +136,57 @@ class StateLayout:
     @classmethod
     def scalar_pair(cls) -> "StateLayout":
         """Coefficient channel 0, solution channel 1 (elliptic systems)."""
-        return cls(coeff_channels=(0,), solution_channels=(1,), a_channel=0, u_channel=1)
+        return cls(coeff_channels=(0,), solution_channels=(1,))
 
     @classmethod
     def vector_snapshots(cls, snapshots: int = 2) -> "StateLayout":
         """``snapshots`` two-channel vector fields; the first one is the coefficient group."""
         if snapshots < 1:
             raise ValueError("need at least one snapshot")
-        pairs = tuple((2 * s, 2 * s + 1) for s in range(snapshots))
+        channels = tuple(range(2 * snapshots))
         if snapshots == 1:
-            coeff: tuple[int, ...] = ()
-            solution = pairs[0]
-        else:
-            coeff = pairs[0]
-            solution = tuple(c for pair in pairs[1:] for c in pair)
-        return cls(coeff_channels=coeff, solution_channels=solution, vector_pairs=pairs)
+            return cls(coeff_channels=(), solution_channels=channels)
+        return cls(coeff_channels=channels[:2], solution_channels=channels[2:])
 
     @classmethod
     def reaction_diffusion(cls, species: int) -> "StateLayout":
-        """Channels ordered (diffusion fields, initial states, terminal states)."""
+        """Diffusion fields and initial states are the coefficient group, terminal states the solution."""
         if species not in (2, 3):
             raise ValueError("species must be 2 or 3")
-        diff = tuple(range(species))
-        init = tuple(range(species, 2 * species))
-        term = tuple(range(2 * species, 3 * species))
-        return cls(
-            coeff_channels=diff + init,
-            solution_channels=term,
-            diffusion_channels=diff,
-            initial_channels=init,
-            terminal_channels=term,
-        )
+        channels = tuple(range(3 * species))
+        return cls(coeff_channels=channels[: 2 * species], solution_channels=channels[2 * species :])
 
     def validate_for(self, system: PdeSystem, spec: GridSpec) -> None:
+        """Check that the layout covers ``spec``'s channels and is the system's layout for them."""
         chans = sorted(set(self.coeff_channels) | set(self.solution_channels))
         if chans != list(range(spec.channels)):
             raise ValueError(
                 f"layout covers channels {chans} but the grid has {spec.channels} channels"
             )
         kind = system.kind
-        if kind in _ELLIPTIC:
-            if self.a_channel is None or self.u_channel is None:
-                raise ValueError(f"{kind} layout needs a_channel and u_channel")
-            if spec.boundary != DIRICHLET:
-                raise ValueError(f"{kind} requires dirichlet_zero boundary")
-        elif kind in _REACTION_DIFFUSION:
-            species = 2 if kind == "gray_scott_2" else 3
-            if (
-                len(self.diffusion_channels) != species
-                or len(self.initial_channels) != species
-                or len(self.terminal_channels) != species
-            ):
-                raise ValueError(f"{kind} layout needs {species} diffusion/initial/terminal channels")
-            if spec.boundary != PERIODIC:
-                raise ValueError(f"{kind} requires periodic boundary")
-        elif kind == "divergence_free":
-            if not self.vector_pairs:
-                raise ValueError("divergence_free layout needs vector channel pairs")
+        if kind == "divergence_free":  # the one system whose state size varies: two channels per snapshot
+            want = StateLayout.vector_snapshots(max(spec.channels // 2, 1))
+        else:
+            want = default_layout(kind)
+        if self != want:
+            raise ValueError(
+                f"{kind} layout needs coefficient channels {want.coeff_channels} "
+                f"and solution channels {want.solution_channels}"
+            )
+        if kind in ELLIPTIC_KINDS and spec.boundary != DIRICHLET:
+            raise ValueError(f"{kind} requires dirichlet_zero boundary")
+        if kind in RD_SPECIES and spec.boundary != PERIODIC:
+            raise ValueError(f"{kind} requires periodic boundary")
 
 
 def default_layout(kind: str) -> StateLayout:
-    if kind in _ELLIPTIC:
+    """The layout of a ``kind`` state; divergence_free's holds two snapshots."""
+    if kind in ELLIPTIC_KINDS:
         return StateLayout.scalar_pair()
+    if kind in RD_SPECIES:
+        return StateLayout.reaction_diffusion(RD_SPECIES[kind])
     if kind == "divergence_free":
         return StateLayout.vector_snapshots(2)
-    if kind == "gray_scott_2":
-        return StateLayout.reaction_diffusion(2)
-    if kind == "competitive_3":
-        return StateLayout.reaction_diffusion(3)
     raise ValueError(f"unknown system kind {kind!r}")
 
 
@@ -214,64 +198,63 @@ def residual(system: PdeSystem, layout: StateLayout, x: Field) -> Field:
     (..., C, H, W) gives residuals (..., R, H, W).
     """
     layout.validate_for(system, x.spec)
-    res, _ = residual_sq_grad(system, layout, x.spec, x.values)
+    res, _ = residual_sq_grad(system, x.spec, x.values)
     return Field(x.spec.with_channels(res.shape[-3]), res)
 
 
 def residual_sq_grad(
-    system: PdeSystem, layout: StateLayout, spec: GridSpec, x: np.ndarray, grad: bool = False
+    system: PdeSystem, spec: GridSpec, x: np.ndarray, grad: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Residual of the (..., C, H, W) states ``x`` and, with ``grad=True``, the gradient of its mean square.
 
     Returns (residual (..., R, H, W), gradient of (1/m) * ||residual||^2 in
     every state channel, shaped like ``x``, or None). m counts the residual
     entries of one state. The gradient reuses the residual's intermediates.
-    ``spec`` supplies the spacing and boundary; the layout is assumed valid
-    for it, and nothing is checked for finiteness, so an overflow reaches the
+    Channels sit in the system's fixed slots: coefficient a in 0 and solution
+    u in 1 (elliptic); with s species, diffusion fields in [0, s), initial
+    states in [s, 2s) and terminal states in [2s, 3s) (reaction-diffusion);
+    vector snapshot i in (2i, 2i + 1) (divergence_free). ``spec`` supplies
+    the spacing and boundary; the state is assumed to match the system's
+    layout, and nothing is checked for finiteness, so an overflow reaches the
     caller's located checks.
     """
     h, boundary = spec.spacing, spec.boundary
     v = np.moveaxis(x, -3, 0)  # channel-first view: v[c] is (..., H, W)
     kind = system.kind
+    pairs = x.shape[-3] // 2
     if grad:
         out = np.zeros_like(x)
         g = np.moveaxis(out, -3, 0)  # writable channel-first view
-        equations = {"gray_scott_2": 2, "competitive_3": 3, "divergence_free": len(layout.vector_pairs)}
-        scale = 2.0 / (equations.get(kind, 1) * spec.cells)
+        equations = pairs if kind == "divergence_free" else RD_SPECIES.get(kind, 1)
+        scale = 2.0 / (equations * spec.cells)
 
     if kind in ("poisson", "helmholtz"):
-        a = v[layout.a_channel]
-        u = v[layout.u_channel]
+        a, u = v[0], v[1]
         f = laplacian_2d(u, h, boundary) + system.k_wave**2 * u - a
         rows = [f]
         if grad:
-            g[layout.u_channel] = scale * (laplacian_2d(f, h, boundary) + system.k_wave**2 * f)
-            g[layout.a_channel] = -scale * f
+            g[1] = scale * (laplacian_2d(f, h, boundary) + system.k_wave**2 * f)
+            g[0] = -scale * f
     elif kind == "darcy":
-        a = v[layout.a_channel]
-        u = v[layout.u_channel]
+        a, u = v[0], v[1]
         faces = face_averages(a, boundary)  # shared by the residual and its u-gradient
         f = -flux_divergence_faces(faces, u, h, boundary) - system.source
         rows = [f]
         if grad:
-            g[layout.u_channel] = -scale * flux_divergence_faces(faces, f, h, boundary)
-            g[layout.a_channel] = -scale * flux_divergence_2d_adjoint_coef(u, f, h, boundary)
+            g[1] = -scale * flux_divergence_faces(faces, f, h, boundary)
+            g[0] = -scale * flux_divergence_2d_adjoint_coef(u, f, h, boundary)
     elif kind == "divergence_free":
         rows = [
-            diff_2d(v[p], 0, h, boundary) + diff_2d(v[q], 1, h, boundary)
-            for p, q in layout.vector_pairs
+            diff_2d(v[2 * i], 0, h, boundary) + diff_2d(v[2 * i + 1], 1, h, boundary) for i in range(pairs)
         ]
         if grad:
-            for f, (p, q) in zip(rows, layout.vector_pairs):
-                g[p] = -scale * diff_2d(f, 0, h, boundary)
-                g[q] = -scale * diff_2d(f, 1, h, boundary)
+            for i, f in enumerate(rows):
+                g[2 * i] = -scale * diff_2d(f, 0, h, boundary)
+                g[2 * i + 1] = -scale * diff_2d(f, 1, h, boundary)
     elif kind == "gray_scott_2":
-        c_du, c_dv = layout.diffusion_channels
-        c_u0, c_v0 = layout.initial_channels
-        c_ut, c_vt = layout.terminal_channels
-        du, dv, u0, v0, ut, vt = (v[c] for c in (c_du, c_dv, c_u0, c_v0, c_ut, c_vt))
+        du, dv, u0, v0, ut, vt = v[:6]
         horizon, feed, removal = system.horizon, system.feed, system.removal
-        lap_u, lap_v = laplacian_2d(v[[c_ut, c_vt]], h, boundary)
+        lap_u, lap_v = laplacian_2d(v[4:6], h, boundary)
         vv = vt**2
         uvv = ut * vv
         f_u = (ut - u0) / horizon - du * lap_u + uvv - feed * (1.0 - ut)
@@ -280,17 +263,15 @@ def residual_sq_grad(
         if grad:
             lap_fu, lap_fv = laplacian_2d(np.stack([du * f_u, dv * f_v]), h, boundary)
             uv2 = 2.0 * ut * vt
-            g[c_u0] = -scale * f_u / horizon
-            g[c_v0] = -scale * f_v / horizon
-            g[c_du] = -scale * lap_u * f_u
-            g[c_dv] = -scale * lap_v * f_v
-            g[c_ut] = scale * ((1.0 / horizon + vv + feed) * f_u - lap_fu - vv * f_v)
-            g[c_vt] = scale * (uv2 * f_u + (1.0 / horizon - uv2 + feed + removal) * f_v - lap_fv)
+            g[2] = -scale * f_u / horizon
+            g[3] = -scale * f_v / horizon
+            g[0] = -scale * lap_u * f_u
+            g[1] = -scale * lap_v * f_v
+            g[4] = scale * ((1.0 / horizon + vv + feed) * f_u - lap_fu - vv * f_v)
+            g[5] = scale * (uv2 * f_u + (1.0 / horizon - uv2 + feed + removal) * f_v - lap_fv)
     elif kind == "competitive_3":
         mat = system.coupling_matrix
-        init = [v[c] for c in layout.initial_channels]
-        diff = v[list(layout.diffusion_channels)]
-        term = v[list(layout.terminal_channels)]
+        diff, init, term = v[0:3], v[3:6], v[6:9]
         horizon = system.horizon
         flux = flux_divergence_2d(diff, term, h, boundary)
         others = [sum(mat[i, j] * term[j] for j in range(3) if j != i) for i in range(3)]
@@ -303,11 +284,11 @@ def residual_sq_grad(
             coef_adj = flux_divergence_2d_adjoint_coef(term, r, h, boundary)
             flux_r = flux_divergence_2d(diff, r, h, boundary)
             for i in range(3):
-                g[layout.initial_channels[i]] = -scale * r[i] / horizon
-                g[layout.diffusion_channels[i]] = -scale * coef_adj[i]
+                g[3 + i] = -scale * r[i] / horizon
+                g[i] = -scale * coef_adj[i]
                 own = scale * ((1.0 / horizon - (1.0 - 2.0 * term[i] - others[i])) * r[i] - flux_r[i])
                 cross = sum(scale * mat[j, i] * term[j] * r[j] for j in range(3) if j != i)
-                g[layout.terminal_channels[i]] = own + cross
+                g[6 + i] = own + cross
     else:  # pragma: no cover - guarded by PdeSystem validation
         raise ValueError(f"unknown system kind {kind!r}")
 

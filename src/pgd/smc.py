@@ -112,7 +112,6 @@ class ParticlePopulation:
     states: np.ndarray  # (N, d)
     log_weights: np.ndarray  # (N,), unnormalized
     cached_loglik: np.ndarray  # (N,), at the current (state, sigma)
-    step_index: int
     ancestors: np.ndarray | None = None  # from the most recent resampling
 
     @property
@@ -151,7 +150,6 @@ def multinomial_resample(
         states=population.states[ancestors],
         log_weights=np.zeros(n),
         cached_loglik=population.cached_loglik[ancestors],
-        step_index=population.step_index,
         ancestors=ancestors,
     )
 
@@ -264,9 +262,7 @@ def smc_run(
         log_w = rho * cached_ll
         log_evidence = _log_mean_increment(np.zeros(n), log_w)
 
-        pop = ParticlePopulation(
-            spec=spec, states=states, log_weights=log_w, cached_loglik=cached_ll, step_index=sched.steps
-        )
+        pop = ParticlePopulation(spec=spec, states=states, log_weights=log_w, cached_loglik=cached_ll)
         diag = SmcDiagnostics()
 
         for k in range(sched.steps, 0, -1):
@@ -313,7 +309,6 @@ def smc_run(
                 states=samples,
                 log_weights=pop.log_weights + potentials,
                 cached_loglik=ll_new,
-                step_index=k - 1,
             )
 
             current_ess = ess(pop.log_weights)

@@ -35,10 +35,7 @@ from .grid import (
     flux_divergence_faces,
     laplacian_2d,
 )
-from .residuals import PdeSystem, StateLayout, default_layout
-
-ELLIPTIC_KINDS = ("poisson", "helmholtz", "darcy")
-RD_KINDS = ("gray_scott_2", "competitive_3")
+from .residuals import ELLIPTIC_KINDS, RD_SPECIES, PdeSystem, StateLayout, default_layout
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +64,7 @@ class Observations:
     """Sparse noisy point observations of the coefficient and solution groups.
 
     Values are stored one row per channel of the group; the mask is shared by
-    all channels within a group.
+    all channels within a group. Both masks lie on the same grid.
     """
 
     mask_a: Mask
@@ -83,6 +80,8 @@ class Observations:
             raise ValueError("values_a must be (channels, mask_a.count)")
         if vu.ndim != 2 or vu.shape[1] != self.mask_u.count:
             raise ValueError("values_u must be (channels, mask_u.count)")
+        if self.mask_a.spec != self.mask_u.spec:
+            raise ValueError(f"mask_a is on {self.mask_a.spec} but mask_u is on {self.mask_u.spec}")
         if self.sigma_o < 0:
             raise ValueError("sigma_o must be nonnegative")
         object.__setattr__(self, "values_a", va)
@@ -100,26 +99,32 @@ class DatasetSpec:
     rng_seed: int = 0
     rd_dt: float = 1e-3
     rd_steps: int = 1000
-    rd_snapshots: int = 10
     rd_diffusion_base: tuple[float, ...] = ()
     rd_diffusion_rel_amp: float = 0.3
 
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        if self.system.kind in RD_KINDS:
+        if self.system.kind in RD_SPECIES:
             base = self.rd_diffusion_base or _default_diffusion_base(self.system.kind)
             object.__setattr__(self, "rd_diffusion_base", tuple(float(b) for b in base))
+            if min(self.rd_diffusion_base) < 0:
+                raise ValueError(f"rd_diffusion_base {self.rd_diffusion_base} must be nonnegative")
             max_d = max(self.rd_diffusion_base) * (1.0 + self.rd_diffusion_rel_amp)
-            limit = self.grid.spacing**2 / (4.0 * max_d)
-            if self.rd_dt > limit:
-                raise ValueError(
-                    f"rd_dt={self.rd_dt} violates the explicit stability bound {limit:.3e}"
-                )
+            _check_stability(self.rd_dt, max_d, self.grid)
 
     @property
     def layout(self) -> StateLayout:
         return default_layout(self.system.kind)
+
+
+def _check_stability(dt: float, max_d: float, grid: GridSpec) -> None:
+    """Explicit Euler is stable for 4 dt max(D) <= h^2; a zero diffusion is always stable."""
+    if 4.0 * dt * max_d > grid.spacing**2:
+        raise ValueError(
+            f"dt={dt} violates the explicit stability bound 4 dt max(D) <= h^2 "
+            f"(max D = {max_d:.3e}, h = {grid.spacing:.3e})"
+        )
 
 
 def _default_diffusion_base(kind: str) -> tuple[float, ...]:
@@ -187,8 +192,8 @@ def _draw_coefficients(spec: DatasetSpec, indices) -> np.ndarray:
             g = np.where(g >= 0.0, model.high, model.low)
         return g[:, None]
 
-    if kind in RD_KINDS:
-        species = 2 if kind == "gray_scott_2" else 3
+    if kind in RD_SPECIES:
+        species = RD_SPECIES[kind]
         noise, init = [], []
         for rng in streams:
             noise.append(rng.standard_normal((species, h, w)))
@@ -370,49 +375,36 @@ def solve_elliptic(system: PdeSystem, a: Field) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def simulate_rd(
-    system: PdeSystem,
-    diffusion: Field,
-    initial: Field,
-    dt: float,
-    steps: int,
-    snapshot_count: int = 10,
-) -> list[Field]:
-    """Explicit-Euler simulation; returns evenly spaced snapshots incl. endpoints.
+def simulate_rd(system: PdeSystem, diffusion: Field, initial: Field, dt: float, steps: int) -> Field:
+    """Explicit-Euler simulation over ``steps`` steps of ``dt``; returns the terminal state.
 
     ``diffusion`` and ``initial`` are one (species, H, W) field each, or
     batches of the same (..., species, H, W) shape whose samples are stepped
-    together; every snapshot has the shape of ``initial``. One finiteness
-    check per step covers the batch: a non-finite state raises BlowUpError
-    with the step and the flat index of the first non-finite sample (0 for
-    a single field) as ``particle``.
+    together; the terminal state has the shape of ``initial``. Diffusion must
+    be nonnegative, and 4 dt max(D) <= h^2. One finiteness check per step
+    covers the batch: a non-finite state raises BlowUpError with the step and
+    the flat index of the first non-finite sample (0 for a single field) as
+    ``particle``.
     """
-    if system.kind not in RD_KINDS:
+    if system.kind not in RD_SPECIES:
         raise ValueError(f"simulate_rd does not handle kind {system.kind!r}")
     spec = initial.spec
     if spec.boundary != PERIODIC:
         raise ValueError("reaction-diffusion systems require periodic boundary")
-    species = 2 if system.kind == "gray_scott_2" else 3
+    species = RD_SPECIES[system.kind]
     if diffusion.spec.channels != species or initial.spec.channels != species:
         raise ValueError(f"expected {species} diffusion and state channels")
     if diffusion.batch_shape != initial.batch_shape:
         raise ValueError(
             f"diffusion batch {diffusion.batch_shape} does not match initial batch {initial.batch_shape}"
         )
-    h = spec.spacing
-    dmax = float(np.max(diffusion.values))
-    if dt > h**2 / (4.0 * dmax):
-        raise ValueError(f"dt={dt} violates the explicit stability bound {h**2 / (4 * dmax):.3e}")
-    if snapshot_count < 2:
-        raise ValueError("need at least the initial and terminal snapshots")
-
-    record_at = set(np.round(np.linspace(0, steps, snapshot_count)).astype(int))
-    state = initial.values.copy()
     dvals = diffusion.values
-    snapshots = []
-    if 0 in record_at:
-        snapshots.append(Field(spec, state.copy()))
+    if np.min(dvals) < 0:
+        raise ValueError("diffusion must be nonnegative")
+    _check_stability(dt, float(np.max(dvals)), spec)
 
+    h = spec.spacing
+    state = initial.values.copy()
     for step in range(1, steps + 1):
         state = state + dt * _rd_rate(system, dvals, state, h)
         if not np.all(np.isfinite(state)):
@@ -420,9 +412,7 @@ def simulate_rd(
             raise BlowUpError(
                 f"non-finite state for sample {particle} at step {step}", step=step, particle=particle
             )
-        if step in record_at:
-            snapshots.append(Field(spec, state.copy()))
-    return snapshots
+    return Field(spec, state)
 
 
 def _rd_rate(system: PdeSystem, dvals: np.ndarray, state: np.ndarray, h: float) -> np.ndarray:
@@ -499,11 +489,10 @@ def generate_dataset(spec: DatasetSpec) -> list[Field]:
             coeffs = np.exp(0.5 * coeffs)
         solutions = solve_elliptic(spec.system, Field(spec.grid.with_channels(1), coeffs)).values
     else:
-        species = 2 if kind == "gray_scott_2" else 3
+        species = RD_SPECIES[kind]
         sub = spec.grid.with_channels(species)
         diffusion = Field(sub, coeffs[:, :species])
         initial = Field(sub, coeffs[:, species:])
-        traj = simulate_rd(spec.system, diffusion, initial, spec.rd_dt, spec.rd_steps, spec.rd_snapshots)
-        solutions = traj[-1].values
+        solutions = simulate_rd(spec.system, diffusion, initial, spec.rd_dt, spec.rd_steps).values
     # each sample owns its values, so a caller keeping one does not keep the batch alive
     return [Field(spec.grid, np.concatenate([c, u])) for c, u in zip(coeffs, solutions)]

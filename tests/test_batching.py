@@ -30,7 +30,15 @@ from pgd.grid import (
 )
 from pgd.guidance import GuidanceContext, GuidanceWeights, data_log_likelihood_grad, log_likelihood
 from pgd.priors import GaussianDenoiser, GaussianPrior, NoiseSchedule
-from pgd.residuals import KINDS, PdeSystem, StateLayout, default_layout, residual, residual_sq_grad
+from pgd.residuals import (
+    KINDS,
+    RD_SPECIES,
+    PdeSystem,
+    StateLayout,
+    default_layout,
+    residual,
+    residual_sq_grad,
+)
 from pgd.smc import SmcConfig, smc_run
 from pgd.solvers import Observations, simulate_rd, solve_elliptic
 
@@ -81,10 +89,10 @@ def test_batched_residual_and_likelihood_match_single_fields(kind):
 
     res = residual(system, layout, batch)
     assert_rows_identical(res.values, [residual(system, layout, f).values for f in singles])
-    res_again, grad = residual_sq_grad(system, layout, spec, states, grad=True)
+    res_again, grad = residual_sq_grad(system, spec, states, grad=True)
     np.testing.assert_array_equal(res_again, res.values)
-    assert_rows_identical(grad, [residual_sq_grad(system, layout, spec, s, grad=True)[1] for s in states])
-    value_only, no_grad = residual_sq_grad(system, layout, spec, states)
+    assert_rows_identical(grad, [residual_sq_grad(system, spec, s, grad=True)[1] for s in states])
+    value_only, no_grad = residual_sq_grad(system, spec, states)
     np.testing.assert_array_equal(value_only, res.values)
     assert no_grad is None
     ctx = GuidanceContext(obs, system, layout, w)
@@ -278,18 +286,14 @@ def test_batched_elliptic_solve_matches_solo_solves(kind, monkeypatch):
 @pytest.mark.parametrize("kind", ["gray_scott_2", "competitive_3"])
 def test_batched_rd_simulation_matches_solo_runs(kind):
     rng = np.random.default_rng(13)
-    species = 2 if kind == "gray_scott_2" else 3
+    species = RD_SPECIES[kind]
     spec = GridSpec(H, W, species, 1 / 8, PERIODIC)
     diffusion = rng.uniform(1e-4, 3e-4, (BATCH, species, H, W))
     initial = rng.uniform(0.0, 1.0, (BATCH, species, H, W))
     def run(diffusion, initial):
-        return simulate_rd(SYSTEMS[kind], Field(spec, diffusion), Field(spec, initial), 1e-2, 30, snapshot_count=4)
+        return simulate_rd(SYSTEMS[kind], Field(spec, diffusion), Field(spec, initial), 1e-2, 30).values
 
-    batch = run(diffusion, initial)
-    solo = [run(d, x) for d, x in zip(diffusion, initial)]
-    assert len(batch) == 4
-    for t, snap in enumerate(batch):
-        assert_rows_identical(snap.values, [traj[t].values for traj in solo])
+    assert_rows_identical(run(diffusion, initial), [run(d, x) for d, x in zip(diffusion, initial)])
 
 
 def test_rd_blow_up_names_the_first_non_finite_sample():
@@ -357,11 +361,12 @@ def _competitive_per_species(system, layout, x):
 )
 def test_stacked_species_stencils_equal_per_species_calls(kind, reference):
     system, layout, spec, _, states = batch_problem(kind)
-    states[:, : len(layout.diffusion_channels)] = np.abs(states[:, : len(layout.diffusion_channels)])
+    species = RD_SPECIES[kind]
+    states[:, :species] = np.abs(states[:, :species])
     x = Field(spec, states)
     want_res, want_grad = reference(system, layout, x)
     np.testing.assert_array_equal(residual(system, layout, x).values, want_res)
-    res, grad = residual_sq_grad(system, layout, spec, states, grad=True)
+    res, grad = residual_sq_grad(system, spec, states, grad=True)
     np.testing.assert_array_equal(res, want_res)
     np.testing.assert_array_equal(grad, want_grad)
 

@@ -237,3 +237,9 @@ def test_mask_count_and_indices():
     assert mask.count == 3
     assert list(mask.flat_indices()) == [0, 5, 15]
 
+
+@pytest.mark.parametrize("indices", [[-1], [3, 16]])
+def test_mask_rejects_indices_outside_the_grid(indices):
+    with pytest.raises(ValueError, match="mask indices"):
+        Mask.from_indices(GridSpec(4, 4), indices)
+

@@ -11,8 +11,11 @@ from pgd.residuals import (
 )
 
 
-def make_state(kind, rng, n=8, h=0.5):
-    """Random state plus (system, layout, field) for each system kind."""
+def make_state(kind, rng, n=8, h=0.5, snapshots=2):
+    """Random state plus (system, layout, field) for each system kind.
+
+    A divergence_free state holds ``snapshots`` vector fields.
+    """
     if kind in ("poisson", "helmholtz", "darcy"):
         spec = GridSpec(n, n, 2, h, DIRICHLET)
         vals = rng.standard_normal((2, n, n))
@@ -25,11 +28,11 @@ def make_state(kind, rng, n=8, h=0.5):
         }[kind]
         return system, default_layout(kind), Field(spec, vals)
     if kind == "divergence_free":
-        spec = GridSpec(n, n, 4, h, PERIODIC)
+        spec = GridSpec(n, n, 2 * snapshots, h, PERIODIC)
         return (
             PdeSystem.divergence_free(),
-            default_layout(kind),
-            Field(spec, rng.standard_normal((4, n, n))),
+            StateLayout.vector_snapshots(snapshots),
+            Field(spec, rng.standard_normal((2 * snapshots, n, n))),
         )
     if kind == "gray_scott_2":
         spec = GridSpec(n, n, 6, h, PERIODIC)
@@ -68,6 +71,52 @@ def test_layout_kind_mismatch_rejected():
     x = Field.zeros(spec)
     with pytest.raises(ValueError):
         residual(PdeSystem.gray_scott(), StateLayout.scalar_pair(), x)
+
+
+# the layout each kind's state has; divergence_free's with two snapshots
+SYSTEM_LAYOUTS = {
+    "poisson": StateLayout((0,), (1,)),
+    "helmholtz": StateLayout((0,), (1,)),
+    "darcy": StateLayout((0,), (1,)),
+    "divergence_free": StateLayout((0, 1), (2, 3)),
+    "gray_scott_2": StateLayout((0, 1, 2, 3), (4, 5)),
+    "competitive_3": StateLayout((0, 1, 2, 3, 4, 5), (6, 7, 8)),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_default_layout_is_the_system_layout(kind):
+    system, _, x = make_state(kind, np.random.default_rng(1))
+    assert default_layout(kind) == SYSTEM_LAYOUTS[kind]
+    default_layout(kind).validate_for(system, x.spec)
+
+
+@pytest.mark.parametrize(
+    "kind,layout",
+    [
+        ("poisson", StateLayout((1,), (0,))),
+        ("darcy", StateLayout((), (0, 1))),
+        ("divergence_free", StateLayout((2, 3), (0, 1))),
+        ("divergence_free", StateLayout((), (0, 1, 2, 3))),
+        ("gray_scott_2", StateLayout((0, 1, 4, 5), (2, 3))),
+        ("competitive_3", StateLayout((0, 1, 2, 6, 7, 8), (3, 4, 5))),
+    ],
+)
+def test_layout_with_the_right_channels_but_wrong_groups_rejected(kind, layout):
+    system, _, x = make_state(kind, np.random.default_rng(1))
+    assert layout.channel_count == x.spec.channels
+    with pytest.raises(ValueError, match="layout needs"):
+        residual(system, layout, x)
+
+
+def test_divergence_free_layout_follows_the_channel_count():
+    system, layout, x = make_state("divergence_free", np.random.default_rng(1), snapshots=3)
+    assert residual(system, layout, x).values.shape == (3, 8, 8)
+    with pytest.raises(ValueError, match="layout covers channels"):
+        residual(system, default_layout("divergence_free"), x)
+    odd = Field(x.spec.with_channels(5), x.values[:5])
+    with pytest.raises(ValueError, match="layout needs"):
+        residual(system, StateLayout((0, 1), (2, 3, 4)), odd)
 
 
 def test_boundary_rule_incompatibilities():
@@ -164,7 +213,7 @@ def test_divergence_free_curl_field_is_annihilated():
     layout = StateLayout.vector_snapshots(1)
     r = residual(PdeSystem.divergence_free(), layout, x)
     assert np.max(np.abs(r.values)) < 1e-13
-    _, g = residual_sq_grad(PdeSystem.divergence_free(), layout, spec, x.values, grad=True)
+    _, g = residual_sq_grad(PdeSystem.divergence_free(), spec, x.values, grad=True)
     assert np.max(np.abs(g)) < 1e-13
 
 
@@ -174,7 +223,7 @@ def test_gradient_zero_at_discrete_solution():
     u = rng.standard_normal((8, 8))
     a = laplacian_2d(u, spec.spacing, spec.boundary)
     x = Field(spec, np.stack([a, u]))
-    _, g = residual_sq_grad(PdeSystem.poisson(), StateLayout.scalar_pair(), spec, x.values, grad=True)
+    _, g = residual_sq_grad(PdeSystem.poisson(), spec, x.values, grad=True)
     assert np.max(np.abs(g)) < 1e-12
 
 
@@ -182,12 +231,16 @@ def mean_square_residual(system, layout, x):
     return float(np.mean(residual(system, layout, x).values ** 2))
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_gradient_matches_finite_differences(kind):
+@pytest.mark.parametrize(
+    "kind,snapshots",
+    [(kind, 2) for kind in ALL_KINDS] + [("divergence_free", 3)],
+    ids=[*ALL_KINDS, "divergence_free_3_snapshots"],
+)
+def test_gradient_matches_finite_differences(kind, snapshots):
     # Central finite differences of the mean-square residual are the oracle.
     rng = np.random.default_rng(17)
-    system, layout, x = make_state(kind, rng)
-    res, grad = residual_sq_grad(system, layout, x.spec, x.values, grad=True)
+    system, layout, x = make_state(kind, rng, snapshots=snapshots)
+    res, grad = residual_sq_grad(system, x.spec, x.values, grad=True)
     np.testing.assert_array_equal(res, residual(system, layout, x).values)
     assert grad.shape == x.values.shape
     eps = 1e-6

@@ -52,7 +52,6 @@ def population_from(states, log_weights):
         states=states,
         log_weights=np.asarray(log_weights, dtype=float),
         cached_loglik=np.zeros(states.shape[0]),
-        step_index=0,
     )
 
 

@@ -5,10 +5,11 @@ import pytest
 
 import pgd.solvers
 from pgd.errors import SingularOperatorError
-from pgd.grid import DIRICHLET, PERIODIC, Field, GridSpec, laplacian_2d
-from pgd.residuals import PdeSystem, StateLayout, residual
+from pgd.grid import DIRICHLET, PERIODIC, Field, GridSpec, Mask, laplacian_2d
+from pgd.residuals import RD_SPECIES, PdeSystem, StateLayout, residual
 from pgd.solvers import (
     DatasetSpec,
+    Observations,
     SmoothGrf,
     ThresholdedGrf,
     generate_dataset,
@@ -118,10 +119,8 @@ def test_gray_scott_fixed_point_is_stationary():
     sub = GridSpec(8, 8, 2, 1.0 / 8, PERIODIC)
     diffusion = Field(sub, np.stack([np.full((8, 8), 2e-4), np.full((8, 8), 1e-4)]))
     initial = Field(sub, np.stack([np.ones((8, 8)), np.zeros((8, 8))]))
-    traj = simulate_rd(PdeSystem.gray_scott(), diffusion, initial, 1e-3, 200, snapshot_count=5)
-    assert len(traj) == 5
-    for snap in traj:
-        assert np.allclose(snap.values, initial.values, atol=1e-12)
+    terminal = simulate_rd(PdeSystem.gray_scott(), diffusion, initial, 1e-3, 200)
+    assert np.allclose(terminal.values, initial.values, atol=1e-12)
 
 
 def test_zero_diffusion_zero_reaction_leaves_state_unchanged():
@@ -131,8 +130,8 @@ def test_zero_diffusion_zero_reaction_leaves_state_unchanged():
     diffusion = Field(sub, np.full((2, 8, 8), 1e-12))
     initial = Field(sub, np.stack([u, np.zeros((8, 8))]))
     system = PdeSystem.gray_scott(feed=0.0, removal=0.0)
-    traj = simulate_rd(system, diffusion, initial, 1e-3, 100, snapshot_count=2)
-    assert np.allclose(traj[-1].channel(0), u, atol=1e-9)
+    terminal = simulate_rd(system, diffusion, initial, 1e-3, 100)
+    assert np.allclose(terminal.channel(0), u, atol=1e-9)
 
 
 def test_competitive_single_species_follows_logistic_oracle():
@@ -146,10 +145,10 @@ def test_competitive_single_species_follows_logistic_oracle():
     coupling = np.array([[0.0, 1.5, 0.6], [0.4, 0.0, 1.7], [1.3, 0.5, 0.0]])
     system = PdeSystem.competitive(coupling, horizon=1.0)
     dt, steps = 1e-3, 1000
-    traj = simulate_rd(system, diffusion, initial, dt, steps, snapshot_count=2)
+    terminal = simulate_rd(system, diffusion, initial, dt, steps)
     t_end = dt * steps
     exact = u0 * np.exp(t_end) / (1.0 + u0 * (np.exp(t_end) - 1.0))
-    assert abs(float(traj[-1].channel(0).mean()) - exact) < 1e-3
+    assert abs(float(terminal.channel(0).mean()) - exact) < 1e-3
 
 
 def test_simulate_rd_stability_guard():
@@ -158,6 +157,50 @@ def test_simulate_rd_stability_guard():
     initial = Field(sub, np.stack([np.ones((8, 8)), np.zeros((8, 8))]))
     with pytest.raises(ValueError):
         simulate_rd(PdeSystem.gray_scott(), diffusion, initial, dt=1.0, steps=10)
+
+
+COMPETITIVE = PdeSystem.competitive([[0.0, 1.5, 0.6], [0.4, 0.0, 1.7], [1.3, 0.5, 0.0]])
+
+
+def _reaction_only_rate(system, s):
+    """The reaction terms of the rd right-hand side alone, written out per kind."""
+    if system.kind == "gray_scott_2":
+        u, v = s
+        uvv = u * v * v
+        return np.stack([-uvv + system.feed * (1.0 - u), uvv - (system.feed + system.removal) * v])
+    mat = system.coupling_matrix
+    others = [sum(mat[i, j] * s[j] for j in range(3) if j != i) for i in range(3)]
+    return np.stack([s[i] * (1.0 - s[i] - others[i]) for i in range(3)])
+
+
+@pytest.mark.parametrize("system", [PdeSystem.gray_scott(), COMPETITIVE], ids=lambda s: s.kind)
+def test_zero_diffusion_runs_the_reaction_only_euler_steps(system):
+    species = RD_SPECIES[system.kind]
+    sub = GridSpec(8, 8, species, 1.0 / 8, PERIODIC)
+    state = np.random.default_rng(5).uniform(0.1, 0.9, (species, 8, 8))
+    initial = Field(sub, state)
+    dt, steps = 0.05, 20
+    for _ in range(steps):
+        state = state + dt * _reaction_only_rate(system, state)
+    terminal = simulate_rd(system, Field.zeros(sub), initial, dt, steps)
+    np.testing.assert_array_equal(terminal.values, state)
+    # a dataset with zero diffusion passes the stability check and generates
+    grid = GridSpec(8, 8, 3 * species, 1.0 / 8, PERIODIC)
+    zero = DatasetSpec(system, grid, 2, rd_steps=5, rd_diffusion_base=(0.0,) * species)
+    assert all(np.all(x.values[:species] == 0.0) for x in generate_dataset(zero))
+
+
+def test_negative_diffusion_is_rejected():
+    sub = GridSpec(8, 8, 2, 1.0 / 8, PERIODIC)
+    initial = Field(sub, np.stack([np.ones((8, 8)), np.zeros((8, 8))]))
+    diffusion = np.full((2, 8, 8), 2e-4)
+    diffusion[1, 3, 4] = -1e-4
+    with pytest.raises(ValueError, match="nonnegative"):
+        simulate_rd(PdeSystem.gray_scott(), Field(sub, diffusion), initial, 1e-3, 10)
+    with pytest.raises(ValueError, match="nonnegative"):
+        DatasetSpec(
+            PdeSystem.gray_scott(), GridSpec(8, 8, 6, 1.0 / 8, PERIODIC), 1, rd_diffusion_base=(-2e-4, 1e-4)
+        )
 
 
 def test_thresholded_grf_takes_exactly_two_values():
@@ -171,6 +214,13 @@ def test_thresholded_grf_takes_exactly_two_values():
     a = sample_coefficients(spec).channel(0)
     assert set(np.unique(a)) == {3.0, 12.0}
 
+
+
+def test_observation_masks_on_different_grids_are_rejected():
+    mask_a = Mask.from_indices(GridSpec(4, 4), [1, 5])
+    mask_u = Mask.from_indices(GridSpec(4, 5), [1, 5])
+    with pytest.raises(ValueError, match="mask_a is on"):
+        Observations(mask_a, np.zeros((1, 2)), mask_u, np.zeros((1, 2)), 0.1)
 
 def test_gray_scott_initial_patch_statistics():
     spec = DatasetSpec(
@@ -289,7 +339,7 @@ DIGEST_SPECS = {
     ),
     "gray_scott_2": DatasetSpec(
         PdeSystem.gray_scott(), GridSpec(12, 10, 6, 1 / 12, PERIODIC), 2, SmoothGrf(3.0),
-        rng_seed=24, rd_steps=40, rd_snapshots=2,
+        rng_seed=24, rd_steps=40,
     ),
 }
 # SHA-256 of the float64 bytes of generate_dataset's samples in index order,
