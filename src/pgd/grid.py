@@ -128,39 +128,36 @@ class Field:
 
 @dataclass(frozen=True)
 class Mask:
-    """Binary observation mask over the cells of a single-channel grid."""
+    """Observed cells of a single-channel grid, held as sorted unique flat (row-major) indices."""
 
     spec: GridSpec
-    indicator: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.spec.channels != 1:
             raise ValueError("mask spec must be single-channel")
-        ind = np.asarray(self.indicator)
-        if ind.shape != (self.spec.height, self.spec.width):
-            raise ValueError("indicator shape must be (H, W)")
-        if not np.isin(ind, (0, 1)).all():
-            raise ValueError("indicator entries must be 0 or 1")
-        object.__setattr__(self, "indicator", ind.astype(np.uint8))
+        cells = self.spec.cells
+        idx = np.asarray(self.indices, dtype=int)
+        if idx.size and not (0 <= idx.min() and idx.max() < cells):
+            raise ValueError(f"mask indices must lie in [0, {cells})")
+        indicator = np.zeros(cells, dtype=bool)
+        indicator[idx] = True
+        flat = np.flatnonzero(indicator)
+        flat.flags.writeable = False
+        object.__setattr__(self, "indices", flat)
 
     @property
     def count(self) -> int:
-        return int(self.indicator.sum())
+        return self.indices.size
 
     def flat_indices(self) -> np.ndarray:
-        """Indices of observed cells in row-major (row, col) order."""
-        return np.flatnonzero(self.indicator.reshape(-1))
+        """Indices of observed cells in row-major (row, col) order, sorted, unique and read-only."""
+        return self.indices
 
     @classmethod
-    def from_indices(cls, spec: GridSpec, indices: np.ndarray) -> "Mask":
-        """Mask of the cells at the given flat (row-major) indices, each in [0, H * W)."""
-        cells = spec.height * spec.width
-        idx = np.asarray(indices, dtype=int)
-        if idx.size and not (0 <= idx.min() and idx.max() < cells):
-            raise ValueError(f"mask indices must lie in [0, {cells})")
-        ind = np.zeros(cells, dtype=np.uint8)
-        ind[idx] = 1
-        return cls(spec.with_channels(1), ind.reshape(spec.height, spec.width))
+    def from_indices(cls, spec: GridSpec, indices) -> "Mask":
+        """Mask of the cells at the given flat (row-major) indices of ``spec``'s grid, each in [0, H * W)."""
+        return cls(spec.with_channels(1), indices)
 
 
 # ---------------------------------------------------------------------------

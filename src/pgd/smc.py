@@ -220,6 +220,8 @@ def smc_run(
     ctx = GuidanceContext(obs=obs, system=system, layout=layout, weights=config.weights)
     spec = ctx.spec
     d = spec.size
+    if denoiser.dim != d:
+        raise ValueError(f"denoiser dim {denoiser.dim} does not match the state size {d}")
     n = config.particle_count
     sched = config.schedule
     rho = config.weights.temper_rho

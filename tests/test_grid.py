@@ -236,6 +236,10 @@ def test_mask_count_and_indices():
     mask = Mask.from_indices(spec, [0, 5, 15])
     assert mask.count == 3
     assert list(mask.flat_indices()) == [0, 5, 15]
+    assert not mask.flat_indices().flags.writeable
+    shuffled = Mask.from_indices(spec, [15, 5, 0, 5])
+    assert shuffled.count == 3
+    assert list(shuffled.flat_indices()) == [0, 5, 15]
 
 
 @pytest.mark.parametrize("indices", [[-1], [3, 16]])

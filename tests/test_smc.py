@@ -328,6 +328,14 @@ def test_overflowing_residual_raises_a_located_blow_up_not_a_field_error(proposa
     assert err.value.particle is not None and 0 <= err.value.particle < 64
 
 
+def test_denoiser_of_another_size_is_rejected_at_entry():
+    _, obs, w = small_problem()
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(GridSpec(5, 5, 1, 1.0)), "scalar", 1.0))
+    cfg = SmcConfig(particle_count=3, schedule=NoiseSchedule(steps=4), weights=w, proposal="gem", scheme="pbs")
+    with pytest.raises(ValueError, match="denoiser dim 25 does not match the state size 9"):
+        smc_run(cfg, den, obs, None, SOLUTION_ONLY)
+
+
 def test_zero_temper_rho_keeps_uniform_weights_and_never_resamples():
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=10, rho=3.0)
     den, obs, _ = small_problem()

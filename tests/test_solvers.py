@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from pgd.solvers import (
     ThresholdedGrf,
     generate_dataset,
     make_observations,
-    sample_coefficients,
     simulate_rd,
     solve_elliptic,
 )
@@ -203,6 +203,18 @@ def test_negative_diffusion_is_rejected():
         )
 
 
+def test_unstable_spec_raises_from_generate_dataset_with_the_drawn_max_diffusion():
+    # base (2e-4, 1e-4) with amplitude 0.3 would give max D = 2.6e-4; the drawn field reaches 3.368e-4
+    grid = GridSpec(16, 16, 6, 1 / 16, PERIODIC)
+    with pytest.raises(ValueError, match=r"max D = 3\.368e-04"):
+        generate_dataset(DatasetSpec(PdeSystem.gray_scott(), grid, 17, rng_seed=0, rd_dt=10, rd_steps=2))
+
+
+def test_dataset_spec_rejects_a_kind_without_a_coefficient_model():
+    with pytest.raises(ValueError, match="no coefficient model for kind 'divergence_free'"):
+        DatasetSpec(PdeSystem.divergence_free(), GridSpec(8, 8, 2, 1 / 9, DIRICHLET), 1)
+
+
 def test_thresholded_grf_takes_exactly_two_values():
     spec = DatasetSpec(
         system=PdeSystem.darcy(),
@@ -211,7 +223,7 @@ def test_thresholded_grf_takes_exactly_two_values():
         coeff_model=ThresholdedGrf(3.0, low=3.0, high=12.0),
         rng_seed=5,
     )
-    a = sample_coefficients(spec).channel(0)
+    a = generate_dataset(spec)[0].channel(0)
     assert set(np.unique(a)) == {3.0, 12.0}
 
 
@@ -228,9 +240,10 @@ def test_gray_scott_initial_patch_statistics():
         grid=GridSpec(32, 32, 6, 1.0 / 32, PERIODIC),
         sample_count=1,
         rng_seed=7,
+        rd_steps=1,
     )
-    coeff = sample_coefficients(spec)
-    u0, v0 = coeff.values[2], coeff.values[3]
+    sample = generate_dataset(spec)[0]
+    u0, v0 = sample.values[2], sample.values[3]
     r0, r1 = 32 // 2 - 32 // 8, 32 // 2 + 32 // 8
     patch = np.zeros((32, 32), dtype=bool)
     patch[r0:r1, r0:r1] = True
@@ -248,11 +261,11 @@ def test_sample_coefficients_deterministic():
         sample_count=2,
         rng_seed=21,
     )
-    a1 = sample_coefficients(spec, 1)
-    a2 = sample_coefficients(spec, 1)
-    assert np.array_equal(a1.values, a2.values)
-    b = sample_coefficients(spec, 0)
-    assert not np.array_equal(a1.values, b.values)
+    a1 = generate_dataset(spec)[1].values[0]
+    a2 = generate_dataset(spec)[1].values[0]
+    assert np.array_equal(a1, a2)
+    b = generate_dataset(spec)[0].values[0]
+    assert not np.array_equal(a1, b)
 
 
 def test_observation_sparsity_ratios():
@@ -341,15 +354,21 @@ DIGEST_SPECS = {
         PdeSystem.gray_scott(), GridSpec(12, 10, 6, 1 / 12, PERIODIC), 2, SmoothGrf(3.0),
         rng_seed=24, rd_steps=40,
     ),
+    "competitive_3": DatasetSpec(
+        COMPETITIVE, GridSpec(12, 10, 9, 1 / 12, PERIODIC), 2, SmoothGrf(3.0), rng_seed=25, rd_steps=40
+    ),
 }
-# SHA-256 of the float64 bytes of generate_dataset's samples in index order,
-# recorded when each sample's random fields were still filtered one at a
-# time. Darcy's digest covers the permeability channel only, since its CG
-# solution moves in the last bits with the preconditioner.
+# SHA-256 of the float64 bytes of generate_dataset's samples in index order.
+# darcy, poisson and gray_scott_2 were recorded when each sample's random
+# fields were still filtered one at a time, competitive_3 when each species'
+# flux divergence was still its own stencil call. Darcy's digest covers the
+# permeability channel only, since its CG solution moves in the last bits
+# with the preconditioner.
 DATASET_DIGESTS = {
     "darcy": "d24d20f8f85500a1315a8ac3c074b7e1e18002231bac0585cfd52d34df7b62e4",
     "poisson": "8a88a4002a2ab4aad5a59a8887e369467d5fe448df638ead6665e4d8dbb1d050",
     "gray_scott_2": "816fbb1a66d250b2250488b0f07d0a22cfd42b0ac44c56d8ef500c3308356502",
+    "competitive_3": "f574e86dbb1909b3ce57d15db26fdbd6537796d5c874ee04fad7335b772d784e",
 }
 
 
@@ -362,12 +381,9 @@ def test_generated_dataset_matches_recorded_digest(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(DATASET_DIGESTS))
-def test_sample_coefficients_equal_rows_of_the_dataset_batch(kind):
+def test_sample_does_not_depend_on_sample_count(kind):
     spec = DIGEST_SPECS[kind]
     samples = generate_dataset(spec)
-    channels = list(spec.layout.coeff_channels)
     for i, x in enumerate(samples):
-        coeff = sample_coefficients(spec, i).values
-        if kind == "darcy":
-            coeff = np.exp(0.5 * coeff)  # generate_dataset keeps smooth permeability positive
-        np.testing.assert_array_equal(x.values[channels], coeff)
+        alone = generate_dataset(replace(spec, sample_count=i + 1))[i]
+        np.testing.assert_array_equal(x.values, alone.values)
