@@ -101,10 +101,6 @@ class Field:
         return cls(spec, np.zeros((spec.channels, spec.height, spec.width)))
 
     @classmethod
-    def constant(cls, spec: GridSpec, value: float) -> "Field":
-        return cls(spec, np.full((spec.channels, spec.height, spec.width), float(value)))
-
-    @classmethod
     def from_flat(cls, spec: GridSpec, flat: np.ndarray) -> "Field":
         """Field from (d,) values, or a batch from (..., d) rows, in (channel, row, col) order."""
         flat = np.asarray(flat, dtype=float)

@@ -9,24 +9,22 @@ the particle weights, so the dropped constant can never affect them.
 :class:`GuidanceContext` owns the observation operator. It checks the
 observations against the layout once, on construction, and flattens the
 weighted groups into the observed state entries with their values and the
-variance that each group's mean-square term implies. :func:`log_likelihood`,
-:func:`data_log_likelihood_grad` and :func:`twist_correction` read those
-arrays and take flat state rows: a (d,) row gives a float log-likelihood, an
-(N, d) population gives (N,), and gradients are shaped like the rows. The
-PDE term views the rows as (..., C, H, W) states and calls the residual
-kernel on them: no :class:`~pgd.grid.Field` is formed, and nothing is
-validated per call.
+variance that each group's mean-square term implies. :func:`log_likelihood`
+and :func:`data_log_likelihood_grad` read those arrays and take flat state
+rows: a (d,) row gives a float log-likelihood, an (N, d) population gives
+(N,), and gradients are shaped like the rows. The PDE term views the rows as
+(..., C, H, W) states and calls the residual kernel on them: no
+:class:`~pgd.grid.Field` is formed, and nothing is validated per call.
 ``log_likelihood(ctx, rows, grad=True)`` returns the value and its gradient
 from one residual evaluation; :func:`data_log_likelihood_grad` is its
 gradient alone.
 
 At a noisy state the particle engine evaluates the likelihood at the
-denoiser's reconstruction, the point twist, together with its gradient when
-the next step is guided at that reconstruction. The guidance gradient of
-:mod:`pgd.samplers` either chains that data-space gradient through
-the denoiser's exact vjp (jacobian_mode="exact") or treats the denoiser
-Jacobian as the identity (jacobian_mode="identity", the convention of
-earlier guided-ODE solvers).
+denoiser's reconstruction, together with its gradient when the next step is
+guided at that reconstruction. The guidance gradient of :mod:`pgd.samplers`
+either chains that data-space gradient through the denoiser's exact vjp
+(jacobian_mode="exact") or treats the denoiser Jacobian as the identity
+(jacobian_mode="identity", the convention of earlier guided-ODE solvers).
 
 Two weighting schemes turn proposals into a particle system:
 
@@ -36,15 +34,15 @@ Two weighting schemes turn proposals into a particle system:
   (:func:`tds_transition_term`), available only for proposals whose
   transition is an explicit Gaussian.
 
-Under ``pbs`` the twist is the point twist. Under ``tds`` the engine adds
-:func:`twist_correction`, which widens the observation terms by the Tweedie
-posterior covariance of the clean state. Its normalizing constant is dropped
-like every other constant.
+Under ``pbs`` the twist is the point likelihood of the reconstruction. Under
+``tds`` its observation terms take the covariance of :func:`twist_covariance`,
+which adds the Tweedie posterior covariance of the clean state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +89,7 @@ class GuidanceContext:
     of a weighted group, ``values`` the observed values and ``variance`` the
     per-entry variance n / (2 weight) of its group's mean-square term, where n
     counts the group's values. An entry observed by both groups appears twice.
+    ``obs_cov`` is the (m, m) diagonal V of the m observed entries' variances.
     """
 
     obs: Observations
@@ -101,6 +100,7 @@ class GuidanceContext:
     index: np.ndarray = field(init=False, compare=False, repr=False)
     values: np.ndarray = field(init=False, compare=False, repr=False)
     variance: np.ndarray = field(init=False, compare=False, repr=False)
+    obs_cov: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         w = self.weights
@@ -128,23 +128,40 @@ class GuidanceContext:
         object.__setattr__(self, "index", np.concatenate(index))
         object.__setattr__(self, "values", np.concatenate(values))
         object.__setattr__(self, "variance", np.concatenate(variance))
+        object.__setattr__(self, "obs_cov", np.diag(self.variance))
+
+    @cached_property
+    def probe(self) -> np.ndarray:
+        """The (m, d) one-hot matrix A that picks the observed entries, built on first use."""
+        probe = np.zeros((self.index.size, self.spec.size))
+        probe[np.arange(self.index.size), self.index] = 1.0
+        return probe
 
 
 def log_likelihood(
-    ctx: GuidanceContext, rows: np.ndarray, grad: bool = False
+    ctx: GuidanceContext, rows: np.ndarray, grad: bool = False, cov: np.ndarray | None = None
 ) -> float | np.ndarray | tuple[float | np.ndarray, np.ndarray]:
     """Weighted negative mean-square misfits of clean states (constant dropped).
 
     A float for a (d,) row, (N,) for (N, d) rows. With ``grad=True`` it
     returns (value, gradient with respect to the rows, shaped like ``rows``)
     from one residual evaluation.
+
+    With r = y - A x, the observation terms are -1/2 r^T V^-1 r, or, given
+    ``cov`` = C of :func:`twist_covariance`, log N(y; A x, C) from one solve
+    C r~ = r as -1/2 r^T r~ with gradient A^T r~ (C held constant).
     """
     rows = np.asarray(rows, dtype=float)
     r = ctx.values - rows[..., ctx.index]
-    total = -np.sum(r * r / (2.0 * ctx.variance), axis=-1)
+    if cov is None:
+        total = -np.sum(r * r / (2.0 * ctx.variance), axis=-1)
+        gain = r / ctx.variance if grad else None
+    else:
+        gain = np.linalg.solve(cov, r.T).T
+        total = -0.5 * np.sum(r * gain, axis=-1)
     if grad:
         data = np.zeros(rows.shape)
-        np.add.at(data, (Ellipsis, ctx.index), r / ctx.variance)
+        np.add.at(data, (Ellipsis, ctx.index), gain)
     if ctx.weights.omega > 0:
         spec = ctx.spec
         x = rows.reshape(rows.shape[:-1] + (spec.channels, spec.height, spec.width))
@@ -163,41 +180,18 @@ def data_log_likelihood_grad(ctx: GuidanceContext, rows: np.ndarray) -> np.ndarr
     return log_likelihood(ctx, rows, grad=True)[1]
 
 
-def twist_correction(
-    ctx: GuidanceContext, denoiser: Denoiser, states: np.ndarray, denoised: np.ndarray, sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance-aware twist correction for the tds scheme of the particle engine.
+def twist_covariance(ctx: GuidanceContext, denoiser: Denoiser, states: np.ndarray, sigma: float) -> np.ndarray:
+    """Observation covariance C_k = V + sigma_k^2 sym(A J_k A^T) of the tds twist, as (m, m).
 
-    log p~_k(y | x_k) = log_likelihood(x_hat) + 1/2 r^T (V^-1 - C_k^-1) r,
-    with C_k = V + sigma_k^2 A J_k A^T. Here x_hat is the reconstruction, J_k
-    the denoiser Jacobian, A picks the entries ``ctx.index``, r = y - A x_hat,
-    and V = diag(``ctx.variance``). The beta and gamma terms of
-    :func:`log_likelihood` equal -1/2 r^T V^-1 r, so the twist replaces them
-    by log N(y; A x_hat, C_k), whose covariance adds the Tweedie posterior
-    covariance sigma_k^2 J_k of the clean state. The omega term stays at the
-    reconstruction point. The normalizing constant -1/2 log det C_k is
-    dropped. The twist is exact for Gaussian priors with linear observations,
-    and the correction vanishes as sigma -> 0.
-
-    Returns the correction per row of ``states`` and its data-space gradient
-    -A^T (V^-1 - C^-1) r, as ((N,), (N, d)). C is built once from m vjp rows,
-    one per observed entry. That is exact for a denoiser whose Jacobian does
-    not depend on the state, such as :class:`~pgd.priors.GaussianDenoiser`. A
-    state-dependent denoiser, such as :class:`~pgd.priors.GmmDenoiser`, gets
-    the symmetrized Jacobian at the rows' mean state, and the gradient treats
-    C as constant.
+    J_k is the denoiser Jacobian, so sigma_k^2 J_k is the Tweedie posterior
+    covariance of the clean state; the twist log N(y; A x_hat, C_k) is exact
+    for Gaussian priors with linear observations and is the point likelihood
+    at sigma = 0. One vjp of ``ctx.probe`` builds C. That is exact for a
+    state-independent Jacobian (:class:`~pgd.priors.GaussianDenoiser`); a
+    :class:`~pgd.priors.GmmDenoiser` gets it at the mean of the ``states`` rows.
     """
-    n, d = states.shape
-    m = ctx.index.size
-    probe = np.zeros((m, d))
-    probe[np.arange(m), ctx.index] = 1.0
-    ajat = denoiser.vjp(states.mean(axis=0), sigma, probe)[:, ctx.index]
-    cov = np.diag(ctx.variance) + sigma**2 * 0.5 * (ajat + ajat.T)
-    r = ctx.values - denoised[:, ctx.index]
-    gain = r / ctx.variance - np.linalg.solve(cov, r.T).T
-    grad = np.zeros((n, d))
-    np.add.at(grad, (Ellipsis, ctx.index), -gain)
-    return 0.5 * np.sum(r * gain, axis=1), grad
+    ajat = denoiser.vjp(states.mean(axis=0), sigma, ctx.probe)[:, ctx.index]
+    return ctx.obs_cov + sigma**2 * 0.5 * (ajat + ajat.T)
 
 
 def tds_transition_term(

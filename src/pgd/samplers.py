@@ -70,6 +70,15 @@ def _guidance_rows(
     return denoiser.vjp(x, sigma, data_grad)
 
 
+def _em_mean(x: np.ndarray, denoised: np.ndarray, sigma_k: float, delta: float) -> np.ndarray:
+    """Unguided Euler-Maruyama transition mean x + delta (denoised - x) / sigma_k^2."""
+    mean = denoised - x
+    mean *= delta
+    mean /= sigma_k**2
+    mean += x
+    return mean
+
+
 def em_core(
     x: np.ndarray,
     z: np.ndarray,
@@ -83,10 +92,7 @@ def em_core(
     if denoised is None:
         denoised = denoiser.denoise(x, sigma_k)
     delta = sigma_k**2 - sigma_next**2
-    mean = denoised - x  # x + delta * (denoised - x) / sigma_k^2, in place
-    mean *= delta
-    mean /= sigma_k**2
-    mean += x
+    mean = _em_mean(x, denoised, sigma_k, delta)
     sample = math.sqrt(delta) * z
     sample += mean
     return sample, mean
@@ -112,10 +118,10 @@ def gem_core(
     if denoised is None:
         denoised = denoiser.denoise(x, sigma_k)
     delta = sigma_k**2 - sigma_next**2
-    sample, mean_em = em_core(x, z, sigma_k, sigma_next, denoiser, denoised)
+    mean_em = _em_mean(x, denoised, sigma_k, delta)
     mean_guided = delta * _guidance_rows(x, sigma_k, denoiser, ctx, denoised, data_grad)
     mean_guided += mean_em
-    np.multiply(math.sqrt(delta), z, out=sample)  # the unguided sample's buffer is reused
+    sample = math.sqrt(delta) * z
     sample += mean_guided
     return sample, mean_em, mean_guided
 

@@ -7,12 +7,12 @@ falls below a threshold fraction of N, and tracks a running log-evidence
 estimate (the normalizer of the underlying Feynman-Kac model).
 
 The pbs scheme weights with the point twist, the likelihood of the denoiser's
-reconstruction. The tds scheme weights and guides with the point twist plus
-:func:`~pgd.guidance.twist_correction`, which adds the Tweedie posterior
-covariance of the clean state to the observation terms and is exact for
-Gaussian priors with linear observations. Additive constants, the twist's
-normalizer among them, are dropped, so the log-evidence estimate is defined
-up to a constant.
+reconstruction. The tds scheme weights and guides with the twist
+log N(y; A x_hat, C_k), whose observation covariance
+:func:`~pgd.guidance.twist_covariance` adds the Tweedie posterior covariance
+of the clean state; it is exact for Gaussian priors with linear
+observations. Additive constants, the twist's normalizer among them, are
+dropped, so the log-evidence estimate is defined up to a constant.
 
 Particles evolve as rows of an (N, d) array drawn from per-particle streams
 keyed by (seed, particle index); resampling uses its own stream. Each stream
@@ -60,7 +60,7 @@ from .guidance import (
     GuidanceWeights,
     log_likelihood,
     tds_transition_term,
-    twist_correction,
+    twist_covariance,
 )
 from .priors import Denoiser, NoiseSchedule
 from .residuals import PdeSystem, StateLayout
@@ -202,10 +202,11 @@ def smc_run(
     ESS <= threshold * N (recorded ESS is pre-resampling).
 
     Under pbs the twist is the point likelihood of the reconstruction. Under
-    tds it adds :func:`~pgd.guidance.twist_correction`, in the initial
-    weights, the incremental weights and the gem guidance alike; its
-    covariance is built once per noise level, and its gradient is pulled back
-    together with the likelihood's. Constants are dropped.
+    tds it is log N(y; A x_hat, C_k), in the initial weights, the incremental
+    weights and the gem guidance alike: C_k comes from
+    :func:`~pgd.guidance.twist_covariance` once per noise level, and
+    :func:`~pgd.guidance.log_likelihood` evaluates the twist and its gradient
+    with one solve. Constants are dropped.
 
     Under gem, the twist's data-space gradient is evaluated with the twist
     whenever another step follows, and handed to that step's
@@ -234,14 +235,10 @@ def smc_run(
 
     def twist_log(x: np.ndarray, x_hat: np.ndarray, sigma: float, k: int):
         """Per-row twist at (x, sigma) and, when step k guides with it, its data-space gradient."""
+        cov = twist_covariance(ctx, denoiser, x, sigma) if config.scheme == "tds" else None
         if config.proposal == "gem" and k > 0:
-            ll, grad = log_likelihood(ctx, x_hat, grad=True)
-        else:
-            ll, grad = log_likelihood(ctx, x_hat), None
-        if config.scheme != "tds":
-            return ll, grad
-        corr, corr_grad = twist_correction(ctx, denoiser, x, x_hat, sigma)
-        return ll + corr, None if grad is None else grad + corr_grad
+            return log_likelihood(ctx, x_hat, grad=True, cov=cov)
+        return log_likelihood(ctx, x_hat, cov=cov), None
 
     def fill(buffer: np.ndarray, steps: int) -> np.ndarray:
         """Draw every particle's noise for the next ``steps`` steps into ``buffer[:, :steps]``."""

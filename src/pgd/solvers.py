@@ -115,9 +115,12 @@ class DatasetSpec:
         kind = self.system.kind
         if kind not in ELLIPTIC_KINDS and kind not in RD_SPECIES:
             raise ValueError(f"no coefficient model for kind {kind!r}")
+        self.layout.validate_for(self.system, self.grid)
         if kind in RD_SPECIES:
             base = self.rd_diffusion_base or _DIFFUSION_BASE[kind]
             object.__setattr__(self, "rd_diffusion_base", tuple(float(b) for b in base))
+            if len(base) != RD_SPECIES[kind]:
+                raise ValueError(f"{kind} needs one rd_diffusion_base value per species, got {base}")
             if min(self.rd_diffusion_base) < 0:
                 raise ValueError(f"rd_diffusion_base {self.rd_diffusion_base} must be nonnegative")
 

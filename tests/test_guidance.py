@@ -10,7 +10,7 @@ from pgd.guidance import (
     data_log_likelihood_grad,
     log_likelihood,
     tds_transition_term,
-    twist_correction,
+    twist_covariance,
 )
 from pgd.priors import GaussianDenoiser, GaussianPrior, NoiseSchedule
 from pgd.residuals import PdeSystem, StateLayout, residual
@@ -290,8 +290,7 @@ def test_tds_chain_reproduces_direct_path_weight(monkeypatch):
     assert np.array_equal(x0[0], steps[-1][0])
     sigma_min = sched.sigma_at(0)
     x_hat = den.denoise(x0, sigma_min)
-    twist = log_likelihood(ctx, x_hat[0])
-    twist += twist_correction(ctx, den, x0, x_hat, sigma_min)[0][0]
+    twist = log_likelihood(ctx, x_hat[0], cov=twist_covariance(ctx, den, x0, sigma_min))
     direct = w.temper_rho * twist + log_em_path - log_gd_path
     assert pop.log_weights[0] == pytest.approx(direct, abs=1e-8)
 

@@ -9,7 +9,7 @@ import pgd.samplers
 import pgd.smc
 from pgd.errors import BlowUpError, NumericalError
 from pgd.grid import DIRICHLET, Field, GridSpec, Mask
-from pgd.guidance import GuidanceContext, GuidanceWeights, log_likelihood, twist_correction
+from pgd.guidance import GuidanceContext, GuidanceWeights, log_likelihood, twist_covariance
 from pgd.priors import GaussianDenoiser, GaussianPrior, NoiseSchedule, fit_empirical_prior
 from pgd.residuals import PdeSystem, StateLayout, default_layout
 from pgd.samplers import churn_gamma, em_core, gem_core, heun_core, particle_stream
@@ -25,6 +25,7 @@ from pgd.smc import (
 from pgd.solvers import DatasetSpec, Observations, generate_dataset, make_observations
 
 SPEC9 = GridSpec(3, 3, 1, 1.0)
+SPEC16 = GridSpec(4, 4, 1, 1.0)
 SOLUTION_ONLY = StateLayout(coeff_channels=(), solution_channels=(0,))
 
 
@@ -481,8 +482,7 @@ def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):
     ctx = GuidanceContext(obs=obs, system=None, layout=layout, weights=w)
 
     def twist_log(x, sigma):
-        x_hat = den.denoise(x, sigma)
-        return log_likelihood(ctx, x_hat) + twist_correction(ctx, den, x, x_hat, sigma)[0]
+        return log_likelihood(ctx, den.denoise(x, sigma), cov=twist_covariance(ctx, den, x, sigma))
 
     # closed form: A picks coefficient cells in channel 0, solution cells in channel 1
     rows = np.concatenate([9 + idx_u, idx_a])
@@ -497,17 +497,20 @@ def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):
     gap = twist_log(states, sigma) - closed
     assert np.allclose(gap, gap[0], atol=1e-10)
 
-    # at sigma = 0 the reconstruction is the state and the correction vanishes
-    corr, corr_grad = twist_correction(ctx, den, states, den.denoise(states, 0.0), 0.0)
-    assert np.allclose(corr, 0.0, atol=1e-12) and np.allclose(corr_grad, 0.0, atol=1e-12)
-    point = [log_likelihood(ctx, row) for row in states]
-    assert np.allclose(twist_log(states, 0.0), point, rtol=1e-12)
+    # at sigma = 0 the reconstruction is the state, C is V and the twist is the point likelihood
+    c0 = twist_covariance(ctx, den, states, 0.0)
+    assert np.array_equal(c0, np.diag(ctx.variance))
+    value, grad = log_likelihood(ctx, states, grad=True, cov=c0)
+    point, point_grad = log_likelihood(ctx, states, grad=True)
+    assert np.allclose(value, [log_likelihood(ctx, row) for row in states], rtol=1e-12)
+    assert np.allclose(value, point, rtol=1e-12) and np.allclose(grad, point_grad, rtol=1e-12, atol=1e-12)
 
-    # without observed entries there is nothing to correct
+    # without observed entries the twist and its gradient vanish
     no_obs = GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0)
     empty = GuidanceContext(obs=obs, system=None, layout=layout, weights=no_obs)
-    corr, corr_grad = twist_correction(empty, den, states, den.denoise(states, sigma), sigma)
-    assert corr.shape == (6,) and not corr.any() and not corr_grad.any()
+    c_empty = twist_covariance(empty, den, states, sigma)
+    value, grad = log_likelihood(empty, den.denoise(states, sigma), grad=True, cov=c_empty)
+    assert c_empty.shape == (0, 0) and value.shape == (6,) and not value.any() and not grad.any()
 
     # the guided mean that smc_run forms under tds ascends the twist
     calls = []
@@ -531,10 +534,10 @@ def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):
         assert np.allclose((mean_gd - mean_em) / delta, fd, rtol=1e-6, atol=1e-6)
 
 
-def test_twist_correction_gradient_sums_an_entry_observed_by_both_groups():
+def test_twist_gradient_sums_an_entry_observed_by_both_groups():
     # Both groups read channel 0 and cell 4 is in both masks, so the
     # observation operator picks that entry twice: its gradient must be the
-    # sum of both rows' terms, as central differences of the correction say.
+    # sum of both rows' terms, as central differences of the twist say.
     rng = np.random.default_rng(22)
     d = SPEC9.size
     b = rng.standard_normal((d, d))
@@ -555,14 +558,62 @@ def test_twist_correction_gradient_sums_an_entry_observed_by_both_groups():
     sigma = 0.7
     states = 2.0 * rng.standard_normal((3, d))
     x_hat = den.denoise(states, sigma)
-    _, grad = twist_correction(ctx, den, states, x_hat, sigma)
+    c = twist_covariance(ctx, den, states, sigma)
+    _, grad = log_likelihood(ctx, x_hat, grad=True, cov=c)
     h = 1e-6
 
-    def corr(rows):
-        return twist_correction(ctx, den, states, rows, sigma)[0]
+    def twist(rows):
+        return log_likelihood(ctx, rows, cov=c)
 
-    fd = np.stack([(corr(x_hat + h * e) - corr(x_hat - h * e)) / (2 * h) for e in np.eye(d)], axis=1)
+    fd = np.stack([(twist(x_hat + h * e) - twist(x_hat - h * e)) / (2 * h) for e in np.eye(d)], axis=1)
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("sigma_o", [0.1, 1e-2, 1e-3, 1e-4])
+def test_tds_twist_matches_an_eigendecomposed_gaussian_at_small_variance(sigma_o, monkeypatch):
+    # smc_run's tds twist is log N(y; A x_hat, C) with C = V + sigma^2 sym(A J A^T)
+    # and V = sigma_o^2, down to 1e-8. The oracle takes C from the prior's
+    # closed-form Jacobian and inverts it through its eigendecomposition. A
+    # point likelihood r^2 / 2V minus a correction of the same size would
+    # miss it by about 1e-9 relative at the smallest V.
+    rng = np.random.default_rng(31)
+    d = SPEC16.size
+    b = rng.standard_normal((d, d))
+    prior_cov = b @ b.T / d + 0.5 * np.eye(d)
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC16), "dense", prior_cov))
+    idx = np.array([1, 6, 11, 12])
+    y = rng.standard_normal(idx.size)
+    obs = observations_on(SPEC16, idx, y, sigma_o=sigma_o)
+    w = GuidanceWeights(beta=idx.size / (2 * sigma_o**2), gamma=0.0, omega=0.0)
+
+    sigmas, calls = [], []
+
+    def recording_covariance(ctx, denoiser, x, sigma):
+        sigmas.append(sigma)
+        return twist_covariance(ctx, denoiser, x, sigma)
+
+    def recording_log_likelihood(ctx, rows, grad=False, cov=None):
+        out = log_likelihood(ctx, rows, grad=grad, cov=cov)
+        calls.append((sigmas[-1], rows.copy(), out if grad else (out, None)))
+        return out
+
+    monkeypatch.setattr(pgd.smc, "twist_covariance", recording_covariance)
+    monkeypatch.setattr(pgd.smc, "log_likelihood", recording_log_likelihood)
+    sched = NoiseSchedule(sigma_max=3.0, sigma_min=0.01, steps=8, rho=2.0)
+    smc_run(SmcConfig(4, sched, w, "gem", "tds", seed=3), den, obs, None, SOLUTION_ONLY)
+    assert len(calls) == sched.steps + 1 and calls[-1][2][1] is None
+
+    lam_p, q_p = np.linalg.eigh(prior_cov)
+    for sigma, x_hat, (value, grad) in calls:
+        jac = (q_p * (lam_p / (lam_p + sigma**2))) @ q_p.T
+        c = sigma_o**2 * np.eye(idx.size) + sigma**2 * 0.5 * (jac + jac.T)[np.ix_(idx, idx)]
+        lam, q = np.linalg.eigh(c)
+        proj = (y - x_hat[:, idx]) @ q
+        np.testing.assert_allclose(value, -0.5 * np.sum(proj**2 / lam, axis=1), rtol=1e-12, atol=0)
+        if grad is not None:
+            want = np.zeros_like(x_hat)
+            want[:, idx] = (proj / lam) @ q.T
+            assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_em_pbs_and_tds_coincidence_smoke():

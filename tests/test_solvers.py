@@ -57,9 +57,10 @@ def test_darcy_unit_permeability_matches_poisson(monkeypatch):
     applies = _count_operator_applications(monkeypatch)
     for value in (1.0, 2.5):
         applies.clear()
-        u_darcy = solve_elliptic(PdeSystem.darcy(source=1.0), Field.constant(spec, value)).channel(0)
+        permeability = Field(spec, np.full((1, 10, 10), value))
+        u_darcy = solve_elliptic(PdeSystem.darcy(source=1.0), permeability).channel(0)
         assert len(applies) == 1
-        rhs = Field.constant(spec, -1.0 / value)
+        rhs = Field(spec, np.full((1, 10, 10), -1.0 / value))
         u_poisson = solve_elliptic(PdeSystem.poisson(), rhs).channel(0)
         assert np.allclose(u_darcy, u_poisson, atol=1e-9)
 
@@ -213,6 +214,18 @@ def test_unstable_spec_raises_from_generate_dataset_with_the_drawn_max_diffusion
 def test_dataset_spec_rejects_a_kind_without_a_coefficient_model():
     with pytest.raises(ValueError, match="no coefficient model for kind 'divergence_free'"):
         DatasetSpec(PdeSystem.divergence_free(), GridSpec(8, 8, 2, 1 / 9, DIRICHLET), 1)
+
+
+@pytest.mark.parametrize("base", [(2e-4,), (2e-4, 1e-4, 1e-4)], ids=["one", "three"])
+def test_dataset_spec_rejects_a_diffusion_base_without_one_value_per_species(base):
+    grid = GridSpec(8, 8, 6, 1 / 8, PERIODIC)
+    with pytest.raises(ValueError, match="gray_scott_2 needs one rd_diffusion_base value per species"):
+        DatasetSpec(PdeSystem.gray_scott(), grid, 1, rd_diffusion_base=base)
+
+
+def test_dataset_spec_rejects_a_grid_whose_channels_do_not_match_the_layout():
+    with pytest.raises(ValueError, match="the grid has 4 channels"):
+        DatasetSpec(PdeSystem.gray_scott(), GridSpec(8, 8, 4, 1 / 8, PERIODIC), 1)
 
 
 def test_thresholded_grf_takes_exactly_two_values():
