@@ -16,14 +16,13 @@ boundary rules are supported:
 All stencil operations are linear and pure, and each has an exact adjoint,
 so gradients of residual norms can be assembled without automatic
 differentiation: the Laplacian and u -> flux_divergence_2d(coef, u) are
-symmetric, the central difference is antisymmetric, and the coefficient
-adjoint of the flux divergence is ``flux_divergence_2d_adjoint_coef``.
+symmetric, and the central difference is antisymmetric.
 
-The flux divergence is written in face form: ``face_averages`` turns the
-coefficient into one array of face values per axis, and
-``flux_divergence_faces`` forms each face flux once and shares it between
-the two cells it separates. A solver that applies the operator many times
-with one coefficient computes the faces once.
+The flux divergence is written in face form: ``face_averages`` gives the
+coefficient on the faces, ``face_differences`` the differences of u across
+them, and each face flux is formed once for the two cells it separates. The
+coefficient adjoint ``face_flux_adjoint_coef`` takes face differences too, so
+a caller forms each face array once (darcy's kernel: faces, u's differences).
 """
 
 from __future__ import annotations
@@ -157,46 +156,35 @@ class Mask:
 
 
 # ---------------------------------------------------------------------------
-# Shift primitives. The stencils below are compositions of these, or of ghost
-# cells filled by the same rules, which keeps the adjoints exact: shifting
-# with zero fill transposes to the opposite shift, a periodic shift is a
-# permutation whose transpose is the opposite periodic shift, and
-# edge-replication transposes to a zero-fill shift plus an edge correction.
+# Shift primitives. The point stencils below are compositions of shifts,
+# which keeps their adjoints exact: shifting with zero fill transposes to the
+# opposite shift, and a periodic shift is a permutation whose transpose is the
+# opposite periodic shift.
 # ---------------------------------------------------------------------------
+
+
+_HEAD, _TAIL = slice(None, -1), slice(1, None)  # all lines but the last; all but the first
+_FIRST, _LAST, _INNER = slice(None, 1), slice(-1, None), slice(1, -1)
 
 
 def _axis_slices(axis: int, sl: slice) -> tuple:
     return (Ellipsis, sl, slice(None)) if axis == 0 else (Ellipsis, sl)
 
 
-def shift(a: np.ndarray, axis: int, step: int, boundary: str, fill: str = "zero") -> np.ndarray:
+def shift(a: np.ndarray, axis: int, step: int, boundary: str) -> np.ndarray:
     """Return b with b[idx] = a[idx + step] along ``axis`` (step in {-1, +1}).
 
     ``a`` is (..., H, W); axis 0 is the row axis (-2) and axis 1 the column
     axis (-1), so leading batch axes are never mixed. The interior is one
     slice copy; the vacated edge line is filled with the opposite edge of
-    ``a`` (periodic), with a's own edge (``fill="edge"``) or with zeros.
+    ``a`` (periodic) or with zeros. The adjoint is the shift by ``-step``.
     """
     if step not in (-1, 1):
         raise ValueError("step must be -1 or +1")
-    head, tail = slice(None, -1), slice(1, None)  # all lines but the last; all but the first
-    first, last = slice(None, 1), slice(-1, None)
-    body, src, edge, wrap = (head, tail, last, first) if step == 1 else (tail, head, first, last)
+    body, src, edge, wrap = (_HEAD, _TAIL, _LAST, _FIRST) if step == 1 else (_TAIL, _HEAD, _FIRST, _LAST)
     out = np.empty_like(a)
     out[_axis_slices(axis, body)] = a[_axis_slices(axis, src)]
-    if boundary == PERIODIC:
-        out[_axis_slices(axis, edge)] = a[_axis_slices(axis, wrap)]
-    else:
-        out[_axis_slices(axis, edge)] = a[_axis_slices(axis, edge)] if fill == "edge" else 0.0
-    return out
-
-
-def shift_adjoint(g: np.ndarray, axis: int, step: int, boundary: str, fill: str = "zero") -> np.ndarray:
-    """Adjoint of :func:`shift` with the same (axis, step, boundary, fill)."""
-    out = shift(g, axis, -step, boundary, fill="zero")
-    if fill == "edge" and boundary != PERIODIC:
-        sl = _axis_slices(axis, slice(-1, None) if step == 1 else slice(None, 1))
-        out[sl] += g[sl]
+    out[_axis_slices(axis, edge)] = a[_axis_slices(axis, wrap)] if boundary == PERIODIC else 0.0
     return out
 
 
@@ -221,61 +209,85 @@ def diff_2d(a: np.ndarray, axis: int, h: float, boundary: str) -> np.ndarray:
     return (shift(a, axis, 1, boundary) - shift(a, axis, -1, boundary)) / (2.0 * h)
 
 
-def _ghost_pad(a: np.ndarray, axis: int, boundary: str, fill: str = "zero") -> np.ndarray:
-    """``a`` with one ghost cell on each side along ``axis``, as :func:`shift` fills them."""
-    first, last = a[_axis_slices(axis, slice(None, 1))], a[_axis_slices(axis, slice(-1, None))]
-    if boundary == PERIODIC:
-        first, last = last, first
-    elif fill == "zero":
-        first = last = np.zeros_like(first)
-    return np.concatenate([first, a, last], axis=axis - 2)
+# ---------------------------------------------------------------------------
+# Face form. Face k along an axis lies between cells k-1 and k, so an
+# (..., H, W) array has (..., H+1, W) row faces and (..., H, W+1) column
+# faces. On a periodic grid faces 0 and H are one face and hold equal values.
+# ---------------------------------------------------------------------------
+
+Faces = tuple[np.ndarray, np.ndarray]  # (row faces, column faces)
 
 
-def face_averages(coef: np.ndarray, boundary: str) -> tuple[np.ndarray, np.ndarray]:
-    """Arithmetic averages of ``coef`` on the cell faces, one array per axis.
+def _face_pairs(a: np.ndarray, axis: int, op, boundary: str, edge: bool = False) -> np.ndarray:
+    """op(a[k], a[k-1]) on each face k of ``axis``.
 
-    For an (..., H, W) coefficient the row faces are (..., H+1, W) and the
-    column faces (..., H, W+1); face k along an axis lies between cells k-1
-    and k. Ghost values of coef are replicated from the nearest interior cell
-    (dirichlet_zero) or wrapped (periodic).
+    Ghost cells wrap (periodic), copy the edge cell (``edge``) or are zero.
     """
-    row, col = (_ghost_pad(coef, axis, boundary, fill="edge") for axis in (0, 1))
-    return 0.5 * (row[..., :-1, :] + row[..., 1:, :]), 0.5 * (col[..., :-1] + col[..., 1:])
+    first, last = _axis_slices(axis, _FIRST), _axis_slices(axis, _LAST)
+    low, high = (a[last], a[first]) if boundary == PERIODIC else (a[first], a[last]) if edge else (0.0, 0.0)
+    shape = list(a.shape)
+    shape[axis - 2] += 1
+    out = np.empty(shape)
+    op(a[_axis_slices(axis, _TAIL)], a[_axis_slices(axis, _HEAD)], out=out[_axis_slices(axis, _INNER)])
+    op(a[first], low, out=out[first])
+    op(high, a[last], out=out[last])
+    return out
 
 
-def flux_divergence_faces(
-    faces: tuple[np.ndarray, np.ndarray], u: np.ndarray, h: float, boundary: str
-) -> np.ndarray:
-    """div(coef * grad u) from the face averages of coef given by :func:`face_averages`.
+def face_differences(a: np.ndarray, boundary: str) -> Faces:
+    """a[k] - a[k-1] on the faces of each axis; ghost values of ``a`` follow the boundary rule."""
+    return tuple(_face_pairs(a, axis, np.subtract, boundary) for axis in (0, 1))
 
-    Each face flux is formed once and shared by the two cells it separates;
-    ghost values of u follow the boundary rule.
-    """
-    upper, lower = slice(1, None), slice(None, -1)
-    out = np.zeros_like(u)
+
+def face_averages(coef: np.ndarray, boundary: str) -> Faces:
+    """Averages of ``coef`` on the faces of each axis; ghosts copy the edge (dirichlet_zero) or wrap."""
+    sums = (_face_pairs(coef, axis, np.add, boundary, edge=True) for axis in (0, 1))
+    return tuple(np.multiply(s, 0.5, out=s) for s in sums)
+
+
+def face_flux_divergence(faces: Faces, du: Faces, h: float) -> np.ndarray:
+    """div(coef * grad u) from coef's :func:`face_averages` and u's :func:`face_differences`;
+    each face flux is formed once and shared by the two cells it separates."""
+    out = np.zeros(du[1].shape[:-1] + du[0].shape[-1:])
+    for axis, face, diff in zip((0, 1), faces, du):
+        flux = face * diff
+        out += flux[_axis_slices(axis, _TAIL)] - flux[_axis_slices(axis, _HEAD)]
+    out /= h * h
+    return out
+
+
+def face_flux_adjoint_coef(du: Faces, dw: Faces, h: float, boundary: str) -> np.ndarray:
+    """:func:`flux_divergence_2d_adjoint_coef` from u's and w's face differences: the adjoint of
+    :func:`face_averages` applied to -(du * dw) / h^2. A dirichlet_zero edge cell also takes the
+    ghost half of its boundary face; on a periodic grid face H is face 0, counted once."""
+    for axis, (a, b) in enumerate(zip(du, dw)):
+        prod = a * b
+        term = prod[_axis_slices(axis, _HEAD)] + prod[_axis_slices(axis, _TAIL)]
+        if boundary != PERIODIC:
+            for edge in (_axis_slices(axis, _FIRST), _axis_slices(axis, _LAST)):
+                term[edge] += prod[edge]
+        out = term if axis == 0 else np.add(term, out, out=term)
+    out *= -0.5 / (h * h)
+    return out
+
+
+def flux_divergence_faces(faces: Faces, u: np.ndarray, h: float, boundary: str) -> np.ndarray:
+    """div(coef * grad u) from the face averages of coef given by :func:`face_averages`: the
+    face differences of u, scaled into fluxes in place, one axis' worth alive at a time."""
+    out = np.zeros(u.shape)
     for axis, face in zip((0, 1), faces):
-        padded = _ghost_pad(u, axis, boundary)
-        flux = face * (padded[_axis_slices(axis, upper)] - padded[_axis_slices(axis, lower)])
-        out += flux[_axis_slices(axis, upper)] - flux[_axis_slices(axis, lower)]
-    return out / (h * h)
+        flux = _face_pairs(u, axis, np.subtract, boundary)
+        flux *= face
+        out += flux[_axis_slices(axis, _TAIL)] - flux[_axis_slices(axis, _HEAD)]
+    out /= h * h
+    return out
 
 
 def flux_divergence_2d(coef: np.ndarray, u: np.ndarray, h: float, boundary: str) -> np.ndarray:
-    """Conservative div(coef * grad u) with arithmetic face averages of coef.
-
-    Ghost values of u follow the boundary rule (zero for dirichlet_zero);
-    ghost values of coef are replicated from the nearest interior cell, which
-    keeps the operator bilinear in (coef, u).
-    """
+    """Conservative div(coef * grad u) with arithmetic face averages of coef; bilinear in (coef, u)."""
     return flux_divergence_faces(face_averages(coef, boundary), u, h, boundary)
 
 
 def flux_divergence_2d_adjoint_coef(u: np.ndarray, w: np.ndarray, h: float, boundary: str) -> np.ndarray:
     """Adjoint in coef of the bilinear map coef -> flux_divergence_2d(coef, u)."""
-    out = np.zeros_like(u)
-    for axis in (0, 1):
-        g_plus = (shift(u, axis, 1, boundary) - u) * w
-        g_minus = (u - shift(u, axis, -1, boundary)) * w
-        out += 0.5 * (g_plus + shift_adjoint(g_plus, axis, 1, boundary, fill="edge"))
-        out -= 0.5 * (g_minus + shift_adjoint(g_minus, axis, -1, boundary, fill="edge"))
-    return out / (h * h)
+    return face_flux_adjoint_coef(face_differences(u, boundary), face_differences(w, boundary), h, boundary)

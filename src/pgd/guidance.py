@@ -159,17 +159,16 @@ def log_likelihood(
     else:
         gain = np.linalg.solve(cov, r.T).T
         total = -0.5 * np.sum(r * gain, axis=-1)
-    if grad:
-        data = np.zeros(rows.shape)
-        np.add.at(data, (Ellipsis, ctx.index), gain)
+    data = np.zeros(rows.shape) if grad and not ctx.weights.omega > 0 else None
     if ctx.weights.omega > 0:
         spec = ctx.spec
         x = rows.reshape(rows.shape[:-1] + (spec.channels, spec.height, spec.width))
         res, res_grad = residual_sq_grad(ctx.system, spec, x, grad=grad)
-        if grad:
-            res_grad *= ctx.weights.omega
-            data -= res_grad.reshape(rows.shape)
+        if grad:  # scaled in the kernel's own array; the gain is added below
+            data = np.multiply(res_grad, -ctx.weights.omega, out=res_grad).reshape(rows.shape)
         total = total - ctx.weights.omega * np.mean(res.reshape(rows.shape[:-1] + (-1,)) ** 2, axis=-1)
+    if grad:
+        np.add.at(data, (Ellipsis, ctx.index), gain)
     if rows.ndim == 1:
         total = float(total)
     return (total, data) if grad else total

@@ -35,18 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    DIRICHLET,
-    PERIODIC,
-    Field,
-    GridSpec,
-    diff_2d,
-    face_averages,
-    flux_divergence_2d,
-    flux_divergence_2d_adjoint_coef,
-    flux_divergence_faces,
-    laplacian_2d,
-)
+from .grid import DIRICHLET, PERIODIC, Field, GridSpec, diff_2d, laplacian_2d
+from .grid import face_averages, face_differences, face_flux_adjoint_coef, face_flux_divergence
+from .grid import flux_divergence_2d, flux_divergence_2d_adjoint_coef  # unused; bench/tracer.py binds them
 
 KINDS = ("darcy", "poisson", "helmholtz", "divergence_free", "gray_scott_2", "competitive_3")
 
@@ -209,7 +200,9 @@ def residual_sq_grad(
 
     Returns (residual (..., R, H, W), gradient of (1/m) * ||residual||^2 in
     every state channel, shaped like ``x``, or None). m counts the residual
-    entries of one state. The gradient reuses the residual's intermediates.
+    entries of one state. The gradient reuses the residual's intermediates:
+    darcy and competitive_3 form the face averages and the face differences
+    of u and of the residual once each.
     Channels sit in the system's fixed slots: coefficient a in 0 and solution
     u in 1 (elliptic); with s species, diffusion fields in [0, s), initial
     states in [s, 2s) and terminal states in [2s, 3s) (reaction-diffusion);
@@ -237,12 +230,13 @@ def residual_sq_grad(
             g[0] = -scale * f
     elif kind == "darcy":
         a, u = v[0], v[1]
-        faces = face_averages(a, boundary)  # shared by the residual and its u-gradient
-        f = -flux_divergence_faces(faces, u, h, boundary) - system.source
+        faces, du = face_averages(a, boundary), face_differences(u, boundary)  # each formed once
+        f = -face_flux_divergence(faces, du, h) - system.source
         rows = [f]
         if grad:
-            g[1] = -scale * flux_divergence_faces(faces, f, h, boundary)
-            g[0] = -scale * flux_divergence_2d_adjoint_coef(u, f, h, boundary)
+            df = face_differences(f, boundary)  # shared by the u- and a-gradients
+            np.multiply(face_flux_divergence(faces, df, h), -scale, out=g[1])
+            np.multiply(face_flux_adjoint_coef(du, df, h, boundary), -scale, out=g[0])
     elif kind == "divergence_free":
         rows = [
             diff_2d(v[2 * i], 0, h, boundary) + diff_2d(v[2 * i + 1], 1, h, boundary) for i in range(pairs)
@@ -273,7 +267,8 @@ def residual_sq_grad(
         mat = system.coupling_matrix
         diff, init, term = v[0:3], v[3:6], v[6:9]
         horizon = system.horizon
-        flux = flux_divergence_2d(diff, term, h, boundary)
+        faces, dterm = face_averages(diff, boundary), face_differences(term, boundary)
+        flux = face_flux_divergence(faces, dterm, h)
         others = [sum(mat[i, j] * term[j] for j in range(3) if j != i) for i in range(3)]
         rows = [
             (term[i] - init[i]) / horizon - flux[i] - term[i] * (1.0 - term[i] - others[i])
@@ -281,8 +276,9 @@ def residual_sq_grad(
         ]
         if grad:
             r = np.stack(rows)
-            coef_adj = flux_divergence_2d_adjoint_coef(term, r, h, boundary)
-            flux_r = flux_divergence_2d(diff, r, h, boundary)
+            dr = face_differences(r, boundary)
+            coef_adj = face_flux_adjoint_coef(dterm, dr, h, boundary)
+            flux_r = face_flux_divergence(faces, dr, h)
             for i in range(3):
                 g[3 + i] = -scale * r[i] / horizon
                 g[i] = -scale * coef_adj[i]

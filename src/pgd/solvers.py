@@ -28,17 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUpError, SingularOperatorError, SolverConvergenceError
-from .grid import (
-    DIRICHLET,
-    PERIODIC,
-    Field,
-    GridSpec,
-    Mask,
-    face_averages,
-    flux_divergence_2d,
-    flux_divergence_faces,
-    laplacian_2d,
-)
+from .grid import DIRICHLET, PERIODIC, Field, GridSpec, Mask, face_averages, flux_divergence_faces
+from .grid import flux_divergence_2d, laplacian_2d  # flux_divergence_2d: unused; bench/tracer.py binds it
 from .residuals import ELLIPTIC_KINDS, RD_SPECIES, PdeSystem, StateLayout, default_layout
 
 
@@ -396,9 +387,10 @@ def simulate_rd(system: PdeSystem, diffusion: Field, initial: Field, dt: float, 
         )
 
     h = spec.spacing
+    faces = face_averages(dvals, PERIODIC) if system.kind == "competitive_3" else None  # once per run
     state = initial.values.copy()
     for step in range(1, steps + 1):
-        state = state + dt * _rd_rate(system, dvals, state, h)
+        state = state + dt * _rd_rate(system, dvals, faces, state, h)
         if not np.all(np.isfinite(state)):
             particle = int(np.flatnonzero(~np.isfinite(state.reshape(-1, spec.size)).all(axis=1))[0])
             raise BlowUpError(
@@ -407,10 +399,11 @@ def simulate_rd(system: PdeSystem, diffusion: Field, initial: Field, dt: float, 
     return Field(spec, state)
 
 
-def _rd_rate(system: PdeSystem, dvals: np.ndarray, state: np.ndarray, h: float) -> np.ndarray:
+def _rd_rate(system: PdeSystem, dvals: np.ndarray, faces, state: np.ndarray, h: float) -> np.ndarray:
     """Time derivative of (..., species, H, W) states; species sit on axis -3.
 
-    Each kind's stencil is applied once to the whole species stack.
+    Each kind's stencil is applied once to the whole species stack; competitive_3
+    reads the diffusion only through its face averages ``faces``.
     """
     d, s = np.moveaxis(dvals, -3, 0), np.moveaxis(state, -3, 0)  # species-first views
     if system.kind == "gray_scott_2":
@@ -421,7 +414,7 @@ def _rd_rate(system: PdeSystem, dvals: np.ndarray, state: np.ndarray, h: float) 
         dv = d[1] * lap_v + uvv - (system.feed + system.removal) * v
         return np.stack([du, dv], axis=-3)
     mat = system.coupling_matrix
-    rate = flux_divergence_2d(dvals, state, h, PERIODIC)
+    rate = flux_divergence_faces(faces, state, h, PERIODIC)
     for i, r in enumerate(np.moveaxis(rate, -3, 0)):
         others = sum(mat[i, j] * s[j] for j in range(3) if j != i)
         r += s[i] * (1.0 - s[i] - others)

@@ -21,12 +21,12 @@ from pgd.grid import (
     Mask,
     diff_2d,
     face_averages,
+    face_differences,
     flux_divergence_2d,
     flux_divergence_2d_adjoint_coef,
     flux_divergence_faces,
     laplacian_2d,
     shift,
-    shift_adjoint,
 )
 from pgd.guidance import GuidanceContext, GuidanceWeights, data_log_likelihood_grad, log_likelihood
 from pgd.priors import GaussianDenoiser, GaussianPrior, NoiseSchedule
@@ -130,26 +130,53 @@ def test_field_batch_axes_round_trip():
         Field(spec, np.zeros((BATCH, 2, W, H)))
 
 
-@pytest.mark.parametrize("fill", ["zero", "edge"])
+# shift fills a vacated line with zeros (dirichlet_zero) or wraps it (periodic);
+# edge replication of a coefficient belongs to face_averages alone
+@pytest.mark.parametrize("fill", ["zero"])
 @pytest.mark.parametrize("step", [-1, 1])
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 def test_shift_on_a_batch_matches_slices_of_a_padded_array(boundary, axis, step, fill):
     """Independent oracle: pad the last two axes by one ghost cell, then slice."""
     a = np.random.default_rng(3).standard_normal((BATCH, H, W))
-    mode = "wrap" if boundary == PERIODIC else ("edge" if fill == "edge" else "constant")
+    mode = "wrap" if boundary == PERIODIC else {"zero": "constant"}[fill]
     padded = np.pad(a, ((0, 0), (1, 1), (1, 1)), mode=mode)
     dr, dc = (step, 0) if axis == 0 else (0, step)
     want = padded[:, 1 + dr : 1 + dr + H, 1 + dc : 1 + dc + W]
-    np.testing.assert_array_equal(shift(a, axis, step, boundary, fill), want)
+    np.testing.assert_array_equal(shift(a, axis, step, boundary), want)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_face_differences_and_averages_match_a_padded_array(boundary):
+    """Independent oracle: differences and sums of neighbours in a ghost-padded array."""
+    a = np.random.default_rng(3).standard_normal((BATCH, H, W))
+    pad = lambda mode: np.pad(a, ((0, 0), (1, 1), (1, 1)), mode=mode)
+    ghost_u, ghost_coef = ("wrap", "wrap") if boundary == PERIODIC else ("constant", "edge")
+    u_pad, c_pad = pad(ghost_u), pad(ghost_coef)
+    diffs, faces = face_differences(a, boundary), face_averages(a, boundary)
+    np.testing.assert_array_equal(diffs[0], np.diff(u_pad[:, :, 1:-1], axis=1))
+    np.testing.assert_array_equal(diffs[1], np.diff(u_pad[:, 1:-1, :], axis=2))
+    np.testing.assert_array_equal(faces[0], 0.5 * (c_pad[:, :-1, 1:-1] + c_pad[:, 1:, 1:-1]))
+    np.testing.assert_array_equal(faces[1], 0.5 * (c_pad[:, 1:-1, :-1] + c_pad[:, 1:-1, 1:]))
+
+
+def _edge_shift(a, axis, step):
+    """shift with the vacated line replicated from a's own edge."""
+    padded = np.pad(a, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    dr, dc = (step, 0) if axis == 0 else (0, step)
+    return padded[:, 1 + dr : 1 + dr + H, 1 + dc : 1 + dc + W]
 
 
 def _shift_flux_divergence(coef, u, h, boundary):
     """The flux divergence written with shifts, two face averages per cell: the reference."""
     out = np.zeros_like(u)
     for axis in (0, 1):
-        c_plus = 0.5 * (coef + shift(coef, axis, 1, boundary, fill="edge"))
-        c_minus = 0.5 * (coef + shift(coef, axis, -1, boundary, fill="edge"))
+        if boundary == PERIODIC:
+            c_plus = 0.5 * (coef + shift(coef, axis, 1, boundary))
+            c_minus = 0.5 * (coef + shift(coef, axis, -1, boundary))
+        else:
+            c_plus = 0.5 * (coef + _edge_shift(coef, axis, 1))
+            c_minus = 0.5 * (coef + _edge_shift(coef, axis, -1))
         d_plus = shift(u, axis, 1, boundary) - u
         d_minus = u - shift(u, axis, -1, boundary)
         out += c_plus * d_plus - c_minus * d_minus
@@ -177,12 +204,11 @@ def _stencil_cases(rng):
     for b in BOUNDARIES:
         for axis in (0, 1):
             for step in (-1, 1):
-                for fill in ("zero", "edge"):
-                    cases.append((
-                        f"shift-{b}-{axis}-{step}-{fill}",
-                        lambda a, i, b=b, axis=axis, step=step, fill=fill: shift(a, axis, step, b, fill),
-                        lambda g, i, b=b, axis=axis, step=step, fill=fill: shift_adjoint(g, axis, step, b, fill),
-                    ))
+                cases.append((
+                    f"shift-{b}-{axis}-{step}",
+                    lambda a, i, b=b, axis=axis, step=step: shift(a, axis, step, b),
+                    lambda g, i, b=b, axis=axis, step=step: shift(g, axis, -step, b),
+                ))
             cases.append((
                 f"diff-{b}-{axis}",
                 lambda a, i, b=b, axis=axis: diff_2d(a, axis, h, b),
@@ -309,11 +335,10 @@ def test_rd_blow_up_names_the_first_non_finite_sample():
 @pytest.mark.parametrize("step", [-1, 1])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_periodic_shift_and_adjoint_equal_the_roll_formula(axis, step):
-    """Reference: b[idx] = a[idx + step] is np.roll by -step; its adjoint rolls by +step."""
+    """Reference: b[idx] = a[idx + step] is np.roll by -step; its adjoint, the opposite shift, rolls by +step."""
     a = np.random.default_rng(14).standard_normal((BATCH, 2, H, W))
     np.testing.assert_array_equal(shift(a, axis, step, PERIODIC), np.roll(a, -step, axis=axis - 2))
-    for fill in ("zero", "edge"):
-        np.testing.assert_array_equal(shift_adjoint(a, axis, step, PERIODIC, fill), np.roll(a, step, axis=axis - 2))
+    np.testing.assert_array_equal(shift(a, axis, -step, PERIODIC), np.roll(a, step, axis=axis - 2))
 
 
 def _gray_scott_per_species(system, layout, x):
@@ -389,3 +414,44 @@ def test_gray_scott_likelihood_runs_the_laplacian_once_per_species_stack(monkeyp
     calls.clear()
     log_likelihood(ctx, rows, grad=True)
     assert len(calls) == 2
+
+
+def test_darcy_likelihood_forms_the_faces_once_and_differences_u_and_its_residual_once(monkeypatch):
+    """Value: faces of a and differences of u. Value and gradient: plus the differences of the residual f."""
+    system, layout, spec, obs, states = batch_problem("darcy")
+    states[:, 0] = np.abs(states[:, 0]) + 0.5
+    ctx = GuidanceContext(obs, system, layout, GuidanceWeights(beta=3.0, gamma=2.0, omega=0.5))
+    calls = {"face_averages": [], "face_differences": []}
+    for name, got in calls.items():
+        original = getattr(pgd.residuals, name)
+
+        def counting(*args, got=got, original=original, **kwargs):
+            got.append(args[0].copy())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pgd.residuals, name, counting)
+    rows = Field(spec, states).flat()
+    log_likelihood(ctx, rows)
+    assert [len(v) for v in calls.values()] == [1, 1]
+    for got in calls.values():
+        got.clear()
+    log_likelihood(ctx, rows, grad=True)
+    (coef,), (u, f) = calls["face_averages"], calls["face_differences"]
+    np.testing.assert_array_equal(coef, states[:, 0])
+    np.testing.assert_array_equal(u, states[:, 1])
+    np.testing.assert_array_equal(f, residual_sq_grad(system, spec, states)[0][:, 0])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_darcy_kernel_gradient_is_the_composition_of_the_public_flux_operators(seed):
+    """-scale * (A^T f) through flux_divergence_faces (u) and flux_divergence_2d_adjoint_coef (a)."""
+    system, _, spec, _, states = batch_problem("darcy", seed)
+    states[:, 0] = np.abs(states[:, 0]) + 0.5
+    a, u = states[:, 0], states[:, 1]
+    h, b = spec.spacing, spec.boundary
+    f = -flux_divergence_faces(face_averages(a, b), u, h, b) - system.source
+    scale = 2.0 / spec.cells
+    res, grad = residual_sq_grad(system, spec, states, grad=True)
+    np.testing.assert_array_equal(res[:, 0], f)
+    np.testing.assert_allclose(grad[:, 1], -scale * flux_divergence_faces(face_averages(a, b), f, h, b), rtol=1e-13)
+    np.testing.assert_allclose(grad[:, 0], -scale * flux_divergence_2d_adjoint_coef(u, f, h, b), rtol=1e-13)
