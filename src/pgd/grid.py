@@ -132,11 +132,13 @@ class Mask:
         if self.spec.channels != 1:
             raise ValueError("mask spec must be single-channel")
         cells = self.spec.cells
-        idx = np.asarray(self.indices, dtype=int)
+        idx = np.asarray(self.indices)
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"mask indices must be integers, got dtype {idx.dtype}")
         if idx.size and not (0 <= idx.min() and idx.max() < cells):
             raise ValueError(f"mask indices must lie in [0, {cells})")
         indicator = np.zeros(cells, dtype=bool)
-        indicator[idx] = True
+        indicator[idx.astype(int)] = True
         flat = np.flatnonzero(indicator)
         flat.flags.writeable = False
         object.__setattr__(self, "indices", flat)

@@ -32,7 +32,8 @@ Two weighting schemes turn proposals into a particle system:
   proposal, including ones without a point-evaluable density.
 - "tds": adds the log-ratio of the unguided to the guided transition density
   (:func:`tds_transition_term`), available only for proposals whose
-  transition is an explicit Gaussian.
+  transition is an explicit Gaussian. Both Gaussians share the step
+  variance, so the ratio is read off the step's draw and its guidance shift.
 
 Under ``pbs`` the twist is the point likelihood of the reconstruction. Under
 ``tds`` its observation terms take the covariance of :func:`twist_covariance`,
@@ -49,7 +50,7 @@ import numpy as np
 from .grid import GridSpec
 from .priors import Denoiser
 from .residuals import PdeSystem, StateLayout, residual_sq_grad
-from .residuals import residual  # unused here; bench/tracer.py binds it until ROADMAP item 6 re-maps it
+from .residuals import residual  # unused here; bench/tracer.py binds it until ROADMAP item 1 re-maps it
 from .solvers import Observations
 
 JACOBIAN_MODES = ("exact", "identity")
@@ -193,23 +194,13 @@ def twist_covariance(ctx: GuidanceContext, denoiser: Denoiser, states: np.ndarra
     return ctx.obs_cov + sigma**2 * 0.5 * (ajat + ajat.T)
 
 
-def tds_transition_term(
-    x_new: np.ndarray,
-    mean_unguided: np.ndarray,
-    mean_guided: np.ndarray,
-    step_var: float,
-) -> np.ndarray:
-    """log N(x; mean_unguided, v I) - log N(x; mean_guided, v I) per row, as (N,).
+def tds_transition_term(z: np.ndarray, shift: np.ndarray, step_var: float) -> np.ndarray:
+    """log N(x; m, v I) - log N(x; m + shift, v I) per row, as (N,), at x = m + shift + sqrt(v) z.
 
-    All arguments but ``step_var`` are (N, d) rows. Both Gaussians share the
-    covariance, so normalization constants cancel and the ratio is the
-    quadratic-form difference.
+    ``z`` holds the step's (N, d) unit draws and ``shift`` the guidance shift
+    of :func:`~pgd.samplers.gem_core`. The shared covariance reduces the ratio
+    to -shift . (sqrt(v) z + shift / 2) / v; :class:`~pgd.priors.NoiseSchedule` makes v > 0.
     """
-    if step_var <= 0:
-        raise ValueError("step variance must be positive")
-    d_un = x_new - mean_unguided
-    d_gd = x_new - mean_guided
-    # stacked (1, d) @ (d, 1) products round like a per-row 1-D dot (einsum does
-    # not), so fixed-seed tds weights match the per-row form bit for bit
-    sq = d_gd[:, None, :] @ d_gd[:, :, None] - d_un[:, None, :] @ d_un[:, :, None]
-    return sq[:, 0, 0] / (2.0 * step_var)
+    half = 0.5 * shift
+    half += np.sqrt(step_var) * z
+    return -np.vecdot(shift, half) / step_var

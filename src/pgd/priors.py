@@ -33,7 +33,8 @@ class NoiseSchedule:
 
     sigma_k interpolates sigma_min^(1/rho) .. sigma_max^(1/rho) linearly in
     k/K and raises to the rho-th power, so k = K sits at sigma_max and k = 0
-    at sigma_min.
+    at sigma_min. Construction checks that sigma_k^2 strictly increases in k,
+    so every step variance sigma_k^2 - sigma_{k-1}^2 is positive.
     """
 
     sigma_max: float = 80.0
@@ -42,12 +43,14 @@ class NoiseSchedule:
     rho: float = 7.0
 
     def __post_init__(self):
-        if not (self.sigma_max > self.sigma_min >= 0):
-            raise ValueError("need sigma_max > sigma_min >= 0")
+        if not (np.isfinite(self.sigma_max) and self.sigma_max > self.sigma_min >= 0):
+            raise ValueError("need finite sigma_max > sigma_min >= 0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not (np.isfinite(self.rho) and self.rho > 0):
+            raise ValueError("rho must be finite and positive")
+        if not np.all(np.diff(np.square([self.sigma_at(k) for k in range(self.steps + 1)])) > 0):
+            raise ValueError(f"noise levels do not strictly increase in k at rho={self.rho}")
 
     def sigma_at(self, k: int) -> float:
         if not 0 <= k <= self.steps:
@@ -98,7 +101,7 @@ class FactoredCov:
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """Gaussian over flattened states: mean field plus scalar/diagonal/dense covariance.
+    """Gaussian over flattened states: mean field plus finite scalar/diagonal/dense covariance.
 
     A dense covariance may be given as a symmetric positive semidefinite (d, d)
     matrix. It is checked and eigendecomposed once here and stored as a
@@ -114,6 +117,10 @@ class GaussianPrior:
         if self.cov_kind not in COV_KINDS:
             raise ValueError(f"cov_kind must be one of {COV_KINDS}")
         d = self.mean.spec.size
+        cov = self.cov
+        parts = (cov.iso, cov.evals, cov.basis) if isinstance(cov, FactoredCov) else (cov,)
+        if not all(np.all(np.isfinite(p)) for p in parts):
+            raise ValueError(f"{self.cov_kind} covariance must be finite")
         if self.cov_kind == "scalar":
             if float(self.cov) < 0:
                 raise ValueError("scalar covariance must be nonnegative")
@@ -124,7 +131,6 @@ class GaussianPrior:
                 raise ValueError("diagonal covariance must be a nonnegative (d,) vector")
             object.__setattr__(self, "cov", arr)
         elif isinstance(self.cov, FactoredCov):
-            cov = self.cov
             if cov.basis.shape != (cov.evals.size, d) or cov.iso < 0 or np.any(cov.evals < 0):
                 raise ValueError("factored covariance needs an (r, d) basis and nonnegative iso and evals")
         else:

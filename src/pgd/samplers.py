@@ -1,12 +1,13 @@
 """Reverse-time proposal cores for the particle engine.
 
-- ``em_core``: Euler-Maruyama discretization of the reverse SDE.
-- ``gem_core``: em plus the guidance increment on the mean; reports both
-  Gaussian transition means so density-ratio weights can be formed.
+- ``gem_core``: guided Euler-Maruyama step. It returns the sample and its
+  guidance shift, the guided minus the unguided transition mean, from which
+  :func:`~pgd.guidance.tds_transition_term` forms the tds weight. With zero
+  guidance weights it is the unguided Euler-Maruyama step of the reverse SDE.
 - ``heun_core``: noise churn followed by a Heun (trapezoidal) step of the
-  probability-flow dynamics, optionally plus the guidance increment applied
-  at the churned state with the unjittered squared-sigma step scaling. With
-  no churn it is the deterministic probability-flow ODE step.
+  probability-flow dynamics, plus the guidance increment applied at the
+  churned state with the unjittered squared-sigma step scaling. With no churn
+  and zero weights it is the deterministic probability-flow ODE step.
 
 The printed update equations use the sigma-difference (next minus current),
 which is negative along a decreasing schedule; all steps here use the
@@ -15,13 +16,12 @@ drift and guidance signs fixed so the mean moves toward the denoised state
 and ascends the intermediate log-likelihood. Noise churn uses unit noise
 inflation.
 
-The cores take the Gaussian draws explicitly and act on (N, d) particle
-rows; :func:`pgd.smc.smc_run` drives them, and a single chain is a run with
-N = 1. ``gem_core`` takes the data-space guidance gradient at the
-reconstruction as ``data_grad``: the engine computes it together with the
-twist that weights the particle, so the likelihood is evaluated once per
-reconstruction. ``heun_core`` guides at the churned state, a point that no
-weight is evaluated at, so it computes its own gradient.
+The cores take exactly what :func:`pgd.smc.smc_run` passes: Gaussian draws
+and (N, d) particle rows (a single chain is N = 1). ``gem_core`` takes the
+reconstruction and its data-space gradient, which the engine computes with
+the particle's twist, so the likelihood is evaluated once per
+reconstruction. ``heun_core`` guides at the churned state, where no weight
+is evaluated, so it computes its own gradient.
 
 The cores never write to their inputs. They work in place only on arrays
 they allocate, in the operand order of the plain expressions.
@@ -50,52 +50,13 @@ def particle_stream(seed: int, index: int) -> np.random.Generator:
 
 
 def _guidance_rows(
-    x: np.ndarray,
-    sigma: float,
-    denoiser: Denoiser,
-    ctx: GuidanceContext,
-    denoised: np.ndarray,
-    data_grad: np.ndarray | None = None,
+    x: np.ndarray, sigma: float, denoiser: Denoiser, ctx: GuidanceContext, data_grad: np.ndarray
 ) -> np.ndarray:
-    """Guidance gradient rows at (x, sigma), reusing the already-denoised rows.
-
-    ``data_grad`` is the data-space gradient at ``denoised`` when the caller
-    has it already; otherwise it is computed here. It is pulled back through
-    the denoiser with one vjp.
-    """
-    if data_grad is None:
-        data_grad = data_log_likelihood_grad(ctx, denoised)
+    """Guidance gradient rows at (x, sigma) from ``data_grad``, the data-space
+    gradient at the reconstruction: one vjp pulls it back, or the identity does."""
     if ctx.weights.jacobian_mode == "identity":
         return data_grad
     return denoiser.vjp(x, sigma, data_grad)
-
-
-def _em_mean(x: np.ndarray, denoised: np.ndarray, sigma_k: float, delta: float) -> np.ndarray:
-    """Unguided Euler-Maruyama transition mean x + delta (denoised - x) / sigma_k^2."""
-    mean = denoised - x
-    mean *= delta
-    mean /= sigma_k**2
-    mean += x
-    return mean
-
-
-def em_core(
-    x: np.ndarray,
-    z: np.ndarray,
-    sigma_k: float,
-    sigma_next: float,
-    denoiser: Denoiser,
-    denoised: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One unguided Euler-Maruyama step; returns (sample, transition mean)."""
-    x = np.asarray(x, dtype=float)
-    if denoised is None:
-        denoised = denoiser.denoise(x, sigma_k)
-    delta = sigma_k**2 - sigma_next**2
-    mean = _em_mean(x, denoised, sigma_k, delta)
-    sample = math.sqrt(delta) * z
-    sample += mean
-    return sample, mean
 
 
 def gem_core(
@@ -105,25 +66,26 @@ def gem_core(
     sigma_next: float,
     denoiser: Denoiser,
     ctx: GuidanceContext,
-    denoised: np.ndarray | None = None,
-    data_grad: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Guided Euler-Maruyama step; returns (sample, unguided mean, guided mean).
+    denoised: np.ndarray,
+    data_grad: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Guided Euler-Maruyama step from x at sigma_k with reconstruction ``denoised``.
 
-    The guidance ascends the twist whose data-space gradient at ``denoised``
-    is ``data_grad``. When it is not given, the gradient of the point twist
-    is computed here.
+    Returns (sample, shift). With delta = sigma_k^2 - sigma_next^2, the
+    unguided mean is x + delta (denoised - x) / sigma_k^2, the guidance shift
+    is delta times the gradient that :func:`_guidance_rows` pulls back from
+    ``data_grad``, and the sample is sqrt(delta) z + (shift + unguided mean).
     """
-    x = np.asarray(x, dtype=float)
-    if denoised is None:
-        denoised = denoiser.denoise(x, sigma_k)
     delta = sigma_k**2 - sigma_next**2
-    mean_em = _em_mean(x, denoised, sigma_k, delta)
-    mean_guided = delta * _guidance_rows(x, sigma_k, denoiser, ctx, denoised, data_grad)
-    mean_guided += mean_em
+    mean = denoised - x
+    mean *= delta
+    mean /= sigma_k**2
+    mean += x
+    shift = delta * _guidance_rows(x, sigma_k, denoiser, ctx, data_grad)
+    np.add(shift, mean, out=mean)
     sample = math.sqrt(delta) * z
-    sample += mean_guided
-    return sample, mean_em, mean_guided
+    sample += mean
+    return sample, shift
 
 
 def heun_core(
@@ -133,9 +95,9 @@ def heun_core(
     sigma_next: float,
     denoiser: Denoiser,
     gamma_k: float,
-    ctx: GuidanceContext | None = None,
+    ctx: GuidanceContext,
 ) -> np.ndarray:
-    """Churned second-order step, optionally with the guidance increment.
+    """Churned second-order step plus the guidance increment.
 
     (i) inflate the noise level to sigma_hat = (1 + gamma_k) sigma_k and move
     to the matching noisier state; (ii) Euler step in sigma using the denoiser
@@ -143,7 +105,6 @@ def heun_core(
     sigma_next is zero; (iv) add the guidance increment evaluated at the
     churned state, scaled by the unjittered sigma_k^2 - sigma_next^2.
     """
-    x = np.asarray(x, dtype=float)
     sigma_hat = sigma_k * (1.0 + gamma_k)
     x_hat = math.sqrt(max(sigma_hat**2 - sigma_k**2, 0.0)) * z
     x_hat += x
@@ -158,7 +119,6 @@ def heun_core(
         d_cur += d_next
         d_cur *= (sigma_next - sigma_hat) * 0.5
         np.add(x_hat, d_cur, out=x_new)
-    if ctx is not None:
-        grad = _guidance_rows(x_hat, sigma_hat, denoiser, ctx, denoised_hat)
-        x_new += np.multiply(sigma_k**2 - sigma_next**2, grad, out=d_cur)
+    grad = _guidance_rows(x_hat, sigma_hat, denoiser, ctx, data_log_likelihood_grad(ctx, denoised_hat))
+    x_new += np.multiply(sigma_k**2 - sigma_next**2, grad, out=d_cur)
     return x_new

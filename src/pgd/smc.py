@@ -11,7 +11,10 @@ reconstruction. The tds scheme weights and guides with the twist
 log N(y; A x_hat, C_k), whose observation covariance
 :func:`~pgd.guidance.twist_covariance` adds the Tweedie posterior covariance
 of the clean state; it is exact for Gaussian priors with linear
-observations. Additive constants, the twist's normalizer among them, are
+observations. Its incremental weight also carries the log-ratio of the
+unguided to the guided Gaussian transition (Wu et al., 2023), read off the
+step's draw and the guidance shift that :func:`~pgd.samplers.gem_core`
+returns. Additive constants, the twist's normalizer among them, are
 dropped, so the log-evidence estimate is defined up to a constant.
 
 Particles evolve as rows of an (N, d) array drawn from per-particle streams
@@ -100,7 +103,7 @@ class SmcConfig:
             )
         if not 0.0 < self.resample_threshold <= 1.0:
             raise ValueError("resample_threshold must lie in (0, 1]")
-        if self.s_churn < 0:
+        if not self.s_churn >= 0:
             raise ValueError("s_churn must be nonnegative")
 
 
@@ -206,7 +209,8 @@ def smc_run(
     weights and the gem guidance alike: C_k comes from
     :func:`~pgd.guidance.twist_covariance` once per noise level, and
     :func:`~pgd.guidance.log_likelihood` evaluates the twist and its gradient
-    with one solve. Constants are dropped.
+    with one solve; the tds increment adds
+    :func:`~pgd.guidance.tds_transition_term`. Constants are dropped.
 
     Under gem, the twist's data-space gradient is evaluated with the twist
     whenever another step follows, and handed to that step's
@@ -277,19 +281,9 @@ def smc_run(
             z = noise[:, j]
 
             if config.proposal == "gem":
-                samples, mean_em, mean_gd = gem_core(
-                    pop.states,
-                    z,
-                    sigma_k,
-                    sigma_next,
-                    denoiser,
-                    ctx,
-                    denoised=denoised,
-                    data_grad=data_grad,
-                )
+                samples, shift = gem_core(pop.states, z, sigma_k, sigma_next, denoiser, ctx, denoised, data_grad)
             else:
                 samples = heun_core(pop.states, z, sigma_k, sigma_next, denoiser, gamma, ctx)
-                mean_em = mean_gd = None
             _require_finite(samples, k, "state")
 
             denoised = denoiser.denoise(samples, sigma_next)
@@ -297,8 +291,7 @@ def smc_run(
             ll_new, data_grad = twist_log(samples, denoised, sigma_next, k - 1)
             potentials = rho * (ll_new - pop.cached_loglik)
             if config.scheme == "tds":
-                step_var = sigma_k**2 - sigma_next**2
-                potentials = potentials + tds_transition_term(samples, mean_em, mean_gd, step_var)
+                potentials = potentials + tds_transition_term(z, shift, sigma_k**2 - sigma_next**2)
             _require_finite(potentials, k, "weight")
 
             log_evidence += _log_mean_increment(pop.log_weights, potentials)

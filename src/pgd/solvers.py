@@ -358,8 +358,9 @@ def simulate_rd(system: PdeSystem, diffusion: Field, initial: Field, dt: float, 
 
     ``diffusion`` and ``initial`` are one (species, H, W) field each, or
     batches of the same (..., species, H, W) shape whose samples are stepped
-    together; the terminal state has the shape of ``initial``. Diffusion must
-    be nonnegative, and 4 dt max(D) <= h^2. One finiteness check per step
+    together; the terminal state has the shape of ``initial``. dt must be
+    finite and positive, steps at least 1, diffusion nonnegative, and
+    4 dt max(D) <= h^2. One finiteness check per step
     covers the batch: a non-finite state raises BlowUpError with the step and
     the flat index of the first non-finite sample (0 for a single field) as
     ``particle``.
@@ -376,6 +377,8 @@ def simulate_rd(system: PdeSystem, diffusion: Field, initial: Field, dt: float, 
         raise ValueError(
             f"diffusion batch {diffusion.batch_shape} does not match initial batch {initial.batch_shape}"
         )
+    if not (np.isfinite(dt) and dt > 0) or steps < 1:
+        raise ValueError(f"need a finite dt > 0 and steps >= 1, got dt={dt}, steps={steps}")
     dvals = diffusion.values
     if np.min(dvals) < 0:
         raise ValueError("diffusion must be nonnegative")

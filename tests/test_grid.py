@@ -247,3 +247,10 @@ def test_mask_rejects_indices_outside_the_grid(indices):
     with pytest.raises(ValueError, match="mask indices"):
         Mask.from_indices(GridSpec(4, 4), indices)
 
+
+def test_mask_rejects_non_integer_indices():
+    # [1.7, 2.2] would otherwise truncate to cells [1, 2]; an empty list stays valid
+    with pytest.raises(ValueError, match="must be integers"):
+        Mask.from_indices(GridSpec(4, 4), [1.7, 2.2])
+    assert Mask.from_indices(GridSpec(4, 4), []).count == 0
+

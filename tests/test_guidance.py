@@ -9,7 +9,6 @@ from pgd.guidance import (
     GuidanceWeights,
     data_log_likelihood_grad,
     log_likelihood,
-    tds_transition_term,
     twist_covariance,
 )
 from pgd.priors import GaussianDenoiser, GaussianPrior, NoiseSchedule
@@ -161,11 +160,13 @@ def intermediate_ll(flat, sigma, den, obs, w):
 
 
 def guidance_rows(x, sigma, den, obs, w):
-    """Guidance gradient rows at (x, sigma), read off gem_core's mean pair."""
+    """Guidance gradient rows at (x, sigma), read off gem_core's shift delta * guidance."""
     ctx = GuidanceContext(obs=obs, system=None, layout=SOLUTION_ONLY, weights=w)
     sigma_next = 0.5 * sigma
-    _, mean_em, mean_gd = gem_core(x, np.zeros_like(x), sigma, sigma_next, den, ctx)
-    return (mean_gd - mean_em) / (sigma**2 - sigma_next**2)
+    denoised = den.denoise(x, sigma)
+    grad = data_log_likelihood_grad(ctx, denoised)
+    _, shift = gem_core(x, np.zeros_like(x), sigma, sigma_next, den, ctx, denoised, grad)
+    return shift / (sigma**2 - sigma_next**2)
 
 
 def test_intermediate_equals_terminal_at_sigma_zero():
@@ -240,8 +241,8 @@ def test_guidance_exact_mode_matches_finite_differences():
 
 def test_identity_and_exact_modes_agree_when_jacobian_is_identity():
     rng = np.random.default_rng(11)
-    # at the prior mean both transition means are exactly the step's guidance
-    # increment, so dividing by the tiny step loses no precision
+    # the shift is the tiny step times the guidance, so dividing by the step
+    # loses no precision
     x = np.zeros((1, 16))
     obs = observations_single_channel(SPEC16, [4, 9], rng.standard_normal(2))
     den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC16), "scalar", 1.0))
@@ -270,9 +271,12 @@ def test_tds_chain_reproduces_direct_path_weight(monkeypatch):
 
     steps = []
 
-    def recording_gem_core(x, z, sigma_k, sigma_next, *args, **kwargs):
-        out = pgd.samplers.gem_core(x, z, sigma_k, sigma_next, *args, **kwargs)
-        steps.append((out[0][0], out[1][0], out[2][0], sigma_k**2 - sigma_next**2))
+    def recording_gem_core(x, z, sigma_k, sigma_next, *args):
+        out = pgd.samplers.gem_core(x, z, sigma_k, sigma_next, *args)
+        delta = sigma_k**2 - sigma_next**2
+        # the unguided mean from the denoiser itself; the guided one adds the shift
+        mean_em = x[0] + delta * (den.denoise(x[0], sigma_k) - x[0]) / sigma_k**2
+        steps.append((out[0][0], mean_em, mean_em + out[1][0], delta))
         return out
 
     monkeypatch.setattr(pgd.smc, "gem_core", recording_gem_core)
@@ -293,11 +297,6 @@ def test_tds_chain_reproduces_direct_path_weight(monkeypatch):
     twist = log_likelihood(ctx, x_hat[0], cov=twist_covariance(ctx, den, x0, sigma_min))
     direct = w.temper_rho * twist + log_em_path - log_gd_path
     assert pop.log_weights[0] == pytest.approx(direct, abs=1e-8)
-
-
-def test_tds_transition_term_validation():
-    with pytest.raises(ValueError):
-        tds_transition_term(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), 0.0)
 
 
 def test_data_grad_zero_noise_truth_is_stationary():

@@ -11,7 +11,7 @@ from pgd.grid import Field, GridSpec, Mask
 from pgd.guidance import GuidanceContext, GuidanceWeights
 from pgd.priors import FactoredCov, GaussianDenoiser, GaussianPrior, GmmDenoiser
 from pgd.residuals import PdeSystem, default_layout
-from pgd.samplers import em_core, gem_core, heun_core
+from pgd.samplers import gem_core, heun_core
 from pgd.solvers import Observations
 
 SPEC = GridSpec(4, 5, 2, 1 / 6)  # poisson layout: coefficient channel 0, solution channel 1
@@ -74,13 +74,10 @@ def test_denoise_and_vjp_leave_their_inputs_untouched(kind, sigma):
 def test_proposal_cores_leave_their_inputs_untouched(kind, jacobian_mode):
     den, ctx = denoisers()[kind], context(jacobian_mode)
     sigma_k, sigma_next = 1.3, 0.9
-    assert_untouched(lambda x, z: em_core(x, z, sigma_k, sigma_next, den), rows(4), rows(5))
-    assert_untouched(lambda x, z, dn: em_core(x, z, sigma_k, sigma_next, den, dn), rows(4), rows(5), rows(6))
-    assert_untouched(lambda x, z: gem_core(x, z, sigma_k, sigma_next, den, ctx), rows(4), rows(5))
-    assert_untouched(
-        lambda x, z, dn, g: gem_core(x, z, sigma_k, sigma_next, den, ctx, denoised=dn, data_grad=g),
-        rows(4), rows(5), rows(6), rows(7),
-    )
-    for guide in (None, ctx):
-        for nxt in (sigma_next, 0.0):
-            assert_untouched(lambda x, z: heun_core(x, z, sigma_k, nxt, den, 0.2, guide), rows(4), rows(5))
+    for grad in (np.zeros((N, SPEC.size)), rows(7)):  # the unguided step, then a guided one
+        assert_untouched(
+            lambda x, z, dn, g: gem_core(x, z, sigma_k, sigma_next, den, ctx, dn, g),
+            rows(4), rows(5), rows(6), grad,
+        )
+    for nxt in (sigma_next, 0.0):
+        assert_untouched(lambda x, z: heun_core(x, z, sigma_k, nxt, den, 0.2, ctx), rows(4), rows(5))

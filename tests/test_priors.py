@@ -60,6 +60,23 @@ def test_schedule_strictly_decreasing(steps, rho, sigma_max):
     assert sig[0] == sched.sigma_min and sig[-1] == sched.sigma_max
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(sigma_max=np.inf),
+        dict(rho=np.nan),  # levels [0.002, nan, nan, nan, 80]
+        dict(rho=np.inf),  # levels [0.002, 1, 1, 1, 80]
+        dict(sigma_max=1.0 + 1e-15, sigma_min=1.0, steps=10),  # levels round to a flat run
+        dict(sigma_min=0.0, rho=400.0),  # sigma_1 ~ 1e-239, whose square underflows to sigma_0^2 = 0
+    ],
+    ids=["sigma_max-inf", "rho-nan", "rho-inf", "flat-levels", "underflowing-square"],
+)
+def test_schedule_rejects_a_zero_variance_step(kwargs):
+    # every step variance sigma_k^2 - sigma_{k-1}^2 is positive, checked once here
+    with pytest.raises(ValueError):
+        NoiseSchedule(**{"steps": 4, **kwargs})
+
+
 def test_gaussian_denoise_unit_prior_halves():
     x = np.linspace(-2, 2, 16)
     out = GaussianDenoiser(unit_prior()).denoise(x, sigma=1.0)
@@ -303,6 +320,31 @@ def test_dense_prior_rejects_a_malformed_factored_cov():
         FactoredCov(0.1, basis, np.array([1.0, -1.0, 1.0])),
     ):
         with pytest.raises(ValueError, match="factored"):
+            GaussianPrior(Field.zeros(SPEC_4X4), "dense", cov)
+
+
+def test_scalar_prior_rejects_a_nan_variance():
+    with pytest.raises(ValueError, match="scalar covariance must be finite"):
+        GaussianPrior(Field.zeros(SPEC_4X4), "scalar", np.nan)
+
+
+def test_diagonal_prior_rejects_an_infinite_variance():
+    cov = np.ones(16)
+    cov[7] = np.inf
+    with pytest.raises(ValueError, match="diagonal covariance must be finite"):
+        GaussianPrior(Field.zeros(SPEC_4X4), "diagonal", cov)
+
+
+def test_dense_prior_rejects_a_non_finite_factored_cov():
+    basis = np.eye(16)[:3]
+    nan_basis = basis.copy()
+    nan_basis[1, 4] = np.nan
+    for cov in (
+        FactoredCov(np.nan, basis, np.ones(3)),
+        FactoredCov(0.1, basis, np.array([1.0, np.inf, 1.0])),
+        FactoredCov(0.1, nan_basis, np.ones(3)),
+    ):
+        with pytest.raises(ValueError, match="dense covariance must be finite"):
             GaussianPrior(Field.zeros(SPEC_4X4), "dense", cov)
 
 

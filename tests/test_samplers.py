@@ -3,10 +3,10 @@ import pytest
 
 from pgd.errors import BlowUpError
 from pgd.grid import Field, GridSpec, Mask
-from pgd.guidance import GuidanceContext, GuidanceWeights
+from pgd.guidance import GuidanceContext, GuidanceWeights, data_log_likelihood_grad
 from pgd.priors import Denoiser, GaussianDenoiser, GaussianPrior, NoiseSchedule
 from pgd.residuals import StateLayout
-from pgd.samplers import churn_gamma, em_core, gem_core, heun_core, particle_stream
+from pgd.samplers import churn_gamma, gem_core, heun_core, particle_stream
 from pgd.smc import SmcConfig, smc_run
 from pgd.solvers import Observations
 
@@ -42,6 +42,25 @@ def all_cell_context(y_star, beta=0.5, weights=None):
     return GuidanceContext(obs=obs, system=None, layout=SOLUTION_ONLY, weights=w)
 
 
+UNGUIDED = all_cell_context(np.zeros(9), weights=GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0))
+
+
+def em_step(x, z, sigma_k, sigma_next, den):
+    """The unguided Euler-Maruyama step: gem_core with a zero data-space gradient."""
+    return gem_core(x, z, sigma_k, sigma_next, den, UNGUIDED, den.denoise(x, sigma_k), np.zeros_like(x))
+
+
+def gem_step(x, z, sigma_k, sigma_next, den, ctx):
+    """The guided step as smc_run takes it: the gradient of the twist at the reconstruction."""
+    denoised = den.denoise(x, sigma_k)
+    return gem_core(x, z, sigma_k, sigma_next, den, ctx, denoised, data_log_likelihood_grad(ctx, denoised))
+
+
+def em_mean(x, sigma_k, sigma_next, den):
+    """The unguided transition mean x + delta (D(x, sigma_k) - x) / sigma_k^2."""
+    return x + (sigma_k**2 - sigma_next**2) * (den.denoise(x, sigma_k) - x) / sigma_k**2
+
+
 def test_churn_gamma_cap():
     assert churn_gamma(0.0, 100) == 0.0
     assert churn_gamma(2.0, 100) == pytest.approx(0.02)
@@ -53,13 +72,13 @@ def test_em_step_fixed_point_denoiser_adds_only_noise():
     den = IdentityDenoiser(9)
     x = np.linspace(-1, 1, 9)
     # stubbed draw z = 0: output equals the input exactly
-    sample, mean = em_core(x, np.zeros(9), sched.sigma_at(5), sched.sigma_at(4), den)
+    sample, shift = em_step(x, np.zeros(9), sched.sigma_at(5), sched.sigma_at(4), den)
     assert np.array_equal(sample, x)
-    assert np.array_equal(mean, x)
+    assert not shift.any()
     # with live draws the deviation has std sqrt(sigma_k^2 - sigma_{k-1}^2)
     rng = np.random.default_rng(0)
     k = 5
-    sample, _ = em_core(x, rng.standard_normal((4000, 9)), sched.sigma_at(k), sched.sigma_at(k - 1), den)
+    sample, _ = em_step(x, rng.standard_normal((4000, 9)), sched.sigma_at(k), sched.sigma_at(k - 1), den)
     draws = sample - x
     expected_std = np.sqrt(sched.sigma_at(k) ** 2 - sched.sigma_at(k - 1) ** 2)
     assert np.std(draws) == pytest.approx(expected_std, rel=0.05)
@@ -75,7 +94,7 @@ def test_em_step_gaussian_mean_matches_conditional_oracle():
     k = 6
     s_k, s_n = sched.sigma_at(k), sched.sigma_at(k - 1)
     delta = s_k**2 - s_n**2
-    _, mean = em_core(x, np.zeros(9), s_k, s_n, den)
+    mean, _ = em_step(x, np.zeros(9), s_k, s_n, den)  # a zero draw samples the mean
     want = x - delta * x / (s_k**2 + 1.0)
     assert np.allclose(mean, want, atol=1e-12)
 
@@ -90,23 +109,57 @@ def test_em_chain_recovers_gaussian_prior():
     x = sched.sigma_max * rng.standard_normal((n, 9))
     for k in range(sched.steps, 0, -1):
         z = rng.standard_normal((n, 9))
-        x, _ = em_core(x, z, sched.sigma_at(k), sched.sigma_at(k - 1), den)
+        x, _ = em_step(x, z, sched.sigma_at(k), sched.sigma_at(k - 1), den)
     se = 1.0 / np.sqrt(n)
     assert np.all(np.abs(x.mean(axis=0)) < 4 * se)
     assert np.all(np.abs(x.var(axis=0) - 1.0) < 0.05)
 
 
+def zero_weight_cases():
+    """(denoiser, zero-weight context) for each covariance kind and Jacobian mode."""
+    rng = np.random.default_rng(12)
+    root = rng.standard_normal((9, 9))
+    for kind, cov in (("scalar", 0.8), ("diagonal", rng.uniform(0.2, 2.0, 9)), ("dense", root @ root.T / 9)):
+        den = GaussianDenoiser(GaussianPrior(Field(SPEC9, rng.standard_normal(9)), kind, cov))
+        for mode in ("exact", "identity"):
+            w = GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0, jacobian_mode=mode)
+            yield den, all_cell_context(np.zeros(9), weights=w)
+
+
 def test_gem_zero_weights_reduces_to_em_bit_exactly():
+    # Zero weights give a zero data-space gradient and a zero shift; the sample
+    # is the closed-form unguided step sqrt(delta) z + mean.
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=8, rho=3.0)
-    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", 1.0))
-    ctx = all_cell_context(np.zeros(9), weights=GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0))
-    x = np.linspace(-1, 1, 9)[None]
-    for k in (8, 4, 1):
-        s_k, s_n = sched.sigma_at(k), sched.sigma_at(k - 1)
-        z = np.random.default_rng(5).standard_normal((1, 9))
-        out_em, _ = em_core(x, z, s_k, s_n, den)
-        out_gem, _, _ = gem_core(x, z, s_k, s_n, den, ctx)
-        assert np.array_equal(out_em, out_gem)
+    rng = np.random.default_rng(5)
+    for den, ctx in zero_weight_cases():
+        x = rng.standard_normal((3, 9))
+        for k in (8, 4, 1):
+            s_k, s_n = sched.sigma_at(k), sched.sigma_at(k - 1)
+            z = rng.standard_normal((3, 9))
+            sample, shift = gem_step(x, z, s_k, s_n, den, ctx)
+            want = np.sqrt(s_k**2 - s_n**2) * z + em_mean(x, s_k, s_n, den)
+            assert not shift.any() and np.array_equal(sample, want)
+
+
+def test_heun_zero_weights_reduces_to_churned_heun_bit_exactly():
+    # The closed-form churned Heun step: churn to sigma_hat, Euler predictor,
+    # trapezoidal corrector unless sigma_next = 0; zero weights add nothing.
+    sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=8, rho=3.0)
+    gamma = churn_gamma(2.0, sched.steps)
+    levels = [(sched.sigma_at(8), sched.sigma_at(7)), (sched.sigma_at(1), sched.sigma_at(0)), (0.5, 0.0)]
+    rng = np.random.default_rng(6)
+    for den, ctx in zero_weight_cases():
+        x = rng.standard_normal((3, 9))
+        for s_k, s_n in levels:
+            z = rng.standard_normal((3, 9))
+            s_hat = s_k * (1.0 + gamma)
+            x_hat = np.sqrt(s_hat**2 - s_k**2) * z + x
+            d_cur = (x_hat - den.denoise(x_hat, s_hat)) / s_hat
+            want = (s_n - s_hat) * d_cur + x_hat
+            if s_n != 0.0:
+                d_next = (want - den.denoise(want, s_n)) / s_n
+                want = x_hat + (s_n - s_hat) * 0.5 * (d_cur + d_next)
+            assert np.array_equal(heun_core(x, z, s_k, s_n, den, gamma, ctx), want)
 
 
 def test_gem_guided_mean_strictly_closer_to_target():
@@ -118,11 +171,14 @@ def test_gem_guided_mean_strictly_closer_to_target():
     x = sched.sigma_max * rng.standard_normal((1, 9))
     for k in range(sched.steps, 0, -1):
         z = rng.standard_normal((1, 9))
-        x, mean_em, mean_gd = gem_core(x, z, sched.sigma_at(k), sched.sigma_at(k - 1), den, ctx)
-        assert np.linalg.norm(mean_gd - y_star) < np.linalg.norm(mean_em - y_star)
+        s_k, s_n = sched.sigma_at(k), sched.sigma_at(k - 1)
+        mean_em = em_mean(x, s_k, s_n, den)
+        x, shift = gem_step(x, z, s_k, s_n, den, ctx)
+        assert np.linalg.norm(mean_em + shift - y_star) < np.linalg.norm(mean_em - y_star)
 
 
 def test_gem_mean_pair_differs_by_scaled_gradient():
+    # The shift is the guided minus the unguided mean, delta times the guidance.
     # Closed-form guidance for prior N(0, s I) with every cell observed: the
     # reconstruction is c x with c = s/(s + sigma^2), the data-space gradient
     # 2 beta/n (y - c x), and the exact-mode pull-back multiplies it by c.
@@ -135,13 +191,13 @@ def test_gem_mean_pair_differs_by_scaled_gradient():
     x = rng.standard_normal((3, 9))
     k = 7
     s_k, s_n = sched.sigma_at(k), sched.sigma_at(k - 1)
-    _, mean_em, mean_gd = gem_core(x, rng.standard_normal((3, 9)), s_k, s_n, den, ctx)
+    _, shift = gem_step(x, rng.standard_normal((3, 9)), s_k, s_n, den, ctx)
     c = s / (s + s_k**2)
     grad = c * 2.0 * beta / 9 * (y_star - c * x)
-    assert np.allclose(mean_gd - mean_em, (s_k**2 - s_n**2) * grad, atol=1e-12)
+    assert np.allclose(shift, (s_k**2 - s_n**2) * grad, atol=1e-12)
 
 
-def heun_chain(x, sched, den, gamma, draws, ctx=None):
+def heun_chain(x, sched, den, gamma, draws, ctx=UNGUIDED):
     """Reference loop of heun_core from k = K down to 1 with the given draws."""
     for k in range(sched.steps, 0, -1):
         x = heun_core(x, draws(), sched.sigma_at(k), sched.sigma_at(k - 1), den, gamma, ctx)
@@ -188,7 +244,7 @@ def test_sosag_chain_recovers_gaussian_prior_with_churn():
     x = sched.sigma_max * rng.standard_normal((n, 9))
     for k in range(sched.steps, 0, -1):
         z = rng.standard_normal((n, 9))
-        x = heun_core(x, z, sched.sigma_at(k), sched.sigma_at(k - 1), den, gamma)
+        x = heun_core(x, z, sched.sigma_at(k), sched.sigma_at(k - 1), den, gamma, UNGUIDED)
     se = 1.0 / np.sqrt(n)
     assert np.all(np.abs(x.mean(axis=0)) < 4 * se)
     assert np.all(np.abs(x.var(axis=0) - 1.0) < 0.05)

@@ -9,10 +9,10 @@ import pgd.samplers
 import pgd.smc
 from pgd.errors import BlowUpError, NumericalError
 from pgd.grid import DIRICHLET, Field, GridSpec, Mask
-from pgd.guidance import GuidanceContext, GuidanceWeights, log_likelihood, twist_covariance
+from pgd.guidance import GuidanceContext, GuidanceWeights, data_log_likelihood_grad, log_likelihood, twist_covariance
 from pgd.priors import GaussianDenoiser, GaussianPrior, NoiseSchedule, fit_empirical_prior
 from pgd.residuals import PdeSystem, StateLayout, default_layout
-from pgd.samplers import churn_gamma, em_core, gem_core, heun_core, particle_stream
+from pgd.samplers import churn_gamma, gem_core, heun_core, particle_stream
 from pgd.smc import (
     ESTIMATE_MODES,
     ParticlePopulation,
@@ -132,6 +132,13 @@ def test_resample_preserves_weighted_mean_in_expectation():
     assert np.all(np.abs(acc - target) < 4 * se + 1e-12)
 
 
+def test_config_rejects_a_nan_churn():
+    # under sosag it would surface only as a non-finite state
+    sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=5, rho=3.0)
+    with pytest.raises(ValueError, match="s_churn"):
+        SmcConfig(particle_count=2, schedule=sched, proposal="sosag", s_churn=np.nan)
+
+
 def test_resample_rejects_degenerate_weights():
     pop = population_from(np.zeros((3, 9)), np.full(3, -np.inf))
     with pytest.raises(ValueError):
@@ -192,12 +199,13 @@ def test_single_particle_run_matches_chain_bit_exactly(proposal, mode):
     for k in range(sched.steps, 0, -1):
         s_k, s_n = sched.sigma_at(k), sched.sigma_at(k - 1)
         z = stream.standard_normal((1, 9))
-        if mode == "gem":
-            x = gem_core(x, z, s_k, s_n, den, ctx)[0]
-        elif mode == "em":
-            x = em_core(x, z, s_k, s_n, den)[0]
+        if proposal == "gem":
+            # em is gem with the zero gradient of its zero weights, written out
+            denoised = den.denoise(x, s_k)
+            grad = data_log_likelihood_grad(ctx, denoised) if guided else np.zeros_like(x)
+            x = gem_core(x, z, s_k, s_n, den, ctx, denoised, grad)[0]
         else:
-            x = heun_core(x, z, s_k, s_n, den, gamma, ctx if guided else None)
+            x = heun_core(x, z, s_k, s_n, den, gamma, ctx)
     assert np.array_equal(pop.states, x)
 
 
@@ -512,12 +520,12 @@ def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):
     value, grad = log_likelihood(empty, den.denoise(states, sigma), grad=True, cov=c_empty)
     assert c_empty.shape == (0, 0) and value.shape == (6,) and not value.any() and not grad.any()
 
-    # the guided mean that smc_run forms under tds ascends the twist
+    # the guidance shift that smc_run forms under tds ascends the twist
     calls = []
 
-    def recording_gem_core(x, z, sigma_k, sigma_next, *args, **kwargs):
-        out = pgd.samplers.gem_core(x, z, sigma_k, sigma_next, *args, **kwargs)
-        calls.append((x.copy(), sigma_k, sigma_k**2 - sigma_next**2, out[1], out[2]))
+    def recording_gem_core(x, z, sigma_k, sigma_next, *args):
+        out = pgd.samplers.gem_core(x, z, sigma_k, sigma_next, *args)
+        calls.append((x.copy(), sigma_k, sigma_k**2 - sigma_next**2, out[1]))
         return out
 
     monkeypatch.setattr(pgd.smc, "gem_core", recording_gem_core)
@@ -526,12 +534,12 @@ def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):
     smc_run(cfg, den, obs, None, layout)
     assert len(calls) == sched.steps
     h = 1e-5
-    for x, sigma_k, delta, mean_em, mean_gd in calls[::2]:
+    for x, sigma_k, delta, shift in calls[::2]:
         fd = np.stack(
             [(twist_log(x + h * e, sigma_k) - twist_log(x - h * e, sigma_k)) / (2 * h) for e in np.eye(d)],
             axis=1,
         )
-        assert np.allclose((mean_gd - mean_em) / delta, fd, rtol=1e-6, atol=1e-6)
+        assert np.allclose(shift / delta, fd, rtol=1e-6, atol=1e-6)
 
 
 def test_twist_gradient_sums_an_entry_observed_by_both_groups():

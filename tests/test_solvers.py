@@ -204,6 +204,14 @@ def test_negative_diffusion_is_rejected():
         )
 
 
+@pytest.mark.parametrize("dt,steps", [(-1e-3, 50), (0.0, 50), (np.nan, 50), (np.inf, 50), (1e-3, 0)])
+def test_simulate_rd_rejects_a_nonpositive_dt_and_no_steps(dt, steps):
+    # a negative dt would step backward in time, zero steps return the initial state
+    grid = GridSpec(8, 8, 6, 1.0 / 8, PERIODIC)
+    with pytest.raises(ValueError, match="need a finite dt > 0 and steps >= 1"):
+        generate_dataset(DatasetSpec(PdeSystem.gray_scott(), grid, 2, rd_dt=dt, rd_steps=steps))
+
+
 def test_unstable_spec_raises_from_generate_dataset_with_the_drawn_max_diffusion():
     # base (2e-4, 1e-4) with amplitude 0.3 would give max D = 2.6e-4; the drawn field reaches 3.368e-4
     grid = GridSpec(16, 16, 6, 1 / 16, PERIODIC)
