@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the located finiteness check."""
+
+import numpy as np
 
 
 class NumericalError(RuntimeError):
@@ -24,3 +26,14 @@ class BlowUpError(NumericalError):
         super().__init__(message)
         self.step = step
         self.particle = particle
+
+
+def require_finite(rows: np.ndarray, step: int, what: str, unit: str = "particle") -> None:
+    """Raise :class:`BlowUpError` at the first of the (N,) values or (N, ...) rows that is not finite.
+
+    All-finite rows cost one pass; the bad row is located only on failure.
+    """
+    if np.isfinite(rows).all():
+        return
+    index = int(np.flatnonzero(~np.isfinite(rows).reshape(len(rows), -1).all(axis=1))[0])
+    raise BlowUpError(f"non-finite {what} for {unit} {index} at step {step}", step=step, particle=index)

@@ -73,11 +73,11 @@ class Field:
     """Multi-channel scalar field on a grid, or a batch of them.
 
     Values are (C, H, W) float64, or (..., C, H, W) for a batch, C-contiguous
-    and finite. An array with more than three axes whose last three are
-    (C, H, W) is a batch; any other array of exactly C*H*W values is reshaped
-    to one field. Finiteness is checked once for the whole batch. A field is
-    the type of the API boundary (datasets, solves, priors, point estimates,
-    the public residual); the sampler's inner loop works on plain arrays.
+    and finite; any other shape is rejected, and :meth:`from_flat` builds a
+    field from flat (..., C*H*W) rows. Finiteness is checked once for the
+    whole batch. A field is the type of the API boundary (datasets, solves,
+    priors, point estimates, the public residual); the sampler's inner loop
+    works on plain arrays.
     """
 
     spec: GridSpec
@@ -87,10 +87,8 @@ class Field:
         # C order lets consumers write through reshaped views of the values
         arr = np.ascontiguousarray(self.values, dtype=float)
         shape = (self.spec.channels, self.spec.height, self.spec.width)
-        if arr.ndim <= 3 or arr.shape[-3:] != shape:
-            if arr.size != self.spec.size:
-                raise ValueError(f"expected {self.spec.size} values, got {arr.size}")
-            arr = arr.reshape(shape)
+        if arr.shape[-3:] != shape:
+            raise ValueError(f"expected values of shape (..., C, H, W) with (C, H, W) = {shape}, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", arr)
@@ -123,7 +121,7 @@ class Field:
 
 @dataclass(frozen=True)
 class Mask:
-    """Observed cells of a single-channel grid, held as sorted unique flat (row-major) indices."""
+    """Observed cells of a single-channel grid as ``indices``: sorted, unique, read-only row-major flat indices."""
 
     spec: GridSpec
     indices: np.ndarray = field(repr=False)
@@ -146,10 +144,6 @@ class Mask:
     @property
     def count(self) -> int:
         return self.indices.size
-
-    def flat_indices(self) -> np.ndarray:
-        """Indices of observed cells in row-major (row, col) order, sorted, unique and read-only."""
-        return self.indices
 
     @classmethod
     def from_indices(cls, spec: GridSpec, indices) -> "Mask":

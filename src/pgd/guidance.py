@@ -21,10 +21,8 @@ gradient alone.
 
 At a noisy state the particle engine evaluates the likelihood at the
 denoiser's reconstruction, together with its gradient when the next step is
-guided at that reconstruction. The guidance gradient of :mod:`pgd.samplers`
-either chains that data-space gradient through the denoiser's exact vjp
-(jacobian_mode="exact") or treats the denoiser Jacobian as the identity
-(jacobian_mode="identity", the convention of earlier guided-ODE solvers).
+guided at that reconstruction. The proposal cores of :mod:`pgd.samplers`
+chain that data-space gradient through the denoiser's exact vjp.
 
 Two weighting schemes turn proposals into a particle system:
 
@@ -53,8 +51,6 @@ from .residuals import PdeSystem, StateLayout, residual_sq_grad
 from .residuals import residual  # unused here; bench/tracer.py binds it until ROADMAP item 1 re-maps it
 from .solvers import Observations
 
-JACOBIAN_MODES = ("exact", "identity")
-
 
 @dataclass(frozen=True)
 class GuidanceWeights:
@@ -64,15 +60,12 @@ class GuidanceWeights:
     gamma: float = 1.0
     omega: float = 1.0
     temper_rho: float = 1.0
-    jacobian_mode: str = "exact"
 
     def __post_init__(self):
         for name in ("beta", "gamma", "omega", "temper_rho"):
             val = getattr(self, name)
             if not np.isfinite(val) or val < 0:
                 raise ValueError(f"{name} must be finite and nonnegative")
-        if self.jacobian_mode not in JACOBIAN_MODES:
-            raise ValueError(f"jacobian_mode must be one of {JACOBIAN_MODES}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +83,6 @@ class GuidanceContext:
     of a weighted group, ``values`` the observed values and ``variance`` the
     per-entry variance n / (2 weight) of its group's mean-square term, where n
     counts the group's values. An entry observed by both groups appears twice.
-    ``obs_cov`` is the (m, m) diagonal V of the m observed entries' variances.
     """
 
     obs: Observations
@@ -101,7 +93,6 @@ class GuidanceContext:
     index: np.ndarray = field(init=False, compare=False, repr=False)
     values: np.ndarray = field(init=False, compare=False, repr=False)
     variance: np.ndarray = field(init=False, compare=False, repr=False)
-    obs_cov: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         w = self.weights
@@ -117,7 +108,7 @@ class GuidanceContext:
             (w.beta, self.obs.mask_u, self.obs.values_u, self.layout.solution_channels),
             (w.gamma, self.obs.mask_a, self.obs.values_a, self.layout.coeff_channels),
         ):
-            idx = mask.flat_indices()
+            idx = mask.indices
             if not (weight > 0 and channels and idx.size):
                 continue
             if vals.shape != (len(channels), idx.size):
@@ -129,7 +120,6 @@ class GuidanceContext:
         object.__setattr__(self, "index", np.concatenate(index))
         object.__setattr__(self, "values", np.concatenate(values))
         object.__setattr__(self, "variance", np.concatenate(variance))
-        object.__setattr__(self, "obs_cov", np.diag(self.variance))
 
     @cached_property
     def probe(self) -> np.ndarray:
@@ -191,7 +181,9 @@ def twist_covariance(ctx: GuidanceContext, denoiser: Denoiser, states: np.ndarra
     :class:`~pgd.priors.GmmDenoiser` gets it at the mean of the ``states`` rows.
     """
     ajat = denoiser.vjp(states.mean(axis=0), sigma, ctx.probe)[:, ctx.index]
-    return ctx.obs_cov + sigma**2 * 0.5 * (ajat + ajat.T)
+    cov = sigma**2 * 0.5 * (ajat + ajat.T)
+    cov[np.diag_indices_from(cov)] += ctx.variance
+    return cov
 
 
 def tds_transition_term(z: np.ndarray, shift: np.ndarray, step_var: float) -> np.ndarray:

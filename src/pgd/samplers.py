@@ -17,11 +17,12 @@ and ascends the intermediate log-likelihood. Noise churn uses unit noise
 inflation.
 
 The cores take exactly what :func:`pgd.smc.smc_run` passes: Gaussian draws
-and (N, d) particle rows (a single chain is N = 1). ``gem_core`` takes the
-reconstruction and its data-space gradient, which the engine computes with
-the particle's twist, so the likelihood is evaluated once per
-reconstruction. ``heun_core`` guides at the churned state, where no weight
-is evaluated, so it computes its own gradient.
+and (N, d) particle rows (a single chain is N = 1). Both guide with a
+data-space gradient at the reconstruction, pulled back to the noisy state
+through the denoiser's exact vjp. ``gem_core`` takes the reconstruction and
+that gradient, which the engine computes with the particle's twist, so the
+likelihood is evaluated once per reconstruction. ``heun_core`` guides at the
+churned state, where no weight is evaluated, so it computes its own gradient.
 
 The cores never write to their inputs. They work in place only on arrays
 they allocate, in the operand order of the plain expressions.
@@ -49,23 +50,12 @@ def particle_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(0, int(index))))
 
 
-def _guidance_rows(
-    x: np.ndarray, sigma: float, denoiser: Denoiser, ctx: GuidanceContext, data_grad: np.ndarray
-) -> np.ndarray:
-    """Guidance gradient rows at (x, sigma) from ``data_grad``, the data-space
-    gradient at the reconstruction: one vjp pulls it back, or the identity does."""
-    if ctx.weights.jacobian_mode == "identity":
-        return data_grad
-    return denoiser.vjp(x, sigma, data_grad)
-
-
 def gem_core(
     x: np.ndarray,
     z: np.ndarray,
     sigma_k: float,
     sigma_next: float,
     denoiser: Denoiser,
-    ctx: GuidanceContext,
     denoised: np.ndarray,
     data_grad: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -73,15 +63,15 @@ def gem_core(
 
     Returns (sample, shift). With delta = sigma_k^2 - sigma_next^2, the
     unguided mean is x + delta (denoised - x) / sigma_k^2, the guidance shift
-    is delta times the gradient that :func:`_guidance_rows` pulls back from
-    ``data_grad``, and the sample is sqrt(delta) z + (shift + unguided mean).
+    is delta times the vjp of ``data_grad`` through the denoiser at (x, sigma_k),
+    and the sample is sqrt(delta) z + (shift + unguided mean).
     """
     delta = sigma_k**2 - sigma_next**2
     mean = denoised - x
     mean *= delta
     mean /= sigma_k**2
     mean += x
-    shift = delta * _guidance_rows(x, sigma_k, denoiser, ctx, data_grad)
+    shift = delta * denoiser.vjp(x, sigma_k, data_grad)
     np.add(shift, mean, out=mean)
     sample = math.sqrt(delta) * z
     sample += mean
@@ -102,8 +92,9 @@ def heun_core(
     (i) inflate the noise level to sigma_hat = (1 + gamma_k) sigma_k and move
     to the matching noisier state; (ii) Euler step in sigma using the denoiser
     slope; (iii) average with the slope at the predicted point unless
-    sigma_next is zero; (iv) add the guidance increment evaluated at the
-    churned state, scaled by the unjittered sigma_k^2 - sigma_next^2.
+    sigma_next is zero; (iv) add the guidance increment, the vjp through the
+    denoiser at the churned state of the data-space gradient at its
+    reconstruction, scaled by the unjittered sigma_k^2 - sigma_next^2.
     """
     sigma_hat = sigma_k * (1.0 + gamma_k)
     x_hat = math.sqrt(max(sigma_hat**2 - sigma_k**2, 0.0)) * z
@@ -119,6 +110,6 @@ def heun_core(
         d_cur += d_next
         d_cur *= (sigma_next - sigma_hat) * 0.5
         np.add(x_hat, d_cur, out=x_new)
-    grad = _guidance_rows(x_hat, sigma_hat, denoiser, ctx, data_log_likelihood_grad(ctx, denoised_hat))
+    grad = denoiser.vjp(x_hat, sigma_hat, data_log_likelihood_grad(ctx, denoised_hat))
     x_new += np.multiply(sigma_k**2 - sigma_next**2, grad, out=d_cur)
     return x_new

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowUpError
+from .errors import require_finite
 from .grid import Field, GridSpec
 from .guidance import (
     GuidanceContext,
@@ -179,16 +179,6 @@ def _log_mean_increment(log_weights: np.ndarray, potentials: np.ndarray) -> floa
     return _logsumexp(log_weights + potentials) - _logsumexp(log_weights)
 
 
-def _require_finite(rows: np.ndarray, step: int, what: str) -> None:
-    """Raise :class:`BlowUpError` at the first particle whose (N,) value or (N, d) row is not finite."""
-    bad = np.flatnonzero(~np.isfinite(rows).reshape(len(rows), -1).all(axis=1))
-    if bad.size:
-        particle = int(bad[0])
-        raise BlowUpError(
-            f"non-finite {what} for particle {particle} at step {step}", step=step, particle=particle
-        )
-
-
 def smc_run(
     config: SmcConfig,
     denoiser: Denoiser,
@@ -259,9 +249,9 @@ def smc_run(
         if helper is not None:
             pending = helper.submit(fill, buffers[0], block_steps)
         denoised = denoiser.denoise(states, sched.sigma_max)
-        _require_finite(denoised, sched.steps, "reconstruction")
+        require_finite(denoised, sched.steps, "reconstruction")
         cached_ll, data_grad = twist_log(states, denoised, sched.sigma_max, sched.steps)
-        _require_finite(cached_ll, sched.steps, "weight")
+        require_finite(cached_ll, sched.steps, "weight")
         log_w = rho * cached_ll
         log_evidence = _log_mean_increment(np.zeros(n), log_w)
 
@@ -281,18 +271,18 @@ def smc_run(
             z = noise[:, j]
 
             if config.proposal == "gem":
-                samples, shift = gem_core(pop.states, z, sigma_k, sigma_next, denoiser, ctx, denoised, data_grad)
+                samples, shift = gem_core(pop.states, z, sigma_k, sigma_next, denoiser, denoised, data_grad)
             else:
                 samples = heun_core(pop.states, z, sigma_k, sigma_next, denoiser, gamma, ctx)
-            _require_finite(samples, k, "state")
+            require_finite(samples, k, "state")
 
             denoised = denoiser.denoise(samples, sigma_next)
-            _require_finite(denoised, k, "reconstruction")
+            require_finite(denoised, k, "reconstruction")
             ll_new, data_grad = twist_log(samples, denoised, sigma_next, k - 1)
             potentials = rho * (ll_new - pop.cached_loglik)
             if config.scheme == "tds":
                 potentials = potentials + tds_transition_term(z, shift, sigma_k**2 - sigma_next**2)
-            _require_finite(potentials, k, "weight")
+            require_finite(potentials, k, "weight")
 
             log_evidence += _log_mean_increment(pop.log_weights, potentials)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowUpError, SingularOperatorError, SolverConvergenceError
+from .errors import SingularOperatorError, SolverConvergenceError, require_finite
 from .grid import DIRICHLET, PERIODIC, Field, GridSpec, Mask, face_averages, flux_divergence_faces
 from .grid import flux_divergence_2d, laplacian_2d  # flux_divergence_2d: unused; bench/tracer.py binds it
 from .residuals import ELLIPTIC_KINDS, RD_SPECIES, PdeSystem, StateLayout, default_layout
@@ -71,10 +71,11 @@ class Observations:
     def __post_init__(self):
         va = np.asarray(self.values_a, dtype=float)
         vu = np.asarray(self.values_u, dtype=float)
-        if va.ndim != 2 or va.shape[1] != self.mask_a.count:
-            raise ValueError("values_a must be (channels, mask_a.count)")
-        if vu.ndim != 2 or vu.shape[1] != self.mask_u.count:
-            raise ValueError("values_u must be (channels, mask_u.count)")
+        for group, vals, mask in (("a", va, self.mask_a), ("u", vu, self.mask_u)):
+            if vals.ndim != 2 or vals.shape[1] != mask.count:
+                raise ValueError(f"values_{group} must be (channels, mask_{group}.count)")
+            if not np.isfinite(vals).all():
+                raise ValueError(f"values_{group} must be finite")
         if self.mask_a.spec != self.mask_u.spec:
             raise ValueError(f"mask_a is on {self.mask_a.spec} but mask_u is on {self.mask_u.spec}")
         if self.sigma_o < 0:
@@ -84,6 +85,7 @@ class Observations:
 
 
 _DIFFUSION_BASE = {"gray_scott_2": (2e-4, 1e-4), "competitive_3": (2e-4, 2e-4, 2e-4)}
+_DIFFUSION_REL_AMP = 0.3  # relative amplitude of the random diffusion field around its base
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,6 @@ class DatasetSpec:
     rd_dt: float = 1e-3
     rd_steps: int = 1000
     rd_diffusion_base: tuple[float, ...] = ()
-    rd_diffusion_rel_amp: float = 0.3
 
     def __post_init__(self):
         if self.sample_count < 1:
@@ -108,6 +109,10 @@ class DatasetSpec:
             raise ValueError(f"no coefficient model for kind {kind!r}")
         self.layout.validate_for(self.system, self.grid)
         if kind in RD_SPECIES:
+            if not (np.isfinite(self.rd_dt) and self.rd_dt > 0) or self.rd_steps < 1:
+                raise ValueError(
+                    f"need a finite rd_dt > 0 and rd_steps >= 1, got rd_dt={self.rd_dt}, rd_steps={self.rd_steps}"
+                )
             base = self.rd_diffusion_base or _DIFFUSION_BASE[kind]
             object.__setattr__(self, "rd_diffusion_base", tuple(float(b) for b in base))
             if len(base) != RD_SPECIES[kind]:
@@ -179,7 +184,7 @@ def _draw_coefficients(spec: DatasetSpec) -> np.ndarray:
         noise.append(rng.standard_normal((species, h, w)))
         init.append(_rd_initial_state(kind, h, w, rng))
     base = np.array(spec.rd_diffusion_base)[:, None, None]
-    diff = base * (1.0 + spec.rd_diffusion_rel_amp * smooth_grf_2d(np.stack(noise), model.length_scale))
+    diff = base * (1.0 + _DIFFUSION_REL_AMP * smooth_grf_2d(np.stack(noise), model.length_scale))
     return np.concatenate([diff, np.stack(init)], axis=1)
 
 
@@ -225,20 +230,20 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(rows, rows))
 
 
-def _conjugate_gradient(apply_op, rhs, precondition, tol_rel=1e-10, max_iter=None):
+def _conjugate_gradient(apply_op, rhs, precondition):
     """Preconditioned CG for SPD operators, one independent system per (..., n) row.
 
     ``precondition`` applies an SPD approximation of the operator's inverse to
     (..., n) rows, each row on its own. A row stops when its residual, not its
-    preconditioned residual, reaches ``tol_rel`` of its right-hand side; it is
-    then frozen (zero step, unchanged iterate), so it stops exactly where a
-    solve of that row alone would.
+    preconditioned residual, reaches 1e-10 of its right-hand side; it is then
+    frozen (zero step, unchanged iterate), so it stops exactly where a solve
+    of that row alone would. A row still short of that after 10 n iterations
+    raises :class:`SolverConvergenceError`.
     """
-    n = rhs.shape[-1]
-    max_iter = max_iter if max_iter is not None else 10 * n
+    max_iter = 10 * rhs.shape[-1]
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    tol = tol_rel * _row_norms(rhs)
+    tol = 1e-10 * _row_norms(rhs)
     done = _row_norms(r) <= tol
     z = precondition(r)
     p = z.copy()
@@ -258,7 +263,7 @@ def _conjugate_gradient(apply_op, rhs, precondition, tol_rel=1e-10, max_iter=Non
         rz = rz_new
     if not done.all():
         raise SolverConvergenceError(
-            f"conjugate gradient did not reach {tol_rel:g} relative residual in {max_iter} iterations"
+            f"conjugate gradient did not reach 1e-10 relative residual in {max_iter} iterations"
         )
     return x
 
@@ -394,11 +399,7 @@ def simulate_rd(system: PdeSystem, diffusion: Field, initial: Field, dt: float, 
     state = initial.values.copy()
     for step in range(1, steps + 1):
         state = state + dt * _rd_rate(system, dvals, faces, state, h)
-        if not np.all(np.isfinite(state)):
-            particle = int(np.flatnonzero(~np.isfinite(state.reshape(-1, spec.size)).all(axis=1))[0])
-            raise BlowUpError(
-                f"non-finite state for sample {particle} at step {step}", step=step, particle=particle
-            )
+        require_finite(state.reshape(-1, spec.size), step, "state", unit="sample")
     return Field(spec, state)
 
 

@@ -56,6 +56,14 @@ def test_field_requires_finite_values():
         Field.from_flat(spec, bad)
 
 
+@pytest.mark.parametrize("shape", [(18,), (1, 18), (2, 9), (3, 3, 2), (2, 3, 3, 1)])
+def test_field_takes_only_trailing_channel_row_col_axes(shape):
+    # flat values go through from_flat; no other shape is reshaped
+    spec = GridSpec(3, 3, 2)
+    with pytest.raises(ValueError, match=r"\(C, H, W\) = \(2, 3, 3\)"):
+        Field(spec, np.zeros(shape))
+
+
 def test_field_channel_out_of_range():
     f = Field.zeros(GridSpec(3, 3, 2))
     with pytest.raises(ValueError):
@@ -235,11 +243,11 @@ def test_mask_count_and_indices():
     spec = GridSpec(4, 4)
     mask = Mask.from_indices(spec, [0, 5, 15])
     assert mask.count == 3
-    assert list(mask.flat_indices()) == [0, 5, 15]
-    assert not mask.flat_indices().flags.writeable
+    assert list(mask.indices) == [0, 5, 15]
+    assert not mask.indices.flags.writeable
     shuffled = Mask.from_indices(spec, [15, 5, 0, 5])
     assert shuffled.count == 3
-    assert list(shuffled.flat_indices()) == [0, 5, 15]
+    assert list(shuffled.indices) == [0, 5, 15]
 
 
 @pytest.mark.parametrize("indices", [[-1], [3, 16]])

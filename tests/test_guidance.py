@@ -69,8 +69,8 @@ def test_log_likelihood_matches_independent_quadratic_form():
     w = GuidanceWeights(beta=0.7, gamma=1.3, omega=2.1)
     got = log_likelihood(GuidanceContext(obs, PdeSystem.poisson(), layout, w), x.flat())
 
-    idx_u = obs.mask_u.flat_indices()
-    idx_a = obs.mask_a.flat_indices()
+    idx_u = obs.mask_u.indices
+    idx_a = obs.mask_a.indices
     term_u = np.sum((obs.values_u[0] - x.values[1].reshape(-1)[idx_u]) ** 2) / idx_u.size
     term_a = np.sum((obs.values_a[0] - x.values[0].reshape(-1)[idx_a]) ** 2) / idx_a.size
     r = residual(PdeSystem.poisson(), layout, x).values
@@ -149,8 +149,6 @@ def test_data_grad_does_not_depend_on_memory_order_of_the_state():
 def test_weights_validation():
     with pytest.raises(ValueError):
         GuidanceWeights(beta=-1.0)
-    with pytest.raises(ValueError):
-        GuidanceWeights(jacobian_mode="autodiff")
 
 
 def intermediate_ll(flat, sigma, den, obs, w):
@@ -165,7 +163,7 @@ def guidance_rows(x, sigma, den, obs, w):
     sigma_next = 0.5 * sigma
     denoised = den.denoise(x, sigma)
     grad = data_log_likelihood_grad(ctx, denoised)
-    _, shift = gem_core(x, np.zeros_like(x), sigma, sigma_next, den, ctx, denoised, grad)
+    _, shift = gem_core(x, np.zeros_like(x), sigma, sigma_next, den, denoised, grad)
     return shift / (sigma**2 - sigma_next**2)
 
 
@@ -225,7 +223,7 @@ def test_guidance_exact_mode_matches_finite_differences():
     cov = rng.standard_normal((16, 16))
     cov = cov @ cov.T / 4 + 0.5 * np.eye(16)
     den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC16), "dense", cov))
-    w = GuidanceWeights(beta=1.4, gamma=0.0, omega=0.0, jacobian_mode="exact")
+    w = GuidanceWeights(beta=1.4, gamma=0.0, omega=0.0)
     sigma = 0.8
     g = guidance_rows(x, sigma, den, obs, w)[0]
     eps = 1e-6
@@ -237,22 +235,6 @@ def test_guidance_exact_mode_matches_finite_differences():
         dn = intermediate_ll(x[0] - e, sigma, den, obs, w)
         fd[i] = (up - dn) / (2 * eps)
     assert np.max(np.abs(g - fd)) / (np.max(np.abs(g)) + 1e-12) < 1e-5
-
-
-def test_identity_and_exact_modes_agree_when_jacobian_is_identity():
-    rng = np.random.default_rng(11)
-    # the shift is the tiny step times the guidance, so dividing by the step
-    # loses no precision
-    x = np.zeros((1, 16))
-    obs = observations_single_channel(SPEC16, [4, 9], rng.standard_normal(2))
-    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC16), "scalar", 1.0))
-    sigma = 1e-9  # shrinkage factor 1/(1 + sigma^2) -> 1
-    g_exact = guidance_rows(x, sigma, den, obs, GuidanceWeights(beta=1.0, gamma=0, omega=0))
-    g_ident = guidance_rows(
-        x, sigma, den, obs, GuidanceWeights(beta=1.0, gamma=0, omega=0, jacobian_mode="identity")
-    )
-    assert np.any(g_ident != 0.0)
-    assert np.allclose(g_exact, g_ident, atol=1e-12)
 
 
 def test_tds_chain_reproduces_direct_path_weight(monkeypatch):

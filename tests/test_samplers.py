@@ -47,13 +47,13 @@ UNGUIDED = all_cell_context(np.zeros(9), weights=GuidanceWeights(beta=0.0, gamma
 
 def em_step(x, z, sigma_k, sigma_next, den):
     """The unguided Euler-Maruyama step: gem_core with a zero data-space gradient."""
-    return gem_core(x, z, sigma_k, sigma_next, den, UNGUIDED, den.denoise(x, sigma_k), np.zeros_like(x))
+    return gem_core(x, z, sigma_k, sigma_next, den, den.denoise(x, sigma_k), np.zeros_like(x))
 
 
 def gem_step(x, z, sigma_k, sigma_next, den, ctx):
     """The guided step as smc_run takes it: the gradient of the twist at the reconstruction."""
     denoised = den.denoise(x, sigma_k)
-    return gem_core(x, z, sigma_k, sigma_next, den, ctx, denoised, data_log_likelihood_grad(ctx, denoised))
+    return gem_core(x, z, sigma_k, sigma_next, den, denoised, data_log_likelihood_grad(ctx, denoised))
 
 
 def em_mean(x, sigma_k, sigma_next, den):
@@ -116,14 +116,12 @@ def test_em_chain_recovers_gaussian_prior():
 
 
 def zero_weight_cases():
-    """(denoiser, zero-weight context) for each covariance kind and Jacobian mode."""
+    """(denoiser, zero-weight context) for each covariance kind."""
     rng = np.random.default_rng(12)
     root = rng.standard_normal((9, 9))
     for kind, cov in (("scalar", 0.8), ("diagonal", rng.uniform(0.2, 2.0, 9)), ("dense", root @ root.T / 9)):
-        den = GaussianDenoiser(GaussianPrior(Field(SPEC9, rng.standard_normal(9)), kind, cov))
-        for mode in ("exact", "identity"):
-            w = GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0, jacobian_mode=mode)
-            yield den, all_cell_context(np.zeros(9), weights=w)
+        den = GaussianDenoiser(GaussianPrior(Field.from_flat(SPEC9, rng.standard_normal(9)), kind, cov))
+        yield den, UNGUIDED
 
 
 def test_gem_zero_weights_reduces_to_em_bit_exactly():

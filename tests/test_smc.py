@@ -39,10 +39,10 @@ def observations_on(spec, idx, values, sigma_o=0.1):
     )
 
 
-def small_problem(beta=2.0, temper_rho=1.0, jacobian_mode="exact"):
+def small_problem(beta=2.0, temper_rho=1.0):
     den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", 1.0))
     obs = observations_on(SPEC9, [0, 4, 8], [0.8, -0.3, 0.5])
-    w = GuidanceWeights(beta=beta, gamma=0.0, omega=0.0, temper_rho=temper_rho, jacobian_mode=jacobian_mode)
+    w = GuidanceWeights(beta=beta, gamma=0.0, omega=0.0, temper_rho=temper_rho)
     return den, obs, w
 
 
@@ -203,7 +203,7 @@ def test_single_particle_run_matches_chain_bit_exactly(proposal, mode):
             # em is gem with the zero gradient of its zero weights, written out
             denoised = den.denoise(x, s_k)
             grad = data_log_likelihood_grad(ctx, denoised) if guided else np.zeros_like(x)
-            x = gem_core(x, z, s_k, s_n, den, ctx, denoised, grad)[0]
+            x = gem_core(x, z, s_k, s_n, den, denoised, grad)[0]
         else:
             x = heun_core(x, z, s_k, s_n, den, gamma, ctx)
     assert np.array_equal(pop.states, x)

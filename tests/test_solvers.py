@@ -206,10 +206,15 @@ def test_negative_diffusion_is_rejected():
 
 @pytest.mark.parametrize("dt,steps", [(-1e-3, 50), (0.0, 50), (np.nan, 50), (np.inf, 50), (1e-3, 0)])
 def test_simulate_rd_rejects_a_nonpositive_dt_and_no_steps(dt, steps):
-    # a negative dt would step backward in time, zero steps return the initial state
+    # a negative dt would step backward in time, zero steps return the initial state;
+    # the spec is rejected at construction, before any coefficients are drawn
     grid = GridSpec(8, 8, 6, 1.0 / 8, PERIODIC)
+    with pytest.raises(ValueError, match="need a finite rd_dt > 0 and rd_steps >= 1"):
+        DatasetSpec(PdeSystem.gray_scott(), grid, 2, rd_dt=dt, rd_steps=steps)
+    sub = grid.with_channels(2)
+    initial = Field(sub, np.stack([np.ones((8, 8)), np.zeros((8, 8))]))
     with pytest.raises(ValueError, match="need a finite dt > 0 and steps >= 1"):
-        generate_dataset(DatasetSpec(PdeSystem.gray_scott(), grid, 2, rd_dt=dt, rd_steps=steps))
+        simulate_rd(PdeSystem.gray_scott(), Field(sub, np.full((2, 8, 8), 2e-4)), initial, dt, steps)
 
 
 def test_unstable_spec_raises_from_generate_dataset_with_the_drawn_max_diffusion():
@@ -254,6 +259,17 @@ def test_observation_masks_on_different_grids_are_rejected():
     mask_u = Mask.from_indices(GridSpec(4, 5), [1, 5])
     with pytest.raises(ValueError, match="mask_a is on"):
         Observations(mask_a, np.zeros((1, 2)), mask_u, np.zeros((1, 2)), 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_observations_reject_non_finite_values_naming_the_group(bad):
+    # a non-finite observation would otherwise surface in smc_run as a blow-up of the weights
+    mask = Mask.from_indices(GridSpec(4, 4), [1, 5])
+    ok, broken = np.zeros((1, 2)), np.array([[0.0, bad]])
+    with pytest.raises(ValueError, match="values_a must be finite"):
+        Observations(mask, broken, mask, ok, 0.1)
+    with pytest.raises(ValueError, match="values_u must be finite"):
+        Observations(mask, ok, mask, broken, 0.1)
 
 def test_gray_scott_initial_patch_statistics():
     spec = DatasetSpec(
@@ -303,8 +319,8 @@ def test_make_observations_noise_free_matches_truth():
     assert obs.mask_a.count == 13 and obs.mask_u.count == 13
     a_flat = x.values[0].reshape(-1)
     u_flat = x.values[1].reshape(-1)
-    assert np.array_equal(obs.values_a[0], a_flat[obs.mask_a.flat_indices()])
-    assert np.array_equal(obs.values_u[0], u_flat[obs.mask_u.flat_indices()])
+    assert np.array_equal(obs.values_a[0], a_flat[obs.mask_a.indices])
+    assert np.array_equal(obs.values_u[0], u_flat[obs.mask_u.indices])
 
 
 def test_make_observations_shares_noise_draw_across_levels():
@@ -314,9 +330,9 @@ def test_make_observations_shares_noise_draw_across_levels():
     layout = StateLayout.scalar_pair()
     o1 = make_observations(x, layout, 10, 0.01, np.random.default_rng(42))
     o2 = make_observations(x, layout, 10, 0.02, np.random.default_rng(42))
-    assert np.array_equal(o1.mask_a.flat_indices(), o2.mask_a.flat_indices())
-    z1 = (o1.values_u - x.values[1].reshape(-1)[o1.mask_u.flat_indices()]) / 0.01
-    z2 = (o2.values_u - x.values[1].reshape(-1)[o2.mask_u.flat_indices()]) / 0.02
+    assert np.array_equal(o1.mask_a.indices, o2.mask_a.indices)
+    z1 = (o1.values_u - x.values[1].reshape(-1)[o1.mask_u.indices]) / 0.01
+    z2 = (o2.values_u - x.values[1].reshape(-1)[o2.mask_u.indices]) / 0.02
     assert np.allclose(z1, z2)
 
 
