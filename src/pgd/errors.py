@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the located finiteness check."""
+"""Exception types shared across the package, the located finiteness check, and the count check."""
 
 import numpy as np
 
@@ -26,6 +26,11 @@ class BlowUpError(NumericalError):
         super().__init__(message)
         self.step = step
         self.particle = particle
+
+
+def is_count(value, minimum: int = 1) -> bool:
+    """Whether ``value`` is a Python or NumPy integer of at least ``minimum``."""
+    return isinstance(value, (int, np.integer)) and value >= minimum
 
 
 def require_finite(rows: np.ndarray, step: int, what: str, unit: str = "particle") -> None:

@@ -31,6 +31,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import is_count
+
 DIRICHLET = "dirichlet_zero"
 PERIODIC = "periodic"
 BOUNDARIES = (DIRICHLET, PERIODIC)
@@ -47,12 +49,12 @@ class GridSpec:
     boundary: str = DIRICHLET
 
     def __post_init__(self):
-        if self.height < 3 or self.width < 3:
-            raise ValueError(f"grid must be at least 3x3, got {self.height}x{self.width}")
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
-        if not self.spacing > 0:
-            raise ValueError("spacing must be positive")
+        if not (is_count(self.height, 3) and is_count(self.width, 3)):
+            raise ValueError(f"grid must be at least 3x3 integer cells, got {self.height}x{self.width}")
+        if not is_count(self.channels):
+            raise ValueError("channels must be an integer >= 1")
+        if not (np.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError("spacing must be finite and positive")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {self.boundary!r}, expected one of {BOUNDARIES}")
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import is_count
 from .grid import Field
 
 
@@ -45,8 +46,8 @@ class NoiseSchedule:
     def __post_init__(self):
         if not (np.isfinite(self.sigma_max) and self.sigma_max > self.sigma_min >= 0):
             raise ValueError("need finite sigma_max > sigma_min >= 0")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if not is_count(self.steps):
+            raise ValueError("steps must be an integer >= 1")
         if not (np.isfinite(self.rho) and self.rho > 0):
             raise ValueError("rho must be finite and positive")
         if not np.all(np.diff(np.square([self.sigma_at(k) for k in range(self.steps + 1)])) > 0):

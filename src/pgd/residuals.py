@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import is_count
 from .grid import DIRICHLET, PERIODIC, Field, GridSpec, diff_2d, laplacian_2d
 from .grid import face_averages, face_differences, face_flux_adjoint_coef, face_flux_divergence
 from .grid import flux_divergence_2d, flux_divergence_2d_adjoint_coef  # unused; bench/tracer.py binds them
@@ -66,12 +67,17 @@ class PdeSystem:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown system kind {self.kind!r}")
+        for name in ("source", "k_wave", "feed", "removal", "horizon"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind in RD_SPECIES and not self.horizon > 0:
             raise ValueError("horizon must be positive")
         if self.kind == "competitive_3":
             mat = np.asarray(self.coupling, dtype=float) if self.coupling is not None else None
             if mat is None or mat.shape != (3, 3):
                 raise ValueError("competitive_3 requires a 3x3 coupling matrix")
+            if not np.all(np.isfinite(mat)):
+                raise ValueError("coupling entries must be finite")
             if np.any(np.diag(mat) != 0.0):
                 raise ValueError("coupling diagonal must be exactly zero")
 
@@ -111,13 +117,21 @@ class StateLayout:
 
     Each system fixes the role of every channel of its state (see
     :func:`residual_sq_grad`); the layout says only which channels each
-    observation group reads. Without a system any two groups that together
-    cover the channels will do; with one, :meth:`validate_for` requires the
-    system's own layout.
+    observation group reads. Construction requires nonnegative integer
+    channels, none repeated within a group, whose union is 0..C-1; a channel
+    may sit in both groups. Without a system any such layout will do; with
+    one, :meth:`validate_for` requires the system's own layout.
     """
 
     coeff_channels: tuple[int, ...]
     solution_channels: tuple[int, ...]
+
+    def __post_init__(self):
+        for group in (self.coeff_channels, self.solution_channels):
+            if not all(is_count(c, 0) for c in group) or len(set(group)) != len(group):
+                raise ValueError(f"layout group {group} needs distinct nonnegative integer channels")
+        if sorted(set(self.coeff_channels) | set(self.solution_channels)) != list(range(self.channel_count)):
+            raise ValueError(f"layout {self} does not cover channels 0..C-1 without gaps")
 
     @property
     def channel_count(self) -> int:
@@ -149,10 +163,9 @@ class StateLayout:
 
     def validate_for(self, system: PdeSystem, spec: GridSpec) -> None:
         """Check that the layout covers ``spec``'s channels and is the system's layout for them."""
-        chans = sorted(set(self.coeff_channels) | set(self.solution_channels))
-        if chans != list(range(spec.channels)):
+        if self.channel_count != spec.channels:
             raise ValueError(
-                f"layout covers channels {chans} but the grid has {spec.channels} channels"
+                f"layout covers channels 0..{self.channel_count - 1} but the grid has {spec.channels} channels"
             )
         kind = system.kind
         if kind == "divergence_free":  # the one system whose state size varies: two channels per snapshot

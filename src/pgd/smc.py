@@ -4,41 +4,47 @@ The engine propagates N particles with the guided Euler-Maruyama or churned
 second-order proposal, accumulates log-potentials under the tds or pbs
 weighting scheme, resamples multinomially when the effective sample size
 falls below a threshold fraction of N, and tracks a running log-evidence
-estimate (the normalizer of the underlying Feynman-Kac model).
+estimate (the normalizer of the underlying Feynman-Kac model). Each step's
+log-weights are exponentiated once, for their log-normalizer and their ESS;
+the evidence increment is the difference of successive log-normalizers, the
+previous one carried from the step before, or log N after a resample, which
+resets the weights to zero.
 
 The pbs scheme weights with the point twist, the likelihood of the denoiser's
 reconstruction. The tds scheme weights and guides with the twist
 log N(y; A x_hat, C_k), whose observation covariance
 :func:`~pgd.guidance.twist_covariance` adds the Tweedie posterior covariance
-of the clean state; it is exact for Gaussian priors with linear
-observations. Its incremental weight also carries the log-ratio of the
-unguided to the guided Gaussian transition (Wu et al., 2023), read off the
-step's draw and the guidance shift that :func:`~pgd.samplers.gem_core`
-returns. Additive constants, the twist's normalizer among them, are
-dropped, so the log-evidence estimate is defined up to a constant.
+of the clean state, once per noise level; it is exact for Gaussian priors
+with linear observations. Its incremental weight also carries the log-ratio
+of the unguided to the guided Gaussian transition (Wu et al., 2023), read off
+the step's draw and the guidance shift that :func:`~pgd.samplers.gem_core`
+returns. Additive constants, the twist's normalizer among them, are dropped,
+so the log-evidence estimate is defined up to a constant.
+
+Each noise level is evaluated once: one routine denoises the states, checks
+the reconstruction, and computes the twist together with, under ``gem`` when
+another step follows, its data-space gradient from the same solve. The
+gradient travels with the reconstruction (through resampling too) and guides
+the next step.
 
 Particles evolve as rows of an (N, d) array drawn from per-particle streams
 keyed by (seed, particle index); resampling uses its own stream. Each stream
-fills its particle's Gaussian noise for a block of steps at once, sized so
-that the (N, steps, d) block stays within :data:`NOISE_BLOCK_BYTES`. One
-(c, d) draw equals c successive (d,) draws bit for bit, so the block size
-never changes a run. When one stream call fills at least
-:data:`HELPER_FILL_VALUES` values, a helper thread draws block b+1 into a
-second buffer while the main thread runs the steps of block b. NumPy's
-generators fill without holding the interpreter lock, so the draw overlaps
-the step arithmetic; each stream is still read by one thread at a time and in
-the same order (initial state, then the blocks in step order), so the run is
-bit-identical to an inline draw. Smaller blocks are drawn inline, where the
-lock handoffs of a thread would cost more than the overlap saves.
+fills its particle's Gaussian noise for c steps at once,
+c = max(1, min(K, NOISE_BLOCK_BYTES // (8 N d))), so the (N, c, d) block
+stays within :data:`NOISE_BLOCK_BYTES`. One (c, d) draw equals c successive
+(d,) draws bit for bit, so the block size never changes a run. When
+c d >= :data:`HELPER_FILL_VALUES`, a helper thread, started after the initial
+states are drawn and shut down when the run returns or raises, draws block
+b+1 into a second buffer while the main thread runs the steps of block b.
+NumPy's generators fill without holding the interpreter lock, so the draw
+overlaps the step arithmetic; each stream is still read by one thread at a
+time and in the same order (initial state, then the blocks in step order), so
+the run is bit-identical to an inline draw. Smaller blocks are drawn inline,
+where the lock handoffs of a thread would cost more than the overlap saves.
 
 A single chain is a run with N = 1: it walks the proposal cores of
 :mod:`pgd.samplers` on the particle-0 stream, and the unguided or
 deterministic chains are runs with zero guidance weights or no churn.
-
-The likelihood of each reconstruction is evaluated once: under ``gem`` the
-twist that weights a particle is computed together with its data-space
-gradient, which travels with the reconstruction (through resampling too)
-and guides the next step.
 
 The run works on arrays only and builds no :class:`~pgd.grid.Field`:
 inputs are validated once, when the :class:`~pgd.guidance.GuidanceContext`
@@ -56,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import require_finite
+from .errors import is_count, require_finite
 from .grid import Field, GridSpec
 from .guidance import (
     GuidanceContext,
@@ -90,8 +96,8 @@ class SmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.particle_count < 1:
-            raise ValueError("particle_count must be >= 1")
+        if not is_count(self.particle_count):
+            raise ValueError("particle_count must be an integer >= 1")
         if self.proposal not in PROPOSALS:
             raise ValueError(f"proposal must be one of {PROPOSALS}")
         if self.scheme not in SCHEMES:
@@ -105,6 +111,8 @@ class SmcConfig:
             raise ValueError("resample_threshold must lie in (0, 1]")
         if not self.s_churn >= 0:
             raise ValueError("s_churn must be nonnegative")
+        if not is_count(self.seed, 0):
+            raise ValueError("seed must be an integer >= 0")
 
 
 @dataclass
@@ -130,15 +138,16 @@ class ParticlePopulation:
         return w / w.sum()
 
 
-def ess(log_weights: np.ndarray) -> float:
-    """Effective sample size 1 / sum(w^2) of the normalized weights, in log space."""
+def log_normalizer_and_ess(log_weights: np.ndarray) -> tuple[float, float]:
+    """log sum_i exp(l_i) and the effective sample size 1 / sum(w^2) of the
+    normalized weights, from one exponentiation of the shifted log-weights."""
     lw = np.asarray(log_weights, dtype=float)
     m = np.max(lw)
     if not np.isfinite(m):
-        raise ValueError("effective sample size undefined: all weights vanish")
+        raise ValueError("log-normalizer and ESS undefined: all weights vanish")
     w = np.exp(lw - m)
     s = w.sum()
-    return float(s * s / (w @ w))
+    return float(m + math.log(s)), float(s * s / (w @ w))
 
 
 def multinomial_resample(
@@ -159,24 +168,13 @@ def multinomial_resample(
 
 @dataclass
 class SmcDiagnostics:
-    """Per-iteration trace: state-level step index, pre-resampling ESS,
+    """Per-iteration trace, from step k = K - 1 down to 0: pre-resampling ESS,
     whether resampling fired, and the running log-evidence estimate."""
 
-    steps: list[int] = field(default_factory=list)
     ess_trace: list[float] = field(default_factory=list)
     resampled: list[bool] = field(default_factory=list)
     log_evidence_trace: list[float] = field(default_factory=list)
     log_evidence: float = 0.0
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    m = np.max(a)
-    return float(m + math.log(np.exp(a - m).sum()))
-
-
-def _log_mean_increment(log_weights: np.ndarray, potentials: np.ndarray) -> float:
-    """log sum_i w_i exp(potential_i) under the weights normalized from ``log_weights``."""
-    return _logsumexp(log_weights + potentials) - _logsumexp(log_weights)
 
 
 def smc_run(
@@ -192,25 +190,8 @@ def smc_run(
     tempered twist of the initial states as the initial weight. Each iteration
     propagates with the configured proposal, adds the scheme's incremental
     log-potential, refreshes the cached twists, and resamples when
-    ESS <= threshold * N (recorded ESS is pre-resampling).
-
-    Under pbs the twist is the point likelihood of the reconstruction. Under
-    tds it is log N(y; A x_hat, C_k), in the initial weights, the incremental
-    weights and the gem guidance alike: C_k comes from
-    :func:`~pgd.guidance.twist_covariance` once per noise level, and
-    :func:`~pgd.guidance.log_likelihood` evaluates the twist and its gradient
-    with one solve; the tds increment adds
-    :func:`~pgd.guidance.tds_transition_term`. Constants are dropped.
-
-    Under gem, the twist's data-space gradient is evaluated with the twist
-    whenever another step follows, and handed to that step's
-    :func:`~pgd.samplers.gem_core`. Step noise is drawn c steps at a time per
-    particle, c = max(1, min(K, NOISE_BLOCK_BYTES // (8 N d))). When
-    c d >= HELPER_FILL_VALUES, one helper thread, started after the initial
-    states are drawn and shut down when the run returns or raises, draws each
-    next block while the current one is used; otherwise the main thread draws
-    each block when it is reached. Both use the same streams in the same
-    order, so the results are the same bit for bit.
+    ESS <= threshold * N (recorded ESS is pre-resampling). The module
+    docstring describes the twists, the log-evidence and the noise blocks.
     """
     ctx = GuidanceContext(obs=obs, system=system, layout=layout, weights=config.weights)
     spec = ctx.spec
@@ -221,18 +202,22 @@ def smc_run(
     sched = config.schedule
     rho = config.weights.temper_rho
     gamma = churn_gamma(config.s_churn, sched.steps)
+    guided = config.proposal == "gem"
 
     streams = [particle_stream(config.seed, i) for i in range(n)]
     resample_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=int(config.seed), spawn_key=(1,))
     )
 
-    def twist_log(x: np.ndarray, x_hat: np.ndarray, sigma: float, k: int):
-        """Per-row twist at (x, sigma) and, when step k guides with it, its data-space gradient."""
+    def evaluate(x: np.ndarray, sigma: float, k: int, grad: bool):
+        """Reconstruction of ``x`` at ``sigma`` (a blow-up is located at step k),
+        its per-row twist and, if ``grad``, the twist's data-space gradient."""
+        x_hat = denoiser.denoise(x, sigma)
+        require_finite(x_hat, k, "reconstruction")
         cov = twist_covariance(ctx, denoiser, x, sigma) if config.scheme == "tds" else None
-        if config.proposal == "gem" and k > 0:
-            return log_likelihood(ctx, x_hat, grad=True, cov=cov)
-        return log_likelihood(ctx, x_hat, cov=cov), None
+        if grad:
+            return x_hat, *log_likelihood(ctx, x_hat, grad=True, cov=cov)
+        return x_hat, log_likelihood(ctx, x_hat, cov=cov), None
 
     def fill(buffer: np.ndarray, steps: int) -> np.ndarray:
         """Draw every particle's noise for the next ``steps`` steps into ``buffer[:, :steps]``."""
@@ -248,14 +233,11 @@ def smc_run(
     try:
         if helper is not None:
             pending = helper.submit(fill, buffers[0], block_steps)
-        denoised = denoiser.denoise(states, sched.sigma_max)
-        require_finite(denoised, sched.steps, "reconstruction")
-        cached_ll, data_grad = twist_log(states, denoised, sched.sigma_max, sched.steps)
+        denoised, cached_ll, data_grad = evaluate(states, sched.sigma_max, sched.steps, guided)
         require_finite(cached_ll, sched.steps, "weight")
-        log_w = rho * cached_ll
-        log_evidence = _log_mean_increment(np.zeros(n), log_w)
-
-        pop = ParticlePopulation(spec=spec, states=states, log_weights=log_w, cached_loglik=cached_ll)
+        pop = ParticlePopulation(spec=spec, states=states, log_weights=rho * cached_ll, cached_loglik=cached_ll)
+        log_norm = log_normalizer_and_ess(pop.log_weights)[0]
+        log_evidence = log_norm - math.log(n)
         diag = SmcDiagnostics()
 
         for k in range(sched.steps, 0, -1):
@@ -270,21 +252,17 @@ def smc_run(
                         pending = helper.submit(fill, buffers[(b + 1) % 2], min(block_steps, k - block_steps))
             z = noise[:, j]
 
-            if config.proposal == "gem":
+            if guided:
                 samples, shift = gem_core(pop.states, z, sigma_k, sigma_next, denoiser, denoised, data_grad)
             else:
                 samples = heun_core(pop.states, z, sigma_k, sigma_next, denoiser, gamma, ctx)
             require_finite(samples, k, "state")
 
-            denoised = denoiser.denoise(samples, sigma_next)
-            require_finite(denoised, k, "reconstruction")
-            ll_new, data_grad = twist_log(samples, denoised, sigma_next, k - 1)
+            denoised, ll_new, data_grad = evaluate(samples, sigma_next, k, guided and k > 1)
             potentials = rho * (ll_new - pop.cached_loglik)
             if config.scheme == "tds":
                 potentials = potentials + tds_transition_term(z, shift, sigma_k**2 - sigma_next**2)
             require_finite(potentials, k, "weight")
-
-            log_evidence += _log_mean_increment(pop.log_weights, potentials)
 
             pop = ParticlePopulation(
                 spec=spec,
@@ -292,15 +270,16 @@ def smc_run(
                 log_weights=pop.log_weights + potentials,
                 cached_loglik=ll_new,
             )
-
-            current_ess = ess(pop.log_weights)
+            new_norm, current_ess = log_normalizer_and_ess(pop.log_weights)
+            log_evidence += new_norm - log_norm
+            log_norm = new_norm
             fire = current_ess <= config.resample_threshold * n
-            diag.steps.append(k - 1)
             diag.ess_trace.append(current_ess)
             diag.resampled.append(bool(fire))
             diag.log_evidence_trace.append(log_evidence)
             if fire:
                 pop = multinomial_resample(pop, resample_rng)
+                log_norm = math.log(n)
                 denoised = denoised[pop.ancestors]
                 if data_grad is not None:
                     data_grad = data_grad[pop.ancestors]

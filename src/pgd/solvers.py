@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularOperatorError, SolverConvergenceError, require_finite
+from .errors import SingularOperatorError, SolverConvergenceError, is_count, require_finite
 from .grid import DIRICHLET, PERIODIC, Field, GridSpec, Mask, face_averages, flux_divergence_faces
 from .grid import flux_divergence_2d, laplacian_2d  # flux_divergence_2d: unused; bench/tracer.py binds it
 from .residuals import ELLIPTIC_KINDS, RD_SPECIES, PdeSystem, StateLayout, default_layout
@@ -99,26 +99,18 @@ class DatasetSpec:
     rng_seed: int = 0
     rd_dt: float = 1e-3
     rd_steps: int = 1000
-    rd_diffusion_base: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+        if not is_count(self.sample_count):
+            raise ValueError("sample_count must be an integer >= 1")
         kind = self.system.kind
         if kind not in ELLIPTIC_KINDS and kind not in RD_SPECIES:
             raise ValueError(f"no coefficient model for kind {kind!r}")
         self.layout.validate_for(self.system, self.grid)
-        if kind in RD_SPECIES:
-            if not (np.isfinite(self.rd_dt) and self.rd_dt > 0) or self.rd_steps < 1:
-                raise ValueError(
-                    f"need a finite rd_dt > 0 and rd_steps >= 1, got rd_dt={self.rd_dt}, rd_steps={self.rd_steps}"
-                )
-            base = self.rd_diffusion_base or _DIFFUSION_BASE[kind]
-            object.__setattr__(self, "rd_diffusion_base", tuple(float(b) for b in base))
-            if len(base) != RD_SPECIES[kind]:
-                raise ValueError(f"{kind} needs one rd_diffusion_base value per species, got {base}")
-            if min(self.rd_diffusion_base) < 0:
-                raise ValueError(f"rd_diffusion_base {self.rd_diffusion_base} must be nonnegative")
+        if kind in RD_SPECIES and not (np.isfinite(self.rd_dt) and self.rd_dt > 0 and is_count(self.rd_steps)):
+            raise ValueError(
+                f"need a finite rd_dt > 0 and rd_steps >= 1, got rd_dt={self.rd_dt}, rd_steps={self.rd_steps}"
+            )
 
     @property
     def layout(self) -> StateLayout:
@@ -183,7 +175,7 @@ def _draw_coefficients(spec: DatasetSpec) -> np.ndarray:
     for rng in streams:
         noise.append(rng.standard_normal((species, h, w)))
         init.append(_rd_initial_state(kind, h, w, rng))
-    base = np.array(spec.rd_diffusion_base)[:, None, None]
+    base = np.array(_DIFFUSION_BASE[kind])[:, None, None]
     diff = base * (1.0 + _DIFFUSION_REL_AMP * smooth_grf_2d(np.stack(noise), model.length_scale))
     return np.concatenate([diff, np.stack(init)], axis=1)
 
@@ -382,7 +374,7 @@ def simulate_rd(system: PdeSystem, diffusion: Field, initial: Field, dt: float, 
         raise ValueError(
             f"diffusion batch {diffusion.batch_shape} does not match initial batch {initial.batch_shape}"
         )
-    if not (np.isfinite(dt) and dt > 0) or steps < 1:
+    if not (np.isfinite(dt) and dt > 0 and is_count(steps)):
         raise ValueError(f"need a finite dt > 0 and steps >= 1, got dt={dt}, steps={steps}")
     dvals = diffusion.values
     if np.min(dvals) < 0:

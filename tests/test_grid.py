@@ -46,6 +46,15 @@ def test_grid_spec_validation():
         GridSpec(5, 5, 1, -0.5)
     with pytest.raises(ValueError):
         GridSpec(5, 5, 1, 0.1, "reflecting")
+    with pytest.raises(ValueError):
+        GridSpec(3.5, 4)
+    with pytest.raises(ValueError):
+        GridSpec(4, 4.0)
+    with pytest.raises(ValueError):
+        GridSpec(4, 4, 1.5)
+    with pytest.raises(ValueError):
+        GridSpec(4, 4, 1, np.inf)
+    assert GridSpec(np.int64(4), np.int32(4), np.int64(2)).size == 32
 
 
 def test_field_requires_finite_values():

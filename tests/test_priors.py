@@ -77,6 +77,13 @@ def test_schedule_rejects_a_zero_variance_step(kwargs):
         NoiseSchedule(**{"steps": 4, **kwargs})
 
 
+@pytest.mark.parametrize("steps", [0, 2.5])
+def test_schedule_rejects_a_step_count_that_is_not_a_positive_integer(steps):
+    with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+        NoiseSchedule(steps=steps)
+    assert NoiseSchedule(steps=np.int64(3)).sigma_at(3) == NoiseSchedule().sigma_max
+
+
 def test_gaussian_denoise_unit_prior_halves():
     x = np.linspace(-2, 2, 16)
     out = GaussianDenoiser(unit_prior()).denoise(x, sigma=1.0)

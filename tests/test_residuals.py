@@ -64,6 +64,32 @@ def test_system_validation():
         PdeSystem.competitive(np.ones((3, 3)))  # nonzero diagonal
     with pytest.raises(ValueError):
         PdeSystem.competitive(np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        PdeSystem.competitive([[0.0, np.nan, 0.6], [0.4, 0.0, 1.7], [1.3, 0.5, 0.0]])
+    with pytest.raises(ValueError):
+        PdeSystem.darcy(np.inf)
+    with pytest.raises(ValueError):
+        PdeSystem.helmholtz(np.nan)
+    with pytest.raises(ValueError):
+        PdeSystem.gray_scott(feed=np.nan)
+    with pytest.raises(ValueError):
+        PdeSystem.gray_scott(removal=np.nan)
+
+
+@pytest.mark.parametrize(
+    "coeff,solution",
+    [((-1,), (0,)), ((0,), (2,)), ((0.0,), (1,)), ((0, 0), (1,)), ((), (1, 2))],
+    ids=["negative", "gap", "float", "repeated", "not-from-zero"],
+)
+def test_layout_rejects_channels_that_are_not_0_to_c_minus_1(coeff, solution):
+    # a negative channel would index the state from its end, and a gap past
+    # the last channel would index beyond it
+    with pytest.raises(ValueError, match="layout"):
+        StateLayout(coeff, solution)
+
+
+def test_layout_accepts_numpy_integers_and_a_channel_in_both_groups():
+    assert StateLayout((np.int64(0),), (0, np.int32(1))).channel_count == 2
 
 
 def test_layout_kind_mismatch_rejected():

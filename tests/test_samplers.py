@@ -277,7 +277,6 @@ def test_smc_run_single_particle_is_seed_deterministic():
     (pop_a, diag_a), (pop_b, diag_b) = (smc_run(cfg, den, ctx.obs, None, ctx.layout) for _ in range(2))
     assert np.array_equal(pop_a.states, pop_b.states)
     assert np.array_equal(pop_a.cached_loglik, pop_b.cached_loglik)
-    assert diag_a.steps == list(range(sched.steps - 1, -1, -1))
     assert diag_a.log_evidence_trace == diag_b.log_evidence_trace
 
 

@@ -17,7 +17,7 @@ from pgd.smc import (
     ESTIMATE_MODES,
     ParticlePopulation,
     SmcConfig,
-    ess,
+    log_normalizer_and_ess,
     multinomial_resample,
     point_estimate,
     smc_run,
@@ -57,24 +57,33 @@ def population_from(states, log_weights):
 
 
 def test_ess_uniform_and_degenerate():
-    assert ess(np.zeros(4)) == pytest.approx(4.0)
-    assert ess(np.array([0.0, -np.inf, -np.inf, -np.inf])) == pytest.approx(1.0)
+    assert log_normalizer_and_ess(np.zeros(4))[1] == pytest.approx(4.0)
+    assert log_normalizer_and_ess(np.array([0.0, -np.inf, -np.inf, -np.inf]))[1] == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        ess(np.full(3, -np.inf))
+        log_normalizer_and_ess(np.full(3, -np.inf))
 
 
 def test_ess_direct_evaluation_oracle():
     w = np.array([0.5, 0.25, 0.125, 0.125])
     want = 1.0 / np.sum(w**2)  # = 1/0.34375
     assert want == pytest.approx(2.909090909090909)
-    assert ess(np.log(w)) == pytest.approx(want, rel=1e-12)
+    assert log_normalizer_and_ess(np.log(w))[1] == pytest.approx(want, rel=1e-12)
 
 
 def test_ess_invariant_under_constant_shift():
     rng = np.random.default_rng(0)
     lw = rng.standard_normal(16)
-    assert ess(lw) == pytest.approx(ess(lw + 123.4), rel=1e-12)
-    assert 1.0 <= ess(lw) <= 16.0
+    assert log_normalizer_and_ess(lw)[1] == pytest.approx(log_normalizer_and_ess(lw + 123.4)[1], rel=1e-12)
+    assert 1.0 <= log_normalizer_and_ess(lw)[1] <= 16.0
+
+
+def test_log_normalizer_matches_logaddexp_reduce():
+    # A vanished weight adds nothing, and a shift of 1e3 overflows a plain exp
+    # but not the shifted one.
+    lw = np.array([0.3, -1.2, -np.inf, 2.5, 0.0])
+    for shift in (0.0, 1e3):
+        got = log_normalizer_and_ess(lw + shift)[0]
+        assert got == pytest.approx(np.logaddexp.reduce(lw + shift), rel=1e-14)
 
 
 def test_resample_all_mass_on_one_particle():
@@ -149,6 +158,12 @@ def test_config_validation():
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=5, rho=3.0)
     with pytest.raises(ValueError):
         SmcConfig(particle_count=0, schedule=sched)
+    with pytest.raises(ValueError):
+        SmcConfig(particle_count=2.5, schedule=sched)
+    with pytest.raises(ValueError):
+        SmcConfig(particle_count=2, schedule=sched, seed=2.5)
+    with pytest.raises(ValueError):
+        SmcConfig(particle_count=2, schedule=sched, seed=-1)
     with pytest.raises(ValueError):
         SmcConfig(particle_count=2, schedule=sched, scheme="tds", proposal="sosag")
     with pytest.raises(ValueError):
@@ -387,7 +402,7 @@ def test_ess_decreases_as_likelihood_sharpens():
     ess_values = []
     for beta in (0.5, 1.0, 2.0, 4.0, 8.0):
         lls = -beta * sq / len(idx)
-        ess_values.append(ess(lls))
+        ess_values.append(log_normalizer_and_ess(lls)[1])
     assert all(a > b for a, b in zip(ess_values, ess_values[1:]))
 
 

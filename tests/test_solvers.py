@@ -185,10 +185,6 @@ def test_zero_diffusion_runs_the_reaction_only_euler_steps(system):
         state = state + dt * _reaction_only_rate(system, state)
     terminal = simulate_rd(system, Field.zeros(sub), initial, dt, steps)
     np.testing.assert_array_equal(terminal.values, state)
-    # a dataset with zero diffusion passes the stability check and generates
-    grid = GridSpec(8, 8, 3 * species, 1.0 / 8, PERIODIC)
-    zero = DatasetSpec(system, grid, 2, rd_steps=5, rd_diffusion_base=(0.0,) * species)
-    assert all(np.all(x.values[:species] == 0.0) for x in generate_dataset(zero))
 
 
 def test_negative_diffusion_is_rejected():
@@ -198,13 +194,9 @@ def test_negative_diffusion_is_rejected():
     diffusion[1, 3, 4] = -1e-4
     with pytest.raises(ValueError, match="nonnegative"):
         simulate_rd(PdeSystem.gray_scott(), Field(sub, diffusion), initial, 1e-3, 10)
-    with pytest.raises(ValueError, match="nonnegative"):
-        DatasetSpec(
-            PdeSystem.gray_scott(), GridSpec(8, 8, 6, 1.0 / 8, PERIODIC), 1, rd_diffusion_base=(-2e-4, 1e-4)
-        )
 
 
-@pytest.mark.parametrize("dt,steps", [(-1e-3, 50), (0.0, 50), (np.nan, 50), (np.inf, 50), (1e-3, 0)])
+@pytest.mark.parametrize("dt,steps", [(-1e-3, 50), (0.0, 50), (np.nan, 50), (np.inf, 50), (1e-3, 0), (1e-3, 2.5)])
 def test_simulate_rd_rejects_a_nonpositive_dt_and_no_steps(dt, steps):
     # a negative dt would step backward in time, zero steps return the initial state;
     # the spec is rejected at construction, before any coefficients are drawn
@@ -229,11 +221,10 @@ def test_dataset_spec_rejects_a_kind_without_a_coefficient_model():
         DatasetSpec(PdeSystem.divergence_free(), GridSpec(8, 8, 2, 1 / 9, DIRICHLET), 1)
 
 
-@pytest.mark.parametrize("base", [(2e-4,), (2e-4, 1e-4, 1e-4)], ids=["one", "three"])
-def test_dataset_spec_rejects_a_diffusion_base_without_one_value_per_species(base):
-    grid = GridSpec(8, 8, 6, 1 / 8, PERIODIC)
-    with pytest.raises(ValueError, match="gray_scott_2 needs one rd_diffusion_base value per species"):
-        DatasetSpec(PdeSystem.gray_scott(), grid, 1, rd_diffusion_base=base)
+@pytest.mark.parametrize("count", [0, 2.5])
+def test_dataset_spec_rejects_a_sample_count_that_is_not_a_positive_integer(count):
+    with pytest.raises(ValueError, match="sample_count must be an integer >= 1"):
+        DatasetSpec(PdeSystem.poisson(), GridSpec(8, 8, 2, 1 / 9, DIRICHLET), count)
 
 
 def test_dataset_spec_rejects_a_grid_whose_channels_do_not_match_the_layout():
