@@ -26,7 +26,7 @@ chain that data-space gradient through the denoiser's exact vjp.
 
 Two weighting schemes turn proposals into a particle system:
 
-- "pbs": potentials are tempered likelihood ratios only; usable with any
+- "pbs": potentials are likelihood ratios only; usable with any
   proposal, including ones without a point-evaluable density.
 - "tds": adds the log-ratio of the unguided to the guided transition density
   (:func:`tds_transition_term`), available only for proposals whose
@@ -54,15 +54,14 @@ from .solvers import Observations
 
 @dataclass(frozen=True)
 class GuidanceWeights:
-    """Nonnegative weights of the likelihood terms plus the tempering exponent."""
+    """Nonnegative weights of the likelihood terms."""
 
     beta: float = 1.0
     gamma: float = 1.0
     omega: float = 1.0
-    temper_rho: float = 1.0
 
     def __post_init__(self):
-        for name in ("beta", "gamma", "omega", "temper_rho"):
+        for name in ("beta", "gamma", "omega"):
             val = getattr(self, name)
             if not np.isfinite(val) or val < 0:
                 raise ValueError(f"{name} must be finite and nonnegative")

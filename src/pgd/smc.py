@@ -5,10 +5,10 @@ second-order proposal, accumulates log-potentials under the tds or pbs
 weighting scheme, resamples multinomially when the effective sample size
 falls below a threshold fraction of N, and tracks a running log-evidence
 estimate (the normalizer of the underlying Feynman-Kac model). Each step's
-log-weights are exponentiated once, for their log-normalizer and their ESS;
-the evidence increment is the difference of successive log-normalizers, the
-previous one carried from the step before, or log N after a resample, which
-resets the weights to zero.
+log-weights are exponentiated once, in :func:`normalize`, for the ESS, the
+evidence and the resample. The evidence increment is the difference of
+successive log-normalizers, the previous one carried from the step before, or
+log N after a resample, which resets the weights to zero.
 
 The pbs scheme weights with the point twist, the likelihood of the denoiser's
 reconstruction. The tds scheme weights and guides with the twist
@@ -23,9 +23,8 @@ so the log-evidence estimate is defined up to a constant.
 
 Each noise level is evaluated once: one routine denoises the states, checks
 the reconstruction, and computes the twist together with, under ``gem`` when
-another step follows, its data-space gradient from the same solve. The
-gradient travels with the reconstruction (through resampling too) and guides
-the next step.
+another step follows, its data-space gradient from the same solve. A resample
+moves each drawn particle whole: state, twist, reconstruction and gradient.
 
 Particles evolve as rows of an (N, d) array drawn from per-particle streams
 keyed by (seed, particle index); resampling uses its own stream. Each stream
@@ -117,12 +116,11 @@ class SmcConfig:
 
 @dataclass
 class ParticlePopulation:
-    """Weighted particles plus the cached intermediate log-likelihoods."""
+    """Weighted particles."""
 
     spec: GridSpec
     states: np.ndarray  # (N, d)
     log_weights: np.ndarray  # (N,), unnormalized
-    cached_loglik: np.ndarray  # (N,), at the current (state, sigma)
     ancestors: np.ndarray | None = None  # from the most recent resampling
 
     @property
@@ -130,39 +128,29 @@ class ParticlePopulation:
         return self.states.shape[0]
 
     def normalized_weights(self) -> np.ndarray:
-        m = np.max(self.log_weights)
-        if not np.isfinite(m):
-            raise ValueError("cannot normalize degenerate weights")
-        lw = self.log_weights - m
-        w = np.exp(lw)
-        return w / w.sum()
+        return normalize(self.log_weights)[2]
 
 
-def log_normalizer_and_ess(log_weights: np.ndarray) -> tuple[float, float]:
-    """log sum_i exp(l_i) and the effective sample size 1 / sum(w^2) of the
-    normalized weights, from one exponentiation of the shifted log-weights."""
+def normalize(log_weights: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """log sum_i exp(l_i), the effective sample size 1 / sum(w^2) and the
+    normalized weights w, from one exponentiation of the shifted log-weights."""
     lw = np.asarray(log_weights, dtype=float)
     m = np.max(lw)
     if not np.isfinite(m):
-        raise ValueError("log-normalizer and ESS undefined: all weights vanish")
+        raise ValueError("cannot normalize degenerate weights: all weights vanish")
     w = np.exp(lw - m)
     s = w.sum()
-    return float(m + math.log(s)), float(s * s / (w @ w))
+    return float(m + math.log(s)), float(s * s / (w @ w)), w / s
 
 
 def multinomial_resample(
-    population: ParticlePopulation, rng: np.random.Generator
+    population: ParticlePopulation, weights: np.ndarray, rng: np.random.Generator
 ) -> ParticlePopulation:
-    """N categorical draws from the normalized weights; weights reset to uniform."""
-    probs = population.normalized_weights()
+    """N categorical draws from the normalized ``weights``; weights reset to uniform."""
     n = population.count
-    ancestors = rng.choice(n, size=n, p=probs)
+    ancestors = rng.choice(n, size=n, p=weights)
     return ParticlePopulation(
-        spec=population.spec,
-        states=population.states[ancestors],
-        log_weights=np.zeros(n),
-        cached_loglik=population.cached_loglik[ancestors],
-        ancestors=ancestors,
+        spec=population.spec, states=population.states[ancestors], log_weights=np.zeros(n), ancestors=ancestors
     )
 
 
@@ -186,12 +174,14 @@ def smc_run(
 ) -> tuple[ParticlePopulation, SmcDiagnostics]:
     """Run the full particle system from k = K down to 0.
 
-    Initialization draws particles from N(0, sigma_max^2 I) and applies the
-    tempered twist of the initial states as the initial weight. Each iteration
+    Initialization draws particles from N(0, sigma_max^2 I) and takes the
+    twist of the initial states as the initial weight. Each iteration
     propagates with the configured proposal, adds the scheme's incremental
-    log-potential, refreshes the cached twists, and resamples when
-    ESS <= threshold * N (recorded ESS is pre-resampling). The module
-    docstring describes the twists, the log-evidence and the noise blocks.
+    log-potential, normalizes the weights once for the ESS, the evidence and
+    the resample, and resamples when ESS <= threshold * N (recorded ESS is
+    pre-resampling), moving state, twist, reconstruction and gradient
+    together. The module docstring describes the twists, the log-evidence and
+    the noise blocks.
     """
     ctx = GuidanceContext(obs=obs, system=system, layout=layout, weights=config.weights)
     spec = ctx.spec
@@ -200,7 +190,6 @@ def smc_run(
         raise ValueError(f"denoiser dim {denoiser.dim} does not match the state size {d}")
     n = config.particle_count
     sched = config.schedule
-    rho = config.weights.temper_rho
     gamma = churn_gamma(config.s_churn, sched.steps)
     guided = config.proposal == "gem"
 
@@ -233,10 +222,10 @@ def smc_run(
     try:
         if helper is not None:
             pending = helper.submit(fill, buffers[0], block_steps)
-        denoised, cached_ll, data_grad = evaluate(states, sched.sigma_max, sched.steps, guided)
-        require_finite(cached_ll, sched.steps, "weight")
-        pop = ParticlePopulation(spec=spec, states=states, log_weights=rho * cached_ll, cached_loglik=cached_ll)
-        log_norm = log_normalizer_and_ess(pop.log_weights)[0]
+        denoised, loglik, data_grad = evaluate(states, sched.sigma_max, sched.steps, guided)
+        require_finite(loglik, sched.steps, "weight")
+        pop = ParticlePopulation(spec=spec, states=states, log_weights=loglik)
+        log_norm = normalize(pop.log_weights)[0]
         log_evidence = log_norm - math.log(n)
         diag = SmcDiagnostics()
 
@@ -259,18 +248,14 @@ def smc_run(
             require_finite(samples, k, "state")
 
             denoised, ll_new, data_grad = evaluate(samples, sigma_next, k, guided and k > 1)
-            potentials = rho * (ll_new - pop.cached_loglik)
+            potentials = ll_new - loglik
             if config.scheme == "tds":
                 potentials = potentials + tds_transition_term(z, shift, sigma_k**2 - sigma_next**2)
             require_finite(potentials, k, "weight")
 
-            pop = ParticlePopulation(
-                spec=spec,
-                states=samples,
-                log_weights=pop.log_weights + potentials,
-                cached_loglik=ll_new,
-            )
-            new_norm, current_ess = log_normalizer_and_ess(pop.log_weights)
+            pop = ParticlePopulation(spec, samples, pop.log_weights + potentials)
+            loglik = ll_new
+            new_norm, current_ess, weights = normalize(pop.log_weights)
             log_evidence += new_norm - log_norm
             log_norm = new_norm
             fire = current_ess <= config.resample_threshold * n
@@ -278,11 +263,12 @@ def smc_run(
             diag.resampled.append(bool(fire))
             diag.log_evidence_trace.append(log_evidence)
             if fire:
-                pop = multinomial_resample(pop, resample_rng)
+                # the whole particle moves: state, twist, reconstruction and gradient
+                pop = multinomial_resample(pop, weights, resample_rng)
                 log_norm = math.log(n)
-                denoised = denoised[pop.ancestors]
-                if data_grad is not None:
-                    data_grad = data_grad[pop.ancestors]
+                a = pop.ancestors
+                loglik, denoised = loglik[a], denoised[a]
+                data_grad = None if data_grad is None else data_grad[a]
     finally:
         if helper is not None:
             helper.shutdown(cancel_futures=True)

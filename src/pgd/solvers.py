@@ -44,14 +44,22 @@ class SmoothGrf:
 
     length_scale: float = 4.0  # in cells
 
+    def __post_init__(self):
+        if not 0 < self.length_scale < np.inf:
+            raise ValueError("length_scale must be finite and positive")
+
 
 @dataclass(frozen=True)
-class ThresholdedGrf:
+class ThresholdedGrf(SmoothGrf):
     """Two-level thresholding of a smooth GRF (piecewise-constant coefficients)."""
 
-    length_scale: float = 4.0
     low: float = 3.0
     high: float = 12.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not np.isfinite([self.low, self.high]).all():
+            raise ValueError("low and high must be finite")
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,8 @@ class Observations:
                 raise ValueError(f"values_{group} must be finite")
         if self.mask_a.spec != self.mask_u.spec:
             raise ValueError(f"mask_a is on {self.mask_a.spec} but mask_u is on {self.mask_u.spec}")
-        if self.sigma_o < 0:
-            raise ValueError("sigma_o must be nonnegative")
+        if not 0 <= self.sigma_o < np.inf:
+            raise ValueError("sigma_o must be finite and nonnegative")
         object.__setattr__(self, "values_a", va)
         object.__setattr__(self, "values_u", vu)
 

@@ -239,7 +239,7 @@ def test_guidance_exact_mode_matches_finite_differences():
 
 def test_tds_chain_reproduces_direct_path_weight(monkeypatch):
     # A single tds chain never resamples, so its final log-weight is the
-    # tempered twist at x_0 plus the log-ratio of the unguided to the guided
+    # twist at x_0 plus the log-ratio of the unguided to the guided
     # path density. The oracle assembles both full Gaussian path log-densities
     # and the twist itself, independent of the engine's weight bookkeeping.
     rng = np.random.default_rng(14)
@@ -248,7 +248,7 @@ def test_tds_chain_reproduces_direct_path_weight(monkeypatch):
     cov = cov @ cov.T / d + 0.4 * np.eye(d)
     den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC16), "dense", cov))
     obs = observations_single_channel(SPEC16, [3, 10], rng.standard_normal(2))
-    w = GuidanceWeights(beta=1.9, gamma=0.0, omega=0.0, temper_rho=0.8)
+    w = GuidanceWeights(beta=1.9, gamma=0.0, omega=0.0)
     ctx = GuidanceContext(obs=obs, system=None, layout=SOLUTION_ONLY, weights=w)
 
     steps = []
@@ -277,7 +277,7 @@ def test_tds_chain_reproduces_direct_path_weight(monkeypatch):
     sigma_min = sched.sigma_at(0)
     x_hat = den.denoise(x0, sigma_min)
     twist = log_likelihood(ctx, x_hat[0], cov=twist_covariance(ctx, den, x0, sigma_min))
-    direct = w.temper_rho * twist + log_em_path - log_gd_path
+    direct = twist + log_em_path - log_gd_path
     assert pop.log_weights[0] == pytest.approx(direct, abs=1e-8)
 
 

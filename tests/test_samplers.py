@@ -276,7 +276,7 @@ def test_smc_run_single_particle_is_seed_deterministic():
     cfg = SmcConfig(particle_count=1, schedule=sched, weights=ctx.weights, proposal="gem", seed=21)
     (pop_a, diag_a), (pop_b, diag_b) = (smc_run(cfg, den, ctx.obs, None, ctx.layout) for _ in range(2))
     assert np.array_equal(pop_a.states, pop_b.states)
-    assert np.array_equal(pop_a.cached_loglik, pop_b.cached_loglik)
+    assert np.array_equal(pop_a.log_weights, pop_b.log_weights)
     assert diag_a.log_evidence_trace == diag_b.log_evidence_trace
 
 

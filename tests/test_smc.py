@@ -17,8 +17,8 @@ from pgd.smc import (
     ESTIMATE_MODES,
     ParticlePopulation,
     SmcConfig,
-    log_normalizer_and_ess,
     multinomial_resample,
+    normalize,
     point_estimate,
     smc_run,
 )
@@ -39,42 +39,43 @@ def observations_on(spec, idx, values, sigma_o=0.1):
     )
 
 
-def small_problem(beta=2.0, temper_rho=1.0):
+def small_problem(beta=2.0):
     den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", 1.0))
     obs = observations_on(SPEC9, [0, 4, 8], [0.8, -0.3, 0.5])
-    w = GuidanceWeights(beta=beta, gamma=0.0, omega=0.0, temper_rho=temper_rho)
+    w = GuidanceWeights(beta=beta, gamma=0.0, omega=0.0)
     return den, obs, w
 
 
 def population_from(states, log_weights):
-    states = np.asarray(states, dtype=float)
     return ParticlePopulation(
-        spec=SPEC9,
-        states=states,
-        log_weights=np.asarray(log_weights, dtype=float),
-        cached_loglik=np.zeros(states.shape[0]),
+        spec=SPEC9, states=np.asarray(states, dtype=float), log_weights=np.asarray(log_weights, dtype=float)
     )
 
 
+def resample(pop, rng):
+    """Resample ``pop`` from its own normalized weights, as a resampling step of smc_run does."""
+    return multinomial_resample(pop, pop.normalized_weights(), rng)
+
+
 def test_ess_uniform_and_degenerate():
-    assert log_normalizer_and_ess(np.zeros(4))[1] == pytest.approx(4.0)
-    assert log_normalizer_and_ess(np.array([0.0, -np.inf, -np.inf, -np.inf]))[1] == pytest.approx(1.0)
+    assert normalize(np.zeros(4))[1] == pytest.approx(4.0)
+    assert normalize(np.array([0.0, -np.inf, -np.inf, -np.inf]))[1] == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        log_normalizer_and_ess(np.full(3, -np.inf))
+        normalize(np.full(3, -np.inf))
 
 
 def test_ess_direct_evaluation_oracle():
     w = np.array([0.5, 0.25, 0.125, 0.125])
     want = 1.0 / np.sum(w**2)  # = 1/0.34375
     assert want == pytest.approx(2.909090909090909)
-    assert log_normalizer_and_ess(np.log(w))[1] == pytest.approx(want, rel=1e-12)
+    assert normalize(np.log(w))[1] == pytest.approx(want, rel=1e-12)
 
 
 def test_ess_invariant_under_constant_shift():
     rng = np.random.default_rng(0)
     lw = rng.standard_normal(16)
-    assert log_normalizer_and_ess(lw)[1] == pytest.approx(log_normalizer_and_ess(lw + 123.4)[1], rel=1e-12)
-    assert 1.0 <= log_normalizer_and_ess(lw)[1] <= 16.0
+    assert normalize(lw)[1] == pytest.approx(normalize(lw + 123.4)[1], rel=1e-12)
+    assert 1.0 <= normalize(lw)[1] <= 16.0
 
 
 def test_log_normalizer_matches_logaddexp_reduce():
@@ -82,15 +83,27 @@ def test_log_normalizer_matches_logaddexp_reduce():
     # but not the shifted one.
     lw = np.array([0.3, -1.2, -np.inf, 2.5, 0.0])
     for shift in (0.0, 1e3):
-        got = log_normalizer_and_ess(lw + shift)[0]
+        got = normalize(lw + shift)[0]
         assert got == pytest.approx(np.logaddexp.reduce(lw + shift), rel=1e-14)
+
+
+def test_normalized_weights_come_from_the_same_exponentiation():
+    # the weights that a resample draws from, the ESS and the log-normalizer agree
+    # (the shift of 1e3 rounds the log-weights by up to 1e3 * 2^-53, about 1e-13)
+    lw = np.array([0.3, -1.2, -np.inf, 2.5, 0.0])
+    log_norm, ess, w = normalize(lw + 1e3)
+    np.testing.assert_allclose(w, np.exp(lw) / np.exp(lw).sum(), rtol=1e-12, atol=0)
+    assert w[2] == 0.0 and w.sum() == pytest.approx(1.0, rel=1e-15)
+    assert log_norm == pytest.approx(1e3 + np.logaddexp.reduce(lw), rel=1e-15)
+    assert ess == pytest.approx(1.0 / np.sum(w**2), rel=1e-14)
+    assert np.array_equal(population_from(np.zeros((5, 9)), lw + 1e3).normalized_weights(), w)
 
 
 def test_resample_all_mass_on_one_particle():
     rng = np.random.default_rng(1)
     states = np.arange(4 * 9, dtype=float).reshape(4, 9)
     pop = population_from(states, [0.0, -np.inf, -np.inf, -np.inf])
-    out = multinomial_resample(pop, rng)
+    out = resample(pop, rng)
     assert np.all(out.ancestors == 0)
     assert np.allclose(out.states, states[0])
     assert np.allclose(out.log_weights, 0.0)
@@ -99,8 +112,8 @@ def test_resample_all_mass_on_one_particle():
 def test_resample_deterministic_under_fixed_seed():
     states = np.random.default_rng(2).standard_normal((6, 9))
     pop = population_from(states, np.log([0.1, 0.3, 0.05, 0.25, 0.2, 0.1]))
-    a = multinomial_resample(pop, np.random.default_rng(77)).ancestors
-    b = multinomial_resample(pop, np.random.default_rng(77)).ancestors
+    a = resample(pop, np.random.default_rng(77)).ancestors
+    b = resample(pop, np.random.default_rng(77)).ancestors
     assert np.array_equal(a, b)
 
 
@@ -113,7 +126,7 @@ def test_resample_counts_match_binomial_concentration():
     rng = np.random.default_rng(3)
     counts = np.zeros(n)
     for _ in range(trials):
-        anc = multinomial_resample(pop, rng).ancestors
+        anc = resample(pop, rng).ancestors
         counts += np.bincount(anc, minlength=n)
     total = trials * n
     p = 1.0 / n
@@ -132,7 +145,7 @@ def test_resample_preserves_weighted_mean_in_expectation():
     acc = np.zeros(9)
     rs = np.random.default_rng(5)
     for _ in range(trials):
-        out = multinomial_resample(pop, rs)
+        out = resample(pop, rs)
         acc += out.states.mean(axis=0)
     acc /= trials
     # per-trial variance of the unweighted mean is categorical variance / N
@@ -148,10 +161,22 @@ def test_config_rejects_a_nan_churn():
         SmcConfig(particle_count=2, schedule=sched, proposal="sosag", s_churn=np.nan)
 
 
-def test_resample_rejects_degenerate_weights():
+def test_resample_draws_from_the_weights_it_is_given():
+    # uniform log-weights, but the step's normalized weights put all mass on particle 2
+    states = np.arange(4 * 9, dtype=float).reshape(4, 9)
+    out = multinomial_resample(population_from(states, np.zeros(4)), np.eye(4)[2], np.random.default_rng(12))
+    assert np.all(out.ancestors == 2)
+    assert np.array_equal(out.states, states[[2, 2, 2, 2]])
+    assert out.count == 4 and np.array_equal(out.log_weights, np.zeros(4))
+
+
+def test_normalize_rejects_degenerate_weights():
+    # all weights vanished: there is no normalizer, ESS or distribution to resample from
     pop = population_from(np.zeros((3, 9)), np.full(3, -np.inf))
-    with pytest.raises(ValueError):
-        multinomial_resample(pop, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="all weights vanish"):
+        normalize(pop.log_weights)
+    with pytest.raises(ValueError, match="all weights vanish"):
+        pop.normalized_weights()
 
 
 def test_config_validation():
@@ -360,23 +385,11 @@ def test_denoiser_of_another_size_is_rejected_at_entry():
         smc_run(cfg, den, obs, None, SOLUTION_ONLY)
 
 
-def test_zero_temper_rho_keeps_uniform_weights_and_never_resamples():
-    sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=10, rho=3.0)
-    den, obs, _ = small_problem()
-    w = GuidanceWeights(beta=2.0, gamma=0.0, omega=0.0, temper_rho=0.0)
-    cfg = SmcConfig(particle_count=6, schedule=sched, weights=w, proposal="gem", scheme="pbs", seed=3)
-    pop, diag = smc_run(cfg, den, obs, None, SOLUTION_ONLY)
-    assert np.allclose(pop.log_weights, 0.0)
-    assert all(e == pytest.approx(6.0) for e in diag.ess_trace)
-    assert not any(diag.resampled)
-    assert diag.log_evidence == pytest.approx(0.0, abs=1e-12)
-
-
 def test_pbs_final_weights_telescope_to_terminal_loglik():
-    # With no resampling the cumulative pbs weight telescopes to
-    # temper_rho * loglik(x_0); threshold below 1/N never fires.
+    # With no resampling the cumulative pbs weight telescopes to the twist
+    # loglik(D(x_0, sigma_min)); threshold below 1/N never fires.
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=15, rho=3.0)
-    den, obs, w = small_problem(beta=1.0, temper_rho=0.7)
+    den, obs, w = small_problem(beta=1.0)
     cfg = SmcConfig(
         particle_count=4,
         schedule=sched,
@@ -388,7 +401,9 @@ def test_pbs_final_weights_telescope_to_terminal_loglik():
     )
     pop, diag = smc_run(cfg, den, obs, None, SOLUTION_ONLY)
     assert not any(diag.resampled)
-    assert np.allclose(pop.log_weights, 0.7 * pop.cached_loglik, atol=1e-10)
+    ctx = GuidanceContext(obs=obs, system=None, layout=SOLUTION_ONLY, weights=w)
+    terminal = log_likelihood(ctx, den.denoise(pop.states, sched.sigma_min))
+    assert np.allclose(pop.log_weights, terminal, atol=1e-10)
 
 
 def test_ess_decreases_as_likelihood_sharpens():
@@ -402,7 +417,7 @@ def test_ess_decreases_as_likelihood_sharpens():
     ess_values = []
     for beta in (0.5, 1.0, 2.0, 4.0, 8.0):
         lls = -beta * sq / len(idx)
-        ess_values.append(log_normalizer_and_ess(lls)[1])
+        ess_values.append(normalize(lls)[1])
     assert all(a > b for a, b in zip(ess_values, ess_values[1:]))
 
 
@@ -444,9 +459,12 @@ def test_point_estimate_modes():
     assert set(ESTIMATE_MODES) == {"best", "weighted_mean"}
 
 
-def test_conjugate_gaussian_posterior_mean_small():
-    # Conjugate oracle at reduced size; the d=64 version is the benchmark
-    # workload conjugate_gem_tds, which reports rel_err_oracle without gating it.
+def conjugate_problem(sigma_o=0.1):
+    """A dense RBF prior on 4 x 4 cells and five observations with noise sigma_o,
+    weighted so that the twist is the exact observation likelihood.
+
+    Returns (denoiser, observations, weights, schedule, prior covariance, observed cells, y).
+    """
     rng = np.random.default_rng(11)
     spec = GridSpec(4, 4, 1, 1.0)
     d = 16
@@ -459,16 +477,23 @@ def test_conjugate_gaussian_posterior_mean_small():
 
     truth = np.linalg.cholesky(kernel) @ rng.standard_normal(d)
     idx = np.array([0, 3, 5, 10, 15])
-    sigma_o = 0.1
     y = truth[idx] + sigma_o * rng.standard_normal(idx.size)
     obs = observations_on(spec, idx, y, sigma_o=sigma_o)
 
     beta = idx.size / (2 * sigma_o**2)
-    w = GuidanceWeights(beta=beta, gamma=0.0, omega=0.0, temper_rho=1.0)
-    layout = SOLUTION_ONLY
+    w = GuidanceWeights(beta=beta, gamma=0.0, omega=0.0)
     sched = NoiseSchedule(sigma_max=3.0, sigma_min=0.01, steps=60, rho=2.0)
+    return den, obs, w, sched, kernel, idx, y
+
+
+def test_conjugate_gaussian_posterior_mean_small():
+    # Conjugate oracle at reduced size; the d=64 version is the benchmark
+    # workload conjugate_gem_tds, which reports rel_err_oracle without gating it.
+    sigma_o = 0.1
+    den, obs, w, sched, kernel, idx, y = conjugate_problem(sigma_o)
+    d = kernel.shape[0]
     cfg = SmcConfig(particle_count=128, schedule=sched, weights=w, proposal="gem", scheme="tds", seed=5)
-    pop, _ = smc_run(cfg, den, obs, None, layout)
+    pop, _ = smc_run(cfg, den, obs, None, SOLUTION_ONLY)
 
     sel = np.zeros((idx.size, d))
     sel[np.arange(idx.size), idx] = 1.0
@@ -479,6 +504,23 @@ def test_conjugate_gaussian_posterior_mean_small():
     est = point_estimate(pop, "weighted_mean").flat()
     rel = np.linalg.norm(est - post_mean) / np.linalg.norm(post_mean)
     assert rel < 0.1
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_conjugate_log_evidence_matches_the_marginal_likelihood(seed):
+    # Evidence oracle: log p(y) = log N(y; 0, K_oo + sigma_o^2 I). smc_run drops
+    # every additive constant; they telescope to the final twist's normalizer
+    # c_0 = -1/2 log det(2 pi C_0), so log Z + c_0 estimates log p(y) without bias.
+    sigma_o = 0.1
+    den, obs, w, sched, kernel, idx, y = conjugate_problem(sigma_o)
+    cfg = SmcConfig(particle_count=128, schedule=sched, weights=w, proposal="gem", scheme="tds", seed=seed)
+    _, diag = smc_run(cfg, den, obs, None, SOLUTION_ONLY)
+
+    ctx = GuidanceContext(obs=obs, system=None, layout=SOLUTION_ONLY, weights=w)
+    c0 = -0.5 * np.linalg.slogdet(2 * np.pi * twist_covariance(ctx, den, np.zeros((1, 16)), sched.sigma_min))[1]
+    marginal = kernel[np.ix_(idx, idx)] + sigma_o**2 * np.eye(idx.size)
+    log_py = -0.5 * (y @ np.linalg.solve(marginal, y) + np.linalg.slogdet(2 * np.pi * marginal)[1])
+    assert abs(diag.log_evidence + c0 - log_py) < 0.6
 
 
 def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):

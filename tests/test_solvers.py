@@ -244,6 +244,23 @@ def test_thresholded_grf_takes_exactly_two_values():
     assert set(np.unique(a)) == {3.0, 12.0}
 
 
+@pytest.mark.parametrize(
+    "make,match",
+    [
+        (lambda: SmoothGrf(np.nan), "length_scale must be finite and positive"),
+        (lambda: SmoothGrf(-1.0), "length_scale must be finite and positive"),
+        (lambda: ThresholdedGrf(0.0), "length_scale must be finite and positive"),
+        (lambda: ThresholdedGrf(low=np.nan), "low and high must be finite"),
+    ],
+    ids=["smooth-nan", "smooth-negative", "thresholded-zero-length", "thresholded-low-nan"],
+)
+def test_grf_models_reject_bad_parameters_at_construction(make, match):
+    # a NaN length scale or level would fail only once every sample's noise is
+    # drawn, and a negative length scale would run as its absolute value
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 
 def test_observation_masks_on_different_grids_are_rejected():
     mask_a = Mask.from_indices(GridSpec(4, 4), [1, 5])
@@ -261,6 +278,13 @@ def test_observations_reject_non_finite_values_naming_the_group(bad):
         Observations(mask, broken, mask, ok, 0.1)
     with pytest.raises(ValueError, match="values_u must be finite"):
         Observations(mask, ok, mask, broken, 0.1)
+
+
+@pytest.mark.parametrize("sigma_o", [np.nan, np.inf, -0.1])
+def test_observations_reject_a_noise_level_that_is_not_finite_and_nonnegative(sigma_o):
+    mask = Mask.from_indices(GridSpec(4, 4), [1, 5])
+    with pytest.raises(ValueError, match="sigma_o must be finite and nonnegative"):
+        Observations(mask, np.zeros((1, 2)), mask, np.zeros((1, 2)), sigma_o)
 
 def test_gray_scott_initial_patch_statistics():
     spec = DatasetSpec(
