@@ -18,11 +18,14 @@ so gradients of residual norms can be assembled without automatic
 differentiation: the Laplacian and u -> flux_divergence_2d(coef, u) are
 symmetric, and the central difference is antisymmetric.
 
-The flux divergence is written in face form: ``face_averages`` gives the
-coefficient on the faces, ``face_differences`` the differences of u across
-them, and each face flux is formed once for the two cells it separates. The
-coefficient adjoint ``face_flux_adjoint_coef`` takes face differences too, so
-a caller forms each face array once (darcy's kernel: faces, u's differences).
+The flux divergence is written in face form on one layout: ``ghost_lined``
+copies an (..., H, W) array once into a C-contiguous (..., H+2, W+2) array,
+cell (i, j) at (i+1, j+1) inside a ring of ghost cells. Row face k (between
+cells k-1 and k) sits at padded row k and column face j at padded column j, so
+a face op over the whole batch is one 1-D ufunc on the flat array and itself
+shifted by W+2 or 1, as is the divergence: NumPy runs a ufunc on a sliced
+operand at 2-5x the contiguous cost on rows this short. Entries that are no
+face (ghost columns of row faces, rows straddling two particles) hold junk.
 """
 
 from __future__ import annotations
@@ -162,7 +165,7 @@ class Mask:
 
 
 _HEAD, _TAIL = slice(None, -1), slice(1, None)  # all lines but the last; all but the first
-_FIRST, _LAST, _INNER = slice(None, 1), slice(-1, None), slice(1, -1)
+_FIRST, _LAST = slice(None, 1), slice(-1, None)
 
 
 def _axis_slices(axis: int, sl: slice) -> tuple:
@@ -208,77 +211,100 @@ def diff_2d(a: np.ndarray, axis: int, h: float, boundary: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Face form. Face k along an axis lies between cells k-1 and k, so an
-# (..., H, W) array has (..., H+1, W) row faces and (..., H, W+1) column
-# faces. On a periodic grid faces 0 and H are one face and hold equal values.
+# Face form: face arrays and cell results share the ghost-lined layout.
 # ---------------------------------------------------------------------------
 
-Faces = tuple[np.ndarray, np.ndarray]  # (row faces, column faces)
+Faces = tuple[np.ndarray, np.ndarray]  # (row faces, column faces), ghost-lined
 
 
-def _face_pairs(a: np.ndarray, axis: int, op, boundary: str, edge: bool = False) -> np.ndarray:
-    """op(a[k], a[k-1]) on each face k of ``axis``.
+def fill_ghosts(p: np.ndarray, boundary: str, edge: bool = False) -> np.ndarray:
+    """Refill the ghost ring of a ghost-lined ``p`` in place, as :func:`ghost_lined` fills it;
+    returns ``p``. Columns go first, so the corners are what ``np.pad`` puts there."""
+    copy = boundary == PERIODIC or edge
+    low, high = (-2, 1) if boundary == PERIODIC else (1, -2)  # the cells a ghost copies
+    p[..., 1:-1, 0], p[..., 1:-1, -1] = (p[..., 1:-1, low], p[..., 1:-1, high]) if copy else (0.0, 0.0)
+    p[..., 0, :], p[..., -1, :] = (p[..., low, :], p[..., high, :]) if copy else (0.0, 0.0)
+    return p
 
-    Ghost cells wrap (periodic), copy the edge cell (``edge``) or are zero.
-    """
-    first, last = _axis_slices(axis, _FIRST), _axis_slices(axis, _LAST)
-    low, high = (a[last], a[first]) if boundary == PERIODIC else (a[first], a[last]) if edge else (0.0, 0.0)
-    shape = list(a.shape)
-    shape[axis - 2] += 1
-    out = np.empty(shape)
-    op(a[_axis_slices(axis, _TAIL)], a[_axis_slices(axis, _HEAD)], out=out[_axis_slices(axis, _INNER)])
-    op(a[first], low, out=out[first])
-    op(high, a[last], out=out[last])
+
+def ghost_lined(a: np.ndarray, boundary: str, edge: bool = False) -> np.ndarray:
+    """C-contiguous (..., H+2, W+2) copy of an (..., H, W) array, cell (i, j) at (i+1, j+1), inside
+    a ring of ghost cells that wrap (periodic), copy the edge cell (``edge``) or are zero."""
+    p = np.empty(a.shape[:-2] + (a.shape[-2] + 2, a.shape[-1] + 2))
+    p[..., 1:-1, 1:-1] = a
+    return fill_ghosts(p, boundary, edge)
+
+
+def interior(p: np.ndarray) -> np.ndarray:
+    """The (..., H, W) cells of a ghost-lined array, as a view."""
+    return p[..., 1:-1, 1:-1]
+
+
+def _pairs(op, p: np.ndarray) -> Faces:
+    """op(p[k], p[k-1]) on the faces of each axis: one flat op shifted by W+2 (rows) or 1 (columns)."""
+    flat, out = p.reshape(-1), (np.empty_like(p), np.empty_like(p))
+    for f, step in zip((face.reshape(-1) for face in out), (p.shape[-1], 1)):
+        op(flat[step:], flat[:-step], out=f[:-step])
+        f[-step:] = 0.0  # past the last face: written so that no entry is left unset
     return out
 
 
-def face_differences(a: np.ndarray, boundary: str) -> Faces:
-    """a[k] - a[k-1] on the faces of each axis; ghost values of ``a`` follow the boundary rule."""
-    return tuple(_face_pairs(a, axis, np.subtract, boundary) for axis in (0, 1))
+def face_differences(p: np.ndarray) -> Faces:
+    """p[k] - p[k-1] on the faces of each axis of a ghost-lined ``p``."""
+    return _pairs(np.subtract, p)
 
 
 def face_averages(coef: np.ndarray, boundary: str) -> Faces:
-    """Averages of ``coef`` on the faces of each axis; ghosts copy the edge (dirichlet_zero) or wrap."""
-    sums = (_face_pairs(coef, axis, np.add, boundary, edge=True) for axis in (0, 1))
-    return tuple(np.multiply(s, 0.5, out=s) for s in sums)
+    """Averages of an (..., H, W) ``coef`` on the faces of each axis; ghosts copy the edge or wrap."""
+    return tuple(np.multiply(s, 0.5, out=s) for s in _pairs(np.add, ghost_lined(coef, boundary, edge=True)))
 
 
-def face_flux_divergence(faces: Faces, du: Faces, h: float) -> np.ndarray:
-    """div(coef * grad u) from coef's :func:`face_averages` and u's :func:`face_differences`;
-    each face flux is formed once and shared by the two cells it separates."""
-    out = np.zeros(du[1].shape[:-1] + du[0].shape[-1:])
-    for axis, face, diff in zip((0, 1), faces, du):
-        flux = face * diff
-        out += flux[_axis_slices(axis, _TAIL)] - flux[_axis_slices(axis, _HEAD)]
-    out /= h * h
+def face_flux_divergence(fluxes: Faces, h: float) -> np.ndarray:
+    """div(coef * grad u), ghost-lined, from the fluxes coef's :func:`face_averages` times u's
+    :func:`face_differences`: per cell, the flux on its high face minus that on its low face,
+    summed over both axes, / h^2. Overwrites the row fluxes."""
+    step, out = fluxes[0].shape[-1], np.empty_like(fluxes[0])
+    o, rows, cols = (f.reshape(-1) for f in (out, *fluxes))
+    o[:step] = 0.0  # the first ghost row has no low row face
+    np.subtract(rows[step:], rows[:-step], out=o[step:])
+    np.subtract(cols[1:], cols[:-1], out=rows[1:])
+    o[step:] += rows[step:]
+    o += 0.0  # a sum started at zero: a -0.0 total reads +0.0
+    o /= h * h
     return out
 
 
-def face_flux_adjoint_coef(du: Faces, dw: Faces, h: float, boundary: str) -> np.ndarray:
-    """:func:`flux_divergence_2d_adjoint_coef` from u's and w's face differences: the adjoint of
-    :func:`face_averages` applied to -(du * dw) / h^2. A dirichlet_zero edge cell also takes the
-    ghost half of its boundary face; on a periodic grid face H is face 0, counted once."""
-    for axis, (a, b) in enumerate(zip(du, dw)):
-        prod = a * b
-        term = prod[_axis_slices(axis, _HEAD)] + prod[_axis_slices(axis, _TAIL)]
-        if boundary != PERIODIC:
-            for edge in (_axis_slices(axis, _FIRST), _axis_slices(axis, _LAST)):
-                term[edge] += prod[edge]
-        out = term if axis == 0 else np.add(term, out, out=term)
-    out *= -0.5 / (h * h)
+def face_flux_adjoint_coef(products: Faces, h: float, boundary: str) -> np.ndarray:
+    """:func:`flux_divergence_2d_adjoint_coef`, ghost-lined, from the products du * dw of u's and w's
+    :func:`face_differences`: the adjoint of :func:`face_averages` applied to -(du * dw) / h^2. A
+    dirichlet_zero edge cell also takes the ghost half of its boundary face; on a periodic grid face
+    H is face 0, counted once. Overwrites the row products."""
+    (rows, cols), out = products, np.empty_like(products[0])
+    step = rows.shape[-1]
+    o, r, c = (f.reshape(-1) for f in (out, rows, cols))
+    o[:step] = 0.0
+    np.add(r[:-step], r[step:], out=o[step:])
+    if boundary != PERIODIC:  # edge rows 0 and H - 1 take faces 0 and H again
+        out[..., (1, -2), 1:-1] += rows[..., (0, -2), 1:-1]
+    np.add(c[:-1], c[1:], out=r[1:])
+    if boundary != PERIODIC:
+        rows[..., 1:-1, (1, -2)] += cols[..., 1:-1, (0, -2)]
+    o[step:] += r[step:]
+    o *= -0.5 / (h * h)
     return out
+
+
+def face_products(a: Faces, b: Faces) -> Faces:
+    """a * b on the faces of each axis, in ``b``'s buffers: for a caller that no longer reads ``b``."""
+    for x, y in zip(a, b):
+        np.multiply(x, y, out=y)
+    return b
 
 
 def flux_divergence_faces(faces: Faces, u: np.ndarray, h: float, boundary: str) -> np.ndarray:
-    """div(coef * grad u) from the face averages of coef given by :func:`face_averages`: the
-    face differences of u, scaled into fluxes in place, one axis' worth alive at a time."""
-    out = np.zeros(u.shape)
-    for axis, face in zip((0, 1), faces):
-        flux = _face_pairs(u, axis, np.subtract, boundary)
-        flux *= face
-        out += flux[_axis_slices(axis, _TAIL)] - flux[_axis_slices(axis, _HEAD)]
-    out /= h * h
-    return out
+    """div(coef * grad u) on (..., H, W) cells from the face averages of coef given by
+    :func:`face_averages`: u's face differences, scaled into fluxes in place."""
+    return interior(face_flux_divergence(face_products(faces, face_differences(ghost_lined(u, boundary))), h))
 
 
 def flux_divergence_2d(coef: np.ndarray, u: np.ndarray, h: float, boundary: str) -> np.ndarray:
@@ -288,4 +314,5 @@ def flux_divergence_2d(coef: np.ndarray, u: np.ndarray, h: float, boundary: str)
 
 def flux_divergence_2d_adjoint_coef(u: np.ndarray, w: np.ndarray, h: float, boundary: str) -> np.ndarray:
     """Adjoint in coef of the bilinear map coef -> flux_divergence_2d(coef, u)."""
-    return face_flux_adjoint_coef(face_differences(u, boundary), face_differences(w, boundary), h, boundary)
+    du, dw = (face_differences(ghost_lined(x, boundary)) for x in (u, w))
+    return interior(face_flux_adjoint_coef(face_products(du, dw), h, boundary))

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import is_count
-from .grid import DIRICHLET, PERIODIC, Field, GridSpec, diff_2d, laplacian_2d
-from .grid import face_averages, face_differences, face_flux_adjoint_coef, face_flux_divergence
+from .grid import DIRICHLET, PERIODIC, Field, GridSpec, diff_2d, fill_ghosts, ghost_lined, interior, laplacian_2d
+from .grid import face_averages, face_differences, face_flux_adjoint_coef, face_flux_divergence, face_products
 from .grid import flux_divergence_2d, flux_divergence_2d_adjoint_coef  # unused; bench/tracer.py binds them
 
 KINDS = ("darcy", "poisson", "helmholtz", "divergence_free", "gray_scott_2", "competitive_3")
@@ -229,7 +229,7 @@ def residual_sq_grad(
     kind = system.kind
     pairs = x.shape[-3] // 2
     if grad:
-        out = np.zeros_like(x)
+        out = np.empty_like(x)  # every kind writes every channel of its layout
         g = np.moveaxis(out, -3, 0)  # writable channel-first view
         equations = pairs if kind == "divergence_free" else RD_SPECIES.get(kind, 1)
         scale = 2.0 / (equations * spec.cells)
@@ -243,13 +243,15 @@ def residual_sq_grad(
             g[0] = -scale * f
     elif kind == "darcy":
         a, u = v[0], v[1]
-        faces, du = face_averages(a, boundary), face_differences(u, boundary)  # each formed once
-        f = -face_flux_divergence(faces, du, h) - system.source
-        rows = [f]
+        faces, du = face_averages(a, boundary), face_differences(ghost_lined(u, boundary))  # each formed once
+        f = face_flux_divergence([c * d for c, d in zip(faces, du)], h)  # ghost-lined
+        np.subtract(-system.source, f, out=f)  # the residual -div - source, as -source - div: the same sum
+        rows = [interior(f)]
         if grad:
-            df = face_differences(f, boundary)  # shared by the u- and a-gradients
-            np.multiply(face_flux_divergence(faces, df, h), -scale, out=g[1])
-            np.multiply(face_flux_adjoint_coef(du, df, h, boundary), -scale, out=g[0])
+            df = face_differences(fill_ghosts(f, boundary))  # shared by the u- and a-gradients
+            # faces and du are not read again: their buffers take the fluxes and products of df
+            np.multiply(interior(face_flux_divergence(face_products(df, faces), h)), -scale, out=g[1])
+            np.multiply(interior(face_flux_adjoint_coef(face_products(df, du), h, boundary)), -scale, out=g[0])
     elif kind == "divergence_free":
         rows = [
             diff_2d(v[2 * i], 0, h, boundary) + diff_2d(v[2 * i + 1], 1, h, boundary) for i in range(pairs)
@@ -280,18 +282,17 @@ def residual_sq_grad(
         mat = system.coupling_matrix
         diff, init, term = v[0:3], v[3:6], v[6:9]
         horizon = system.horizon
-        faces, dterm = face_averages(diff, boundary), face_differences(term, boundary)
-        flux = face_flux_divergence(faces, dterm, h)
+        faces, dterm = face_averages(diff, boundary), face_differences(ghost_lined(term, boundary))
+        res = face_flux_divergence([c * d for c, d in zip(faces, dterm)], h)  # its interior becomes the residual
+        rows = r = interior(res)
         others = [sum(mat[i, j] * term[j] for j in range(3) if j != i) for i in range(3)]
-        rows = [
-            (term[i] - init[i]) / horizon - flux[i] - term[i] * (1.0 - term[i] - others[i])
-            for i in range(3)
-        ]
+        for i in range(3):
+            np.subtract((term[i] - init[i]) / horizon, r[i], out=r[i])
+            r[i] -= term[i] * (1.0 - term[i] - others[i])
         if grad:
-            r = np.stack(rows)
-            dr = face_differences(r, boundary)
-            coef_adj = face_flux_adjoint_coef(dterm, dr, h, boundary)
-            flux_r = face_flux_divergence(faces, dr, h)
+            dr = face_differences(fill_ghosts(res, boundary))
+            coef_adj = interior(face_flux_adjoint_coef(face_products(dr, dterm), h, boundary))
+            flux_r = interior(face_flux_divergence(face_products(dr, faces), h))
             for i in range(3):
                 g[3 + i] = -scale * r[i] / horizon
                 g[i] = -scale * coef_adj[i]

@@ -27,19 +27,11 @@ another step follows, its data-space gradient from the same solve. A resample
 moves each drawn particle whole: state, twist, reconstruction and gradient.
 
 Particles evolve as rows of an (N, d) array drawn from per-particle streams
-keyed by (seed, particle index); resampling uses its own stream. Each stream
-fills its particle's Gaussian noise for c steps at once,
-c = max(1, min(K, NOISE_BLOCK_BYTES // (8 N d))), so the (N, c, d) block
-stays within :data:`NOISE_BLOCK_BYTES`. One (c, d) draw equals c successive
-(d,) draws bit for bit, so the block size never changes a run. When
-c d >= :data:`HELPER_FILL_VALUES`, a helper thread, started after the initial
-states are drawn and shut down when the run returns or raises, draws block
-b+1 into a second buffer while the main thread runs the steps of block b.
-NumPy's generators fill without holding the interpreter lock, so the draw
-overlaps the step arithmetic; each stream is still read by one thread at a
-time and in the same order (initial state, then the blocks in step order), so
-the run is bit-identical to an inline draw. Smaller blocks are drawn inline,
-where the lock handoffs of a thread would cost more than the overlap saves.
+keyed by (seed, particle index); resampling uses its own stream. Step noise
+is drawn inline, in blocks: each stream fills its particle's Gaussian noise
+for c steps at once, c = max(1, min(K, NOISE_BLOCK_BYTES // (8 N d))), so the
+(N, c, d) block stays within :data:`NOISE_BLOCK_BYTES`. One (c, d) draw equals
+c successive (d,) draws bit for bit, so the block size never changes a run.
 
 A single chain is a run with N = 1: it walks the proposal cores of
 :mod:`pgd.samplers` on the particle-0 stream, and the unguided or
@@ -56,7 +48,6 @@ turns a population into a ``Field`` at the boundary.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,8 +70,6 @@ PROPOSALS = ("gem", "sosag")
 SCHEMES = ("tds", "pbs")
 ESTIMATE_MODES = ("best", "weighted_mean")
 NOISE_BLOCK_BYTES = 1 << 20  # budget of the per-run block of pre-drawn step noise
-# fewest values per stream call (c * d) for which a helper thread draws the noise
-HELPER_FILL_VALUES = 1024
 
 
 @dataclass(frozen=True)
@@ -208,70 +197,53 @@ def smc_run(
             return x_hat, *log_likelihood(ctx, x_hat, grad=True, cov=cov)
         return x_hat, log_likelihood(ctx, x_hat, cov=cov), None
 
-    def fill(buffer: np.ndarray, steps: int) -> np.ndarray:
-        """Draw every particle's noise for the next ``steps`` steps into ``buffer[:, :steps]``."""
-        for row, s in zip(buffer, streams):
-            s.standard_normal(out=row[:steps])
-        return buffer
-
     states = np.stack([sched.sigma_max * s.standard_normal(d) for s in streams])
-    # block b holds the noise of steps K - b c down to K - (b + 1) c + 1; the helper fills buffers[b % 2]
+    # a block of block_steps steps is drawn as its first step starts; noise[:, j] is its j-th step
     block_steps = max(1, min(sched.steps, NOISE_BLOCK_BYTES // (8 * n * d)))
-    helper = ThreadPoolExecutor(max_workers=1) if block_steps * d >= HELPER_FILL_VALUES else None
-    buffers = [np.empty((n, block_steps, d)) for _ in range(1 if helper is None else 2)]
-    try:
-        if helper is not None:
-            pending = helper.submit(fill, buffers[0], block_steps)
-        denoised, loglik, data_grad = evaluate(states, sched.sigma_max, sched.steps, guided)
-        require_finite(loglik, sched.steps, "weight")
-        pop = ParticlePopulation(spec=spec, states=states, log_weights=loglik)
-        log_norm = normalize(pop.log_weights)[0]
-        log_evidence = log_norm - math.log(n)
-        diag = SmcDiagnostics()
+    noise = np.empty((n, block_steps, d))
+    denoised, loglik, data_grad = evaluate(states, sched.sigma_max, sched.steps, guided)
+    require_finite(loglik, sched.steps, "weight")
+    pop = ParticlePopulation(spec=spec, states=states, log_weights=loglik)
+    log_norm = normalize(pop.log_weights)[0]
+    log_evidence = log_norm - math.log(n)
+    diag = SmcDiagnostics()
 
-        for k in range(sched.steps, 0, -1):
-            sigma_k, sigma_next = sched.sigma_at(k), sched.sigma_at(k - 1)
-            b, j = divmod(sched.steps - k, block_steps)
-            if j == 0:
-                if helper is None:
-                    noise = fill(buffers[0], min(block_steps, k))
-                else:
-                    noise = pending.result()
-                    if k > block_steps:
-                        pending = helper.submit(fill, buffers[(b + 1) % 2], min(block_steps, k - block_steps))
-            z = noise[:, j]
+    for k in range(sched.steps, 0, -1):
+        sigma_k, sigma_next = sched.sigma_at(k), sched.sigma_at(k - 1)
+        j = (sched.steps - k) % block_steps
+        if j == 0:
+            for row, s in zip(noise, streams):
+                s.standard_normal(out=row[: min(block_steps, k)])
+        z = noise[:, j]
 
-            if guided:
-                samples, shift = gem_core(pop.states, z, sigma_k, sigma_next, denoiser, denoised, data_grad)
-            else:
-                samples = heun_core(pop.states, z, sigma_k, sigma_next, denoiser, gamma, ctx)
-            require_finite(samples, k, "state")
+        if guided:
+            samples, shift = gem_core(pop.states, z, sigma_k, sigma_next, denoiser, denoised, data_grad)
+        else:
+            samples = heun_core(pop.states, z, sigma_k, sigma_next, denoiser, gamma, ctx)
+        require_finite(samples, k, "state")
 
-            denoised, ll_new, data_grad = evaluate(samples, sigma_next, k, guided and k > 1)
-            potentials = ll_new - loglik
-            if config.scheme == "tds":
-                potentials = potentials + tds_transition_term(z, shift, sigma_k**2 - sigma_next**2)
-            require_finite(potentials, k, "weight")
+        denoised, ll_new, data_grad = evaluate(samples, sigma_next, k, guided and k > 1)
+        potentials = ll_new - loglik
+        if config.scheme == "tds":
+            potentials = potentials + tds_transition_term(z, shift, sigma_k**2 - sigma_next**2)
+        require_finite(potentials, k, "weight")
 
-            pop = ParticlePopulation(spec, samples, pop.log_weights + potentials)
-            loglik = ll_new
-            new_norm, current_ess, weights = normalize(pop.log_weights)
-            log_evidence += new_norm - log_norm
-            log_norm = new_norm
-            fire = current_ess <= config.resample_threshold * n
-            diag.ess_trace.append(current_ess)
-            diag.resampled.append(bool(fire))
-            diag.log_evidence_trace.append(log_evidence)
-            if fire:
-                # the whole particle moves: state, twist, reconstruction and gradient
-                pop = multinomial_resample(pop, weights, resample_rng)
-                log_norm = math.log(n)
-                a = pop.ancestors
-                loglik, denoised = loglik[a], denoised[a]
-                data_grad = None if data_grad is None else data_grad[a]
-    finally:
-        if helper is not None:
-            helper.shutdown(cancel_futures=True)
+        pop = ParticlePopulation(spec, samples, pop.log_weights + potentials)
+        loglik = ll_new
+        new_norm, current_ess, weights = normalize(pop.log_weights)
+        log_evidence += new_norm - log_norm
+        log_norm = new_norm
+        fire = current_ess <= config.resample_threshold * n
+        diag.ess_trace.append(current_ess)
+        diag.resampled.append(bool(fire))
+        diag.log_evidence_trace.append(log_evidence)
+        if fire:
+            # the whole particle moves: state, twist, reconstruction and gradient
+            pop = multinomial_resample(pop, weights, resample_rng)
+            log_norm = math.log(n)
+            a = pop.ancestors
+            loglik, denoised = loglik[a], denoised[a]
+            data_grad = None if data_grad is None else data_grad[a]
 
     diag.log_evidence = log_evidence
     return pop, diag

@@ -22,9 +22,14 @@ from pgd.grid import (
     diff_2d,
     face_averages,
     face_differences,
+    face_flux_adjoint_coef,
+    face_flux_divergence,
+    face_products,
     flux_divergence_2d,
     flux_divergence_2d_adjoint_coef,
     flux_divergence_faces,
+    ghost_lined,
+    interior,
     laplacian_2d,
     shift,
 )
@@ -146,25 +151,39 @@ def test_shift_on_a_batch_matches_slices_of_a_padded_array(boundary, axis, step,
     np.testing.assert_array_equal(shift(a, axis, step, boundary), want)
 
 
+# Non-square grids with no, one and two batch axes: a flat shift that crosses a
+# row end or a particle boundary where it should not shows on one of them.
+FACE_SHAPES = [(7, 12), (12, 7), (3, 7, 12), (2, 3, 12, 7)]
+
+
+def _pad(a, mode):
+    return np.pad(a, [(0, 0)] * (a.ndim - 2) + [(1, 1), (1, 1)], mode=mode)
+
+
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 def test_face_differences_and_averages_match_a_padded_array(boundary):
-    """Independent oracle: differences and sums of neighbours in a ghost-padded array."""
-    a = np.random.default_rng(3).standard_normal((BATCH, H, W))
-    pad = lambda mode: np.pad(a, ((0, 0), (1, 1), (1, 1)), mode=mode)
+    """Independent oracle: differences and sums of neighbours in a ghost-padded array, read off
+    the ghost-lined layout's faces (row face k at padded row k, column face j at padded column j)."""
     ghost_u, ghost_coef = ("wrap", "wrap") if boundary == PERIODIC else ("constant", "edge")
-    u_pad, c_pad = pad(ghost_u), pad(ghost_coef)
-    diffs, faces = face_differences(a, boundary), face_averages(a, boundary)
-    np.testing.assert_array_equal(diffs[0], np.diff(u_pad[:, :, 1:-1], axis=1))
-    np.testing.assert_array_equal(diffs[1], np.diff(u_pad[:, 1:-1, :], axis=2))
-    np.testing.assert_array_equal(faces[0], 0.5 * (c_pad[:, :-1, 1:-1] + c_pad[:, 1:, 1:-1]))
-    np.testing.assert_array_equal(faces[1], 0.5 * (c_pad[:, 1:-1, :-1] + c_pad[:, 1:-1, 1:]))
+    for shape in FACE_SHAPES:
+        a = np.random.default_rng(3).standard_normal(shape)
+        u_pad, c_pad = _pad(a, ghost_u), _pad(a, ghost_coef)
+        check = lambda got, want: np.testing.assert_array_equal(got, want, err_msg=str(shape))
+        check(ghost_lined(a, boundary), u_pad)
+        check(ghost_lined(a, boundary, edge=True), c_pad)
+        diffs, faces = face_differences(ghost_lined(a, boundary)), face_averages(a, boundary)
+        check(diffs[0][..., :-1, 1:-1], np.diff(u_pad[..., 1:-1], axis=-2))
+        check(diffs[1][..., 1:-1, :-1], np.diff(u_pad[..., 1:-1, :], axis=-1))
+        check(faces[0][..., :-1, 1:-1], 0.5 * (c_pad[..., :-1, 1:-1] + c_pad[..., 1:, 1:-1]))
+        check(faces[1][..., 1:-1, :-1], 0.5 * (c_pad[..., 1:-1, :-1] + c_pad[..., 1:-1, 1:]))
 
 
 def _edge_shift(a, axis, step):
     """shift with the vacated line replicated from a's own edge."""
-    padded = np.pad(a, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    padded = _pad(a, "edge")
+    rows, cols = a.shape[-2:]
     dr, dc = (step, 0) if axis == 0 else (0, step)
-    return padded[:, 1 + dr : 1 + dr + H, 1 + dc : 1 + dc + W]
+    return padded[..., 1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols]
 
 
 def _shift_flux_divergence(coef, u, h, boundary):
@@ -183,16 +202,52 @@ def _shift_flux_divergence(coef, u, h, boundary):
     return out / (h * h)
 
 
+def _shift_flux_adjoint_coef(u, w, h, boundary):
+    """The coefficient adjoint written with shifts: per axis, the products of u's and w's
+    differences on a cell's low and high faces and, on a dirichlet_zero edge, the boundary face's
+    product once more (the ghost half of its edge-copied average): the reference."""
+    terms = []
+    for axis in (0, 1):
+        low = (u - shift(u, axis, -1, boundary)) * (w - shift(w, axis, -1, boundary))
+        high = (shift(u, axis, 1, boundary) - u) * (shift(w, axis, 1, boundary) - w)
+        term = low + high
+        if boundary != PERIODIC:
+            t, lo, hi = (np.moveaxis(x, axis - 2, -1) for x in (term, low, high))  # views, this axis last
+            t[..., 0] += lo[..., 0]
+            t[..., -1] += hi[..., -1]
+        terms.append(term)
+    out = terms[1] + terms[0]
+    out *= -0.5 / (h * h)
+    return out
+
+
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 def test_face_form_flux_divergence_matches_the_shift_form(boundary):
     rng = np.random.default_rng(8)
-    coef = rng.uniform(0.5, 2.0, (BATCH, H, W))
-    u = rng.standard_normal((BATCH, H, W))
-    faces = face_averages(coef, boundary)
-    assert [f.shape for f in faces] == [(BATCH, H + 1, W), (BATCH, H, W + 1)]
-    want = _shift_flux_divergence(coef, u, 0.25, boundary)
-    np.testing.assert_array_equal(flux_divergence_faces(faces, u, 0.25, boundary), want)
-    np.testing.assert_array_equal(flux_divergence_2d(coef, u, 0.25, boundary), want)
+    for shape in FACE_SHAPES:
+        coef = rng.uniform(0.5, 2.0, shape)
+        u = rng.standard_normal(shape)
+        faces = face_averages(coef, boundary)
+        lined = shape[:-2] + (shape[-2] + 2, shape[-1] + 2)
+        assert [f.shape for f in faces] == [lined, lined]
+        want = _shift_flux_divergence(coef, u, 0.25, boundary)
+        du = face_differences(ghost_lined(u, boundary))
+        check = lambda got: np.testing.assert_array_equal(got, want, err_msg=str(shape))
+        check(interior(face_flux_divergence([f * d for f, d in zip(faces, du)], 0.25)))
+        check(flux_divergence_faces(faces, u, 0.25, boundary))
+        check(flux_divergence_2d(coef, u, 0.25, boundary))
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_face_form_flux_adjoint_coef_matches_the_shift_form(boundary):
+    rng = np.random.default_rng(9)
+    for shape in FACE_SHAPES:
+        u, w = rng.standard_normal((2,) + shape)
+        want = _shift_flux_adjoint_coef(u, w, 0.25, boundary)
+        du, dw = (face_differences(ghost_lined(x, boundary)) for x in (u, w))
+        check = lambda got: np.testing.assert_array_equal(got, want, err_msg=str(shape))
+        check(interior(face_flux_adjoint_coef(face_products(du, dw), 0.25, boundary)))
+        check(flux_divergence_2d_adjoint_coef(u, w, 0.25, boundary))
 
 
 def _stencil_cases(rng):
@@ -438,8 +493,8 @@ def test_darcy_likelihood_forms_the_faces_once_and_differences_u_and_its_residua
     log_likelihood(ctx, rows, grad=True)
     (coef,), (u, f) = calls["face_averages"], calls["face_differences"]
     np.testing.assert_array_equal(coef, states[:, 0])
-    np.testing.assert_array_equal(u, states[:, 1])
-    np.testing.assert_array_equal(f, residual_sq_grad(system, spec, states)[0][:, 0])
+    np.testing.assert_array_equal(interior(u), states[:, 1])  # differences are taken on ghost-lined arrays
+    np.testing.assert_array_equal(interior(f), residual_sq_grad(system, spec, states)[0][:, 0])
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -309,29 +309,16 @@ def test_smc_run_builds_no_field(monkeypatch, proposal):
 @pytest.mark.parametrize("particles", [1, 4])
 @pytest.mark.parametrize("proposal,scheme", [("gem", "pbs"), ("gem", "tds"), ("sosag", "pbs")])
 def test_noise_block_size_leaves_runs_unchanged(monkeypatch, particles, proposal, scheme):
-    # blocks of 1 step, of 3 steps (which do not divide K = 7) and of all K steps,
-    # each drawn inline (d = 32 is below the helper's cut) and on the helper thread
+    # blocks of 1 step, of 3 steps (which do not divide K = 7) and of all K steps
     den, obs, layout, w = poisson_problem()
     d, steps = den.prior.mean.spec.size, 7
     sched = NoiseSchedule(sigma_max=3.0, sigma_min=0.01, steps=steps, rho=3.0)
     cfg = SmcConfig(particles, sched, w, proposal, scheme, resample_threshold=0.9, seed=9)
-    helpers = []
-
-    class CountingExecutor(pgd.smc.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            helpers.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(pgd.smc, "ThreadPoolExecutor", CountingExecutor)
     runs = []
-    for cut in (pgd.smc.HELPER_FILL_VALUES, 0):
-        monkeypatch.setattr(pgd.smc, "HELPER_FILL_VALUES", cut)
-        for block_steps in (1, 3, steps):
-            monkeypatch.setattr(pgd.smc, "NOISE_BLOCK_BYTES", 8 * particles * d * block_steps)
-            helpers.clear()
-            pop, diag = smc_run(cfg, den, obs, PdeSystem.poisson(), layout)
-            assert len(helpers) == (block_steps * d >= cut)
-            runs.append((pop.states, pop.log_weights, diag.log_evidence, diag.resampled))
+    for block_steps in (1, 3, steps):
+        monkeypatch.setattr(pgd.smc, "NOISE_BLOCK_BYTES", 8 * particles * d * block_steps)
+        pop, diag = smc_run(cfg, den, obs, PdeSystem.poisson(), layout)
+        runs.append((pop.states, pop.log_weights, diag.log_evidence, diag.resampled))
     for run in runs[1:]:
         for got, want in zip(run, runs[0]):
             np.testing.assert_array_equal(got, want)
@@ -356,7 +343,7 @@ def test_non_finite_weight_raises_a_located_blow_up():
     threads = threading.active_count()
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError, match="weight") as err:
         smc_run(cfg, den, obs, system, layout)
-    assert threading.active_count() == threads  # the noise helper is shut down on the raise
+    assert threading.active_count() == threads  # smc_run starts no thread
     assert isinstance(err.value, NumericalError)
     assert err.value.step == 12
     assert err.value.particle is not None and 0 <= err.value.particle < 64
@@ -372,7 +359,7 @@ def test_overflowing_residual_raises_a_located_blow_up_not_a_field_error(proposa
     threads = threading.active_count()
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError, match="weight") as err:
         smc_run(cfg, den, obs, system, layout)
-    assert threading.active_count() == threads  # the noise helper is shut down on the raise
+    assert threading.active_count() == threads  # smc_run starts no thread
     assert err.value.step == step
     assert err.value.particle is not None and 0 <= err.value.particle < 64
 
