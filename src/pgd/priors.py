@@ -83,7 +83,7 @@ class Denoiser(ABC):
 # Gaussian priors.
 # ---------------------------------------------------------------------------
 
-COV_KINDS = ("scalar", "diagonal", "dense")
+COV_KINDS = ("diagonal", "dense")
 
 
 @dataclass(frozen=True)
@@ -102,17 +102,19 @@ class FactoredCov:
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """Gaussian over flattened states: mean field plus finite scalar/diagonal/dense covariance.
+    """Gaussian over flattened states: mean field plus finite diagonal or dense covariance.
 
-    A dense covariance may be given as a symmetric positive semidefinite (d, d)
-    matrix. It is checked and eigendecomposed once here and stored as a
-    :class:`FactoredCov` with iso = 0 and r = d; eigenvalues are clipped at
-    zero against tiny negative round-off modes.
+    A diagonal covariance is a nonnegative (d,) vector; an isotropic prior is
+    the diagonal ``np.full(d, s)``. A dense covariance may be given as a
+    symmetric positive semidefinite (d, d) matrix. It is checked and
+    eigendecomposed once here and stored as a :class:`FactoredCov` with
+    iso = 0 and r = d; eigenvalues are clipped at zero against tiny negative
+    round-off modes.
     """
 
     mean: Field
     cov_kind: str
-    cov: float | np.ndarray | FactoredCov
+    cov: np.ndarray | FactoredCov
 
     def __post_init__(self):
         if self.cov_kind not in COV_KINDS:
@@ -122,11 +124,7 @@ class GaussianPrior:
         parts = (cov.iso, cov.evals, cov.basis) if isinstance(cov, FactoredCov) else (cov,)
         if not all(np.all(np.isfinite(p)) for p in parts):
             raise ValueError(f"{self.cov_kind} covariance must be finite")
-        if self.cov_kind == "scalar":
-            if float(self.cov) < 0:
-                raise ValueError("scalar covariance must be nonnegative")
-            object.__setattr__(self, "cov", float(self.cov))
-        elif self.cov_kind == "diagonal":
+        if self.cov_kind == "diagonal":
             arr = np.asarray(self.cov, dtype=float)
             if arr.shape != (d,) or np.any(arr < 0):
                 raise ValueError("diagonal covariance must be a nonnegative (d,) vector")
@@ -216,10 +214,10 @@ class GmmDenoiser(Denoiser):
             raise ValueError("mixture must have at least one component")
         if np.any(w <= 0) or not np.isclose(w.sum(), 1.0):
             raise ValueError("weights must be positive and sum to 1")
-        if mu.ndim != 2 or mu.shape[0] != w.size:
-            raise ValueError("means must be (components, d)")
-        if var.shape != w.shape or np.any(var <= 0):
-            raise ValueError("variances must be positive, one per component")
+        if mu.ndim != 2 or mu.shape[0] != w.size or not np.isfinite(mu).all():
+            raise ValueError("means must be finite, (components, d)")
+        if var.shape != w.shape or not np.all((var > 0) & np.isfinite(var)):
+            raise ValueError("variances must be finite and positive, one per component")
         self.weights, self.means, self.variances = w, mu, var
         self.dim = mu.shape[1]
 

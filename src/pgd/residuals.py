@@ -6,27 +6,28 @@ competitive_3) uses periodic grids and models a state holding per-species
 diffusion coefficient fields plus initial and terminal snapshots, with the
 time derivative closed by the forward difference (terminal - initial) over
 the horizon. Diffusion and reaction terms are evaluated at the terminal
-snapshot. The divergence_free system penalizes the divergence of one or more
+snapshot. The divergence_free system penalizes the divergence of two
 two-channel vector snapshots.
 
-Each system fixes the role of every channel of its state, from its kind and
-the channel count alone (the slots are listed in :func:`residual_sq_grad`).
-A :class:`StateLayout` names only the two observation groups, and a layout
+A system's kind alone fixes its state: the role and number of its channels
+(the slots are listed in :func:`residual_sq_grad`). ``KINDS`` writes out each
+kind's coefficient and solution channels, which :func:`default_layout` reads;
+a :class:`StateLayout` names only these two observation groups, and a layout
 used with a system must be that system's own.
 
 Gradients are assembled from stencil adjoints and product-rule terms, never
 by automatic differentiation, so they can be cross-checked against finite
-differences.
-
-Each system is written once, in :func:`residual_sq_grad`: a kernel on plain
-(..., C, H, W) state arrays that returns the residual and, when asked, the
-gradient of its mean square, built from the residual's own intermediates. It
-acts per particle: a (N, C, H, W) state gives (N, R, H, W) residuals and
+differences. The sampler's residuals are one kernel, :func:`residual_sq_grad`,
+on plain (..., C, H, W) state arrays: it returns the residual and, when
+asked, the gradient of its mean square, built from the residual's own
+intermediates. A (N, C, H, W) state gives (N, R, H, W) residuals and
 (N, C, H, W) gradients, each row equal to the single-state result. It
 validates nothing; the sampler's :class:`~pgd.guidance.GuidanceContext`
-validates the layout once. :class:`~pgd.grid.Field` stays at the boundary:
-:func:`residual` validates a field's layout, calls the kernel and wraps the
-result.
+validates the layout once, and :func:`residual` validates a
+:class:`~pgd.grid.Field`'s layout, calls the kernel and wraps the result.
+The data generator keeps its own copy of the reaction-diffusion kinetics,
+:func:`pgd.solvers._rd_rate`: it forms ``u*v*v`` where the kernel forms
+``ut * vt**2``, so sharing one copy would move the dataset digests.
 """
 
 from __future__ import annotations
@@ -40,7 +41,14 @@ from .grid import DIRICHLET, PERIODIC, Field, GridSpec, diff_2d, fill_ghosts, gh
 from .grid import face_averages, face_differences, face_flux_adjoint_coef, face_flux_divergence, face_products
 from .grid import flux_divergence_2d, flux_divergence_2d_adjoint_coef  # unused; bench/tracer.py binds them
 
-KINDS = ("darcy", "poisson", "helmholtz", "divergence_free", "gray_scott_2", "competitive_3")
+KINDS = {  # each system kind and its state's (coefficient channels, solution channels)
+    "darcy": ((0,), (1,)),
+    "poisson": ((0,), (1,)),
+    "helmholtz": ((0,), (1,)),
+    "divergence_free": ((0, 1), (2, 3)),
+    "gray_scott_2": ((0, 1, 2, 3), (4, 5)),
+    "competitive_3": ((0, 1, 2, 3, 4, 5), (6, 7, 8)),
+}
 
 ELLIPTIC_KINDS = ("darcy", "poisson", "helmholtz")
 RD_SPECIES = {"gray_scott_2": 2, "competitive_3": 3}  # the reaction-diffusion kinds and their species counts
@@ -115,12 +123,12 @@ class PdeSystem:
 class StateLayout:
     """The two observation groups of a state: coefficient and solution channels.
 
-    Each system fixes the role of every channel of its state (see
+    A system's kind fixes the role of every channel of its state (see
     :func:`residual_sq_grad`); the layout says only which channels each
     observation group reads. Construction requires nonnegative integer
     channels, none repeated within a group, whose union is 0..C-1; a channel
     may sit in both groups. Without a system any such layout will do; with
-    one, :meth:`validate_for` requires the system's own layout.
+    one, :meth:`validate_for` requires ``default_layout(system.kind)``.
     """
 
     coeff_channels: tuple[int, ...]
@@ -135,43 +143,20 @@ class StateLayout:
 
     @property
     def channel_count(self) -> int:
-        chans = set(self.coeff_channels) | set(self.solution_channels)
-        return len(chans)
+        return len(set(self.coeff_channels) | set(self.solution_channels))
 
     @classmethod
     def scalar_pair(cls) -> "StateLayout":
         """Coefficient channel 0, solution channel 1 (elliptic systems)."""
         return cls(coeff_channels=(0,), solution_channels=(1,))
 
-    @classmethod
-    def vector_snapshots(cls, snapshots: int = 2) -> "StateLayout":
-        """``snapshots`` two-channel vector fields; the first one is the coefficient group."""
-        if snapshots < 1:
-            raise ValueError("need at least one snapshot")
-        channels = tuple(range(2 * snapshots))
-        if snapshots == 1:
-            return cls(coeff_channels=(), solution_channels=channels)
-        return cls(coeff_channels=channels[:2], solution_channels=channels[2:])
-
-    @classmethod
-    def reaction_diffusion(cls, species: int) -> "StateLayout":
-        """Diffusion fields and initial states are the coefficient group, terminal states the solution."""
-        if species not in (2, 3):
-            raise ValueError("species must be 2 or 3")
-        channels = tuple(range(3 * species))
-        return cls(coeff_channels=channels[: 2 * species], solution_channels=channels[2 * species :])
-
     def validate_for(self, system: PdeSystem, spec: GridSpec) -> None:
-        """Check that the layout covers ``spec``'s channels and is the system's layout for them."""
+        """Check that the layout covers ``spec``'s channels and is the layout of the system's kind."""
         if self.channel_count != spec.channels:
             raise ValueError(
                 f"layout covers channels 0..{self.channel_count - 1} but the grid has {spec.channels} channels"
             )
-        kind = system.kind
-        if kind == "divergence_free":  # the one system whose state size varies: two channels per snapshot
-            want = StateLayout.vector_snapshots(max(spec.channels // 2, 1))
-        else:
-            want = default_layout(kind)
+        kind, want = system.kind, default_layout(system.kind)
         if self != want:
             raise ValueError(
                 f"{kind} layout needs coefficient channels {want.coeff_channels} "
@@ -184,14 +169,10 @@ class StateLayout:
 
 
 def default_layout(kind: str) -> StateLayout:
-    """The layout of a ``kind`` state; divergence_free's holds two snapshots."""
-    if kind in ELLIPTIC_KINDS:
-        return StateLayout.scalar_pair()
-    if kind in RD_SPECIES:
-        return StateLayout.reaction_diffusion(RD_SPECIES[kind])
-    if kind == "divergence_free":
-        return StateLayout.vector_snapshots(2)
-    raise ValueError(f"unknown system kind {kind!r}")
+    """The layout of a ``kind`` state, the only one a system of that kind takes."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown system kind {kind!r}")
+    return StateLayout(*KINDS[kind])
 
 
 def residual(system: PdeSystem, layout: StateLayout, x: Field) -> Field:
@@ -219,7 +200,8 @@ def residual_sq_grad(
     Channels sit in the system's fixed slots: coefficient a in 0 and solution
     u in 1 (elliptic); with s species, diffusion fields in [0, s), initial
     states in [s, 2s) and terminal states in [2s, 3s) (reaction-diffusion);
-    vector snapshot i in (2i, 2i + 1) (divergence_free). ``spec`` supplies
+    vector snapshots in (0, 1) and (2, 3) (divergence_free). The kind fixes
+    R: one elliptic equation, or one per snapshot or species. ``spec`` supplies
     the spacing and boundary; the state is assumed to match the system's
     layout, and nothing is checked for finiteness, so an overflow reaches the
     caller's located checks.
@@ -227,11 +209,10 @@ def residual_sq_grad(
     h, boundary = spec.spacing, spec.boundary
     v = np.moveaxis(x, -3, 0)  # channel-first view: v[c] is (..., H, W)
     kind = system.kind
-    pairs = x.shape[-3] // 2
     if grad:
         out = np.empty_like(x)  # every kind writes every channel of its layout
         g = np.moveaxis(out, -3, 0)  # writable channel-first view
-        equations = pairs if kind == "divergence_free" else RD_SPECIES.get(kind, 1)
+        equations = 2 if kind == "divergence_free" else RD_SPECIES.get(kind, 1)
         scale = 2.0 / (equations * spec.cells)
 
     if kind in ("poisson", "helmholtz"):
@@ -253,9 +234,7 @@ def residual_sq_grad(
             np.multiply(interior(face_flux_divergence(face_products(df, faces), h)), -scale, out=g[1])
             np.multiply(interior(face_flux_adjoint_coef(face_products(df, du), h, boundary)), -scale, out=g[0])
     elif kind == "divergence_free":
-        rows = [
-            diff_2d(v[2 * i], 0, h, boundary) + diff_2d(v[2 * i + 1], 1, h, boundary) for i in range(pairs)
-        ]
+        rows = [diff_2d(v[2 * i], 0, h, boundary) + diff_2d(v[2 * i + 1], 1, h, boundary) for i in range(2)]
         if grad:
             for i, f in enumerate(rows):
                 g[2 * i] = -scale * diff_2d(f, 0, h, boundary)

@@ -115,6 +115,8 @@ class DatasetSpec:
         if kind not in ELLIPTIC_KINDS and kind not in RD_SPECIES:
             raise ValueError(f"no coefficient model for kind {kind!r}")
         self.layout.validate_for(self.system, self.grid)
+        if kind in RD_SPECIES and isinstance(self.coeff_model, ThresholdedGrf):
+            raise ValueError(f"{kind} draws smooth diffusion fields; a ThresholdedGrf's levels would go unread")
         if kind in RD_SPECIES and not (np.isfinite(self.rd_dt) and self.rd_dt > 0 and is_count(self.rd_steps)):
             raise ValueError(
                 f"need a finite rd_dt > 0 and rd_steps >= 1, got rd_dt={self.rd_dt}, rd_steps={self.rd_steps}"

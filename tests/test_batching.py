@@ -308,7 +308,7 @@ def test_stencil_work_does_not_grow_with_particle_count(monkeypatch):
         rng.standard_normal((1, 4)),
         0.1,
     )
-    den = GaussianDenoiser(GaussianPrior(Field.zeros(spec), "scalar", 1.0))
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(spec), "diagonal", np.full(spec.size, 1.0)))
     w = GuidanceWeights(beta=10.0, gamma=10.0, omega=1e-3)
     calls = []
     original = pgd.grid.shift

@@ -171,7 +171,7 @@ def test_intermediate_equals_terminal_at_sigma_zero():
     rng = np.random.default_rng(6)
     x = Field(SPEC16, rng.standard_normal((1, 4, 4)))
     obs = observations_single_channel(SPEC16, [1, 5, 9], rng.standard_normal(3))
-    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC16), "scalar", 1.0))
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC16), "diagonal", np.full(16, 1.0)))
     w = GuidanceWeights(beta=1.0, gamma=0.0, omega=0.0)
     a = intermediate_ll(x.flat(), 0.0, den, obs, w)
     b = log_likelihood(GuidanceContext(obs, None, SOLUTION_ONLY, w), x.flat())
@@ -181,7 +181,7 @@ def test_intermediate_equals_terminal_at_sigma_zero():
 def test_intermediate_constant_for_degenerate_prior():
     rng = np.random.default_rng(7)
     mu = Field(SPEC16, rng.standard_normal((1, 4, 4)))
-    den = GaussianDenoiser(GaussianPrior(mu, "scalar", 0.0))
+    den = GaussianDenoiser(GaussianPrior(mu, "diagonal", np.full(16, 0.0)))
     obs = observations_single_channel(SPEC16, [0, 7], rng.standard_normal(2))
     w = GuidanceWeights(beta=1.0, gamma=0.0, omega=0.0)
     vals = [intermediate_ll(rng.standard_normal(16), 0.5, den, obs, w) for _ in range(4)]
@@ -198,7 +198,7 @@ def test_intermediate_matches_conjugate_closed_form():
     idx = np.array([2, 6, 11])
     y = rng.standard_normal(3)
     obs = observations_single_channel(SPEC16, idx, y)
-    den = GaussianDenoiser(GaussianPrior(Field.from_flat(SPEC16, mu), "scalar", s))
+    den = GaussianDenoiser(GaussianPrior(Field.from_flat(SPEC16, mu), "diagonal", np.full(16, s)))
     w = GuidanceWeights(beta=beta, gamma=0.0, omega=0.0)
     got = intermediate_ll(x.flat(), sigma, den, obs, w)
     c = s / (s + sigma**2)
@@ -211,7 +211,7 @@ def test_guidance_zero_weights_is_zero():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((2, 16))
     obs = observations_single_channel(SPEC16, [3], [0.4])
-    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC16), "scalar", 1.0))
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC16), "diagonal", np.full(16, 1.0)))
     w = GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0)
     assert np.all(guidance_rows(x, 0.7, den, obs, w) == 0.0)
 

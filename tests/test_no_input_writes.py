@@ -25,7 +25,6 @@ def denoisers():
     basis = np.linalg.qr(rng.standard_normal((d, 4)))[0].T
     root = rng.standard_normal((d, d))
     return {
-        "scalar": GaussianDenoiser(GaussianPrior(mean, "scalar", 0.7)),
         "diagonal": GaussianDenoiser(GaussianPrior(mean, "diagonal", rng.uniform(0.1, 2.0, d))),
         "dense": GaussianDenoiser(GaussianPrior(mean, "dense", root @ root.T / d)),
         "factored": GaussianDenoiser(
@@ -61,7 +60,7 @@ def rows(seed):
     return np.random.default_rng(seed).standard_normal((N, SPEC.size))
 
 
-@pytest.mark.parametrize("kind", ["scalar", "diagonal", "dense", "factored", "gmm"])
+@pytest.mark.parametrize("kind", ["diagonal", "dense", "factored", "gmm"])
 @pytest.mark.parametrize("sigma", [0.0, 0.8])
 def test_denoise_and_vjp_leave_their_inputs_untouched(kind, sigma):
     den = denoisers()[kind]

@@ -11,7 +11,7 @@ SPEC_4X4 = GridSpec(4, 4, 1, 1.0)  # flattened dimension 16
 
 def unit_prior(mean=None):
     mu = Field.zeros(SPEC_4X4) if mean is None else mean
-    return GaussianPrior(mu, "scalar", 1.0)
+    return GaussianPrior(mu, "diagonal", np.full(16, 1.0))
 
 
 def score(den, x, sigma):
@@ -98,7 +98,7 @@ def test_gaussian_denoise_sigma_zero_identity():
 def test_gaussian_denoise_degenerate_prior_returns_mean():
     rng = np.random.default_rng(0)
     mu = Field(SPEC_4X4, rng.standard_normal((1, 4, 4)))
-    prior = GaussianPrior(mu, "scalar", 0.0)
+    prior = GaussianPrior(mu, "diagonal", np.full(16, 0.0))
     x = rng.standard_normal(16)
     assert np.allclose(GaussianDenoiser(prior).denoise(x, 0.7), mu.flat())
 
@@ -150,8 +150,22 @@ def test_gmm_single_component_equals_gaussian():
     mu = rng.standard_normal(16)
     x = rng.standard_normal(16)
     got = GmmDenoiser(np.array([1.0]), mu[None], np.array([0.49])).denoise(x, 0.9)
-    prior = GaussianPrior(Field.from_flat(SPEC_4X4, mu), "scalar", 0.49)
+    prior = GaussianPrior(Field.from_flat(SPEC_4X4, mu), "diagonal", np.full(16, 0.49))
     assert np.allclose(got, GaussianDenoiser(prior).denoise(x, 0.9), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "means,variances,match",
+    [
+        (np.full((2, 4), np.nan), [1.0, 1.0], "means must be finite"),
+        (np.array([[0.0, np.inf, 0.0, 0.0], [0.0] * 4]), [1.0, 1.0], "means must be finite"),
+        (np.zeros((2, 4)), [1.0, np.nan], "variances must be finite and positive"),
+    ],
+    ids=["nan-means", "inf-mean", "nan-variance"],
+)
+def test_gmm_rejects_non_finite_means_and_variances(means, variances, match):
+    with pytest.raises(ValueError, match=match):
+        GmmDenoiser([0.5, 0.5], means, variances)
 
 
 def test_gmm_symmetric_midpoint_outputs_zero():
@@ -330,9 +344,9 @@ def test_dense_prior_rejects_a_malformed_factored_cov():
             GaussianPrior(Field.zeros(SPEC_4X4), "dense", cov)
 
 
-def test_scalar_prior_rejects_a_nan_variance():
-    with pytest.raises(ValueError, match="scalar covariance must be finite"):
-        GaussianPrior(Field.zeros(SPEC_4X4), "scalar", np.nan)
+def test_diagonal_prior_rejects_a_nan_variance():
+    with pytest.raises(ValueError, match="diagonal covariance must be finite"):
+        GaussianPrior(Field.zeros(SPEC_4X4), "diagonal", np.full(16, np.nan))
 
 
 def test_diagonal_prior_rejects_an_infinite_variance():

@@ -11,11 +11,8 @@ from pgd.residuals import (
 )
 
 
-def make_state(kind, rng, n=8, h=0.5, snapshots=2):
-    """Random state plus (system, layout, field) for each system kind.
-
-    A divergence_free state holds ``snapshots`` vector fields.
-    """
+def make_state(kind, rng, n=8, h=0.5):
+    """Random state plus (system, layout, field) for each system kind."""
     if kind in ("poisson", "helmholtz", "darcy"):
         spec = GridSpec(n, n, 2, h, DIRICHLET)
         vals = rng.standard_normal((2, n, n))
@@ -28,12 +25,8 @@ def make_state(kind, rng, n=8, h=0.5, snapshots=2):
         }[kind]
         return system, default_layout(kind), Field(spec, vals)
     if kind == "divergence_free":
-        spec = GridSpec(n, n, 2 * snapshots, h, PERIODIC)
-        return (
-            PdeSystem.divergence_free(),
-            StateLayout.vector_snapshots(snapshots),
-            Field(spec, rng.standard_normal((2 * snapshots, n, n))),
-        )
+        spec = GridSpec(n, n, 4, h, PERIODIC)
+        return PdeSystem.divergence_free(), default_layout(kind), Field(spec, rng.standard_normal((4, n, n)))
     if kind == "gray_scott_2":
         spec = GridSpec(n, n, 6, h, PERIODIC)
         vals = rng.standard_normal((6, n, n))
@@ -99,7 +92,7 @@ def test_layout_kind_mismatch_rejected():
         residual(PdeSystem.gray_scott(), StateLayout.scalar_pair(), x)
 
 
-# the layout each kind's state has; divergence_free's with two snapshots
+# the layout each kind's state has
 SYSTEM_LAYOUTS = {
     "poisson": StateLayout((0,), (1,)),
     "helmholtz": StateLayout((0,), (1,)),
@@ -135,14 +128,16 @@ def test_layout_with_the_right_channels_but_wrong_groups_rejected(kind, layout):
         residual(system, layout, x)
 
 
-def test_divergence_free_layout_follows_the_channel_count():
-    system, layout, x = make_state("divergence_free", np.random.default_rng(1), snapshots=3)
-    assert residual(system, layout, x).values.shape == (3, 8, 8)
+@pytest.mark.parametrize("channels", [2, 6])
+def test_divergence_free_state_of_another_snapshot_count_is_rejected(channels):
+    # the kind fixes two vector snapshots; one or three are rejected on entry
+    spec = GridSpec(8, 8, channels, 0.5, PERIODIC)
+    layout = StateLayout((), (0, 1)) if channels == 2 else StateLayout((0, 1), (2, 3, 4, 5))
+    x = Field(spec, np.random.default_rng(1).standard_normal((channels, 8, 8)))
     with pytest.raises(ValueError, match="layout covers channels"):
-        residual(system, default_layout("divergence_free"), x)
-    odd = Field(x.spec.with_channels(5), x.values[:5])
-    with pytest.raises(ValueError, match="layout needs"):
-        residual(system, StateLayout((0, 1), (2, 3, 4)), odd)
+        residual(PdeSystem.divergence_free(), default_layout("divergence_free"), x)
+    with pytest.raises(ValueError, match=r"divergence_free layout needs coefficient channels \(0, 1\)"):
+        residual(PdeSystem.divergence_free(), layout, x)
 
 
 def test_boundary_rule_incompatibilities():
@@ -151,7 +146,7 @@ def test_boundary_rule_incompatibilities():
         residual(PdeSystem.poisson(), StateLayout.scalar_pair(), x)
     x = Field.zeros(GridSpec(6, 6, 6, 0.5, DIRICHLET))
     with pytest.raises(ValueError):
-        residual(PdeSystem.gray_scott(), StateLayout.reaction_diffusion(2), x)
+        residual(PdeSystem.gray_scott(), default_layout("gray_scott_2"), x)
 
 
 def test_darcy_zero_solution_constant_source():
@@ -170,7 +165,7 @@ def test_gray_scott_homogeneous_fixed_point():
     vals[1] = 0.05  # D_v
     vals[2] = 1.0  # u0
     vals[4] = 1.0  # uT
-    r = residual(PdeSystem.gray_scott(feed=0.035, removal=0.060), StateLayout.reaction_diffusion(2), Field(spec, vals))
+    r = residual(PdeSystem.gray_scott(feed=0.035, removal=0.060), default_layout("gray_scott_2"), Field(spec, vals))
     assert np.allclose(r.values, 0.0, atol=1e-14)
 
 
@@ -231,13 +226,12 @@ def test_divergence_free_curl_field_is_annihilated():
     # Discrete curl construction: (d psi / d col, -d psi / d row) has exactly
     # zero central-difference divergence on a periodic grid.
     rng = np.random.default_rng(13)
-    spec = GridSpec(8, 8, 2, 0.5, PERIODIC)
-    psi = rng.standard_normal((8, 8))
+    spec = GridSpec(8, 8, 4, 0.5, PERIODIC)
+    psi = rng.standard_normal((2, 8, 8))  # one stream function per snapshot
     p = diff_2d(psi, 1, spec.spacing, spec.boundary)
     q = -diff_2d(psi, 0, spec.spacing, spec.boundary)
-    x = Field(spec, np.stack([p, q]))
-    layout = StateLayout.vector_snapshots(1)
-    r = residual(PdeSystem.divergence_free(), layout, x)
+    x = Field(spec, np.stack([p[0], q[0], p[1], q[1]]))
+    r = residual(PdeSystem.divergence_free(), default_layout("divergence_free"), x)
     assert np.max(np.abs(r.values)) < 1e-13
     _, g = residual_sq_grad(PdeSystem.divergence_free(), spec, x.values, grad=True)
     assert np.max(np.abs(g)) < 1e-13
@@ -257,15 +251,11 @@ def mean_square_residual(system, layout, x):
     return float(np.mean(residual(system, layout, x).values ** 2))
 
 
-@pytest.mark.parametrize(
-    "kind,snapshots",
-    [(kind, 2) for kind in ALL_KINDS] + [("divergence_free", 3)],
-    ids=[*ALL_KINDS, "divergence_free_3_snapshots"],
-)
-def test_gradient_matches_finite_differences(kind, snapshots):
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_gradient_matches_finite_differences(kind):
     # Central finite differences of the mean-square residual are the oracle.
     rng = np.random.default_rng(17)
-    system, layout, x = make_state(kind, rng, snapshots=snapshots)
+    system, layout, x = make_state(kind, rng)
     res, grad = residual_sq_grad(system, x.spec, x.values, grad=True)
     np.testing.assert_array_equal(res, residual(system, layout, x).values)
     assert grad.shape == x.values.shape

@@ -88,7 +88,7 @@ def test_em_step_gaussian_mean_matches_conditional_oracle():
     # For prior N(0, I) the one-step mean is x + delta * (0 - x)/(sigma^2 + 1),
     # the exact conditional-Gaussian posterior mean of the reverse kernel.
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=10, rho=3.0)
-    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", 1.0))
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "diagonal", np.full(9, 1.0)))
     rng = np.random.default_rng(1)
     x = rng.standard_normal(9)
     k = 6
@@ -103,7 +103,7 @@ def test_em_chain_recovers_gaussian_prior():
     # 10^4 chains, K=100: Monte Carlo convergence to the N(0, 1) prior per
     # coordinate; schedule endpoints scaled to unit data variance.
     sched = NoiseSchedule(sigma_max=3.0, sigma_min=0.01, steps=100, rho=2.0)
-    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", 1.0))
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "diagonal", np.full(9, 1.0)))
     n = 10_000
     rng = np.random.default_rng(7)
     x = sched.sigma_max * rng.standard_normal((n, 9))
@@ -119,7 +119,11 @@ def zero_weight_cases():
     """(denoiser, zero-weight context) for each covariance kind."""
     rng = np.random.default_rng(12)
     root = rng.standard_normal((9, 9))
-    for kind, cov in (("scalar", 0.8), ("diagonal", rng.uniform(0.2, 2.0, 9)), ("dense", root @ root.T / 9)):
+    for kind, cov in (
+        ("diagonal", np.full(9, 0.8)),
+        ("diagonal", rng.uniform(0.2, 2.0, 9)),
+        ("dense", root @ root.T / 9),
+    ):
         den = GaussianDenoiser(GaussianPrior(Field.from_flat(SPEC9, rng.standard_normal(9)), kind, cov))
         yield den, UNGUIDED
 
@@ -162,7 +166,7 @@ def test_heun_zero_weights_reduces_to_churned_heun_bit_exactly():
 
 def test_gem_guided_mean_strictly_closer_to_target():
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=20, rho=3.0)
-    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", 1.0))
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "diagonal", np.full(9, 1.0)))
     y_star = np.full(9, 1.5)
     ctx = all_cell_context(y_star, beta=0.5)
     rng = particle_stream(3, 0)
@@ -182,7 +186,7 @@ def test_gem_mean_pair_differs_by_scaled_gradient():
     # 2 beta/n (y - c x), and the exact-mode pull-back multiplies it by c.
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=10, rho=3.0)
     s, beta = 1.0, 1.2
-    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", s))
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "diagonal", np.full(9, s)))
     rng = np.random.default_rng(4)
     y_star = rng.standard_normal(9)
     ctx = all_cell_context(y_star, beta=beta)
@@ -206,7 +210,7 @@ def test_sosag_without_churn_or_guidance_matches_ode_heun():
     # A sosag run with s_churn = 0 and zero weights is the deterministic
     # probability-flow Heun chain from its initial draw: no churn draw counts.
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=12, rho=3.0)
-    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", 1.0))
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "diagonal", np.full(9, 1.0)))
     ctx = all_cell_context(np.zeros(9), weights=GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0))
     cfg = SmcConfig(1, sched, ctx.weights, proposal="sosag", s_churn=0.0, seed=11)
     pop, _ = smc_run(cfg, den, ctx.obs, None, ctx.layout)
@@ -235,7 +239,7 @@ def test_sosag_fixed_point_denoiser_returns_churned_state_plus_guidance():
 
 def test_sosag_chain_recovers_gaussian_prior_with_churn():
     sched = NoiseSchedule(sigma_max=3.0, sigma_min=0.01, steps=100, rho=2.0)
-    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", 1.0))
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "diagonal", np.full(9, 1.0)))
     gamma = churn_gamma(2.0, sched.steps)
     n = 10_000
     rng = np.random.default_rng(9)
@@ -250,7 +254,7 @@ def test_sosag_chain_recovers_gaussian_prior_with_churn():
 
 def test_ode_heun_deterministic_regardless_of_seed():
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=15, rho=3.0)
-    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", 1.0))
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "diagonal", np.full(9, 1.0)))
     x0 = np.linspace(-1, 1, 9)[None]
     a = heun_chain(x0, sched, den, 0.0, lambda: particle_stream(1, 0).standard_normal((1, 9)))
     b = heun_chain(x0, sched, den, 0.0, lambda: particle_stream(2, 0).standard_normal((1, 9)))
@@ -271,7 +275,7 @@ def test_mode_validation():
 
 def test_smc_run_single_particle_is_seed_deterministic():
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=6, rho=3.0)
-    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", 1.0))
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "diagonal", np.full(9, 1.0)))
     ctx = all_cell_context(np.full(9, 0.3), beta=1.0)
     cfg = SmcConfig(particle_count=1, schedule=sched, weights=ctx.weights, proposal="gem", seed=21)
     (pop_a, diag_a), (pop_b, diag_b) = (smc_run(cfg, den, ctx.obs, None, ctx.layout) for _ in range(2))

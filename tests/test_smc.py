@@ -8,7 +8,7 @@ import pgd.guidance
 import pgd.samplers
 import pgd.smc
 from pgd.errors import BlowUpError, NumericalError
-from pgd.grid import DIRICHLET, Field, GridSpec, Mask
+from pgd.grid import DIRICHLET, PERIODIC, Field, GridSpec, Mask
 from pgd.guidance import GuidanceContext, GuidanceWeights, data_log_likelihood_grad, log_likelihood, twist_covariance
 from pgd.priors import GaussianDenoiser, GaussianPrior, NoiseSchedule, fit_empirical_prior
 from pgd.residuals import PdeSystem, StateLayout, default_layout
@@ -40,7 +40,7 @@ def observations_on(spec, idx, values, sigma_o=0.1):
 
 
 def small_problem(beta=2.0):
-    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "scalar", 1.0))
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "diagonal", np.full(9, 1.0)))
     obs = observations_on(SPEC9, [0, 4, 8], [0.8, -0.3, 0.5])
     w = GuidanceWeights(beta=beta, gamma=0.0, omega=0.0)
     return den, obs, w
@@ -366,7 +366,7 @@ def test_overflowing_residual_raises_a_located_blow_up_not_a_field_error(proposa
 
 def test_denoiser_of_another_size_is_rejected_at_entry():
     _, obs, w = small_problem()
-    den = GaussianDenoiser(GaussianPrior(Field.zeros(GridSpec(5, 5, 1, 1.0)), "scalar", 1.0))
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(GridSpec(5, 5, 1, 1.0)), "diagonal", np.full(25, 1.0)))
     cfg = SmcConfig(particle_count=3, schedule=NoiseSchedule(steps=4), weights=w, proposal="gem", scheme="pbs")
     with pytest.raises(ValueError, match="denoiser dim 25 does not match the state size 9"):
         smc_run(cfg, den, obs, None, SOLUTION_ONLY)
@@ -508,6 +508,54 @@ def test_conjugate_log_evidence_matches_the_marginal_likelihood(seed):
     marginal = kernel[np.ix_(idx, idx)] + sigma_o**2 * np.eye(idx.size)
     log_py = -0.5 * (y @ np.linalg.solve(marginal, y) + np.linalg.slogdet(2 * np.pi * marginal)[1])
     assert abs(diag.log_evidence + c0 - log_py) < 0.6
+
+
+@pytest.mark.xfail(
+    strict=True, reason="the Euler-Maruyama reverse kernel biases the evidence at K = 50; the exact kernel is open"
+)
+def test_darcy_log_evidence_matches_the_marginal_likelihood():
+    # The evidence oracle at darcy scale: a dense prior fitted to 64 darcy
+    # samples on 16 x 16 cells, the 65th as truth, 16 observations per group.
+    # log p(y) = log N(y; A mu, A S A^T + V) is read off the prior's factors
+    # (16.43 here); c_0 is taken as in the conjugate evidence test. At K = 50
+    # the gap is about -3 to -5 nats on run seeds 0-2, and -0.6 to -1.2 at K = 200.
+    system, layout = PdeSystem.darcy(), default_layout("darcy")
+    data = generate_dataset(DatasetSpec(system, GridSpec(16, 16, 2, 1 / 17, DIRICHLET), 65, rng_seed=3))
+    den = GaussianDenoiser(fit_empirical_prior(data[:64], 0.1, "dense"))
+    obs = make_observations(data[64], layout, 16, 0.01, np.random.default_rng(3))
+    w = GuidanceWeights(beta=8e4, gamma=8e4, omega=0.0)
+    sched = NoiseSchedule(steps=50)
+    ctx = GuidanceContext(obs=obs, system=system, layout=layout, weights=w)
+
+    cov = den.prior.cov
+    b = cov.basis[:, ctx.index]
+    marginal = b.T @ ((cov.evals - cov.iso)[:, None] * b) + np.diag(cov.iso + ctx.variance)
+    r = ctx.values - den.prior.mean.flat()[ctx.index]
+    log_py = -0.5 * (r @ np.linalg.solve(marginal, r) + np.linalg.slogdet(2 * np.pi * marginal)[1])
+    c_final = twist_covariance(ctx, den, np.zeros((1, ctx.spec.size)), sched.sigma_min)
+    c0 = -0.5 * np.linalg.slogdet(2 * np.pi * c_final)[1]
+    for seed in range(3):
+        _, diag = smc_run(SmcConfig(64, sched, w, "gem", "tds", seed=seed), den, obs, system, layout)
+        assert abs(diag.log_evidence + c0 - log_py) < 1.5, seed
+
+
+@pytest.mark.parametrize("layout", [StateLayout((), (0, 1)), StateLayout((0, 1), (2, 3, 4, 5))], ids=["2", "6"])
+def test_smc_run_rejects_a_divergence_free_state_of_another_snapshot_count(layout):
+    # with the PDE term on, the state must be the kind's two vector snapshots
+    channels = layout.channel_count
+    cells = GridSpec(4, 4, 1, 0.25, PERIODIC)
+    obs = Observations(
+        Mask.from_indices(cells, [1, 6]),
+        np.zeros((len(layout.coeff_channels), 2)),
+        Mask.from_indices(cells, [0, 9]),
+        np.zeros((len(layout.solution_channels), 2)),
+        0.1,
+    )
+    prior = GaussianPrior(Field.zeros(cells.with_channels(channels)), "diagonal", np.ones(16 * channels))
+    den = GaussianDenoiser(prior)
+    cfg = SmcConfig(4, NoiseSchedule(steps=3), GuidanceWeights(omega=1.0), "gem", "pbs")
+    with pytest.raises(ValueError, match=r"divergence_free layout needs coefficient channels \(0, 1\)"):
+        smc_run(cfg, den, obs, PdeSystem.divergence_free(), layout)
 
 
 def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):

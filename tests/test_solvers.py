@@ -221,6 +221,14 @@ def test_dataset_spec_rejects_a_kind_without_a_coefficient_model():
         DatasetSpec(PdeSystem.divergence_free(), GridSpec(8, 8, 2, 1 / 9, DIRICHLET), 1)
 
 
+@pytest.mark.parametrize("system", [PdeSystem.gray_scott(), COMPETITIVE], ids=lambda s: s.kind)
+def test_dataset_spec_rejects_thresholds_on_a_reaction_diffusion_kind(system):
+    # the diffusion fields are smooth around a base; a threshold's levels would be ignored
+    grid = GridSpec(8, 8, 3 * RD_SPECIES[system.kind], 1 / 8, PERIODIC)
+    with pytest.raises(ValueError, match=f"{system.kind} draws smooth diffusion fields"):
+        DatasetSpec(system, grid, 1, coeff_model=ThresholdedGrf(4.0, 3.0, 12.0))
+
+
 @pytest.mark.parametrize("count", [0, 2.5])
 def test_dataset_spec_rejects_a_sample_count_that_is_not_a_positive_integer(count):
     with pytest.raises(ValueError, match="sample_count must be an integer >= 1"):
