@@ -3,7 +3,8 @@ stepping, random coefficient sampling and sparse observations.
 
 A dataset is generated as one batch: each sample's coefficients are drawn
 from its own stream, then all S samples are solved or time-stepped together
-as one (S, C, H, W) array. Every operation is independent per sample, so a
+as one (S, C, H, W) array (time-stepped in place, species first, with one
+finiteness pass per step). Every operation is independent per sample, so a
 sample of the batch equals the same sample solved alone, bit for bit.
 
 Poisson and helmholtz are solved directly in the sine (DST-I) basis, which
@@ -364,21 +365,26 @@ def simulate_rd(system: PdeSystem, diffusion: Field, initial: Field, dt: float, 
     """Explicit-Euler simulation over ``steps`` steps of ``dt``; returns the terminal state.
 
     ``diffusion`` and ``initial`` are one (species, H, W) field each, or
-    batches of the same (..., species, H, W) shape whose samples are stepped
-    together; the terminal state has the shape of ``initial``. dt must be
-    finite and positive, steps at least 1, diffusion nonnegative, and
-    4 dt max(D) <= h^2. One finiteness check per step
-    covers the batch: a non-finite state raises BlowUpError with the step and
-    the flat index of the first non-finite sample (0 for a single field) as
-    ``particle``.
+    batches of the same (..., species, H, W) shape on one grid, whose samples
+    are stepped together; the terminal state has the shape of ``initial``.
+    dt must be finite and positive, steps at least 1, diffusion nonnegative,
+    and 4 dt max(D) <= h^2. The run steps, in place, a species-first
+    (species, ..., H, W) copy of the state that it owns (a copy even where the
+    moved view is contiguous); each value takes the same operations in the
+    same order as in the (..., species, H, W) layout, so the result is the
+    same bit for bit. One finiteness pass per step covers the batch: a
+    non-finite state raises BlowUpError with the step and the flat index of
+    the first non-finite sample (0 for a single field) as ``particle``.
     """
     if system.kind not in RD_SPECIES:
         raise ValueError(f"simulate_rd does not handle kind {system.kind!r}")
     spec = initial.spec
+    if diffusion.spec != spec:
+        raise ValueError(f"diffusion is on {diffusion.spec} but the initial state is on {spec}")
     if spec.boundary != PERIODIC:
         raise ValueError("reaction-diffusion systems require periodic boundary")
     species = RD_SPECIES[system.kind]
-    if diffusion.spec.channels != species or initial.spec.channels != species:
+    if spec.channels != species:
         raise ValueError(f"expected {species} diffusion and state channels")
     if diffusion.batch_shape != initial.batch_shape:
         raise ValueError(
@@ -386,10 +392,9 @@ def simulate_rd(system: PdeSystem, diffusion: Field, initial: Field, dt: float, 
         )
     if not (np.isfinite(dt) and dt > 0 and is_count(steps)):
         raise ValueError(f"need a finite dt > 0 and steps >= 1, got dt={dt}, steps={steps}")
-    dvals = diffusion.values
-    if np.min(dvals) < 0:
+    if np.min(diffusion.values) < 0:
         raise ValueError("diffusion must be nonnegative")
-    max_d = float(np.max(dvals))
+    max_d = float(np.max(diffusion.values))
     if 4.0 * dt * max_d > spec.spacing**2:
         raise ValueError(
             f"dt={dt} violates the explicit stability bound 4 dt max(D) <= h^2 "
@@ -397,33 +402,38 @@ def simulate_rd(system: PdeSystem, diffusion: Field, initial: Field, dt: float, 
         )
 
     h = spec.spacing
-    faces = face_averages(dvals, PERIODIC) if system.kind == "competitive_3" else None  # once per run
-    state = initial.values.copy()
+    d, state = (np.moveaxis(x.values, -3, 0).copy() for x in (diffusion, initial))
+    faces = face_averages(d, PERIODIC) if system.kind == "competitive_3" else None  # once per run
+    rows = np.moveaxis(state.reshape(species, -1, spec.height, spec.width), 1, 0)  # samples first, a view
     for step in range(1, steps + 1):
-        state = state + dt * _rd_rate(system, dvals, faces, state, h)
-        require_finite(state.reshape(-1, spec.size), step, "state", unit="sample")
-    return Field(spec, state)
+        rate = _rd_rate(system, d, faces, state, h)
+        state += np.multiply(rate, dt, out=rate)
+        del rate  # freed before the next step allocates: held, it let glibc trim the heap and refault it
+        require_finite(rows, step, "state", unit="sample")
+    return Field(spec, np.moveaxis(state, 0, -3))
 
 
-def _rd_rate(system: PdeSystem, dvals: np.ndarray, faces, state: np.ndarray, h: float) -> np.ndarray:
-    """Time derivative of (..., species, H, W) states; species sit on axis -3.
+def _rd_rate(system: PdeSystem, d: np.ndarray, faces, state: np.ndarray, h: float) -> np.ndarray:
+    """Time derivative of species-first (species, ..., H, W) states, in a new array.
 
-    Each kind's stencil is applied once to the whole species stack; competitive_3
-    reads the diffusion only through its face averages ``faces``.
+    Each kind's stencil runs once on the species stack and the kinetics (gray_scott_2's own
+    ``u*v*v``) are added into its output; competitive_3 reads ``d`` only through ``faces``.
     """
-    d, s = np.moveaxis(dvals, -3, 0), np.moveaxis(state, -3, 0)  # species-first views
     if system.kind == "gray_scott_2":
-        lap_u, lap_v = np.moveaxis(laplacian_2d(state, h, PERIODIC), -3, 0)
-        u, v = s
+        rate = laplacian_2d(state, h, PERIODIC)
+        rate *= d
+        u, v = state
         uvv = u * v * v
-        du = d[0] * lap_u - uvv + system.feed * (1.0 - u)
-        dv = d[1] * lap_v + uvv - (system.feed + system.removal) * v
-        return np.stack([du, dv], axis=-3)
+        rate[0] -= uvv
+        rate[0] += system.feed * (1.0 - u)
+        rate[1] += uvv
+        rate[1] -= (system.feed + system.removal) * v
+        return rate
     mat = system.coupling_matrix
     rate = flux_divergence_faces(faces, state, h, PERIODIC)
-    for i, r in enumerate(np.moveaxis(rate, -3, 0)):
-        others = sum(mat[i, j] * s[j] for j in range(3) if j != i)
-        r += s[i] * (1.0 - s[i] - others)
+    for i, r in enumerate(rate):
+        others = sum(mat[i, j] * state[j] for j in range(3) if j != i)
+        r += state[i] * (1.0 - state[i] - others)
     return rate
 
 

@@ -377,12 +377,14 @@ def test_batched_rd_simulation_matches_solo_runs(kind):
     assert_rows_identical(run(diffusion, initial), [run(d, x) for d, x in zip(diffusion, initial)])
 
 
-def test_rd_blow_up_names_the_first_non_finite_sample():
-    spec = GridSpec(H, W, 2, 1 / 8, PERIODIC)
-    initial = np.stack([np.full((2, H, W), 0.5), np.full((2, H, W), 1e60), np.full((2, H, W), 0.5)])
-    diffusion = np.full((BATCH, 2, H, W), 1e-4)
+@pytest.mark.parametrize("kind", ["gray_scott_2", "competitive_3"])
+def test_rd_blow_up_names_the_first_non_finite_sample(kind):
+    species = RD_SPECIES[kind]
+    spec = GridSpec(H, W, species, 1 / 8, PERIODIC)
+    initial = np.stack([np.full((species, H, W), x) for x in (0.5, 1e60, 0.5)])
+    diffusion = np.full((BATCH, species, H, W), 1e-4)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as err:
-        simulate_rd(SYSTEMS["gray_scott_2"], Field(spec, diffusion), Field(spec, initial), 1e-3, 10)
+        simulate_rd(SYSTEMS[kind], Field(spec, diffusion), Field(spec, initial), 1e-3, 10)
     assert err.value.particle == 1
     assert err.value.step is not None and 1 <= err.value.step <= 10
 

@@ -1,18 +1,24 @@
-"""The denoiser and the proposal cores never write to an array they are given.
+"""The denoiser, the proposal cores and the reaction-diffusion time stepper
+never write to an array they are given.
 
 They work in place on arrays they allocate themselves; each test hands them
 inputs, keeps copies, and checks every input bit for bit after the call.
+``simulate_rd`` is checked through the arrays that its fields wrap (a
+:class:`~pgd.grid.Field` of C-contiguous float64 values holds the caller's
+array itself): it steps a species-first copy of the state in place, and a
+single field's or a one-sample batch's species-first view is already
+contiguous, so a copy made only when needed would step the caller's state.
 """
 
 import numpy as np
 import pytest
 
-from pgd.grid import Field, GridSpec, Mask
+from pgd.grid import PERIODIC, Field, GridSpec, Mask
 from pgd.guidance import GuidanceContext, GuidanceWeights
 from pgd.priors import FactoredCov, GaussianDenoiser, GaussianPrior, GmmDenoiser
-from pgd.residuals import PdeSystem, default_layout
+from pgd.residuals import RD_SPECIES, PdeSystem, default_layout
 from pgd.samplers import gem_core, heun_core
-from pgd.solvers import Observations
+from pgd.solvers import Observations, simulate_rd
 
 SPEC = GridSpec(4, 5, 2, 1 / 6)  # poisson layout: coefficient channel 0, solution channel 1
 N = 3
@@ -79,3 +85,21 @@ def test_proposal_cores_leave_their_inputs_untouched(kind):
         )
     for nxt in (sigma_next, 0.0):
         assert_untouched(lambda x, z: heun_core(x, z, sigma_k, nxt, den, 0.2, ctx), rows(4), rows(5))
+
+
+RD_SYSTEMS = {
+    "gray_scott_2": PdeSystem.gray_scott(),
+    "competitive_3": PdeSystem.competitive([[0.0, 1.5, 0.6], [0.4, 0.0, 1.7], [1.3, 0.5, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RD_SYSTEMS))
+@pytest.mark.parametrize("batch", [(), (1,), (3,)], ids=["single", "one-sample", "three-sample"])
+def test_simulate_rd_leaves_its_inputs_untouched(kind, batch):
+    spec = GridSpec(6, 5, RD_SPECIES[kind], 1 / 6, PERIODIC)
+    shape = batch + (spec.channels, spec.height, spec.width)
+    rng = np.random.default_rng(23)
+    assert_untouched(
+        lambda d, x: simulate_rd(RD_SYSTEMS[kind], Field(spec, d), Field(spec, x), 1e-2, 5),
+        rng.uniform(1e-4, 3e-4, shape), rng.uniform(0.1, 0.9, shape),
+    )

@@ -196,6 +196,21 @@ def test_negative_diffusion_is_rejected():
         simulate_rd(PdeSystem.gray_scott(), Field(sub, diffusion), initial, 1e-3, 10)
 
 
+@pytest.mark.parametrize(
+    "diffusion_grid",
+    [GridSpec(8, 8, 2, 1 / 4, PERIODIC), GridSpec(8, 8, 2, 1 / 8, DIRICHLET), GridSpec(8, 6, 2, 1 / 8, PERIODIC)],
+    ids=["spacing", "boundary", "shape"],
+)
+def test_simulate_rd_rejects_diffusion_on_another_grid(diffusion_grid):
+    # each would otherwise run on the state's grid or fail mid-step on a broadcast
+    sub = GridSpec(8, 8, 2, 1 / 8, PERIODIC)
+    initial = Field(sub, np.stack([np.ones((8, 8)), np.zeros((8, 8))]))
+    diffusion = Field(diffusion_grid, np.full((2, diffusion_grid.height, diffusion_grid.width), 2e-4))
+    with pytest.raises(ValueError, match="diffusion is on") as err:
+        simulate_rd(PdeSystem.gray_scott(), diffusion, initial, 1e-3, 10)
+    assert str(diffusion_grid) in str(err.value) and str(sub) in str(err.value)
+
+
 @pytest.mark.parametrize("dt,steps", [(-1e-3, 50), (0.0, 50), (np.nan, 50), (np.inf, 50), (1e-3, 0), (1e-3, 2.5)])
 def test_simulate_rd_rejects_a_nonpositive_dt_and_no_steps(dt, steps):
     # a negative dt would step backward in time, zero steps return the initial state;
