@@ -29,8 +29,8 @@ class BlowUpError(NumericalError):
 
 
 def is_count(value, minimum: int = 1) -> bool:
-    """Whether ``value`` is a Python or NumPy integer of at least ``minimum``."""
-    return isinstance(value, (int, np.integer)) and value >= minimum
+    """Whether ``value`` is a Python or NumPy integer, not a bool, of at least ``minimum``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)) and value >= minimum
 
 
 def require_finite(rows: np.ndarray, step: int, what: str, unit: str = "particle") -> None:

@@ -112,6 +112,8 @@ class DatasetSpec:
     def __post_init__(self):
         if not is_count(self.sample_count):
             raise ValueError("sample_count must be an integer >= 1")
+        if not is_count(self.rng_seed, 0):
+            raise ValueError("rng_seed must be an integer >= 0")
         kind = self.system.kind
         if kind not in ELLIPTIC_KINDS and kind not in RD_SPECIES:
             raise ValueError(f"no coefficient model for kind {kind!r}")
@@ -455,6 +457,10 @@ def make_observations(
     observation sets produced with the same rng seed differ only by the noise
     level.
     """
+    if layout.channel_count != x.spec.channels:
+        raise ValueError(f"layout covers {layout.channel_count} channels but the state has {x.spec.channels}")
+    if not is_count(n_obs, 0):
+        raise ValueError(f"n_obs must be an integer >= 0, got {n_obs!r}")
     cells = x.spec.cells
     if n_obs > cells:
         raise ValueError(f"n_obs={n_obs} exceeds the {cells} cells per channel")

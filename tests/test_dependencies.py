@@ -4,7 +4,8 @@ scipy and other packages may be installed where the tests run, so importing
 the package proves nothing; the import statements of each module are read
 instead, function-local ones included. Every module also reads each name it
 imports, unless the benchmark tracer (``bench/tracer.py``, ``MODULE_TARGETS``)
-rebinds that name in that module.
+rebinds that name in that module, and draws randomness only from generators
+built from an explicit seed, so that every run is fixed by its seeds.
 """
 
 import ast
@@ -49,6 +50,30 @@ def unused_imports(tree: ast.AST) -> set[str]:
     return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def unseeded_random_calls(tree: ast.AST) -> set[str]:
+    """``np.random`` functions that ``tree`` calls other than ``SeedSequence`` and a seeded ``default_rng``.
+
+    Those two build a generator from an explicit seed; any other call, such as
+    ``np.random.seed``, ``rand`` or ``choice``, or ``default_rng()``, draws from
+    or seeds global or fresh entropy. Importing from ``numpy.random`` would hide
+    its calls from this check, so such an import counts too.
+    """
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module in ("numpy", "numpy.random"):
+            found.update(a.name for a in node.names if node.module == "numpy.random" or a.name == "random")
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        owner, name = node.func.value, node.func.attr
+        if not (isinstance(owner, ast.Attribute) and owner.attr == "random" and isinstance(owner.value, ast.Name)):
+            continue
+        if owner.value.id in ("np", "numpy") and (
+            name not in ("default_rng", "SeedSequence") or (name == "default_rng" and not (node.args or node.keywords))
+        ):
+            found.add(name)
+    return found
+
+
 def test_the_package_has_modules():
     assert len(MODULES) > 1
 
@@ -77,3 +102,19 @@ def test_the_check_sees_an_unused_import():
         "from .grid import Field, shift\n\ndef f() -> Field:\n    return np.zeros(len(os.path.sep))\n"
     )
     assert unused_imports(tree) == {"shift"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_draws_randomness_only_from_seeded_generators(path):
+    calls = unseeded_random_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert not calls, f"{path.name} calls np.random.{sorted(calls)} outside a seeded generator"
+
+
+def test_the_check_sees_unseeded_randomness():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy.random import shuffle\n\ndef f(seed, rng):\n"
+        "    np.random.seed(seed)\n    a = np.random.rand(3) + rng.choice(3)\n"
+        "    g = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))\n"
+        "    return np.random.default_rng(), np.random.choice(3), g.standard_normal(3), a\n"
+    )
+    assert unseeded_random_calls(tree) == {"shuffle", "seed", "rand", "default_rng", "choice"}

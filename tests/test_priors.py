@@ -376,6 +376,18 @@ def test_fit_rejects_bad_arguments():
         fit_empirical_prior([Field.zeros(SPEC_4X4)], 0.0)
 
 
+@pytest.mark.parametrize(
+    "other", [GridSpec(8, 8, 2, 1 / 5), GridSpec(6, 8, 2, 1 / 9)], ids=["spacing", "size"]
+)
+@pytest.mark.parametrize("cov_kind", ["dense", "diagonal"])
+def test_fit_rejects_samples_on_different_grids(other, cov_kind):
+    # the prior would silently take the first sample's grid
+    first = GridSpec(8, 8, 2, 1 / 9)
+    with pytest.raises(ValueError, match="different grids") as err:
+        fit_empirical_prior([Field.zeros(first), Field.zeros(first), Field.zeros(other)], 0.5, cov_kind)
+    assert str(first) in str(err.value) and str(other) in str(err.value)
+
+
 def test_gaussian_score_via_denoiser_matches_analytic_everywhere():
     rng = np.random.default_rng(11)
     diag = rng.uniform(0.2, 3.0, 16)

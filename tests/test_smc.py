@@ -324,6 +324,22 @@ def test_noise_block_size_leaves_runs_unchanged(monkeypatch, particles, proposal
             np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GridSpec(3, 3, channels=True),
+        lambda: NoiseSchedule(steps=True),
+        lambda: SmcConfig(particle_count=True, schedule=NoiseSchedule(steps=4)),
+        lambda: SmcConfig(particle_count=2, schedule=NoiseSchedule(steps=4), seed=False),
+        lambda: DatasetSpec(PdeSystem.poisson(), GridSpec(8, 8, 2, 1 / 9, DIRICHLET), sample_count=True),
+    ],
+    ids=["channels", "steps", "particle_count", "seed", "sample_count"],
+)
+def test_a_bool_is_not_a_count(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
 @functools.cache
 def darcy_bench_problem():
     """The darcy benchmark problem: 16 x 16, fitted dense prior, set-up seed 7."""

@@ -250,6 +250,13 @@ def test_dataset_spec_rejects_a_sample_count_that_is_not_a_positive_integer(coun
         DatasetSpec(PdeSystem.poisson(), GridSpec(8, 8, 2, 1 / 9, DIRICHLET), count)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0)])
+def test_dataset_spec_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    # sample_stream would truncate a float or a bool to another seed's dataset
+    with pytest.raises(ValueError, match="rng_seed must be an integer >= 0"):
+        DatasetSpec(PdeSystem.poisson(), GridSpec(8, 8, 2, 1 / 9, DIRICHLET), 1, rng_seed=seed)
+
+
 def test_dataset_spec_rejects_a_grid_whose_channels_do_not_match_the_layout():
     with pytest.raises(ValueError, match="the grid has 4 channels"):
         DatasetSpec(PdeSystem.gray_scott(), GridSpec(8, 8, 4, 1 / 8, PERIODIC), 1)
@@ -379,6 +386,20 @@ def test_make_observations_count_guard():
     x = Field.zeros(spec)
     with pytest.raises(ValueError):
         make_observations(x, StateLayout.scalar_pair(), 17, 0.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("layout", [StateLayout((0, 1), (2, 3)), StateLayout((), (0,))], ids=["more", "fewer"])
+def test_make_observations_rejects_a_layout_of_another_channel_count(layout):
+    x = Field.zeros(GridSpec(4, 4, 2, 0.2, DIRICHLET))
+    with pytest.raises(ValueError, match="layout covers .* channels but the state has 2"):
+        make_observations(x, layout, 3, 0.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n_obs", [-1, 2.5, True])
+def test_make_observations_rejects_an_observation_count_that_is_not_a_nonnegative_integer(n_obs):
+    x = Field.zeros(GridSpec(4, 4, 2, 0.2, DIRICHLET))
+    with pytest.raises(ValueError, match="n_obs must be an integer >= 0"):
+        make_observations(x, StateLayout.scalar_pair(), n_obs, 0.0, np.random.default_rng(0))
 
 
 def test_rd_dataset_nonnegative_and_finite():
