@@ -274,9 +274,8 @@ def fit_empirical_prior(dataset: list[Field], lam: float, cov_kind: str = "dense
     if not 0 < lam <= 1:
         raise ValueError("shrinkage must lie in (0, 1]")
     spec = dataset[0].spec
-    for f in dataset:
-        if f.spec != spec:
-            raise ValueError(f"cannot fit samples on different grids: {spec} and {f.spec}")
+    if other := next((f.spec for f in dataset if f.spec != spec), None):
+        raise ValueError(f"cannot fit samples on different grids: {spec} and {other}")
     mat = np.stack([f.flat() for f in dataset])
     n, d = mat.shape
     mean = mat.mean(axis=0)

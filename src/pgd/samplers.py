@@ -16,11 +16,11 @@ drift and guidance signs fixed so the mean moves toward the denoised state
 and ascends the intermediate log-likelihood. Noise churn uses unit noise
 inflation.
 
-The cores take exactly what :func:`pgd.smc.smc_run` passes: Gaussian draws
-and (N, d) particle rows (a single chain is N = 1). Both guide with a
-data-space gradient at the reconstruction, pulled back to the noisy state
-through the denoiser's exact vjp. ``gem_core`` takes the reconstruction and
-that gradient, which the engine computes with the particle's twist, so the
+The cores take exactly what :func:`pgd.smc.smc_run` passes: (N, d) rows and
+one (N, d) draw of :func:`noise_stream` (a single chain is N = 1). Both guide
+with a data-space gradient at the reconstruction, pulled back to the noisy
+state through the denoiser's exact vjp. ``gem_core`` takes the reconstruction
+and that gradient, which the engine computes with the particle's twist, so the
 likelihood is evaluated once per reconstruction. ``heun_core`` guides at the
 churned state, where no weight is evaluated, so it computes its own gradient.
 
@@ -45,9 +45,9 @@ def churn_gamma(s_churn: float, steps: int) -> float:
     return min(s_churn / steps, CHURN_CAP)
 
 
-def particle_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent per-particle generator keyed by (seed, particle index)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(0, int(index))))
+def noise_stream(seed: int) -> np.random.Generator:
+    """The generator of all of a run's Gaussian noise, keyed by the run's seed."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(0, 0)))
 
 
 def gem_core(

@@ -26,16 +26,14 @@ the reconstruction, and computes the twist together with, under ``gem`` when
 another step follows, its data-space gradient from the same solve. A resample
 moves each drawn particle whole: state, twist, reconstruction and gradient.
 
-Particles evolve as rows of an (N, d) array drawn from per-particle streams
-keyed by (seed, particle index); resampling uses its own stream. Step noise
-is drawn inline, in blocks: each stream fills its particle's Gaussian noise
-for c steps at once, c = max(1, min(K, NOISE_BLOCK_BYTES // (8 N d))), so the
-(N, c, d) block stays within :data:`NOISE_BLOCK_BYTES`. One (c, d) draw equals
-c successive (d,) draws bit for bit, so the block size never changes a run.
+Particles evolve as rows of an (N, d) array. All of a run's Gaussian noise
+comes from the seed's :func:`~pgd.samplers.noise_stream`: one (N, d) draw for
+the initial states, then one per step. Resampling uses its own stream. The
+particles share the noise stream, so a particle's draws depend on N.
 
 A single chain is a run with N = 1: it walks the proposal cores of
-:mod:`pgd.samplers` on the particle-0 stream, and the unguided or
-deterministic chains are runs with zero guidance weights or no churn.
+:mod:`pgd.samplers` on the noise stream, and the unguided or deterministic
+chains are runs with zero guidance weights or no churn.
 
 The run works on arrays only and builds no :class:`~pgd.grid.Field`:
 inputs are validated once, when the :class:`~pgd.guidance.GuidanceContext`
@@ -63,13 +61,12 @@ from .guidance import (
 )
 from .priors import Denoiser, NoiseSchedule
 from .residuals import PdeSystem, StateLayout
-from .samplers import churn_gamma, gem_core, heun_core, particle_stream
+from .samplers import churn_gamma, gem_core, heun_core, noise_stream
 from .solvers import Observations
 
 PROPOSALS = ("gem", "sosag")
 SCHEMES = ("tds", "pbs")
 ESTIMATE_MODES = ("best", "weighted_mean")
-NOISE_BLOCK_BYTES = 1 << 20  # budget of the per-run block of pre-drawn step noise
 
 
 @dataclass(frozen=True)
@@ -170,7 +167,9 @@ def smc_run(
     the resample, and resamples when ESS <= threshold * N (recorded ESS is
     pre-resampling), moving state, twist, reconstruction and gradient
     together. The module docstring describes the twists, the log-evidence and
-    the noise blocks.
+    the noise stream. Each step refills one (N, d) buffer ``z`` in place, which
+    is safe: the proposal cores and the tds transition term read ``z`` only
+    within the step and never write to it.
     """
     ctx = GuidanceContext(obs=obs, system=system, layout=layout, weights=config.weights)
     spec = ctx.spec
@@ -182,7 +181,7 @@ def smc_run(
     gamma = churn_gamma(config.s_churn, sched.steps)
     guided = config.proposal == "gem"
 
-    streams = [particle_stream(config.seed, i) for i in range(n)]
+    noise_rng = noise_stream(config.seed)
     resample_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=int(config.seed), spawn_key=(1,))
     )
@@ -197,10 +196,8 @@ def smc_run(
             return x_hat, *log_likelihood(ctx, x_hat, grad=True, cov=cov)
         return x_hat, log_likelihood(ctx, x_hat, cov=cov), None
 
-    states = np.stack([sched.sigma_max * s.standard_normal(d) for s in streams])
-    # a block of block_steps steps is drawn as its first step starts; noise[:, j] is its j-th step
-    block_steps = max(1, min(sched.steps, NOISE_BLOCK_BYTES // (8 * n * d)))
-    noise = np.empty((n, block_steps, d))
+    states = sched.sigma_max * noise_rng.standard_normal((n, d))
+    z = np.empty((n, d))
     denoised, loglik, data_grad = evaluate(states, sched.sigma_max, sched.steps, guided)
     require_finite(loglik, sched.steps, "weight")
     pop = ParticlePopulation(spec=spec, states=states, log_weights=loglik)
@@ -210,11 +207,7 @@ def smc_run(
 
     for k in range(sched.steps, 0, -1):
         sigma_k, sigma_next = sched.sigma_at(k), sched.sigma_at(k - 1)
-        j = (sched.steps - k) % block_steps
-        if j == 0:
-            for row, s in zip(noise, streams):
-                s.standard_normal(out=row[: min(block_steps, k)])
-        z = noise[:, j]
+        noise_rng.standard_normal(out=z)
 
         if guided:
             samples, shift = gem_core(pop.states, z, sigma_k, sigma_next, denoiser, denoised, data_grad)

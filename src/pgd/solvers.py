@@ -459,11 +459,9 @@ def make_observations(
     """
     if layout.channel_count != x.spec.channels:
         raise ValueError(f"layout covers {layout.channel_count} channels but the state has {x.spec.channels}")
-    if not is_count(n_obs, 0):
-        raise ValueError(f"n_obs must be an integer >= 0, got {n_obs!r}")
     cells = x.spec.cells
-    if n_obs > cells:
-        raise ValueError(f"n_obs={n_obs} exceeds the {cells} cells per channel")
+    if not (is_count(n_obs, 0) and n_obs <= cells):
+        raise ValueError(f"n_obs must be an integer in 0..{cells}, the cells per channel, got {n_obs!r}")
     idx_a = np.sort(rng.choice(cells, size=n_obs, replace=False))
     idx_u = np.sort(rng.choice(cells, size=n_obs, replace=False))
     mask_a = Mask.from_indices(x.spec, idx_a)

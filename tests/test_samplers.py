@@ -6,7 +6,7 @@ from pgd.grid import Field, GridSpec, Mask
 from pgd.guidance import GuidanceContext, GuidanceWeights, data_log_likelihood_grad
 from pgd.priors import Denoiser, GaussianDenoiser, GaussianPrior, NoiseSchedule
 from pgd.residuals import StateLayout
-from pgd.samplers import churn_gamma, gem_core, heun_core, particle_stream
+from pgd.samplers import churn_gamma, gem_core, heun_core, noise_stream
 from pgd.smc import SmcConfig, smc_run
 from pgd.solvers import Observations
 
@@ -169,7 +169,7 @@ def test_gem_guided_mean_strictly_closer_to_target():
     den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "diagonal", np.full(9, 1.0)))
     y_star = np.full(9, 1.5)
     ctx = all_cell_context(y_star, beta=0.5)
-    rng = particle_stream(3, 0)
+    rng = noise_stream(3)
     x = sched.sigma_max * rng.standard_normal((1, 9))
     for k in range(sched.steps, 0, -1):
         z = rng.standard_normal((1, 9))
@@ -214,7 +214,7 @@ def test_sosag_without_churn_or_guidance_matches_ode_heun():
     ctx = all_cell_context(np.zeros(9), weights=GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0))
     cfg = SmcConfig(1, sched, ctx.weights, proposal="sosag", s_churn=0.0, seed=11)
     pop, _ = smc_run(cfg, den, ctx.obs, None, ctx.layout)
-    x0 = sched.sigma_max * particle_stream(11, 0).standard_normal((1, 9))
+    x0 = sched.sigma_max * noise_stream(11).standard_normal((1, 9))
     ode = heun_chain(x0, sched, den, 0.0, lambda: np.zeros((1, 9)))
     assert np.array_equal(pop.states, ode)
 
@@ -256,8 +256,8 @@ def test_ode_heun_deterministic_regardless_of_seed():
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=15, rho=3.0)
     den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "diagonal", np.full(9, 1.0)))
     x0 = np.linspace(-1, 1, 9)[None]
-    a = heun_chain(x0, sched, den, 0.0, lambda: particle_stream(1, 0).standard_normal((1, 9)))
-    b = heun_chain(x0, sched, den, 0.0, lambda: particle_stream(2, 0).standard_normal((1, 9)))
+    a = heun_chain(x0, sched, den, 0.0, lambda: noise_stream(1).standard_normal((1, 9)))
+    b = heun_chain(x0, sched, den, 0.0, lambda: noise_stream(2).standard_normal((1, 9)))
     assert np.array_equal(a, b)
 
 

@@ -12,7 +12,7 @@ from pgd.grid import DIRICHLET, PERIODIC, Field, GridSpec, Mask
 from pgd.guidance import GuidanceContext, GuidanceWeights, data_log_likelihood_grad, log_likelihood, twist_covariance
 from pgd.priors import GaussianDenoiser, GaussianPrior, NoiseSchedule, fit_empirical_prior
 from pgd.residuals import PdeSystem, StateLayout, default_layout
-from pgd.samplers import churn_gamma, gem_core, heun_core, particle_stream
+from pgd.samplers import churn_gamma, gem_core, heun_core, noise_stream
 from pgd.smc import (
     ESTIMATE_MODES,
     ParticlePopulation,
@@ -214,7 +214,7 @@ CHAINS = [
 
 @pytest.mark.parametrize("proposal,mode", CHAINS)
 def test_single_particle_run_matches_chain_bit_exactly(proposal, mode):
-    # Reference: the chain's own loop over the cores on the particle-0 stream.
+    # Reference: the chain's own loop over the cores on the run's noise stream.
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=12, rho=3.0)
     den, obs, w = small_problem(beta=1.5)
     guided = mode in ("gem", "sosag", "ode_heun_guided")
@@ -233,7 +233,7 @@ def test_single_particle_run_matches_chain_bit_exactly(proposal, mode):
     pop, _ = smc_run(cfg, den, obs, None, SOLUTION_ONLY)
 
     ctx = GuidanceContext(obs=obs, system=None, layout=SOLUTION_ONLY, weights=w)
-    stream = particle_stream(31, 0)
+    stream = noise_stream(31)
     x = sched.sigma_max * stream.standard_normal((1, 9))
     gamma = churn_gamma(s_churn, sched.steps)
     for k in range(sched.steps, 0, -1):
@@ -306,22 +306,30 @@ def test_smc_run_builds_no_field(monkeypatch, proposal):
     assert built == []
 
 
-@pytest.mark.parametrize("particles", [1, 4])
 @pytest.mark.parametrize("proposal,scheme", [("gem", "pbs"), ("gem", "tds"), ("sosag", "pbs")])
-def test_noise_block_size_leaves_runs_unchanged(monkeypatch, particles, proposal, scheme):
-    # blocks of 1 step, of 3 steps (which do not divide K = 7) and of all K steps
+def test_run_draws_all_its_noise_from_one_stream(monkeypatch, proposal, scheme):
+    # the initial states are sigma_max times the stream's first (N, d) draw and
+    # step j's noise is the (N, d) draw after it, whatever resampling does
     den, obs, layout, w = poisson_problem()
-    d, steps = den.prior.mean.spec.size, 7
+    particles, d, steps = 4, den.prior.mean.spec.size, 7
     sched = NoiseSchedule(sigma_max=3.0, sigma_min=0.01, steps=steps, rho=3.0)
     cfg = SmcConfig(particles, sched, w, proposal, scheme, resample_threshold=0.9, seed=9)
-    runs = []
-    for block_steps in (1, 3, steps):
-        monkeypatch.setattr(pgd.smc, "NOISE_BLOCK_BYTES", 8 * particles * d * block_steps)
-        pop, diag = smc_run(cfg, den, obs, PdeSystem.poisson(), layout)
-        runs.append((pop.states, pop.log_weights, diag.log_evidence, diag.resampled))
-    for run in runs[1:]:
-        for got, want in zip(run, runs[0]):
-            np.testing.assert_array_equal(got, want)
+    core = "gem_core" if proposal == "gem" else "heun_core"
+    original = getattr(pgd.smc, core)
+    seen = []
+
+    def recording(x, z, *args):
+        seen.append((x.copy(), z.copy()))
+        return original(x, z, *args)
+
+    monkeypatch.setattr(pgd.smc, core, recording)
+    smc_run(cfg, den, obs, PdeSystem.poisson(), layout)
+
+    stream = noise_stream(9)
+    np.testing.assert_array_equal(seen[0][0], sched.sigma_max * stream.standard_normal((particles, d)))
+    assert len(seen) == steps
+    for _, z in seen:
+        np.testing.assert_array_equal(z, stream.standard_normal((particles, d)))
 
 
 @pytest.mark.parametrize(
@@ -365,7 +373,7 @@ def test_non_finite_weight_raises_a_located_blow_up():
     assert err.value.particle is not None and 0 <= err.value.particle < 64
 
 
-@pytest.mark.parametrize("proposal,step", [("gem", 17), ("sosag", 16)])
+@pytest.mark.parametrize("proposal,step", [("gem", 16), ("sosag", 16)])
 def test_overflowing_residual_raises_a_located_blow_up_not_a_field_error(proposal, step):
     # At omega = 1 the residual of a reconstruction overflows. The residual
     # Field leaves its finiteness to smc_run, which names the step and particle.
