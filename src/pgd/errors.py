@@ -1,4 +1,4 @@
-"""Exception types shared across the package, the located finiteness check, and the count check."""
+"""Exception types shared across the package, the located finiteness check, and the count and real-value checks."""
 
 import numpy as np
 
@@ -31,6 +31,11 @@ class BlowUpError(NumericalError):
 def is_count(value, minimum: int = 1) -> bool:
     """Whether ``value`` is a Python or NumPy integer, not a bool, of at least ``minimum``."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)) and value >= minimum
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer or float, not a bool; finiteness is the caller's check."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, (bool, np.bool_))
 
 
 def require_finite(rows: np.ndarray, step: int, what: str, unit: str = "particle") -> None:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import is_count
+from .errors import is_count, is_real
 
 DIRICHLET = "dirichlet_zero"
 PERIODIC = "periodic"
@@ -56,7 +56,7 @@ class GridSpec:
             raise ValueError(f"grid must be at least 3x3 integer cells, got {self.height}x{self.width}")
         if not is_count(self.channels):
             raise ValueError("channels must be an integer >= 1")
-        if not (np.isfinite(self.spacing) and self.spacing > 0):
+        if not (is_real(self.spacing) and np.isfinite(self.spacing) and self.spacing > 0):
             raise ValueError("spacing must be finite and positive")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {self.boundary!r}, expected one of {BOUNDARIES}")

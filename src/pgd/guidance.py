@@ -35,16 +35,16 @@ Two weighting schemes turn proposals into a particle system:
 
 Under ``pbs`` the twist is the point likelihood of the reconstruction. Under
 ``tds`` its observation terms take the covariance of :func:`twist_covariance`,
-which adds the Tweedie posterior covariance of the clean state.
+which adds the Tweedie posterior covariance from the denoiser's (m, m) block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
+from .errors import is_real
 from .grid import GridSpec
 from .priors import Denoiser
 from .residuals import PdeSystem, StateLayout, residual_sq_grad
@@ -63,7 +63,7 @@ class GuidanceWeights:
     def __post_init__(self):
         for name in ("beta", "gamma", "omega"):
             val = getattr(self, name)
-            if not np.isfinite(val) or val < 0:
+            if not (is_real(val) and np.isfinite(val) and val >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative")
 
 
@@ -77,11 +77,12 @@ class GuidanceContext:
     is that system's own on ``spec``, since the residual kernel reads each
     channel from the slot the system fixes for it. Then it checks the
     observation groups against the layout and builds the observation
-    operator: ``index``
-    holds the flat state entry (channel * cells + cell) of each observed value
-    of a weighted group, ``values`` the observed values and ``variance`` the
-    per-entry variance n / (2 weight) of its group's mean-square term, where n
-    counts the group's values. An entry observed by both groups appears twice.
+    operator: ``index`` holds the flat state entry (channel * cells + cell)
+    of each observed value of a weighted group, ``values`` the observed values
+    and ``variance`` the per-entry variance n / (2 weight) of its group's
+    mean-square term, where n counts the group's values, and ``groups`` each
+    group's slice of ``index``. An entry observed by both groups appears
+    twice, once per slice; no slice repeats an entry.
     """
 
     obs: Observations
@@ -92,6 +93,7 @@ class GuidanceContext:
     index: np.ndarray = field(init=False, compare=False, repr=False)
     values: np.ndarray = field(init=False, compare=False, repr=False)
     variance: np.ndarray = field(init=False, compare=False, repr=False)
+    groups: tuple[slice, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         w = self.weights
@@ -102,7 +104,7 @@ class GuidanceContext:
             self.layout.validate_for(self.system, spec)
         object.__setattr__(self, "spec", spec)
         cells = spec.cells
-        index, values, variance = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0)]
+        index, values, variance, groups = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0)], []
         for weight, mask, vals, channels in (
             (w.beta, self.obs.mask_u, self.obs.values_u, self.layout.solution_channels),
             (w.gamma, self.obs.mask_a, self.obs.values_a, self.layout.coeff_channels),
@@ -112,20 +114,15 @@ class GuidanceContext:
                 continue
             if vals.shape != (len(channels), idx.size):
                 raise ValueError("observation values do not match mask count and channel group")
-            for row, c in enumerate(channels):
-                index.append(c * cells + idx)
-                values.append(vals[row])
-                variance.append(np.full(idx.size, vals.size / (2.0 * weight)))
+            start = sum(part.size for part in index)
+            groups.append(slice(start, start + vals.size))
+            index.append((np.asarray(channels)[:, None] * cells + idx).ravel())  # channel by channel
+            values.append(vals.ravel())
+            variance.append(np.full(vals.size, vals.size / (2.0 * weight)))
         object.__setattr__(self, "index", np.concatenate(index))
         object.__setattr__(self, "values", np.concatenate(values))
         object.__setattr__(self, "variance", np.concatenate(variance))
-
-    @cached_property
-    def probe(self) -> np.ndarray:
-        """The (m, d) one-hot matrix A that picks the observed entries, built on first use."""
-        probe = np.zeros((self.index.size, self.spec.size))
-        probe[np.arange(self.index.size), self.index] = 1.0
-        return probe
+        object.__setattr__(self, "groups", tuple(groups))
 
 
 def log_likelihood(
@@ -138,8 +135,8 @@ def log_likelihood(
     from one residual evaluation.
 
     With r = y - A x, the observation terms are -1/2 r^T V^-1 r, or, given
-    ``cov`` = C of :func:`twist_covariance`, log N(y; A x, C) from one solve
-    C r~ = r as -1/2 r^T r~ with gradient A^T r~ (C held constant).
+    ``cov`` = C of :func:`twist_covariance`, log N(y; A x, C) as -1/2 r^T r~
+    with gradient A^T r~ (C held constant); all rows take r~ = C^-1 r from one inverse.
     """
     rows = np.asarray(rows, dtype=float)
     r = ctx.values - rows[..., ctx.index]
@@ -147,7 +144,7 @@ def log_likelihood(
         total = -np.sum(r * r / (2.0 * ctx.variance), axis=-1)
         gain = r / ctx.variance if grad else None
     else:
-        gain = np.linalg.solve(cov, r.T).T
+        gain = r @ np.linalg.inv(cov)
         total = -0.5 * np.sum(r * gain, axis=-1)
     data = np.zeros(rows.shape) if grad and not ctx.weights.omega > 0 else None
     if ctx.weights.omega > 0:
@@ -156,9 +153,11 @@ def log_likelihood(
         res, res_grad = residual_sq_grad(ctx.system, spec, x, grad=grad)
         if grad:  # scaled in the kernel's own array; the gain is added below
             data = np.multiply(res_grad, -ctx.weights.omega, out=res_grad).reshape(rows.shape)
-        total = total - ctx.weights.omega * np.mean(res.reshape(rows.shape[:-1] + (-1,)) ** 2, axis=-1)
-    if grad:
-        np.add.at(data, (Ellipsis, ctx.index), gain)
+        # squared first: the kernel's residual may be a view that a reshape would copy
+        total = total - ctx.weights.omega * np.mean((res**2).reshape(rows.shape[:-1] + (-1,)), axis=-1)
+    if grad:  # distinct entries within a group, and the groups add in index order, as np.add.at would
+        for g in ctx.groups:
+            data[..., ctx.index[g]] += gain[..., g]
     if rows.ndim == 1:
         total = float(total)
     return (total, data) if grad else total
@@ -175,11 +174,11 @@ def twist_covariance(ctx: GuidanceContext, denoiser: Denoiser, states: np.ndarra
     J_k is the denoiser Jacobian, so sigma_k^2 J_k is the Tweedie posterior
     covariance of the clean state; the twist log N(y; A x_hat, C_k) is exact
     for Gaussian priors with linear observations and is the point likelihood
-    at sigma = 0. One vjp of ``ctx.probe`` builds C. That is exact for a
-    state-independent Jacobian (:class:`~pgd.priors.GaussianDenoiser`); a
-    :class:`~pgd.priors.GmmDenoiser` gets it at the mean of the ``states`` rows.
+    at sigma = 0. The denoiser's ``jacobian_block`` gives A J_k A^T: exact from
+    the factors of a :class:`~pgd.priors.GaussianDenoiser`, and by default (as for a
+    :class:`~pgd.priors.GmmDenoiser`) one vjp at the mean of the ``states`` rows.
     """
-    ajat = denoiser.vjp(states.mean(axis=0), sigma, ctx.probe)[:, ctx.index]
+    ajat = denoiser.jacobian_block(ctx.index, sigma, states)
     cov = sigma**2 * 0.5 * (ajat + ajat.T)
     cov[np.diag_indices_from(cov)] += ctx.variance
     return cov

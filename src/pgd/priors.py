@@ -2,9 +2,9 @@
 
 The denoiser abstraction is the pluggable stand-in for a trained model: the
 analytic implementations here (Gaussian and Gaussian-mixture posterior means)
-realize the optimal denoiser exactly, which makes every downstream quantity
-(scores, guidance gradients, samplers) checkable against closed forms. A
-neural implementation only needs ``denoise`` and ``vjp``.
+realize the optimal denoiser exactly, so every downstream quantity (scores,
+guidance gradients, samplers) is checkable against closed forms. A neural
+implementation only needs ``denoise`` and ``vjp``; ``jacobian_block`` defaults to a vjp.
 
 All denoiser operations act on flattened states of shape (..., d) so particle
 populations batch through the same code path. They never write to their
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import is_count
+from .errors import is_count, is_real
 from .grid import Field
 
 
@@ -44,11 +44,12 @@ class NoiseSchedule:
     rho: float = 7.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma_max) and self.sigma_max > self.sigma_min >= 0):
+        if not (is_real(self.sigma_max) and is_real(self.sigma_min) and np.isfinite(self.sigma_max)
+                and self.sigma_max > self.sigma_min >= 0):
             raise ValueError("need finite sigma_max > sigma_min >= 0")
         if not is_count(self.steps):
             raise ValueError("steps must be an integer >= 1")
-        if not (np.isfinite(self.rho) and self.rho > 0):
+        if not (is_real(self.rho) and np.isfinite(self.rho) and self.rho > 0):
             raise ValueError("rho must be finite and positive")
         if not np.all(np.diff(np.square([self.sigma_at(k) for k in range(self.steps + 1)])) > 0):
             raise ValueError(f"noise levels do not strictly increase in k at rho={self.rho}")
@@ -77,6 +78,11 @@ class Denoiser(ABC):
     @abstractmethod
     def vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray) -> np.ndarray:
         """J(x, sigma)^T @ cotangent for J the Jacobian of denoise in x."""
+
+    def jacobian_block(self, index: np.ndarray, sigma: float, states: np.ndarray) -> np.ndarray:
+        """A J A^T, (m, m), for the one-hot rows A at ``index`` (which may repeat): one vjp of A at the mean state."""
+        probe = 1.0 * (index[:, None] == np.arange(self.dim))  # A, (m, d)
+        return self.vjp(states.mean(axis=0), sigma, probe)[:, index]
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +197,14 @@ class GaussianDenoiser(Denoiser):
     def vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray) -> np.ndarray:
         # the Jacobian S (S + sigma^2 I)^{-1} is symmetric and x-independent
         return self._apply_jacobian(np.asarray(cotangent, dtype=float), sigma)
+
+    def jacobian_block(self, index: np.ndarray, sigma: float, states: np.ndarray) -> np.ndarray:
+        """A J A^T from the shrink factors and the basis columns at ``index``, in O(m^2 r); ``states`` is unread."""
+        cov, same = self.prior.cov, index[:, None] == index[None, :]
+        if self.prior.cov_kind != "dense":
+            return same * _shrink(cov, sigma)[index]
+        f, cols = _shrink(np.append(cov.evals, cov.iso), sigma), cov.basis[:, index]  # f as in _apply_jacobian
+        return (cols.T * (f[:-1] - f[-1])) @ cols + f[-1] * same
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import is_count
+from .errors import is_count, is_real
 from .grid import DIRICHLET, PERIODIC, Field, GridSpec, diff_2d, fill_ghosts, ghost_lined, interior, laplacian_2d
 from .grid import face_averages, face_differences, face_flux_adjoint_coef, face_flux_divergence, face_products
 from .grid import flux_divergence_2d, flux_divergence_2d_adjoint_coef  # unused; bench/tracer.py binds them
@@ -76,8 +76,8 @@ class PdeSystem:
         if self.kind not in KINDS:
             raise ValueError(f"unknown system kind {self.kind!r}")
         for name in ("source", "k_wave", "feed", "removal", "horizon"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            if not (is_real(val := getattr(self, name)) and np.isfinite(val)):
+                raise ValueError(f"{name} must be a finite real number, got {val}")
         if self.kind in RD_SPECIES and not self.horizon > 0:
             raise ValueError("horizon must be positive")
         if self.kind == "competitive_3":
@@ -196,7 +196,7 @@ def residual_sq_grad(
     every state channel, shaped like ``x``, or None). m counts the residual
     entries of one state. The gradient reuses the residual's intermediates:
     darcy and competitive_3 form the face averages and the face differences
-    of u and of the residual once each.
+    of u and of the residual once each. A residual held in one array is returned as a view.
     Channels sit in the system's fixed slots: coefficient a in 0 and solution
     u in 1 (elliptic); with s species, diffusion fields in [0, s), initial
     states in [s, 2s) and terminal states in [2s, 3s) (reaction-diffusion);
@@ -218,7 +218,7 @@ def residual_sq_grad(
     if kind in ("poisson", "helmholtz"):
         a, u = v[0], v[1]
         f = laplacian_2d(u, h, boundary) + system.k_wave**2 * u - a
-        rows = [f]
+        res = f[..., None, :, :]
         if grad:
             g[1] = scale * (laplacian_2d(f, h, boundary) + system.k_wave**2 * f)
             g[0] = -scale * f
@@ -227,7 +227,7 @@ def residual_sq_grad(
         faces, du = face_averages(a, boundary), face_differences(ghost_lined(u, boundary))  # each formed once
         f = face_flux_divergence([c * d for c, d in zip(faces, du)], h)  # ghost-lined
         np.subtract(-system.source, f, out=f)  # the residual -div - source, as -source - div: the same sum
-        rows = [interior(f)]
+        res = interior(f)[..., None, :, :]  # a view: the gradient below writes only f's ghosts
         if grad:
             df = face_differences(fill_ghosts(f, boundary))  # shared by the u- and a-gradients
             # faces and du are not read again: their buffers take the fluxes and products of df
@@ -235,6 +235,7 @@ def residual_sq_grad(
             np.multiply(interior(face_flux_adjoint_coef(face_products(df, du), h, boundary)), -scale, out=g[0])
     elif kind == "divergence_free":
         rows = [diff_2d(v[2 * i], 0, h, boundary) + diff_2d(v[2 * i + 1], 1, h, boundary) for i in range(2)]
+        res = np.stack(rows, axis=-3)
         if grad:
             for i, f in enumerate(rows):
                 g[2 * i] = -scale * diff_2d(f, 0, h, boundary)
@@ -247,7 +248,7 @@ def residual_sq_grad(
         uvv = ut * vv
         f_u = (ut - u0) / horizon - du * lap_u + uvv - feed * (1.0 - ut)
         f_v = (vt - v0) / horizon - dv * lap_v - uvv + (feed + removal) * vt
-        rows = [f_u, f_v]
+        res = np.stack([f_u, f_v], axis=-3)
         if grad:
             lap_fu, lap_fv = laplacian_2d(np.stack([du * f_u, dv * f_v]), h, boundary)
             uv2 = 2.0 * ut * vt
@@ -262,14 +263,15 @@ def residual_sq_grad(
         diff, init, term = v[0:3], v[3:6], v[6:9]
         horizon = system.horizon
         faces, dterm = face_averages(diff, boundary), face_differences(ghost_lined(term, boundary))
-        res = face_flux_divergence([c * d for c, d in zip(faces, dterm)], h)  # its interior becomes the residual
-        rows = r = interior(res)
+        lined = face_flux_divergence([c * d for c, d in zip(faces, dterm)], h)  # its interior becomes the residual
+        r = interior(lined)
+        res = np.moveaxis(r, 0, -3)  # a view of the channel-first block
         others = [sum(mat[i, j] * term[j] for j in range(3) if j != i) for i in range(3)]
         for i in range(3):
             np.subtract((term[i] - init[i]) / horizon, r[i], out=r[i])
             r[i] -= term[i] * (1.0 - term[i] - others[i])
         if grad:
-            dr = face_differences(fill_ghosts(res, boundary))
+            dr = face_differences(fill_ghosts(lined, boundary))
             coef_adj = interior(face_flux_adjoint_coef(face_products(dr, dterm), h, boundary))
             flux_r = interior(face_flux_divergence(face_products(dr, faces), h))
             for i in range(3):
@@ -281,4 +283,4 @@ def residual_sq_grad(
     else:  # pragma: no cover - guarded by PdeSystem validation
         raise ValueError(f"unknown system kind {kind!r}")
 
-    return np.stack(rows, axis=-3), out if grad else None
+    return res, out if grad else None

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import is_count, require_finite
+from .errors import is_count, is_real, require_finite
 from .grid import Field, GridSpec
 from .guidance import (
     GuidanceContext,
@@ -92,9 +92,9 @@ class SmcConfig:
                 "tds weighting needs a point-evaluable proposal density; "
                 "the churned second-order proposal only supports pbs"
             )
-        if not 0.0 < self.resample_threshold <= 1.0:
+        if not (is_real(self.resample_threshold) and 0.0 < self.resample_threshold <= 1.0):
             raise ValueError("resample_threshold must lie in (0, 1]")
-        if not self.s_churn >= 0:
+        if not (is_real(self.s_churn) and self.s_churn >= 0):
             raise ValueError("s_churn must be nonnegative")
         if not is_count(self.seed, 0):
             raise ValueError("seed must be an integer >= 0")

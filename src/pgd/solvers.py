@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularOperatorError, SolverConvergenceError, is_count, require_finite
+from .errors import SingularOperatorError, SolverConvergenceError, is_count, is_real, require_finite
 from .grid import DIRICHLET, PERIODIC, Field, GridSpec, Mask, face_averages, flux_divergence_faces
 from .grid import flux_divergence_2d, laplacian_2d  # flux_divergence_2d: unused; bench/tracer.py binds it
 from .residuals import ELLIPTIC_KINDS, RD_SPECIES, PdeSystem, StateLayout, default_layout
@@ -87,7 +87,7 @@ class Observations:
                 raise ValueError(f"values_{group} must be finite")
         if self.mask_a.spec != self.mask_u.spec:
             raise ValueError(f"mask_a is on {self.mask_a.spec} but mask_u is on {self.mask_u.spec}")
-        if not 0 <= self.sigma_o < np.inf:
+        if not (is_real(self.sigma_o) and 0 <= self.sigma_o < np.inf):
             raise ValueError("sigma_o must be finite and nonnegative")
         object.__setattr__(self, "values_a", va)
         object.__setattr__(self, "values_u", vu)
@@ -120,7 +120,7 @@ class DatasetSpec:
         self.layout.validate_for(self.system, self.grid)
         if kind in RD_SPECIES and isinstance(self.coeff_model, ThresholdedGrf):
             raise ValueError(f"{kind} draws smooth diffusion fields; a ThresholdedGrf's levels would go unread")
-        if kind in RD_SPECIES and not (np.isfinite(self.rd_dt) and self.rd_dt > 0 and is_count(self.rd_steps)):
+        if kind in RD_SPECIES and not (is_real(self.rd_dt) and 0 < self.rd_dt < np.inf and is_count(self.rd_steps)):
             raise ValueError(
                 f"need a finite rd_dt > 0 and rd_steps >= 1, got rd_dt={self.rd_dt}, rd_steps={self.rd_steps}"
             )

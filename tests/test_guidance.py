@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from pgd.guidance import (
     log_likelihood,
     twist_covariance,
 )
-from pgd.priors import GaussianDenoiser, GaussianPrior, NoiseSchedule
+from pgd.priors import GaussianDenoiser, GaussianPrior, GmmDenoiser, NoiseSchedule, fit_empirical_prior
 from pgd.residuals import PdeSystem, StateLayout, residual
 from pgd.samplers import gem_core
 from pgd.smc import SmcConfig, smc_run
@@ -287,3 +289,95 @@ def test_data_grad_zero_noise_truth_is_stationary():
     w = GuidanceWeights(beta=1.0, gamma=1.0, omega=1.0)
     g = data_log_likelihood_grad(GuidanceContext(obs, PdeSystem.poisson(), layout, w), x.flat())
     assert np.max(np.abs(g)) < 1e-7
+
+
+# Channel 0 is in both groups and cell 4 in both masks, so the observation
+# operator picks entry 4 twice: index = [4, 8, 13, 17, 1, 4].
+SPEC_SHARED = GridSpec(3, 3, 2, 1.0)
+SHARED_LAYOUT = StateLayout(coeff_channels=(0,), solution_channels=(0, 1))
+
+
+def shared_entry_context(seed=0):
+    rng = np.random.default_rng(seed)
+    cells = SPEC_SHARED.with_channels(1)
+    obs = Observations(
+        mask_a=Mask.from_indices(cells, [1, 4]),
+        values_a=rng.standard_normal((1, 2)),
+        mask_u=Mask.from_indices(cells, [4, 8]),
+        values_u=rng.standard_normal((2, 2)),
+        sigma_o=0.1,
+    )
+    ctx = GuidanceContext(obs, None, SHARED_LAYOUT, GuidanceWeights(beta=20.0, gamma=8.0, omega=0.0))
+    assert list(ctx.index) == [4, 8, 13, 17, 1, 4]
+    return ctx
+
+
+def shared_entry_denoisers():
+    rng = np.random.default_rng(30)
+    d = SPEC_SHARED.size
+    mean = Field.from_flat(SPEC_SHARED, rng.standard_normal(d))
+    root = rng.standard_normal((d, d))
+    samples = [Field.from_flat(SPEC_SHARED, rng.standard_normal(d)) for _ in range(5)]
+    return {
+        "diagonal": GaussianDenoiser(GaussianPrior(mean, "diagonal", rng.uniform(0.1, 2.0, d))),
+        "fitted_dense": GaussianDenoiser(fit_empirical_prior(samples, 0.2, "dense")),  # r = 5 < d
+        "dense": GaussianDenoiser(GaussianPrior(mean, "dense", root @ root.T / d)),  # r = d
+        "gmm": GmmDenoiser([0.3, 0.7], rng.standard_normal((2, d)), [0.4, 1.2]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "fitted_dense", "dense", "gmm"])
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 80.0])
+def test_jacobian_block_matches_the_full_jacobian(kind, sigma):
+    # brute force: J's full rows from a vjp of the identity (at the states' mean,
+    # where the mixture's Jacobian is taken), then the rows and columns at index
+    den, ctx = shared_entry_denoisers()[kind], shared_entry_context()
+    states = np.random.default_rng(31).standard_normal((4, SPEC_SHARED.size))
+    jac = den.vjp(states.mean(axis=0), sigma, np.eye(SPEC_SHARED.size)).T
+    want = jac[np.ix_(ctx.index, ctx.index)]
+    got = den.jacobian_block(ctx.index, sigma, states)
+    assert got.shape == (6, 6)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("scheme", ["pbs", "tds"])
+def test_gradient_sums_both_terms_of_an_entry_observed_twice(scheme):
+    # the scatter must add both rows' terms into entry 4, as central
+    # differences of the twist (or the point likelihood) say
+    ctx = shared_entry_context(1)
+    den = shared_entry_denoisers()["dense"]
+    rng = np.random.default_rng(32)
+    d = SPEC_SHARED.size
+    x_hat = rng.standard_normal((3, d))
+    cov = twist_covariance(ctx, den, x_hat, 0.7) if scheme == "tds" else None
+    _, grad = log_likelihood(ctx, x_hat, grad=True, cov=cov)
+    h = 1e-6
+
+    def twist(rows):
+        return log_likelihood(ctx, rows, cov=cov)
+
+    fd = np.stack([(twist(x_hat + h * e) - twist(x_hat - h * e)) / (2 * h) for e in np.eye(d)], axis=1)
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
+
+
+def test_twist_covariance_forms_no_observation_matrix():
+    # a fitted dense prior at d = 2 * 32^2 with m = 400 observed entries: the
+    # (m, d) one-hot operator alone would take m * d * 8 bytes (6.5 MB)
+    spec = GridSpec(32, 32, 2, 1.0)
+    rng = np.random.default_rng(33)
+    samples = [Field.from_flat(spec, rng.standard_normal(spec.size)) for _ in range(8)]
+    den = GaussianDenoiser(fit_empirical_prior(samples, 0.1, "dense"))
+    cells = spec.with_channels(1)
+    masks = [Mask.from_indices(cells, np.sort(rng.choice(cells.size, 200, replace=False))) for _ in range(2)]
+    obs = Observations(masks[0], rng.standard_normal((1, 200)), masks[1], rng.standard_normal((1, 200)), 0.1)
+    ctx = GuidanceContext(obs, None, StateLayout.scalar_pair(), GuidanceWeights(beta=1.0, gamma=1.0, omega=0.0))
+    states = rng.standard_normal((2, spec.size))
+    m, d = ctx.index.size, spec.size
+    tracemalloc.start()
+    try:
+        cov = twist_covariance(ctx, den, states, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cov.shape == (m, m) == (400, 400)
+    assert peak < m * d * 8, f"peak {peak} bytes"

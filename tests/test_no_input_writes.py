@@ -1,5 +1,6 @@
-"""The denoiser, the proposal cores and the reaction-diffusion time stepper
-never write to an array they are given.
+"""The denoiser's methods (``denoise``, ``vjp`` and ``jacobian_block``), the
+proposal cores and the reaction-diffusion time stepper never write to an
+array they are given.
 
 They work in place on arrays they allocate themselves; each test hands them
 inputs, keeps copies, and checks every input bit for bit after the call.
@@ -72,6 +73,7 @@ def test_denoise_and_vjp_leave_their_inputs_untouched(kind, sigma):
     den = denoisers()[kind]
     assert_untouched(lambda x: den.denoise(x, sigma), rows(1))
     assert_untouched(lambda x, c: den.vjp(x, sigma, c), rows(2), rows(3))
+    assert_untouched(lambda i, x: den.jacobian_block(i, sigma, x), np.array([3, 27, 3, 39]), rows(4))
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "dense"])

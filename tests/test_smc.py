@@ -348,6 +348,28 @@ def test_a_bool_is_not_a_count(build):
         build()
 
 
+BOOL_REAL_VALUES = {  # each real-valued setting given True (np.True_ for two), which passes as 1 unchecked
+    "spacing": lambda: GridSpec(3, 3, 1, spacing=True),
+    "sigma_max": lambda: NoiseSchedule(sigma_max=True, sigma_min=0.01, steps=4),
+    "sigma_min": lambda: NoiseSchedule(sigma_min=np.True_, steps=4),
+    "rho": lambda: NoiseSchedule(steps=4, rho=True),
+    "resample_threshold": lambda: SmcConfig(2, NoiseSchedule(steps=4), resample_threshold=True),
+    "s_churn": lambda: SmcConfig(2, NoiseSchedule(steps=4), s_churn=True),
+    "beta": lambda: GuidanceWeights(beta=True),
+    "omega": lambda: GuidanceWeights(omega=np.True_),
+    "source": lambda: PdeSystem.darcy(source=True),
+    "horizon": lambda: PdeSystem.gray_scott(horizon=True),
+    "sigma_o": lambda: observations_on(SPEC9, [0], [1.0], sigma_o=True),
+    "rd_dt": lambda: DatasetSpec(PdeSystem.gray_scott(), GridSpec(8, 8, 6, 1 / 8, PERIODIC), 1, rd_dt=True),
+}
+
+
+@pytest.mark.parametrize("name, build", BOOL_REAL_VALUES.items(), ids=list(BOOL_REAL_VALUES))
+def test_a_bool_is_not_a_real_value(name, build):
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
 @functools.cache
 def darcy_bench_problem():
     """The darcy benchmark problem: 16 x 16, fitted dense prior, set-up seed 7."""
