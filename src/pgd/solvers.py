@@ -17,9 +17,9 @@ This is the stand-in for an external simulation pipeline: targets are
 generated with the same finite-difference discretization used by the residual
 operators. Elliptic states satisfy the discrete equations to the solver's
 tolerance. Reaction-diffusion states do not: they are ``rd_steps`` explicit
-Euler steps (1,000 by default), while the residual spans the horizon in one
-interval, so a true state leaves a residual. At the defaults on a 16 x 16
-grid its RMS is about 1e-3 for gray_scott_2 and 3e-2 for competitive_3.
+Euler steps (1,000 by default) across the system's ``horizon``, which the
+residual spans in one interval, so a true state leaves a residual. At the
+defaults on a 16 x 16 grid its RMS is about 1e-3 for gray_scott_2 and 3e-2 for competitive_3.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class SmoothGrf:
     length_scale: float = 4.0  # in cells
 
     def __post_init__(self):
-        if not 0 < self.length_scale < np.inf:
+        if not (is_real(self.length_scale) and 0 < self.length_scale < np.inf):
             raise ValueError("length_scale must be finite and positive")
 
 
@@ -59,7 +59,7 @@ class ThresholdedGrf(SmoothGrf):
 
     def __post_init__(self):
         super().__post_init__()
-        if not np.isfinite([self.low, self.high]).all():
+        if not all(is_real(v) and np.isfinite(v) for v in (self.low, self.high)):
             raise ValueError("low and high must be finite")
 
 
@@ -106,8 +106,7 @@ class DatasetSpec:
     sample_count: int
     coeff_model: SmoothGrf | ThresholdedGrf = field(default_factory=SmoothGrf)
     rng_seed: int = 0
-    rd_dt: float = 1e-3
-    rd_steps: int = 1000
+    rd_steps: int = 1000  # explicit steps over system.horizon
 
     def __post_init__(self):
         if not is_count(self.sample_count):
@@ -120,10 +119,8 @@ class DatasetSpec:
         self.layout.validate_for(self.system, self.grid)
         if kind in RD_SPECIES and isinstance(self.coeff_model, ThresholdedGrf):
             raise ValueError(f"{kind} draws smooth diffusion fields; a ThresholdedGrf's levels would go unread")
-        if kind in RD_SPECIES and not (is_real(self.rd_dt) and 0 < self.rd_dt < np.inf and is_count(self.rd_steps)):
-            raise ValueError(
-                f"need a finite rd_dt > 0 and rd_steps >= 1, got rd_dt={self.rd_dt}, rd_steps={self.rd_steps}"
-            )
+        if kind in RD_SPECIES and not is_count(self.rd_steps):
+            raise ValueError(f"rd_steps must be an integer >= 1, got {self.rd_steps}")
 
     @property
     def layout(self) -> StateLayout:
@@ -392,7 +389,7 @@ def simulate_rd(system: PdeSystem, diffusion: Field, initial: Field, dt: float, 
         raise ValueError(
             f"diffusion batch {diffusion.batch_shape} does not match initial batch {initial.batch_shape}"
         )
-    if not (np.isfinite(dt) and dt > 0 and is_count(steps)):
+    if not (is_real(dt) and np.isfinite(dt) and dt > 0 and is_count(steps)):
         raise ValueError(f"need a finite dt > 0 and steps >= 1, got dt={dt}, steps={steps}")
     if np.min(diffusion.values) < 0:
         raise ValueError("diffusion must be nonnegative")
@@ -498,6 +495,7 @@ def generate_dataset(spec: DatasetSpec) -> list[Field]:
         sub = spec.grid.with_channels(species)
         diffusion = Field(sub, coeffs[:, :species])
         initial = Field(sub, coeffs[:, species:])
-        solutions = simulate_rd(spec.system, diffusion, initial, spec.rd_dt, spec.rd_steps).values
+        dt = spec.system.horizon / spec.rd_steps  # the data span the interval the residual's time derivative spans
+        solutions = simulate_rd(spec.system, diffusion, initial, dt, spec.rd_steps).values
     # each sample owns its values, so a caller keeping one does not keep the batch alive
     return [Field(spec.grid, np.concatenate([c, u])) for c, u in zip(coeffs, solutions)]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,6 +249,97 @@ def test_gmm_denoiser_identity_holds_exactly():
     r /= r.sum()
     analytic = -(r[:, None] * diff / s[:, None]).sum(0)
     assert np.allclose(score(den, x, sigma), analytic, atol=1e-12)
+
+
+def broadcast_gmm(den, x, sigma, cot):
+    """denoise and vjp of a GmmDenoiser in the direct form, over (..., J, d) arrays: the products form's reference."""
+    s = den.variances + sigma**2
+    diff = x[..., None, :] - den.means
+    log_r = np.log(den.weights) - 0.5 * np.sum(diff**2, axis=-1) / s - 0.5 * den.dim * np.log(s)
+    r = np.exp(log_r - log_r.max(axis=-1, keepdims=True))
+    r /= r.sum(axis=-1, keepdims=True)
+    g = -diff / s[:, None]
+    shrink = den.variances / s
+    post = den.means + shrink[:, None] * diff
+    g_bar = np.sum(r[..., None] * g, axis=-2)
+    proj = np.sum(post * cot[..., None, :], axis=-1)
+    vjp = np.sum((r * proj)[..., None] * (g - g_bar[..., None, :]), axis=-2)
+    vjp += np.sum(r * shrink, axis=-1)[..., None] * cot
+    return np.sum(r[..., None] * post, axis=-2), vjp
+
+
+def gmm_and_states(spread=1.0, seed=9, n=6, j=12, d=24):
+    """A mixture with means of scale ``spread``, and states next to a mean, between two means and at random.
+
+    Every value is a multiple of 2^-20, and at spread 1 each is far below 2^10 in size, so adding 2^10 is exact.
+    """
+    rng = np.random.default_rng(seed)
+    grid = lambda v: np.round(v * 2.0**20) / 2.0**20
+    w = rng.random(j)
+    means = grid(spread * rng.standard_normal((j, d)))
+    x = grid(np.concatenate([means[:n] + 0.01 * rng.standard_normal((n, d)), 0.5 * (means[:n] + means[1 : n + 1]),
+                             2.0 * spread * rng.standard_normal((n, d))]))
+    return GmmDenoiser(w / w.sum(), means, rng.uniform(0.05, 1.0, j)), x, rng.standard_normal(x.shape)
+
+
+def max_rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sigma", [0.002, "smallest variance", 1.0, 80.0])
+def test_gmm_products_form_matches_the_broadcast_reference(sigma):
+    den, x, cot = gmm_and_states()
+    sigma = np.sqrt(den.variances.min()) if sigma == "smallest variance" else sigma
+    want_denoise, want_vjp = broadcast_gmm(den, x, sigma, cot)
+    assert max_rel(den.denoise(x, sigma), want_denoise) <= 1e-12
+    assert max_rel(den.vjp(x, sigma, cot), want_vjp) <= 1e-12
+    # a single state against many cotangents, as jacobian_block calls it
+    assert max_rel(den.vjp(x[0], sigma, cot), broadcast_gmm(den, x[0], sigma, cot)[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("sigma", [0.002, 1.0, 10.0, 80.0])
+def test_gmm_products_form_holds_its_digits_at_states_of_large_norm_next_to_a_mean(sigma):
+    # the expanded |x - m|^2 - 2 (x - m).(mu_j - m) + |mu_j - m|^2 cancels when |x - m| is large:
+    # means spread far apart keep the direct form's digits to 1e-12 ...
+    den, x, cot = gmm_and_states(spread=100.0)
+    want_denoise, want_vjp = broadcast_gmm(den, x, sigma, cot)
+    assert max_rel(den.denoise(x, sigma), want_denoise) <= 1e-12
+    assert max_rel(den.vjp(x, sigma, cot), want_vjp) <= 1e-12
+    # ... and an offset that every mean shares costs none: the shift by 2^10 is exact, so the
+    # shifted mixture's answers are the unshifted ones, which the direct form gets right
+    den, x, cot = gmm_and_states()
+    want_denoise, want_vjp = broadcast_gmm(den, x, sigma, cot)
+    far = GmmDenoiser(den.weights, den.means + 2.0**10, den.variances)
+    assert max_rel(far.denoise(x + 2.0**10, sigma) - 2.0**10, want_denoise) <= 1e-12
+    assert max_rel(far.vjp(x + 2.0**10, sigma, cot), want_vjp) <= 1e-12
+
+
+def test_gmm_builds_no_state_by_component_by_dimension_array():
+    # one (N, J, d) float array is 67 MB here; the products form needs a few (N, J) and (N, d) ones,
+    # and the bound, eight of each (3.1 MB), is under 5% of it
+    rng = np.random.default_rng(10)
+    n, j, d = 64, 256, 512
+    den = GmmDenoiser(np.full(j, 1 / j), rng.standard_normal((j, d)), rng.uniform(0.05, 1.0, j))
+    x, cot = rng.standard_normal((2, n, d))
+    tracemalloc.start()
+    try:
+        den.denoise(x, 1.0)
+        den.vjp(x, 1.0, cot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * (j + d) * 8, f"peak {peak} bytes"
+
+
+def test_gmm_keeps_its_own_copy_of_the_means():
+    # the centred means and their norms, cached at construction, would go stale if the caller's
+    # array were aliased and then changed
+    means = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    den = GmmDenoiser([0.5, 0.5], means, [0.1, 0.1])
+    x = np.array([0.4, 0.3])
+    before = den.denoise(x, 0.5)
+    means += 5.0
+    np.testing.assert_array_equal(den.denoise(x, 0.5), before)
 
 
 def test_fit_identical_fields_gives_identity_covariance():

@@ -22,7 +22,15 @@ from pgd.smc import (
     point_estimate,
     smc_run,
 )
-from pgd.solvers import DatasetSpec, Observations, generate_dataset, make_observations
+from pgd.solvers import (
+    DatasetSpec,
+    Observations,
+    SmoothGrf,
+    ThresholdedGrf,
+    generate_dataset,
+    make_observations,
+    simulate_rd,
+)
 
 SPEC9 = GridSpec(3, 3, 1, 1.0)
 SPEC16 = GridSpec(4, 4, 1, 1.0)
@@ -348,7 +356,7 @@ def test_a_bool_is_not_a_count(build):
         build()
 
 
-BOOL_REAL_VALUES = {  # each real-valued setting given True (np.True_ for two), which passes as 1 unchecked
+BOOL_REAL_VALUES = {  # each real-valued setting given True (np.True_ for three), which passes as 1 unchecked
     "spacing": lambda: GridSpec(3, 3, 1, spacing=True),
     "sigma_max": lambda: NoiseSchedule(sigma_max=True, sigma_min=0.01, steps=4),
     "sigma_min": lambda: NoiseSchedule(sigma_min=np.True_, steps=4),
@@ -360,7 +368,11 @@ BOOL_REAL_VALUES = {  # each real-valued setting given True (np.True_ for two), 
     "source": lambda: PdeSystem.darcy(source=True),
     "horizon": lambda: PdeSystem.gray_scott(horizon=True),
     "sigma_o": lambda: observations_on(SPEC9, [0], [1.0], sigma_o=True),
-    "rd_dt": lambda: DatasetSpec(PdeSystem.gray_scott(), GridSpec(8, 8, 6, 1 / 8, PERIODIC), 1, rd_dt=True),
+    "length_scale": lambda: SmoothGrf(length_scale=True),
+    "low": lambda: ThresholdedGrf(low=True),
+    "high": lambda: ThresholdedGrf(high=np.True_),
+    "lam": lambda: fit_empirical_prior([Field.zeros(SPEC9)], True),
+    "dt": lambda: simulate_rd(PdeSystem.gray_scott(), *[Field.zeros(GridSpec(4, 4, 2, 1 / 4, PERIODIC))] * 2, True, 1),
 }
 
 

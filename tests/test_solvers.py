@@ -7,7 +7,7 @@ import pytest
 import pgd.solvers
 from pgd.errors import SingularOperatorError
 from pgd.grid import DIRICHLET, PERIODIC, Field, GridSpec, Mask, laplacian_2d
-from pgd.residuals import RD_SPECIES, PdeSystem, StateLayout, residual
+from pgd.residuals import RD_SPECIES, PdeSystem, StateLayout, default_layout, residual
 from pgd.solvers import (
     DatasetSpec,
     Observations,
@@ -213,11 +213,12 @@ def test_simulate_rd_rejects_diffusion_on_another_grid(diffusion_grid):
 
 @pytest.mark.parametrize("dt,steps", [(-1e-3, 50), (0.0, 50), (np.nan, 50), (np.inf, 50), (1e-3, 0), (1e-3, 2.5)])
 def test_simulate_rd_rejects_a_nonpositive_dt_and_no_steps(dt, steps):
-    # a negative dt would step backward in time, zero steps return the initial state;
-    # the spec is rejected at construction, before any coefficients are drawn
+    # a negative dt would step backward in time, zero steps return the initial state; a spec
+    # steps horizon / rd_steps, and its horizon or rd_steps is rejected at construction,
+    # before any coefficients are drawn
     grid = GridSpec(8, 8, 6, 1.0 / 8, PERIODIC)
-    with pytest.raises(ValueError, match="need a finite rd_dt > 0 and rd_steps >= 1"):
-        DatasetSpec(PdeSystem.gray_scott(), grid, 2, rd_dt=dt, rd_steps=steps)
+    with pytest.raises(ValueError, match="horizon must be|rd_steps must be an integer >= 1"):
+        DatasetSpec(PdeSystem.gray_scott(horizon=50 * dt), grid, 2, rd_steps=steps)
     sub = grid.with_channels(2)
     initial = Field(sub, np.stack([np.ones((8, 8)), np.zeros((8, 8))]))
     with pytest.raises(ValueError, match="need a finite dt > 0 and steps >= 1"):
@@ -228,7 +229,7 @@ def test_unstable_spec_raises_from_generate_dataset_with_the_drawn_max_diffusion
     # base (2e-4, 1e-4) with amplitude 0.3 would give max D = 2.6e-4; the drawn field reaches 3.368e-4
     grid = GridSpec(16, 16, 6, 1 / 16, PERIODIC)
     with pytest.raises(ValueError, match=r"max D = 3\.368e-04"):
-        generate_dataset(DatasetSpec(PdeSystem.gray_scott(), grid, 17, rng_seed=0, rd_dt=10, rd_steps=2))
+        generate_dataset(DatasetSpec(PdeSystem.gray_scott(horizon=20), grid, 17, rng_seed=0, rd_steps=2))
 
 
 def test_dataset_spec_rejects_a_kind_without_a_coefficient_model():
@@ -318,7 +319,7 @@ def test_observations_reject_a_noise_level_that_is_not_finite_and_nonnegative(si
 
 def test_gray_scott_initial_patch_statistics():
     spec = DatasetSpec(
-        system=PdeSystem.gray_scott(),
+        system=PdeSystem.gray_scott(horizon=1e-3),
         grid=GridSpec(32, 32, 6, 1.0 / 32, PERIODIC),
         sample_count=1,
         rng_seed=7,
@@ -404,11 +405,10 @@ def test_make_observations_rejects_an_observation_count_that_is_not_a_nonnegativ
 
 def test_rd_dataset_nonnegative_and_finite():
     spec = DatasetSpec(
-        system=PdeSystem.gray_scott(),
+        system=PdeSystem.gray_scott(horizon=0.5),
         grid=GridSpec(16, 16, 6, 1.0 / 16, PERIODIC),
         sample_count=2,
         rng_seed=3,
-        rd_dt=1e-3,
         rd_steps=500,
     )
     samples = generate_dataset(spec)
@@ -417,6 +417,17 @@ def test_rd_dataset_nonnegative_and_finite():
         terminal = x.values[[4, 5]]
         assert np.all(np.isfinite(terminal))
         assert terminal.min() >= -1e-9
+
+
+def test_rd_data_span_the_system_horizon():
+    # generate_dataset steps horizon / rd_steps, the interval the residual's time derivative
+    # spans; a step of 1e-3 here would simulate twice it and leave a residual RMS of 6.2e-3
+    system, grid = PdeSystem.gray_scott(horizon=0.5), GridSpec(16, 16, 6, 1 / 16, PERIODIC)
+    x = generate_dataset(DatasetSpec(system, grid, 1, rng_seed=4, rd_steps=1000))[0]
+    sub = grid.with_channels(2)
+    alone = simulate_rd(system, Field(sub, x.values[:2]), Field(sub, x.values[2:4]), 0.5 / 1000, 1000)
+    np.testing.assert_array_equal(x.values[4:], alone.values)
+    assert np.sqrt(np.mean(residual(system, default_layout("gray_scott_2"), x).values ** 2)) < 1e-3
 
 
 def test_dataset_generation_is_pure_function_of_spec():
@@ -447,13 +458,14 @@ DIGEST_SPECS = {
         PdeSystem.poisson(), GridSpec(12, 10, 2, 1 / 13, DIRICHLET), 3, SmoothGrf(3.0), rng_seed=23
     ),
     "gray_scott_2": DatasetSpec(
-        PdeSystem.gray_scott(), GridSpec(12, 10, 6, 1 / 12, PERIODIC), 2, SmoothGrf(3.0),
+        PdeSystem.gray_scott(horizon=0.04), GridSpec(12, 10, 6, 1 / 12, PERIODIC), 2, SmoothGrf(3.0),
         rng_seed=24, rd_steps=40,
     ),
     "competitive_3": DatasetSpec(
-        COMPETITIVE, GridSpec(12, 10, 9, 1 / 12, PERIODIC), 2, SmoothGrf(3.0), rng_seed=25, rd_steps=40
+        replace(COMPETITIVE, horizon=0.04), GridSpec(12, 10, 9, 1 / 12, PERIODIC), 2, SmoothGrf(3.0),
+        rng_seed=25, rd_steps=40,
     ),
-}
+}  # each reaction-diffusion spec steps 0.04 / 40 == 1e-3
 # SHA-256 of the float64 bytes of generate_dataset's samples in index order.
 # darcy, poisson and gray_scott_2 were recorded when each sample's random
 # fields were still filtered one at a time, competitive_3 when each species'
