@@ -77,12 +77,10 @@ class GuidanceContext:
     is that system's own on ``spec``, since the residual kernel reads each
     channel from the slot the system fixes for it. Then it checks the
     observation groups against the layout and builds the observation
-    operator: ``index`` holds the flat state entry (channel * cells + cell)
-    of each observed value of a weighted group, ``values`` the observed values
-    and ``variance`` the per-entry variance n / (2 weight) of its group's
-    mean-square term, where n counts the group's values, and ``groups`` each
-    group's slice of ``index``. An entry observed by both groups appears
-    twice, once per slice; no slice repeats an entry.
+    operator: ``index`` holds the flat state entry (channel * cells + cell),
+    none repeated, of each observed value of a weighted group, ``values`` the
+    observed values and ``variance`` the per-entry variance n / (2 weight) of
+    its group's mean-square term, where n counts the group's values.
     """
 
     obs: Observations
@@ -93,7 +91,6 @@ class GuidanceContext:
     index: np.ndarray = field(init=False, compare=False, repr=False)
     values: np.ndarray = field(init=False, compare=False, repr=False)
     variance: np.ndarray = field(init=False, compare=False, repr=False)
-    groups: tuple[slice, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         w = self.weights
@@ -104,7 +101,7 @@ class GuidanceContext:
             self.layout.validate_for(self.system, spec)
         object.__setattr__(self, "spec", spec)
         cells = spec.cells
-        index, values, variance, groups = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0)], []
+        index, values, variance = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0)]
         for weight, mask, vals, channels in (
             (w.beta, self.obs.mask_u, self.obs.values_u, self.layout.solution_channels),
             (w.gamma, self.obs.mask_a, self.obs.values_a, self.layout.coeff_channels),
@@ -114,15 +111,12 @@ class GuidanceContext:
                 continue
             if vals.shape != (len(channels), idx.size):
                 raise ValueError("observation values do not match mask count and channel group")
-            start = sum(part.size for part in index)
-            groups.append(slice(start, start + vals.size))
             index.append((np.asarray(channels)[:, None] * cells + idx).ravel())  # channel by channel
             values.append(vals.ravel())
             variance.append(np.full(vals.size, vals.size / (2.0 * weight)))
         object.__setattr__(self, "index", np.concatenate(index))
         object.__setattr__(self, "values", np.concatenate(values))
         object.__setattr__(self, "variance", np.concatenate(variance))
-        object.__setattr__(self, "groups", tuple(groups))
 
 
 def log_likelihood(
@@ -155,9 +149,8 @@ def log_likelihood(
             data = np.multiply(res_grad, -ctx.weights.omega, out=res_grad).reshape(rows.shape)
         # squared first: the kernel's residual may be a view that a reshape would copy
         total = total - ctx.weights.omega * np.mean((res**2).reshape(rows.shape[:-1] + (-1,)), axis=-1)
-    if grad:  # distinct entries within a group, and the groups add in index order, as np.add.at would
-        for g in ctx.groups:
-            data[..., ctx.index[g]] += gain[..., g]
+    if grad:  # index repeats no entry, so one indexed add scatters the gain
+        data[..., ctx.index] += gain
     if rows.ndim == 1:
         total = float(total)
     return (total, data) if grad else total

@@ -81,7 +81,7 @@ class Denoiser(ABC):
         """J(x, sigma)^T @ cotangent for J the Jacobian of denoise in x."""
 
     def jacobian_block(self, index: np.ndarray, sigma: float, states: np.ndarray) -> np.ndarray:
-        """A J A^T, (m, m), for the one-hot rows A at ``index`` (which may repeat): one vjp of A at the mean state."""
+        """A J A^T, (m, m), for the one-hot rows A at the distinct entries ``index``: one vjp of A at the mean state."""
         probe = 1.0 * (index[:, None] == np.arange(self.dim))  # A, (m, d)
         return self.vjp(states.mean(axis=0), sigma, probe)[:, index]
 
@@ -109,7 +109,7 @@ class FactoredCov:
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """Gaussian over flattened states: mean field plus finite diagonal or dense covariance.
+    """Gaussian over flattened states: one mean field plus finite diagonal or dense covariance.
 
     A diagonal covariance is a nonnegative (d,) vector; an isotropic prior is
     the diagonal ``np.full(d, s)``. A dense covariance may be given as a
@@ -126,6 +126,8 @@ class GaussianPrior:
     def __post_init__(self):
         if self.cov_kind not in COV_KINDS:
             raise ValueError(f"cov_kind must be one of {COV_KINDS}")
+        if self.mean.batch_shape:
+            raise ValueError(f"the mean must be one field, got a batch of shape {self.mean.batch_shape}")
         d = self.mean.spec.size
         cov = self.cov
         parts = (cov.iso, cov.evals, cov.basis) if isinstance(cov, FactoredCov) else (cov,)
@@ -201,11 +203,13 @@ class GaussianDenoiser(Denoiser):
 
     def jacobian_block(self, index: np.ndarray, sigma: float, states: np.ndarray) -> np.ndarray:
         """A J A^T from the shrink factors and the basis columns at ``index``, in O(m^2 r); ``states`` is unread."""
-        cov, same = self.prior.cov, index[:, None] == index[None, :]
+        cov = self.prior.cov
         if self.prior.cov_kind != "dense":
-            return same * _shrink(cov, sigma)[index]
+            return np.diag(_shrink(cov, sigma)[index])
         f, cols = _shrink(np.append(cov.evals, cov.iso), sigma), cov.basis[:, index]  # f as in _apply_jacobian
-        return (cols.T * (f[:-1] - f[-1])) @ cols + f[-1] * same
+        block = (cols.T * (f[:-1] - f[-1])) @ cols
+        block[np.diag_indices_from(block)] += f[-1]
+        return block
 
 
 # ---------------------------------------------------------------------------

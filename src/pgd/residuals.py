@@ -26,8 +26,9 @@ validates nothing; the sampler's :class:`~pgd.guidance.GuidanceContext`
 validates the layout once, and :func:`residual` validates a
 :class:`~pgd.grid.Field`'s layout, calls the kernel and wraps the result.
 The data generator keeps its own copy of the reaction-diffusion kinetics,
-:func:`pgd.solvers._rd_rate`: it forms ``u*v*v`` where the kernel forms
-``ut * vt**2``, so sharing one copy would move the dataset digests.
+:func:`pgd.solvers._rd_rate`, which forms ``u*v*v`` where the kernel forms
+``ut * vt**2``; one copy shared in the generator's order would keep every
+dataset digest and move the kernel's gray_scott_2 residuals by about 2e-15 relative.
 """
 
 from __future__ import annotations
@@ -125,25 +126,22 @@ class StateLayout:
 
     A system's kind fixes the role of every channel of its state (see
     :func:`residual_sq_grad`); the layout says only which channels each
-    observation group reads. Construction requires nonnegative integer
-    channels, none repeated within a group, whose union is 0..C-1; a channel
-    may sit in both groups. Without a system any such layout will do; with
-    one, :meth:`validate_for` requires ``default_layout(system.kind)``.
+    observation group reads. Together the groups list each channel 0..C-1
+    exactly once, so no state entry is observed twice. Without a system any
+    such layout will do; with one, :meth:`validate_for` requires ``default_layout(system.kind)``.
     """
 
     coeff_channels: tuple[int, ...]
     solution_channels: tuple[int, ...]
 
     def __post_init__(self):
-        for group in (self.coeff_channels, self.solution_channels):
-            if not all(is_count(c, 0) for c in group) or len(set(group)) != len(group):
-                raise ValueError(f"layout group {group} needs distinct nonnegative integer channels")
-        if sorted(set(self.coeff_channels) | set(self.solution_channels)) != list(range(self.channel_count)):
-            raise ValueError(f"layout {self} does not cover channels 0..C-1 without gaps")
+        channels = (*self.coeff_channels, *self.solution_channels)
+        if not (all(is_count(c, 0) for c in channels) and sorted(channels) == list(range(len(channels)))):
+            raise ValueError(f"layout {self} does not list each of the channels 0..C-1 exactly once")
 
     @property
     def channel_count(self) -> int:
-        return len(set(self.coeff_channels) | set(self.solution_channels))
+        return len(self.coeff_channels) + len(self.solution_channels)
 
     @classmethod
     def scalar_pair(cls) -> "StateLayout":

@@ -316,6 +316,8 @@ def solve_elliptic(system: PdeSystem, a: Field) -> Field:
     if system.kind not in ELLIPTIC_KINDS:
         raise ValueError(f"solve_elliptic does not handle kind {system.kind!r}")
     spec = a.spec
+    if spec.channels != 1:
+        raise ValueError(f"solve_elliptic takes a single-channel coefficient, got {spec.channels} channels")
     if spec.boundary != DIRICHLET:
         raise ValueError("elliptic solves require dirichlet_zero boundary")
     h = spec.spacing
@@ -452,8 +454,10 @@ def make_observations(
 
     The noise draw is the same standard-normal vector scaled by sigma_o, so
     observation sets produced with the same rng seed differ only by the noise
-    level.
+    level. ``x`` is one state; a batch is rejected.
     """
+    if x.batch_shape:
+        raise ValueError(f"make_observations takes one state, got a batch of shape {x.batch_shape}")
     if layout.channel_count != x.spec.channels:
         raise ValueError(f"layout covers {layout.channel_count} channels but the state has {x.spec.channels}")
     cells = x.spec.cells

@@ -14,7 +14,7 @@ from pgd.guidance import (
     twist_covariance,
 )
 from pgd.priors import GaussianDenoiser, GaussianPrior, GmmDenoiser, NoiseSchedule, fit_empirical_prior
-from pgd.residuals import PdeSystem, StateLayout, residual
+from pgd.residuals import KINDS, PdeSystem, StateLayout, default_layout, residual
 from pgd.samplers import gem_core
 from pgd.smc import SmcConfig, smc_run
 from pgd.solvers import Observations, make_observations, solve_elliptic
@@ -291,33 +291,32 @@ def test_data_grad_zero_noise_truth_is_stationary():
     assert np.max(np.abs(g)) < 1e-7
 
 
-# Channel 0 is in both groups and cell 4 in both masks, so the observation
-# operator picks entry 4 twice: index = [4, 8, 13, 17, 1, 4].
-SPEC_SHARED = GridSpec(3, 3, 2, 1.0)
-SHARED_LAYOUT = StateLayout(coeff_channels=(0,), solution_channels=(0, 1))
+# Coefficient channel 0 and solution channel 1, with cell 4 in both masks:
+# the operator picks entries 4 and 13, one per channel, so no entry repeats.
+SPEC_BLOCK = GridSpec(3, 3, 2, 1.0)
 
 
-def shared_entry_context(seed=0):
+def block_context(seed=0):
     rng = np.random.default_rng(seed)
-    cells = SPEC_SHARED.with_channels(1)
+    cells = SPEC_BLOCK.with_channels(1)
     obs = Observations(
-        mask_a=Mask.from_indices(cells, [1, 4]),
-        values_a=rng.standard_normal((1, 2)),
-        mask_u=Mask.from_indices(cells, [4, 8]),
-        values_u=rng.standard_normal((2, 2)),
+        mask_a=Mask.from_indices(cells, [1, 4, 7]),
+        values_a=rng.standard_normal((1, 3)),
+        mask_u=Mask.from_indices(cells, [0, 4, 8]),
+        values_u=rng.standard_normal((1, 3)),
         sigma_o=0.1,
     )
-    ctx = GuidanceContext(obs, None, SHARED_LAYOUT, GuidanceWeights(beta=20.0, gamma=8.0, omega=0.0))
-    assert list(ctx.index) == [4, 8, 13, 17, 1, 4]
+    ctx = GuidanceContext(obs, None, StateLayout.scalar_pair(), GuidanceWeights(beta=20.0, gamma=8.0, omega=0.0))
+    assert list(ctx.index) == [9, 13, 17, 1, 4, 7]
     return ctx
 
 
-def shared_entry_denoisers():
+def block_denoisers():
     rng = np.random.default_rng(30)
-    d = SPEC_SHARED.size
-    mean = Field.from_flat(SPEC_SHARED, rng.standard_normal(d))
+    d = SPEC_BLOCK.size
+    mean = Field.from_flat(SPEC_BLOCK, rng.standard_normal(d))
     root = rng.standard_normal((d, d))
-    samples = [Field.from_flat(SPEC_SHARED, rng.standard_normal(d)) for _ in range(5)]
+    samples = [Field.from_flat(SPEC_BLOCK, rng.standard_normal(d)) for _ in range(5)]
     return {
         "diagonal": GaussianDenoiser(GaussianPrior(mean, "diagonal", rng.uniform(0.1, 2.0, d))),
         "fitted_dense": GaussianDenoiser(fit_empirical_prior(samples, 0.2, "dense")),  # r = 5 < d
@@ -331,33 +330,29 @@ def shared_entry_denoisers():
 def test_jacobian_block_matches_the_full_jacobian(kind, sigma):
     # brute force: J's full rows from a vjp of the identity (at the states' mean,
     # where the mixture's Jacobian is taken), then the rows and columns at index
-    den, ctx = shared_entry_denoisers()[kind], shared_entry_context()
-    states = np.random.default_rng(31).standard_normal((4, SPEC_SHARED.size))
-    jac = den.vjp(states.mean(axis=0), sigma, np.eye(SPEC_SHARED.size)).T
+    den, ctx = block_denoisers()[kind], block_context()
+    states = np.random.default_rng(31).standard_normal((4, SPEC_BLOCK.size))
+    jac = den.vjp(states.mean(axis=0), sigma, np.eye(SPEC_BLOCK.size)).T
     want = jac[np.ix_(ctx.index, ctx.index)]
     got = den.jacobian_block(ctx.index, sigma, states)
     assert got.shape == (6, 6)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("scheme", ["pbs", "tds"])
-def test_gradient_sums_both_terms_of_an_entry_observed_twice(scheme):
-    # the scatter must add both rows' terms into entry 4, as central
-    # differences of the twist (or the point likelihood) say
-    ctx = shared_entry_context(1)
-    den = shared_entry_denoisers()["dense"]
-    rng = np.random.default_rng(32)
-    d = SPEC_SHARED.size
-    x_hat = rng.standard_normal((3, d))
-    cov = twist_covariance(ctx, den, x_hat, 0.7) if scheme == "tds" else None
-    _, grad = log_likelihood(ctx, x_hat, grad=True, cov=cov)
-    h = 1e-6
-
-    def twist(rows):
-        return log_likelihood(ctx, rows, cov=cov)
-
-    fd = np.stack([(twist(x_hat + h * e) - twist(x_hat - h * e)) / (2 * h) for e in np.eye(d)], axis=1)
-    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
+@pytest.mark.parametrize("kind", [*KINDS, "conjugate"])
+def test_observation_index_repeats_no_entry(kind):
+    # both masks hold every cell, so every channel of either group is read
+    # everywhere: the index is then a permutation of the state's entries
+    layout = SOLUTION_ONLY if kind == "conjugate" else default_layout(kind)
+    spec = GridSpec(3, 4, layout.channel_count, 1.0)
+    cells = spec.with_channels(1)
+    full = Mask.from_indices(cells, np.arange(cells.size))
+    obs = Observations(
+        full, np.zeros((len(layout.coeff_channels), cells.size)),
+        full, np.zeros((len(layout.solution_channels), cells.size)), 0.1,
+    )
+    ctx = GuidanceContext(obs, None, layout, GuidanceWeights(beta=1.0, gamma=1.0, omega=0.0))
+    np.testing.assert_array_equal(np.sort(ctx.index), np.arange(spec.size))
 
 
 def test_twist_covariance_forms_no_observation_matrix():

@@ -437,6 +437,14 @@ def test_dense_prior_rejects_a_malformed_factored_cov():
             GaussianPrior(Field.zeros(SPEC_4X4), "dense", cov)
 
 
+@pytest.mark.parametrize("kind,cov", [("diagonal", np.ones(9)), ("dense", np.eye(9))], ids=["diagonal", "dense"])
+def test_prior_rejects_a_batched_mean(kind, cov):
+    # a (2, 1, 3, 3) mean would make the denoiser broadcast one (9,) state to (2, 9)
+    mean = Field(GridSpec(3, 3, 1, 1.0), np.zeros((2, 1, 3, 3)))
+    with pytest.raises(ValueError, match="mean must be one field"):
+        GaussianPrior(mean, kind, cov)
+
+
 def test_diagonal_prior_rejects_a_nan_variance():
     with pytest.raises(ValueError, match="diagonal covariance must be finite"):
         GaussianPrior(Field.zeros(SPEC_4X4), "diagonal", np.full(16, np.nan))

@@ -71,18 +71,19 @@ def test_system_validation():
 
 @pytest.mark.parametrize(
     "coeff,solution",
-    [((-1,), (0,)), ((0,), (2,)), ((0.0,), (1,)), ((0, 0), (1,)), ((), (1, 2))],
-    ids=["negative", "gap", "float", "repeated", "not-from-zero"],
+    [((-1,), (0,)), ((0,), (2,)), ((0.0,), (1,)), ((0, 0), (1,)), ((), (1, 2)), ((0,), (0, 1))],
+    ids=["negative", "gap", "float", "repeated", "not-from-zero", "in-both-groups"],
 )
 def test_layout_rejects_channels_that_are_not_0_to_c_minus_1(coeff, solution):
     # a negative channel would index the state from its end, and a gap past
-    # the last channel would index beyond it
+    # the last channel would index beyond it; the groups partition the
+    # channels, so the observation operator never picks one state entry twice
     with pytest.raises(ValueError, match="layout"):
         StateLayout(coeff, solution)
 
 
-def test_layout_accepts_numpy_integers_and_a_channel_in_both_groups():
-    assert StateLayout((np.int64(0),), (0, np.int32(1))).channel_count == 2
+def test_layout_accepts_numpy_integers():
+    assert StateLayout((np.int64(0),), (np.int32(1), 2)).channel_count == 3
 
 
 def test_layout_kind_mismatch_rejected():

@@ -692,41 +692,6 @@ def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):
         assert np.allclose(shift / delta, fd, rtol=1e-6, atol=1e-6)
 
 
-def test_twist_gradient_sums_an_entry_observed_by_both_groups():
-    # Both groups read channel 0 and cell 4 is in both masks, so the
-    # observation operator picks that entry twice: its gradient must be the
-    # sum of both rows' terms, as central differences of the twist say.
-    rng = np.random.default_rng(22)
-    d = SPEC9.size
-    b = rng.standard_normal((d, d))
-    cov = b @ b.T / d + 0.1 * np.eye(d)
-    den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "dense", cov))
-    obs = Observations(
-        mask_a=Mask.from_indices(SPEC9, [1, 4]),
-        values_a=rng.standard_normal((1, 2)),
-        mask_u=Mask.from_indices(SPEC9, [4, 6, 8]),
-        values_u=rng.standard_normal((1, 3)),
-        sigma_o=0.1,
-    )
-    layout = StateLayout(coeff_channels=(0,), solution_channels=(0,))
-    w = GuidanceWeights(beta=20.0, gamma=8.0, omega=0.0)
-    ctx = GuidanceContext(obs=obs, system=None, layout=layout, weights=w)
-    assert np.count_nonzero(ctx.index == 4) == 2
-
-    sigma = 0.7
-    states = 2.0 * rng.standard_normal((3, d))
-    x_hat = den.denoise(states, sigma)
-    c = twist_covariance(ctx, den, states, sigma)
-    _, grad = log_likelihood(ctx, x_hat, grad=True, cov=c)
-    h = 1e-6
-
-    def twist(rows):
-        return log_likelihood(ctx, rows, cov=c)
-
-    fd = np.stack([(twist(x_hat + h * e) - twist(x_hat - h * e)) / (2 * h) for e in np.eye(d)], axis=1)
-    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
-
-
 @pytest.mark.parametrize("sigma_o", [0.1, 1e-2, 1e-3, 1e-4])
 def test_tds_twist_matches_an_eigendecomposed_gaussian_at_small_variance(sigma_o, monkeypatch):
     # smc_run's tds twist is log N(y; A x_hat, C) with C = V + sigma^2 sym(A J A^T)

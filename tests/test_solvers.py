@@ -77,6 +77,15 @@ def test_darcy_preconditioned_cg_iteration_count_at_64(model, limit, monkeypatch
     assert len(applies) <= limit
 
 
+@pytest.mark.parametrize("kind", ["poisson", "helmholtz", "darcy"])
+def test_solve_elliptic_rejects_a_coefficient_of_several_channels(kind):
+    # the solve reads channel 0 alone; a second channel would be dropped unread
+    system = {"poisson": PdeSystem.poisson(), "helmholtz": PdeSystem.helmholtz(k_wave=2.0), "darcy": PdeSystem.darcy()}
+    a = Field(GridSpec(6, 6, 2, 0.3, DIRICHLET), np.ones((2, 6, 6)))
+    with pytest.raises(ValueError, match="single-channel coefficient, got 2 channels"):
+        solve_elliptic(system[kind], a)
+
+
 def test_darcy_rejects_nonpositive_permeability():
     spec = GridSpec(6, 6, 1, 0.3, DIRICHLET)
     with pytest.raises(ValueError):
@@ -394,6 +403,13 @@ def test_make_observations_rejects_a_layout_of_another_channel_count(layout):
     x = Field.zeros(GridSpec(4, 4, 2, 0.2, DIRICHLET))
     with pytest.raises(ValueError, match="layout covers .* channels but the state has 2"):
         make_observations(x, layout, 3, 0.0, np.random.default_rng(0))
+
+
+def test_make_observations_rejects_a_batched_state():
+    # x.values[c] of a (3, 2, 4, 4) batch is sample c, not channel c
+    x = Field(GridSpec(4, 4, 2, 0.2, DIRICHLET), np.arange(96.0).reshape(3, 2, 4, 4))
+    with pytest.raises(ValueError, match=r"one state, got a batch of shape \(3,\)"):
+        make_observations(x, StateLayout.scalar_pair(), 3, 0.0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("n_obs", [-1, 2.5, True])
