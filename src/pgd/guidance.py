@@ -173,7 +173,7 @@ def twist_covariance(ctx: GuidanceContext, denoiser: Denoiser, states: np.ndarra
     """
     ajat = denoiser.jacobian_block(ctx.index, sigma, states)
     cov = sigma**2 * 0.5 * (ajat + ajat.T)
-    cov[np.diag_indices_from(cov)] += ctx.variance
+    cov.flat[:: ctx.index.size + 1] += ctx.variance  # the diagonal
     return cov
 
 
@@ -182,8 +182,7 @@ def tds_transition_term(z: np.ndarray, shift: np.ndarray, step_var: float) -> np
 
     ``z`` holds the step's (N, d) unit draws and ``shift`` the guidance shift
     of :func:`~pgd.samplers.gem_core`. The shared covariance reduces the ratio
-    to -shift . (sqrt(v) z + shift / 2) / v; :class:`~pgd.priors.NoiseSchedule` makes v > 0.
+    to -(sqrt(v) shift . z + shift . shift / 2) / v, two row dot products with no
+    (N, d) temporary; :class:`~pgd.priors.NoiseSchedule` makes v > 0.
     """
-    half = 0.5 * shift
-    half += np.sqrt(step_var) * z
-    return -np.vecdot(shift, half) / step_var
+    return -(np.sqrt(step_var) * np.vecdot(shift, z) + 0.5 * np.vecdot(shift, shift)) / step_var

@@ -139,8 +139,10 @@ class GaussianPrior:
                 raise ValueError("diagonal covariance must be a nonnegative (d,) vector")
             object.__setattr__(self, "cov", arr)
         elif isinstance(self.cov, FactoredCov):
-            if cov.basis.shape != (cov.evals.size, d) or cov.iso < 0 or np.any(cov.evals < 0):
+            if not is_real(cov.iso) or cov.basis.shape != (cov.evals.size, d) or cov.iso < 0 or np.any(cov.evals < 0):
                 raise ValueError("factored covariance needs an (r, d) basis and nonnegative iso and evals")
+            if np.any(np.abs(cov.basis @ cov.basis.T - np.eye(cov.evals.size)) > 1e-10):
+                raise ValueError("factored covariance needs a basis with orthonormal rows")
         else:
             arr = np.asarray(self.cov, dtype=float)
             if arr.shape != (d, d):
@@ -170,9 +172,9 @@ def _shrink(lam, sigma: float) -> np.ndarray:
 class GaussianDenoiser(Denoiser):
     """Exact posterior-mean denoiser mu + S (S + sigma^2 I)^{-1} (x - mu).
 
-    The Jacobian S (S + sigma^2 I)^{-1} shares the eigenvectors of S. A dense
-    S applies through its factored form as
-    f_iso v + ((v basis^T) (f_r - f_iso)) basis, at O(d r) per state.
+    The Jacobian S (S + sigma^2 I)^{-1} shares the eigenvectors of S. A dense S applies through its
+    factored form as f_iso v + ((v basis^T) (f_r - f_iso)) basis, at O(d r) per state; the f_iso v
+    term is skipped where f_iso is 0, as for every covariance given as a (d, d) matrix (iso = 0).
     """
 
     def __init__(self, prior: GaussianPrior):
@@ -186,9 +188,10 @@ class GaussianDenoiser(Denoiser):
         scratch = vec if own else None
         if self.prior.cov_kind != "dense":
             return np.multiply(vec, _shrink(cov, sigma), out=scratch)
-        f = _shrink(np.append(cov.evals, cov.iso), sigma)  # r modes, then the isotropic level
-        out = ((vec @ cov.basis.T) * (f[:-1] - f[-1])) @ cov.basis
-        out += np.multiply(f[-1], vec, out=scratch)
+        f, f_iso = _shrink(cov.evals, sigma), float(_shrink(cov.iso, sigma))  # r modes and the isotropic level
+        out = ((vec @ cov.basis.T) * (f - f_iso)) @ cov.basis
+        if f_iso:  # 0 for a covariance given as a (d, d) matrix
+            out += np.multiply(f_iso, vec, out=scratch)
         return out
 
     def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
@@ -206,9 +209,9 @@ class GaussianDenoiser(Denoiser):
         cov = self.prior.cov
         if self.prior.cov_kind != "dense":
             return np.diag(_shrink(cov, sigma)[index])
-        f, cols = _shrink(np.append(cov.evals, cov.iso), sigma), cov.basis[:, index]  # f as in _apply_jacobian
-        block = (cols.T * (f[:-1] - f[-1])) @ cols
-        block[np.diag_indices_from(block)] += f[-1]
+        f, f_iso, cols = _shrink(cov.evals, sigma), float(_shrink(cov.iso, sigma)), cov.basis[:, index]
+        block = (cols.T * (f - f_iso)) @ cols
+        block.flat[:: index.size + 1] += f_iso  # the diagonal
         return block
 
 

@@ -5,7 +5,8 @@ the package proves nothing; the import statements of each module are read
 instead, function-local ones included. Every module also reads each name it
 imports, except the four that ``TRACER_PINNED_UNUSED`` lists by name, and
 draws randomness only from generators built from an explicit seed, so that
-every run is fixed by its seeds.
+every run is fixed by its seeds. No module uses the NumPy helpers of
+``SLOW_HELPERS``, whose checks and copies cost more than the arithmetic they stand for.
 """
 
 import ast
@@ -28,6 +29,14 @@ TRACER_PINNED_UNUSED = {
     ("residuals", "flux_divergence_2d"),
     ("residuals", "flux_divergence_2d_adjoint_coef"),
     ("solvers", "flux_divergence_2d"),
+}
+
+# NumPy helpers kept out of ``pgd``, each with what to write instead. On an (m, m)
+# array with m = 12, np.diag_indices_from takes about 14 us, mostly its own shape
+# checks; np.append copies both parts into a new array.
+SLOW_HELPERS = {
+    "diag_indices_from": "add to the diagonal of an (m, m) array through its strided view, a.flat[:: m + 1]",
+    "append": "keep the parts as two arrays (say r modes and one scalar) instead of copying them into one",
 }
 
 
@@ -85,6 +94,18 @@ def unseeded_random_calls(tree: ast.AST) -> set[str]:
             name not in ("default_rng", "SeedSequence") or (name == "default_rng" and not (node.args or node.keywords))
         ):
             found.add(name)
+    return found
+
+
+def slow_helper_uses(tree: ast.AST) -> set[str]:
+    """Helpers of ``SLOW_HELPERS`` that ``tree`` reads as ``np.<name>`` or ``numpy.<name>``, or imports from numpy."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "numpy":
+            found.update(a.name for a in node.names if a.name in SLOW_HELPERS)
+        elif isinstance(node, ast.Attribute) and node.attr in SLOW_HELPERS and isinstance(node.value, ast.Name):
+            if node.value.id in ("np", "numpy"):
+                found.add(node.attr)
     return found
 
 
@@ -150,3 +171,19 @@ def test_the_check_sees_unseeded_randomness():
         "    return np.random.default_rng(), np.random.choice(3), g.standard_normal(3), a\n"
     )
     assert unseeded_random_calls(tree) == {"shuffle", "seed", "rand", "default_rng", "choice"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_uses_none_of_the_slow_numpy_helpers(path):
+    used = slow_helper_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert not used, f"{path.name} uses " + "; ".join(f"np.{name}: {SLOW_HELPERS[name]}" for name in sorted(used))
+
+
+def test_the_check_sees_the_slow_helpers():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy import append\n\ndef f(a, b, rows):\n"
+        "    a[np.diag_indices_from(a)] += 1.0\n    rows.append(b)\n    a.flat[:: len(a) + 1] += 1.0\n"
+        "    return np.append(b, 0.0), np.diag(a), rows\n"
+    )
+    assert slow_helper_uses(tree) == {"diag_indices_from", "append"}
+    assert slow_helper_uses(ast.parse("import numpy as np\nx = []\nx.append(np.diag([1.0]))\n")) == set()

@@ -11,6 +11,7 @@ from pgd.guidance import (
     GuidanceWeights,
     data_log_likelihood_grad,
     log_likelihood,
+    tds_transition_term,
     twist_covariance,
 )
 from pgd.priors import GaussianDenoiser, GaussianPrior, GmmDenoiser, NoiseSchedule, fit_empirical_prior
@@ -376,3 +377,32 @@ def test_twist_covariance_forms_no_observation_matrix():
         tracemalloc.stop()
     assert cov.shape == (m, m) == (400, 400)
     assert peak < m * d * 8, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("n,d", [(1, 5), (256, 64)])
+def test_tds_transition_term_matches_the_two_gaussian_log_densities(n, d):
+    # x = m + shift + sqrt(v) z; shifts of order sqrt(v) keep the explicit difference itself accurate
+    rng = np.random.default_rng(n + d)
+    v = 0.37
+    m, shift, z = rng.standard_normal((n, d)), np.sqrt(v) * rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    x = m + shift + np.sqrt(v) * z
+
+    def log_normal(mean):  # log N(x; mean, v I) per row
+        r = x - mean
+        return -0.5 * np.vecdot(r, r) / v - 0.5 * d * np.log(2 * np.pi * v)
+
+    np.testing.assert_allclose(tds_transition_term(z, shift, v), log_normal(m) - log_normal(m + shift), rtol=1e-12)
+
+
+def test_tds_transition_term_forms_no_state_sized_temporary():
+    rng = np.random.default_rng(34)
+    z, shift = rng.standard_normal((2, 256, 64))
+    one_array = z.nbytes
+    tracemalloc.start()
+    try:
+        term = tds_transition_term(z, shift, 0.37)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert term.shape == (256,)
+    assert peak < one_array, f"peak {peak} bytes against {one_array} for one (N, d) array"

@@ -437,6 +437,21 @@ def test_dense_prior_rejects_a_malformed_factored_cov():
             GaussianPrior(Field.zeros(SPEC_4X4), "dense", cov)
 
 
+def test_dense_prior_rejects_a_basis_whose_rows_are_not_orthonormal():
+    # the Jacobian this basis implies has eigenvalues above 1, which no posterior-mean Jacobian has
+    basis = np.random.default_rng(35).standard_normal((2, 16))
+    with pytest.raises(ValueError, match="orthonormal rows"):
+        GaussianPrior(Field.zeros(SPEC_4X4), "dense", FactoredCov(0.5, basis, np.array([2.0, 1.0])))
+    near = np.linalg.qr(basis.T)[0].T * (1.0 + 1e-13)  # off by 1e-13: round-off, not a wrong basis
+    GaussianPrior(Field.zeros(SPEC_4X4), "dense", FactoredCov(0.5, near, np.array([2.0, 1.0])))
+
+
+def test_dense_prior_rejects_a_bool_isotropic_level():
+    for iso in (True, np.bool_(False)):
+        with pytest.raises(ValueError, match="factored"):
+            GaussianPrior(Field.zeros(SPEC_4X4), "dense", FactoredCov(iso, np.eye(16)[:3], np.ones(3)))
+
+
 @pytest.mark.parametrize("kind,cov", [("diagonal", np.ones(9)), ("dense", np.eye(9))], ids=["diagonal", "dense"])
 def test_prior_rejects_a_batched_mean(kind, cov):
     # a (2, 1, 3, 3) mean would make the denoiser broadcast one (9,) state to (2, 9)
