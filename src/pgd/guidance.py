@@ -12,17 +12,20 @@ weighted groups into the observed state entries with their values and the
 variance that each group's mean-square term implies. :func:`log_likelihood`
 and :func:`data_log_likelihood_grad` read those arrays and take flat state
 rows: a (d,) row gives a float log-likelihood, an (N, d) population gives
-(N,), and gradients are shaped like the rows. The PDE term views the rows as
-(..., C, H, W) states and calls the residual kernel on them: no
-:class:`~pgd.grid.Field` is formed, and nothing is validated per call.
-``log_likelihood(ctx, rows, grad=True)`` returns the value and its gradient
-from one residual evaluation; :func:`data_log_likelihood_grad` is its
-gradient alone.
+(N,). The PDE term views the rows as (..., C, H, W) states and calls the
+residual kernel on them: no :class:`~pgd.grid.Field` is formed, and nothing
+is validated per call. ``log_likelihood(ctx, rows, grad=True)`` returns the
+value and its gradient from one residual evaluation;
+:func:`data_log_likelihood_grad` is the gradient alone.
 
-At a noisy state the particle engine evaluates the likelihood at the
-denoiser's reconstruction, together with its gradient when the next step is
-guided at that reconstruction. The proposal cores of :mod:`pgd.samplers`
-chain that data-space gradient through the denoiser's exact vjp.
+A gradient comes back as a (cotangent, index) pair. With the PDE term on
+(omega > 0) the cotangent is the full gradient, shaped like the rows, and the
+index is None. Without it the gradient is zero off the observed entries, and
+the cotangent holds only its (..., m) values at ``index`` = ``ctx.index``.
+Nothing here scatters it: the particle engine evaluates the likelihood and
+its gradient at the denoiser's reconstruction, and the proposal cores of
+:mod:`pgd.samplers` pass the pair to :meth:`~pgd.priors.Denoiser.vjp`, which
+pulls it back from the m entries.
 
 Two weighting schemes turn proposals into a particle system:
 
@@ -121,12 +124,12 @@ class GuidanceContext:
 
 def log_likelihood(
     ctx: GuidanceContext, rows: np.ndarray, grad: bool = False, cov: np.ndarray | None = None
-) -> float | np.ndarray | tuple[float | np.ndarray, np.ndarray]:
+) -> float | np.ndarray | tuple[float | np.ndarray, np.ndarray, np.ndarray | None]:
     """Weighted negative mean-square misfits of clean states (constant dropped).
 
     A float for a (d,) row, (N,) for (N, d) rows. With ``grad=True`` it
-    returns (value, gradient with respect to the rows, shaped like ``rows``)
-    from one residual evaluation.
+    returns (value, cotangent, index) from one residual evaluation, the
+    gradient with respect to the rows as the pair of the module docstring.
 
     With r = y - A x, the observation terms are -1/2 r^T V^-1 r, or, given
     ``cov`` = C of :func:`twist_covariance`, log N(y; A x, C) as -1/2 r^T r~
@@ -140,25 +143,24 @@ def log_likelihood(
     else:
         gain = r @ np.linalg.inv(cov)
         total = -0.5 * np.sum(r * gain, axis=-1)
-    data = np.zeros(rows.shape) if grad and not ctx.weights.omega > 0 else None
+    cotangent, index = gain, ctx.index
     if ctx.weights.omega > 0:
         spec = ctx.spec
         x = rows.reshape(rows.shape[:-1] + (spec.channels, spec.height, spec.width))
         res, res_grad = residual_sq_grad(ctx.system, spec, x, grad=grad)
-        if grad:  # scaled in the kernel's own array; the gain is added below
-            data = np.multiply(res_grad, -ctx.weights.omega, out=res_grad).reshape(rows.shape)
+        if grad:  # scaled in the kernel's own array, into which the gain is added; index repeats no entry
+            cotangent, index = np.multiply(res_grad, -ctx.weights.omega, out=res_grad).reshape(rows.shape), None
+            cotangent[..., ctx.index] += gain
         # squared first: the kernel's residual may be a view that a reshape would copy
         total = total - ctx.weights.omega * np.mean((res**2).reshape(rows.shape[:-1] + (-1,)), axis=-1)
-    if grad:  # index repeats no entry, so one indexed add scatters the gain
-        data[..., ctx.index] += gain
     if rows.ndim == 1:
         total = float(total)
-    return (total, data) if grad else total
+    return (total, cotangent, index) if grad else total
 
 
-def data_log_likelihood_grad(ctx: GuidanceContext, rows: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`log_likelihood` with respect to the clean state, shaped like ``rows``."""
-    return log_likelihood(ctx, rows, grad=True)[1]
+def data_log_likelihood_grad(ctx: GuidanceContext, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradient of :func:`log_likelihood` with respect to the clean state, as its (cotangent, index) pair."""
+    return log_likelihood(ctx, rows, grad=True)[1:]
 
 
 def twist_covariance(ctx: GuidanceContext, denoiser: Denoiser, states: np.ndarray, sigma: float) -> np.ndarray:

@@ -4,7 +4,10 @@ The denoiser abstraction is the pluggable stand-in for a trained model: the
 analytic implementations here (Gaussian and Gaussian-mixture posterior means)
 realize the optimal denoiser exactly, so every downstream quantity (scores,
 guidance gradients, samplers) is checkable against closed forms. A neural
-implementation only needs ``denoise`` and ``vjp``; ``jacobian_block`` defaults to a vjp.
+implementation only needs ``denoise`` and ``dense_vjp``, the vjp of a full
+(..., d) cotangent: by default ``vjp`` of a cotangent at m observed entries,
+as the likelihood's gradient is without a PDE term, scatters it into zeros for
+``dense_vjp``, and ``jacobian_block`` is one such vjp.
 
 All denoiser operations act on flattened states of shape (..., d) so particle
 populations batch through the same code path. They never write to their
@@ -20,6 +23,7 @@ sample count), with no cap on d; a hand-built (d, d) matrix has r = d.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -77,13 +81,26 @@ class Denoiser(ABC):
         """Posterior-mean estimate of the clean state; batches over leading axes."""
 
     @abstractmethod
-    def vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray) -> np.ndarray:
-        """J(x, sigma)^T @ cotangent for J the Jacobian of denoise in x."""
+    def dense_vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray) -> np.ndarray:
+        """J(x, sigma)^T @ cotangent for J the Jacobian of denoise in x and a full (..., d) cotangent."""
+
+    def vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+        """J(x, sigma)^T A^T cotangent, (..., d), for the one-hot rows A at the distinct entries ``index``.
+
+        The cotangent is (..., m), its values at ``index``; without ``index`` it
+        is the full (..., d) cotangent (A = I). This default scatters it into
+        zeros and runs :meth:`dense_vjp`; a denoiser whose Jacobian has
+        structure overrides it to work from the m entries.
+        """
+        if index is not None:
+            full = np.zeros(np.shape(cotangent)[:-1] + (self.dim,))
+            full[..., index] = cotangent
+            cotangent = full
+        return self.dense_vjp(x, sigma, cotangent)
 
     def jacobian_block(self, index: np.ndarray, sigma: float, states: np.ndarray) -> np.ndarray:
         """A J A^T, (m, m), for the one-hot rows A at the distinct entries ``index``: one vjp of A at the mean state."""
-        probe = 1.0 * (index[:, None] == np.arange(self.dim))  # A, (m, d)
-        return self.vjp(states.mean(axis=0), sigma, probe)[:, index]
+        return self.vjp(states.mean(axis=0), sigma, np.eye(index.size), index)[:, index]
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +156,11 @@ class GaussianPrior:
                 raise ValueError("diagonal covariance must be a nonnegative (d,) vector")
             object.__setattr__(self, "cov", arr)
         elif isinstance(self.cov, FactoredCov):
-            if not is_real(cov.iso) or cov.basis.shape != (cov.evals.size, d) or cov.iso < 0 or np.any(cov.evals < 0):
-                raise ValueError("factored covariance needs an (r, d) basis and nonnegative iso and evals")
+            shaped = (isinstance(cov.basis, np.ndarray) and isinstance(cov.evals, np.ndarray)
+                      and cov.evals.ndim == 1 and cov.basis.shape == (cov.evals.size, d))
+            if not (shaped and is_real(cov.iso)) or cov.iso < 0 or np.any(cov.evals < 0):
+                raise ValueError("factored covariance needs an (r, d) basis array, an (r,) evals array, "
+                                 "and nonnegative iso and evals")
             if np.any(np.abs(cov.basis @ cov.basis.T - np.eye(cov.evals.size)) > 1e-10):
                 raise ValueError("factored covariance needs a basis with orthonormal rows")
         else:
@@ -194,23 +214,52 @@ class GaussianDenoiser(Denoiser):
             out += np.multiply(f_iso, vec, out=scratch)
         return out
 
+    def _scaled_columns(self, index: np.ndarray, sigma: float) -> tuple[np.ndarray, float]:
+        """cols^T diag(f_r - f_iso), (m, r), for the basis columns cols at ``index``, and f_iso: the dense J's
+        rows at ``index`` are f_iso A + that times the basis."""
+        cov = self.prior.cov
+        f_iso = float(_shrink(cov.iso, sigma))
+        return cov.basis[:, index].T * (_shrink(cov.evals, sigma) - f_iso), f_iso
+
     def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = self._apply_jacobian(x - self._mu, sigma, own=True)
         out += self._mu
         return out
 
-    def vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray) -> np.ndarray:
+    def dense_vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray) -> np.ndarray:
         # the Jacobian S (S + sigma^2 I)^{-1} is symmetric and x-independent
         return self._apply_jacobian(np.asarray(cotangent, dtype=float), sigma)
 
+    def vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+        """J^T A^T g from the m entries of g; ``x`` is unread.
+
+        A diagonal S scales the m entries. A dense S gives f_iso A^T g + (g scaled) basis, with
+        ``scaled`` from :meth:`_scaled_columns`, and multi_dot orders that product by its shapes:
+        at N rows (g scaled) basis costs N r (m + d) multiply-adds and g (scaled basis) m d (N + r),
+        against 2 N d r for :meth:`dense_vjp` of the scattered g.
+        """
+        g = np.asarray(cotangent, dtype=float)
+        if index is None:
+            return self.dense_vjp(x, sigma, g)
+        lead = g.shape[:-1]
+        if self.prior.cov_kind != "dense":
+            out = np.zeros(lead + (self.dim,))
+            out[..., index] = g * _shrink(self.prior.cov[index], sigma)
+            return out
+        scaled, f_iso = self._scaled_columns(index, sigma)
+        out = np.linalg.multi_dot([g.reshape(math.prod(lead), index.size), scaled, self.prior.cov.basis])
+        out = out.reshape(lead + (self.dim,))
+        if f_iso:  # 0 for a covariance given as a (d, d) matrix
+            out[..., index] += f_iso * g
+        return out
+
     def jacobian_block(self, index: np.ndarray, sigma: float, states: np.ndarray) -> np.ndarray:
         """A J A^T from the shrink factors and the basis columns at ``index``, in O(m^2 r); ``states`` is unread."""
-        cov = self.prior.cov
         if self.prior.cov_kind != "dense":
-            return np.diag(_shrink(cov, sigma)[index])
-        f, f_iso, cols = _shrink(cov.evals, sigma), float(_shrink(cov.iso, sigma)), cov.basis[:, index]
-        block = (cols.T * (f - f_iso)) @ cols
+            return np.diag(_shrink(self.prior.cov[index], sigma))
+        scaled, f_iso = self._scaled_columns(index, sigma)
+        block = scaled @ self.prior.cov.basis[:, index]
         block.flat[:: index.size + 1] += f_iso  # the diagonal
         return block
 
@@ -264,7 +313,7 @@ class GmmDenoiser(Denoiser):
         shrink = self.variances / s  # (J,)
         return (r * (1.0 - shrink)) @ self._centred + (r @ shrink)[..., None] * x + self._centre
 
-    def vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray) -> np.ndarray:
+    def dense_vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray) -> np.ndarray:
         # J = sum_j r_j [post_j (g_j - g_bar)^T + shrink_j I], g_j = (mu_j - x)/s_j, so J^T cot = (r . shrink) cot
         # + sum_j a_j (mu_j - x), a_j = (c_j - r_j sum_k c_k)/s_j, c_j = r_j post_j . cot (any centre cancels in a)
         x, cot = np.asarray(x, dtype=float) - self._centre, np.asarray(cotangent, dtype=float)

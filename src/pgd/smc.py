@@ -23,8 +23,10 @@ so the log-evidence estimate is defined up to a constant.
 
 Each noise level is evaluated once: one routine denoises the states, checks
 the reconstruction, and computes the twist together with, under ``gem`` when
-another step follows, its data-space gradient from the same solve. A resample
-moves each drawn particle whole: state, twist, reconstruction and gradient.
+another step follows, its data-space gradient from the same solve, as the
+(cotangent, index) pair that ``gem_core`` hands to the denoiser's vjp. A
+resample moves each drawn particle whole: state, twist, reconstruction and
+gradient.
 
 Particles evolve as rows of an (N, d) array. All of a run's Gaussian noise
 comes from the seed's :func:`~pgd.samplers.noise_stream`: one (N, d) draw for
@@ -188,17 +190,18 @@ def smc_run(
 
     def evaluate(x: np.ndarray, sigma: float, k: int, grad: bool):
         """Reconstruction of ``x`` at ``sigma`` (a blow-up is located at step k),
-        its per-row twist and, if ``grad``, the twist's data-space gradient."""
+        its per-row twist and, if ``grad``, the (cotangent, index) pair of the
+        twist's data-space gradient."""
         x_hat = denoiser.denoise(x, sigma)
         require_finite(x_hat, k, "reconstruction")
         cov = twist_covariance(ctx, denoiser, x, sigma) if config.scheme == "tds" else None
         if grad:
             return x_hat, *log_likelihood(ctx, x_hat, grad=True, cov=cov)
-        return x_hat, log_likelihood(ctx, x_hat, cov=cov), None
+        return x_hat, log_likelihood(ctx, x_hat, cov=cov), None, None
 
     states = sched.sigma_max * noise_rng.standard_normal((n, d))
     z = np.empty((n, d))
-    denoised, loglik, data_grad = evaluate(states, sched.sigma_max, sched.steps, guided)
+    denoised, loglik, data_grad, index = evaluate(states, sched.sigma_max, sched.steps, guided)
     require_finite(loglik, sched.steps, "weight")
     pop = ParticlePopulation(spec=spec, states=states, log_weights=loglik)
     log_norm = normalize(pop.log_weights)[0]
@@ -210,12 +213,12 @@ def smc_run(
         noise_rng.standard_normal(out=z)
 
         if guided:
-            samples, shift = gem_core(pop.states, z, sigma_k, sigma_next, denoiser, denoised, data_grad)
+            samples, shift = gem_core(pop.states, z, sigma_k, sigma_next, denoiser, denoised, data_grad, index)
         else:
             samples = heun_core(pop.states, z, sigma_k, sigma_next, denoiser, gamma, ctx)
         require_finite(samples, k, "state")
 
-        denoised, ll_new, data_grad = evaluate(samples, sigma_next, k, guided and k > 1)
+        denoised, ll_new, data_grad, index = evaluate(samples, sigma_next, k, guided and k > 1)
         potentials = ll_new - loglik
         if config.scheme == "tds":
             potentials = potentials + tds_transition_term(z, shift, sigma_k**2 - sigma_next**2)

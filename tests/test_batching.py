@@ -106,14 +106,16 @@ def test_batched_residual_and_likelihood_match_single_fields(kind):
     single_ll = [log_likelihood(ctx, row) for row in rows]
     assert all(isinstance(v, float) for v in single_ll)
     assert_rows_identical(ll, single_ll)
-    data = data_log_likelihood_grad(ctx, rows)
-    assert_rows_identical(data, [data_log_likelihood_grad(ctx, row) for row in rows])
+    data, index = data_log_likelihood_grad(ctx, rows)
+    assert index is None  # with the PDE term on, the gradient comes whole
+    assert_rows_identical(data, [data_log_likelihood_grad(ctx, row)[0] for row in rows])
     # the fused evaluation returns the value and the gradient of the separate calls
-    fused_ll, fused_data = log_likelihood(ctx, rows, grad=True)
+    fused_ll, fused_data, index = log_likelihood(ctx, rows, grad=True)
+    assert index is None
     np.testing.assert_array_equal(fused_ll, ll)
     np.testing.assert_array_equal(fused_data, data)
     for row, single, single_data in zip(rows, single_ll, data):
-        value, row_grad = log_likelihood(ctx, row, grad=True)
+        value, row_grad, _ = log_likelihood(ctx, row, grad=True)
         assert isinstance(value, float) and value == single
         np.testing.assert_array_equal(row_grad, single_data)
 

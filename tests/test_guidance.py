@@ -144,8 +144,9 @@ def test_data_grad_does_not_depend_on_memory_order_of_the_state():
     x = Field(spec, truth.values + np.random.default_rng(4).standard_normal(truth.values.shape))
     ctx = GuidanceContext(obs, PdeSystem.poisson(), layout, GuidanceWeights(beta=1.0, gamma=1.0, omega=1.0))
     rows = np.stack([x.flat(), -x.flat()])
-    want = data_log_likelihood_grad(ctx, rows)
-    got = data_log_likelihood_grad(ctx, np.asfortranarray(rows))
+    want, want_index = data_log_likelihood_grad(ctx, rows)
+    got, got_index = data_log_likelihood_grad(ctx, np.asfortranarray(rows))
+    assert want_index is None and got_index is None
     np.testing.assert_array_equal(got, want)
 
 
@@ -165,8 +166,8 @@ def guidance_rows(x, sigma, den, obs, w):
     ctx = GuidanceContext(obs=obs, system=None, layout=SOLUTION_ONLY, weights=w)
     sigma_next = 0.5 * sigma
     denoised = den.denoise(x, sigma)
-    grad = data_log_likelihood_grad(ctx, denoised)
-    _, shift = gem_core(x, np.zeros_like(x), sigma, sigma_next, den, denoised, grad)
+    grad, index = data_log_likelihood_grad(ctx, denoised)
+    _, shift = gem_core(x, np.zeros_like(x), sigma, sigma_next, den, denoised, grad, index)
     return shift / (sigma**2 - sigma_next**2)
 
 
@@ -288,7 +289,7 @@ def test_data_grad_zero_noise_truth_is_stationary():
     # stationary up to the elliptic solver's residual tolerance
     _, x, layout, obs = poisson_case(15)
     w = GuidanceWeights(beta=1.0, gamma=1.0, omega=1.0)
-    g = data_log_likelihood_grad(GuidanceContext(obs, PdeSystem.poisson(), layout, w), x.flat())
+    g, _ = data_log_likelihood_grad(GuidanceContext(obs, PdeSystem.poisson(), layout, w), x.flat())
     assert np.max(np.abs(g)) < 1e-7
 
 
@@ -377,6 +378,27 @@ def test_twist_covariance_forms_no_observation_matrix():
         tracemalloc.stop()
     assert cov.shape == (m, m) == (400, 400)
     assert peak < m * d * 8, f"peak {peak} bytes"
+
+
+def test_observation_gradient_forms_no_state_sized_array():
+    # without a PDE term the gradient is the (N, m) gain at the observed entries: the
+    # zero-filled (N, d) gradient alone would take N * d * 8 bytes (128 kB)
+    spec = GridSpec(8, 8, 1, 1.0)
+    rng = np.random.default_rng(38)
+    root = rng.standard_normal((spec.size, spec.size))
+    den = GaussianDenoiser(GaussianPrior(Field.zeros(spec), "dense", root @ root.T / spec.size))
+    obs = observations_single_channel(spec, np.sort(rng.choice(spec.size, 12, replace=False)), rng.standard_normal(12))
+    ctx = GuidanceContext(obs, None, SOLUTION_ONLY, GuidanceWeights(beta=600.0, gamma=0.0, omega=0.0))
+    rows = rng.standard_normal((256, spec.size))
+    cov = twist_covariance(ctx, den, rows, 0.5)
+    tracemalloc.start()
+    try:
+        value, grad, index = log_likelihood(ctx, rows, grad=True, cov=cov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value.shape == (256,) and grad.shape == (256, 12) and index is ctx.index
+    assert peak < rows.nbytes, f"peak {peak} bytes against {rows.nbytes} for one (N, d) array"
 
 
 @pytest.mark.parametrize("n,d", [(1, 5), (256, 64)])

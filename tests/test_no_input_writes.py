@@ -73,6 +73,7 @@ def test_denoise_and_vjp_leave_their_inputs_untouched(kind, sigma):
     den = denoisers()[kind]
     assert_untouched(lambda x: den.denoise(x, sigma), rows(1))
     assert_untouched(lambda x, c: den.vjp(x, sigma, c), rows(2), rows(3))
+    assert_untouched(lambda x, c, i: den.vjp(x, sigma, c, i), rows(2), rows(3)[:, :4], np.array([3, 27, 11, 39]))
     assert_untouched(lambda i, x: den.jacobian_block(i, sigma, x), np.array([3, 27, 11, 39]), rows(4))
 
 

@@ -331,6 +331,56 @@ def test_gmm_builds_no_state_by_component_by_dimension_array():
     assert peak < 8 * n * (j + d) * 8, f"peak {peak} bytes"
 
 
+SPEC_PAIR = GridSpec(4, 4, 2, 1.0)  # d = 32
+
+
+def vjp_denoisers():
+    rng = np.random.default_rng(36)
+    d = SPEC_PAIR.size
+    root = rng.standard_normal((d, d))
+    samples = [Field.from_flat(SPEC_PAIR, rng.standard_normal(d)) for _ in range(5)]
+    return {
+        "diagonal": GaussianDenoiser(GaussianPrior(Field.zeros(SPEC_PAIR), "diagonal", rng.uniform(0.1, 2.0, d))),
+        "fitted_dense": GaussianDenoiser(fit_empirical_prior(samples, 0.2, "dense")),  # r = 5, iso > 0
+        "matrix_dense": GaussianDenoiser(GaussianPrior(Field.zeros(SPEC_PAIR), "dense", root @ root.T / d)),  # iso = 0
+        "gmm": GmmDenoiser([0.3, 0.7], rng.standard_normal((2, d)), [0.4, 1.2]),
+    }
+
+
+def multi_dot_takes_g_scaled_first(n, m, r, d):
+    """Whether np.linalg.multi_dot forms (g scaled) basis for (n, m) g, (m, r) scaled columns and an (r, d) basis."""
+    return n * r * (m + d) < m * d * (n + r)  # its cost comparison for a chain of three
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "fitted_dense", "matrix_dense", "gmm"])
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 5.0])
+@pytest.mark.parametrize("m", [0, 1, 32])
+@pytest.mark.parametrize("lead", [(), (64,), (2, 3)], ids=["row", "rows", "grid_of_rows"])
+def test_vjp_at_observed_entries_matches_the_vjp_of_the_scattered_cotangent(kind, sigma, m, lead):
+    den, d = vjp_denoisers()[kind], SPEC_PAIR.size
+    rng = np.random.default_rng(37)
+    index = rng.permutation(d)[:m]  # distinct entries, in no order
+    x, g = rng.standard_normal(lead + (d,)), rng.standard_normal(lead + (m,))
+    full = np.zeros(lead + (d,))
+    full[..., index] = g
+    want = den.vjp(x, sigma, full)
+    got = den.vjp(x, sigma, g, index)
+    assert got.shape == want.shape == lead + (d,)
+    if kind in ("diagonal", "gmm"):  # a scaling of the m entries, or the base class's own scatter
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max(initial=0.0))
+
+
+def test_vjp_cases_reach_both_multi_dot_orders():
+    # the dense cases above, as (n, m, r, d): each product order is taken by some of them
+    d, dens = SPEC_PAIR.size, vjp_denoisers()
+    ranks = (dens["fitted_dense"].prior.cov.evals.size, dens["matrix_dense"].prior.cov.evals.size)
+    assert ranks == (5, d)
+    orders = {multi_dot_takes_g_scaled_first(n, m, r, d) for n in (1, 64) for m in (1, d) for r in ranks}
+    assert orders == {True, False}
+
+
 def test_gmm_keeps_its_own_copy_of_the_means():
     # the centred means and their norms, cached at construction, would go stale if the caller's
     # array were aliased and then changed
@@ -432,6 +482,9 @@ def test_dense_prior_rejects_a_malformed_factored_cov():
         FactoredCov(0.1, basis, np.ones(2)),  # one eigenvalue short
         FactoredCov(-0.1, basis, np.ones(3)),
         FactoredCov(0.1, basis, np.array([1.0, -1.0, 1.0])),
+        FactoredCov(0.1, basis, [1.0, 1.0, 1.0]),  # evals as a list
+        FactoredCov(0.1, basis.tolist(), np.ones(3)),  # basis as a list
+        FactoredCov(0.1, basis, np.ones((1, 3))),  # 2-D evals of the right size
     ):
         with pytest.raises(ValueError, match="factored"):
             GaussianPrior(Field.zeros(SPEC_4X4), "dense", cov)

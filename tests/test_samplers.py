@@ -23,7 +23,7 @@ class IdentityDenoiser(Denoiser):
     def denoise(self, x, sigma):
         return np.array(x, dtype=float, copy=True)
 
-    def vjp(self, x, sigma, cotangent):
+    def dense_vjp(self, x, sigma, cotangent):
         return np.array(cotangent, dtype=float, copy=True)
 
 
@@ -53,7 +53,7 @@ def em_step(x, z, sigma_k, sigma_next, den):
 def gem_step(x, z, sigma_k, sigma_next, den, ctx):
     """The guided step as smc_run takes it: the gradient of the twist at the reconstruction."""
     denoised = den.denoise(x, sigma_k)
-    return gem_core(x, z, sigma_k, sigma_next, den, denoised, data_log_likelihood_grad(ctx, denoised))
+    return gem_core(x, z, sigma_k, sigma_next, den, denoised, *data_log_likelihood_grad(ctx, denoised))
 
 
 def em_mean(x, sigma_k, sigma_next, den):
@@ -291,7 +291,7 @@ class ExplodingDenoiser(Denoiser):
     def denoise(self, x, sigma):
         return np.full_like(np.asarray(x, dtype=float), np.inf)
 
-    def vjp(self, x, sigma, cot):
+    def dense_vjp(self, x, sigma, cot):
         return np.asarray(cot, dtype=float)
 
 

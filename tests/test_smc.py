@@ -10,7 +10,7 @@ import pgd.smc
 from pgd.errors import BlowUpError, NumericalError
 from pgd.grid import DIRICHLET, PERIODIC, Field, GridSpec, Mask
 from pgd.guidance import GuidanceContext, GuidanceWeights, data_log_likelihood_grad, log_likelihood, twist_covariance
-from pgd.priors import GaussianDenoiser, GaussianPrior, NoiseSchedule, fit_empirical_prior
+from pgd.priors import GaussianDenoiser, GaussianPrior, GmmDenoiser, NoiseSchedule, fit_empirical_prior
 from pgd.residuals import PdeSystem, StateLayout, default_layout
 from pgd.samplers import churn_gamma, gem_core, heun_core, noise_stream
 from pgd.smc import (
@@ -250,8 +250,8 @@ def test_single_particle_run_matches_chain_bit_exactly(proposal, mode):
         if proposal == "gem":
             # em is gem with the zero gradient of its zero weights, written out
             denoised = den.denoise(x, s_k)
-            grad = data_log_likelihood_grad(ctx, denoised) if guided else np.zeros_like(x)
-            x = gem_core(x, z, s_k, s_n, den, denoised, grad)[0]
+            grad, index = data_log_likelihood_grad(ctx, denoised) if guided else (np.zeros_like(x), None)
+            x = gem_core(x, z, s_k, s_n, den, denoised, grad, index)[0]
         else:
             x = heun_core(x, z, s_k, s_n, den, gamma, ctx)
     assert np.array_equal(pop.states, x)
@@ -658,8 +658,9 @@ def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):
     # at sigma = 0 the reconstruction is the state, C is V and the twist is the point likelihood
     c0 = twist_covariance(ctx, den, states, 0.0)
     assert np.array_equal(c0, np.diag(ctx.variance))
-    value, grad = log_likelihood(ctx, states, grad=True, cov=c0)
-    point, point_grad = log_likelihood(ctx, states, grad=True)
+    value, grad, index = log_likelihood(ctx, states, grad=True, cov=c0)
+    point, point_grad, point_index = log_likelihood(ctx, states, grad=True)
+    assert index is point_index is ctx.index  # without a PDE term the gradient lives on the observed entries
     assert np.allclose(value, [log_likelihood(ctx, row) for row in states], rtol=1e-12)
     assert np.allclose(value, point, rtol=1e-12) and np.allclose(grad, point_grad, rtol=1e-12, atol=1e-12)
 
@@ -667,8 +668,9 @@ def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):
     no_obs = GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0)
     empty = GuidanceContext(obs=obs, system=None, layout=layout, weights=no_obs)
     c_empty = twist_covariance(empty, den, states, sigma)
-    value, grad = log_likelihood(empty, den.denoise(states, sigma), grad=True, cov=c_empty)
+    value, grad, index = log_likelihood(empty, den.denoise(states, sigma), grad=True, cov=c_empty)
     assert c_empty.shape == (0, 0) and value.shape == (6,) and not value.any() and not grad.any()
+    assert grad.shape == (6, 0) and index.size == 0 and not den.vjp(states, sigma, grad, index).any()
 
     # the guidance shift that smc_run forms under tds ascends the twist
     calls = []
@@ -717,7 +719,7 @@ def test_tds_twist_matches_an_eigendecomposed_gaussian_at_small_variance(sigma_o
 
     def recording_log_likelihood(ctx, rows, grad=False, cov=None):
         out = log_likelihood(ctx, rows, grad=grad, cov=cov)
-        calls.append((sigmas[-1], rows.copy(), out if grad else (out, None)))
+        calls.append((sigmas[-1], rows.copy(), out if grad else (out, None, None)))
         return out
 
     monkeypatch.setattr(pgd.smc, "twist_covariance", recording_covariance)
@@ -727,16 +729,35 @@ def test_tds_twist_matches_an_eigendecomposed_gaussian_at_small_variance(sigma_o
     assert len(calls) == sched.steps + 1 and calls[-1][2][1] is None
 
     lam_p, q_p = np.linalg.eigh(prior_cov)
-    for sigma, x_hat, (value, grad) in calls:
+    for sigma, x_hat, (value, grad, index) in calls:
         jac = (q_p * (lam_p / (lam_p + sigma**2))) @ q_p.T
         c = sigma_o**2 * np.eye(idx.size) + sigma**2 * 0.5 * (jac + jac.T)[np.ix_(idx, idx)]
         lam, q = np.linalg.eigh(c)
         proj = (y - x_hat[:, idx]) @ q
         np.testing.assert_allclose(value, -0.5 * np.sum(proj**2 / lam, axis=1), rtol=1e-12, atol=0)
-        if grad is not None:
-            want = np.zeros_like(x_hat)
+        if grad is not None:  # the gradient comes as its values at the observed entries
+            want, got = np.zeros_like(x_hat), np.zeros_like(x_hat)
             want[:, idx] = (proj / lam) @ q.T
-            assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)
+            got[:, index] = grad
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("proposal,scheme", [("gem", "tds"), ("gem", "pbs"), ("sosag", "pbs")])
+@pytest.mark.parametrize("kind", ["diagonal", "dense", "gmm"])
+def test_a_run_without_weighted_observations_finishes_unweighted(proposal, scheme, kind):
+    # zero weights leave no observed entry: the gradient is an (N, 0) cotangent at an empty index
+    rng = np.random.default_rng(39)
+    root = rng.standard_normal((9, 9))
+    den = {
+        "diagonal": small_problem()[0],
+        "dense": GaussianDenoiser(GaussianPrior(Field.zeros(SPEC9), "dense", root @ root.T / 9)),
+        "gmm": GmmDenoiser([0.4, 0.6], rng.standard_normal((2, 9)), [0.5, 1.0]),
+    }[kind]
+    _, obs, _ = small_problem()
+    w = GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0)
+    sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=6, rho=3.0)
+    pop, diag = smc_run(SmcConfig(5, sched, w, proposal, scheme, seed=4), den, obs, None, SOLUTION_ONLY)
+    assert np.all(np.isfinite(pop.states)) and not pop.log_weights.any() and diag.log_evidence == 0.0
 
 
 def test_em_pbs_and_tds_coincidence_smoke():
