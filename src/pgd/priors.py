@@ -234,19 +234,16 @@ class GaussianDenoiser(Denoiser):
     def vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
         """J^T A^T g from the m entries of g; ``x`` is unread.
 
-        A diagonal S scales the m entries. A dense S gives f_iso A^T g + (g scaled) basis, with
-        ``scaled`` from :meth:`_scaled_columns`, and multi_dot orders that product by its shapes:
-        at N rows (g scaled) basis costs N r (m + d) multiply-adds and g (scaled basis) m d (N + r),
-        against 2 N d r for :meth:`dense_vjp` of the scattered g.
+        A dense S gives f_iso A^T g + (g scaled) basis, with ``scaled`` from
+        :meth:`_scaled_columns`, and multi_dot orders that product by its shapes: at N rows
+        (g scaled) basis costs N r (m + d) multiply-adds and g (scaled basis) m d (N + r), against
+        2 N d r for :meth:`dense_vjp` of the scattered g. A diagonal S, or no ``index``, takes the
+        base class's scatter and :meth:`dense_vjp`.
         """
+        if index is None or self.prior.cov_kind != "dense":
+            return super().vjp(x, sigma, cotangent, index)
         g = np.asarray(cotangent, dtype=float)
-        if index is None:
-            return self.dense_vjp(x, sigma, g)
         lead = g.shape[:-1]
-        if self.prior.cov_kind != "dense":
-            out = np.zeros(lead + (self.dim,))
-            out[..., index] = g * _shrink(self.prior.cov[index], sigma)
-            return out
         scaled, f_iso = self._scaled_columns(index, sigma)
         out = np.linalg.multi_dot([g.reshape(math.prod(lead), index.size), scaled, self.prior.cov.basis])
         out = out.reshape(lead + (self.dim,))

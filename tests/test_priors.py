@@ -347,11 +347,6 @@ def vjp_denoisers():
     }
 
 
-def multi_dot_takes_g_scaled_first(n, m, r, d):
-    """Whether np.linalg.multi_dot forms (g scaled) basis for (n, m) g, (m, r) scaled columns and an (r, d) basis."""
-    return n * r * (m + d) < m * d * (n + r)  # its cost comparison for a chain of three
-
-
 @pytest.mark.parametrize("kind", ["diagonal", "fitted_dense", "matrix_dense", "gmm"])
 @pytest.mark.parametrize("sigma", [0.0, 0.3, 5.0])
 @pytest.mark.parametrize("m", [0, 1, 32])
@@ -366,19 +361,10 @@ def test_vjp_at_observed_entries_matches_the_vjp_of_the_scattered_cotangent(kind
     want = den.vjp(x, sigma, full)
     got = den.vjp(x, sigma, g, index)
     assert got.shape == want.shape == lead + (d,)
-    if kind in ("diagonal", "gmm"):  # a scaling of the m entries, or the base class's own scatter
+    if kind in ("diagonal", "gmm"):  # the base class's own scatter
         np.testing.assert_array_equal(got, want)
     else:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max(initial=0.0))
-
-
-def test_vjp_cases_reach_both_multi_dot_orders():
-    # the dense cases above, as (n, m, r, d): each product order is taken by some of them
-    d, dens = SPEC_PAIR.size, vjp_denoisers()
-    ranks = (dens["fitted_dense"].prior.cov.evals.size, dens["matrix_dense"].prior.cov.evals.size)
-    assert ranks == (5, d)
-    orders = {multi_dot_takes_g_scaled_first(n, m, r, d) for n in (1, 64) for m in (1, d) for r in ranks}
-    assert orders == {True, False}
 
 
 def test_gmm_keeps_its_own_copy_of_the_means():
