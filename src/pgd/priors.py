@@ -72,7 +72,12 @@ class NoiseSchedule:
 
 
 class Denoiser(ABC):
-    """Map (x, sigma) -> estimate of the clean state, with exact vjp access."""
+    """Map (x, sigma) -> estimate of the clean state, with exact vjp access.
+
+    ``denoise``, ``vjp`` and ``dense_vjp`` return arrays the caller owns: they
+    share no memory with the inputs or with the denoiser's own arrays, so the
+    proposal cores may write into them.
+    """
 
     dim: int
 

@@ -241,19 +241,24 @@ def residual_sq_grad(
     elif kind == "gray_scott_2":
         du, dv, u0, v0, ut, vt = v[:6]
         horizon, feed, removal = system.horizon, system.feed, system.removal
-        lap_u, lap_v = laplacian_2d(v[4:6], h, boundary)
+        lap = laplacian_2d(v[4:6], h, boundary)
+        lap_u, lap_v = lap
         vv = vt**2
         uvv = ut * vv
-        f_u = (ut - u0) / horizon - du * lap_u + uvv - feed * (1.0 - ut)
-        f_v = (vt - v0) / horizon - dv * lap_v - uvv + (feed + removal) * vt
-        res = np.stack([f_u, f_v], axis=-3)
+        res = np.empty(x.shape[:-3] + (2,) + x.shape[-2:])
+        f_u, f_v = np.moveaxis(res, -3, 0)  # views: the last operation of each sum writes into res
+        np.subtract((ut - u0) / horizon - du * lap_u + uvv, feed * (1.0 - ut), out=f_u)
+        np.add((vt - v0) / horizon - dv * lap_v - uvv, (feed + removal) * vt, out=f_v)
         if grad:
-            lap_fu, lap_fv = laplacian_2d(np.stack([du * f_u, dv * f_v]), h, boundary)
             uv2 = 2.0 * ut * vt
             g[2] = -scale * f_u / horizon
             g[3] = -scale * f_v / horizon
             g[0] = -scale * lap_u * f_u
             g[1] = -scale * lap_v * f_v
+            # lap is not read again: its buffer holds what the second Laplacian reads
+            np.multiply(du, f_u, out=lap_u)
+            np.multiply(dv, f_v, out=lap_v)
+            lap_fu, lap_fv = laplacian_2d(lap, h, boundary)
             g[4] = scale * ((1.0 / horizon + vv + feed) * f_u - lap_fu - vv * f_v)
             g[5] = scale * (uv2 * f_u + (1.0 / horizon - uv2 + feed + removal) * f_v - lap_fv)
     elif kind == "competitive_3":

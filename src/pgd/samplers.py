@@ -28,7 +28,8 @@ guides at the churned state, where no weight is evaluated, so it computes its
 own gradient.
 
 The cores never write to their inputs. They work in place only on arrays
-they allocate, in the operand order of the plain expressions.
+they allocate or that the denoiser returned to them, in the operand order of
+the plain expressions.
 """
 
 from __future__ import annotations
@@ -100,21 +101,25 @@ def heun_core(
     sigma_next is zero; (iv) add the guidance increment, the vjp through the
     denoiser at the churned state of the data-space gradient at its
     reconstruction, scaled by the unjittered sigma_k^2 - sigma_next^2.
+
+    The vjp comes first, so its cotangent is freed before the Heun buffers
+    exist; the slopes and the increment reuse the buffers of the denoises and the vjp.
     """
     sigma_hat = sigma_k * (1.0 + gamma_k)
     x_hat = math.sqrt(max(sigma_hat**2 - sigma_k**2, 0.0)) * z
     x_hat += x
     denoised_hat = denoiser.denoise(x_hat, sigma_hat)
-    d_cur = x_hat - denoised_hat
+    grad = denoiser.vjp(x_hat, sigma_hat, *data_log_likelihood_grad(ctx, denoised_hat))
+    d_cur = np.subtract(x_hat, denoised_hat, out=denoised_hat)
     d_cur /= sigma_hat
     x_new = (sigma_next - sigma_hat) * d_cur
     x_new += x_hat
     if sigma_next != 0.0:
-        d_next = x_new - denoiser.denoise(x_new, sigma_next)
+        d_next = denoiser.denoise(x_new, sigma_next)
+        np.subtract(x_new, d_next, out=d_next)
         d_next /= sigma_next
         d_cur += d_next
         d_cur *= (sigma_next - sigma_hat) * 0.5
         np.add(x_hat, d_cur, out=x_new)
-    grad = denoiser.vjp(x_hat, sigma_hat, *data_log_likelihood_grad(ctx, denoised_hat))
-    x_new += np.multiply(sigma_k**2 - sigma_next**2, grad, out=d_cur)
+    x_new += np.multiply(sigma_k**2 - sigma_next**2, grad, out=grad)
     return x_new

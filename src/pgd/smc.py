@@ -24,9 +24,10 @@ so the log-evidence estimate is defined up to a constant.
 Each noise level is evaluated once: one routine denoises the states, checks
 the reconstruction, and computes the twist together with, under ``gem`` when
 another step follows, its data-space gradient from the same solve, as the
-(cotangent, index) pair that ``gem_core`` hands to the denoiser's vjp. A
-resample moves each drawn particle whole: state, twist, reconstruction and
-gradient.
+(cotangent, index) pair that ``gem_core`` hands to the denoiser's vjp. The
+run keeps that reconstruction and gradient only until ``gem_core`` has read
+them, and keeps none under ``sosag``. A resample moves each drawn particle's
+state and twist, and under ``gem`` its reconstruction and gradient too.
 
 Particles evolve as rows of an (N, d) array. All of a run's Gaussian noise
 comes from the seed's :func:`~pgd.samplers.noise_stream`: one (N, d) draw for
@@ -167,11 +168,12 @@ def smc_run(
     propagates with the configured proposal, adds the scheme's incremental
     log-potential, normalizes the weights once for the ESS, the evidence and
     the resample, and resamples when ESS <= threshold * N (recorded ESS is
-    pre-resampling), moving state, twist, reconstruction and gradient
-    together. The module docstring describes the twists, the log-evidence and
-    the noise stream. Each step refills one (N, d) buffer ``z`` in place, which
-    is safe: the proposal cores and the tds transition term read ``z`` only
-    within the step and never write to it.
+    pre-resampling), moving state and twist together, and under ``gem`` the
+    reconstruction and gradient that the next ``gem_core`` reads. The module
+    docstring describes the twists, the log-evidence and the noise stream.
+    Each step refills one (N, d) buffer ``z`` in place, which is safe: the
+    proposal cores and the tds transition term read ``z`` only within the
+    step and never write to it.
     """
     ctx = GuidanceContext(obs=obs, system=system, layout=layout, weights=config.weights)
     spec = ctx.spec
@@ -189,21 +191,21 @@ def smc_run(
     )
 
     def evaluate(x: np.ndarray, sigma: float, k: int, grad: bool):
-        """Reconstruction of ``x`` at ``sigma`` (a blow-up is located at step k),
-        its per-row twist and, if ``grad``, the (cotangent, index) pair of the
-        twist's data-space gradient."""
+        """(reconstruction, twist, cotangent, index) at ``x`` and ``sigma``: the per-row twist of the
+        reconstruction (a blow-up is located at step k) and, only if ``grad``, the reconstruction
+        and the (cotangent, index) pair of the twist's data-space gradient that ``gem_core`` reads."""
         x_hat = denoiser.denoise(x, sigma)
         require_finite(x_hat, k, "reconstruction")
         cov = twist_covariance(ctx, denoiser, x, sigma) if config.scheme == "tds" else None
         if grad:
             return x_hat, *log_likelihood(ctx, x_hat, grad=True, cov=cov)
-        return x_hat, log_likelihood(ctx, x_hat, cov=cov), None, None
+        return None, log_likelihood(ctx, x_hat, cov=cov), None, None
 
-    states = sched.sigma_max * noise_rng.standard_normal((n, d))
+    samples = sched.sigma_max * noise_rng.standard_normal((n, d))
     z = np.empty((n, d))
-    denoised, loglik, data_grad, index = evaluate(states, sched.sigma_max, sched.steps, guided)
+    denoised, loglik, data_grad, index = evaluate(samples, sched.sigma_max, sched.steps, guided)
     require_finite(loglik, sched.steps, "weight")
-    pop = ParticlePopulation(spec=spec, states=states, log_weights=loglik)
+    pop = ParticlePopulation(spec=spec, states=samples, log_weights=loglik)
     log_norm = normalize(pop.log_weights)[0]
     log_evidence = log_norm - math.log(n)
     diag = SmcDiagnostics()
@@ -214,6 +216,9 @@ def smc_run(
 
         if guided:
             samples, shift = gem_core(pop.states, z, sigma_k, sigma_next, denoiser, denoised, data_grad, index)
+            if config.scheme == "tds":  # taken now, so that the shift is freed before the evaluation
+                transition = tds_transition_term(z, shift, sigma_k**2 - sigma_next**2)
+            denoised = data_grad = shift = None  # read: freed before the evaluation builds the next ones
         else:
             samples = heun_core(pop.states, z, sigma_k, sigma_next, denoiser, gamma, ctx)
         require_finite(samples, k, "state")
@@ -221,10 +226,11 @@ def smc_run(
         denoised, ll_new, data_grad, index = evaluate(samples, sigma_next, k, guided and k > 1)
         potentials = ll_new - loglik
         if config.scheme == "tds":
-            potentials = potentials + tds_transition_term(z, shift, sigma_k**2 - sigma_next**2)
+            potentials = potentials + transition
         require_finite(potentials, k, "weight")
 
         pop = ParticlePopulation(spec, samples, pop.log_weights + potentials)
+        del samples  # pop holds them; after a resample this name would keep the old ones alive
         loglik = ll_new
         new_norm, current_ess, weights = normalize(pop.log_weights)
         log_evidence += new_norm - log_norm
@@ -234,12 +240,13 @@ def smc_run(
         diag.resampled.append(bool(fire))
         diag.log_evidence_trace.append(log_evidence)
         if fire:
-            # the whole particle moves: state, twist, reconstruction and gradient
+            # the whole particle moves: state, twist and what the next gem_core reads
             pop = multinomial_resample(pop, weights, resample_rng)
             log_norm = math.log(n)
             a = pop.ancestors
-            loglik, denoised = loglik[a], denoised[a]
-            data_grad = None if data_grad is None else data_grad[a]
+            loglik = loglik[a]
+            if denoised is not None:
+                denoised, data_grad = denoised[a], data_grad[a]
 
     diag.log_evidence = log_evidence
     return pop, diag

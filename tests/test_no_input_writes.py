@@ -1,9 +1,10 @@
 """The denoiser's methods (``denoise``, ``vjp`` and ``jacobian_block``), the
 proposal cores and the reaction-diffusion time stepper never write to an
-array they are given.
+array they are given, and the denoiser returns arrays that its caller owns.
 
-They work in place on arrays they allocate themselves; each test hands them
-inputs, keeps copies, and checks every input bit for bit after the call.
+They work in place on arrays they allocate themselves or that the denoiser
+returned to them; each test hands them inputs, keeps copies, and checks every
+input bit for bit after the call.
 ``simulate_rd`` is checked through the arrays that its fields wrap (a
 :class:`~pgd.grid.Field` of C-contiguous float64 values holds the caller's
 array itself): it steps a species-first copy of the state in place, and a
@@ -16,7 +17,7 @@ import pytest
 
 from pgd.grid import PERIODIC, Field, GridSpec, Mask
 from pgd.guidance import GuidanceContext, GuidanceWeights
-from pgd.priors import FactoredCov, GaussianDenoiser, GaussianPrior, GmmDenoiser
+from pgd.priors import FactoredCov, GaussianDenoiser, GaussianPrior, GmmDenoiser, fit_empirical_prior
 from pgd.residuals import RD_SPECIES, PdeSystem, default_layout
 from pgd.samplers import gem_core, heun_core
 from pgd.solvers import Observations, simulate_rd
@@ -36,6 +37,9 @@ def denoisers():
         "dense": GaussianDenoiser(GaussianPrior(mean, "dense", root @ root.T / d)),
         "factored": GaussianDenoiser(
             GaussianPrior(mean, "dense", FactoredCov(0.3, basis, np.array([2.0, 1.0, 0.5, 0.0])))
+        ),
+        "fitted": GaussianDenoiser(
+            fit_empirical_prior([Field.from_flat(SPEC, rng.standard_normal(d)) for _ in range(6)], 0.1, "dense")
         ),
         "gmm": GmmDenoiser([0.4, 0.6], rng.standard_normal((2, d)), [0.5, 1.5]),
     }
@@ -75,6 +79,26 @@ def test_denoise_and_vjp_leave_their_inputs_untouched(kind, sigma):
     assert_untouched(lambda x, c: den.vjp(x, sigma, c), rows(2), rows(3))
     assert_untouched(lambda x, c, i: den.vjp(x, sigma, c, i), rows(2), rows(3)[:, :4], np.array([3, 27, 11, 39]))
     assert_untouched(lambda i, x: den.jacobian_block(i, sigma, x), np.array([3, 27, 11, 39]), rows(4))
+
+
+def held_arrays(obj) -> list[np.ndarray]:
+    """Every array that ``obj`` holds, through its attributes and theirs."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    return [a for value in getattr(obj, "__dict__", {}).values() for a in held_arrays(value)]
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense", "factored", "fitted", "gmm"])
+@pytest.mark.parametrize("sigma", [0.0, 0.8])
+def test_denoise_and_vjp_return_arrays_the_caller_owns(kind, sigma):
+    # heun_core writes into what denoise and vjp return, so no output may alias an input or the denoiser
+    den = denoisers()[kind]
+    x, cot, index = rows(2), rows(3), np.array([3, 27, 11, 39])
+    theirs = [x, cot, index, *held_arrays(den)]
+    assert len(theirs) >= 6  # the walk reaches the prior's or the mixture's arrays
+    outputs = (den.denoise(x, sigma), den.dense_vjp(x, sigma, cot), den.vjp(x, sigma, cot))
+    for out in (*outputs, den.vjp(x, sigma, cot[:, :4], index)):
+        assert out.shape == x.shape and not any(np.shares_memory(out, a) for a in theirs)
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "dense"])

@@ -292,7 +292,7 @@ class ExplodingDenoiser(Denoiser):
         return np.full_like(np.asarray(x, dtype=float), np.inf)
 
     def dense_vjp(self, x, sigma, cot):
-        return np.asarray(cot, dtype=float)
+        return np.array(cot, dtype=float)  # a copy: the caller owns what a vjp returns
 
 
 @pytest.mark.parametrize("proposal,scheme", [("gem", "pbs"), ("sosag", "pbs"), ("gem", "tds")])
