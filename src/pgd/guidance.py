@@ -22,10 +22,10 @@ A gradient comes back as a (cotangent, index) pair. With the PDE term on
 (omega > 0) the cotangent is the full gradient, shaped like the rows, and the
 index is None. Without it the gradient is zero off the observed entries, and
 the cotangent holds only its (..., m) values at ``index`` = ``ctx.index``.
-Nothing here scatters it: the particle engine evaluates the likelihood and
-its gradient at the denoiser's reconstruction, and the proposal cores of
-:mod:`pgd.samplers` pass the pair to :meth:`~pgd.priors.Denoiser.vjp`, which
-pulls it back from the m entries.
+Nothing here scatters it: the pair goes as it is to
+:meth:`~pgd.priors.Denoiser.vjp`, which pulls it back from the m entries.
+The particle engine does so right after it evaluates the likelihood and its
+gradient at the denoiser's reconstruction, and ``heun_core`` at its churned state.
 
 Two weighting schemes turn proposals into a particle system:
 

@@ -95,7 +95,9 @@ class Denoiser(ABC):
         The cotangent is (..., m), its values at ``index``; without ``index`` it
         is the full (..., d) cotangent (A = I). This default scatters it into
         zeros and runs :meth:`dense_vjp`; a denoiser whose Jacobian has
-        structure overrides it to work from the m entries.
+        structure overrides it to work from the m entries. Its callers pass the
+        pair of :func:`~pgd.guidance.log_likelihood`: ``smc_run``'s level
+        evaluation, ``heun_core``, and :meth:`jacobian_block` with A itself.
         """
         if index is not None:
             full = np.zeros(np.shape(cotangent)[:-1] + (self.dim,))

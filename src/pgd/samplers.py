@@ -19,13 +19,13 @@ inflation.
 The cores take exactly what :func:`pgd.smc.smc_run` passes: (N, d) rows and
 one (N, d) draw of :func:`noise_stream` (a single chain is N = 1). Both guide
 with a data-space gradient at the reconstruction, pulled back to the noisy
-state through the denoiser's exact vjp. The gradient is the (cotangent,
-index) pair of :func:`~pgd.guidance.log_likelihood`, which the cores pass to
-:meth:`~pgd.priors.Denoiser.vjp` unscattered. ``gem_core`` takes the
-reconstruction and that pair, which the engine computes with the particle's
-twist, so the likelihood is evaluated once per reconstruction. ``heun_core``
-guides at the churned state, where no weight is evaluated, so it computes its
-own gradient.
+state through the denoiser's exact vjp. ``gem_core`` is plain arithmetic on
+the reconstruction and that pulled-back guidance, which the engine computes
+with the particle's twist, so the likelihood is evaluated once per
+reconstruction. ``heun_core`` guides at the churned state, where no weight is
+evaluated, so it computes its own gradient, the (cotangent, index) pair of
+:func:`~pgd.guidance.log_likelihood`, and passes it to
+:meth:`~pgd.priors.Denoiser.vjp` unscattered.
 
 The cores never write to their inputs. They work in place only on arrays
 they allocate or that the denoiser returned to them, in the operand order of
@@ -55,29 +55,22 @@ def noise_stream(seed: int) -> np.random.Generator:
 
 
 def gem_core(
-    x: np.ndarray,
-    z: np.ndarray,
-    sigma_k: float,
-    sigma_next: float,
-    denoiser: Denoiser,
-    denoised: np.ndarray,
-    data_grad: np.ndarray,
-    index: np.ndarray | None = None,
+    x: np.ndarray, z: np.ndarray, sigma_k: float, sigma_next: float, denoised: np.ndarray, guidance: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Guided Euler-Maruyama step from x at sigma_k with reconstruction ``denoised``.
 
     Returns (sample, shift). With delta = sigma_k^2 - sigma_next^2, the
     unguided mean is x + delta (denoised - x) / sigma_k^2, the guidance shift
-    is delta times the vjp of the data-space gradient, ``data_grad`` at the
-    entries ``index`` (all of them when None), through the denoiser at
-    (x, sigma_k), and the sample is sqrt(delta) z + (shift + unguided mean).
+    is delta times ``guidance``, the data-space gradient pulled back through
+    the denoiser at (x, sigma_k), and the sample is
+    sqrt(delta) z + (shift + unguided mean).
     """
     delta = sigma_k**2 - sigma_next**2
     mean = denoised - x
     mean *= delta
     mean /= sigma_k**2
     mean += x
-    shift = delta * denoiser.vjp(x, sigma_k, data_grad, index)
+    shift = delta * guidance
     np.add(shift, mean, out=mean)
     sample = math.sqrt(delta) * z
     sample += mean

@@ -23,11 +23,13 @@ so the log-evidence estimate is defined up to a constant.
 
 Each noise level is evaluated once: one routine denoises the states, checks
 the reconstruction, and computes the twist together with, under ``gem`` when
-another step follows, its data-space gradient from the same solve, as the
-(cotangent, index) pair that ``gem_core`` hands to the denoiser's vjp. The
-run keeps that reconstruction and gradient only until ``gem_core`` has read
-them, and keeps none under ``sosag``. A resample moves each drawn particle's
-state and twist, and under ``gem`` its reconstruction and gradient too.
+another step follows, its data-space gradient from the same solve, pulled
+back at once through the denoiser's vjp at the same states and noise level.
+That guidance and the reconstruction are what the next ``gem_core`` reads;
+the run keeps them only until then, and keeps none under ``sosag``. A
+resample moves each drawn particle's state and twist, and under ``gem`` its
+reconstruction and guidance too. The states and log-weights are plain
+arrays, so the previous states are freed as soon as the proposal returns.
 
 Particles evolve as rows of an (N, d) array. All of a run's Gaussian noise
 comes from the seed's :func:`~pgd.samplers.noise_stream`: one (N, d) draw for
@@ -110,7 +112,9 @@ class ParticlePopulation:
     spec: GridSpec
     states: np.ndarray  # (N, d)
     log_weights: np.ndarray  # (N,), unnormalized
-    ancestors: np.ndarray | None = None  # from the most recent resampling
+    # the draw of the resample that made these rows; smc_run returns it only
+    # when its last step resampled, and None otherwise
+    ancestors: np.ndarray | None = None
 
     @property
     def count(self) -> int:
@@ -169,7 +173,7 @@ def smc_run(
     log-potential, normalizes the weights once for the ESS, the evidence and
     the resample, and resamples when ESS <= threshold * N (recorded ESS is
     pre-resampling), moving state and twist together, and under ``gem`` the
-    reconstruction and gradient that the next ``gem_core`` reads. The module
+    reconstruction and guidance that the next ``gem_core`` reads. The module
     docstring describes the twists, the log-evidence and the noise stream.
     Each step refills one (N, d) buffer ``z`` in place, which is safe: the
     proposal cores and the tds transition term read ``z`` only within the
@@ -191,22 +195,23 @@ def smc_run(
     )
 
     def evaluate(x: np.ndarray, sigma: float, k: int, grad: bool):
-        """(reconstruction, twist, cotangent, index) at ``x`` and ``sigma``: the per-row twist of the
-        reconstruction (a blow-up is located at step k) and, only if ``grad``, the reconstruction
-        and the (cotangent, index) pair of the twist's data-space gradient that ``gem_core`` reads."""
+        """(reconstruction, twist, guidance) at ``x`` and ``sigma``: the per-row twist of the
+        reconstruction (a blow-up is located at step k) and, only if ``grad``, the reconstruction and
+        the twist's data-space gradient pulled back through the denoiser at (x, sigma), which ``gem_core`` reads."""
         x_hat = denoiser.denoise(x, sigma)
         require_finite(x_hat, k, "reconstruction")
         cov = twist_covariance(ctx, denoiser, x, sigma) if config.scheme == "tds" else None
         if grad:
-            return x_hat, *log_likelihood(ctx, x_hat, grad=True, cov=cov)
-        return None, log_likelihood(ctx, x_hat, cov=cov), None, None
+            twist, cotangent, index = log_likelihood(ctx, x_hat, grad=True, cov=cov)
+            return x_hat, twist, denoiser.vjp(x, sigma, cotangent, index)
+        return None, log_likelihood(ctx, x_hat, cov=cov), None
 
-    samples = sched.sigma_max * noise_rng.standard_normal((n, d))
+    states = sched.sigma_max * noise_rng.standard_normal((n, d))
     z = np.empty((n, d))
-    denoised, loglik, data_grad, index = evaluate(samples, sched.sigma_max, sched.steps, guided)
+    denoised, loglik, guidance = evaluate(states, sched.sigma_max, sched.steps, guided)
     require_finite(loglik, sched.steps, "weight")
-    pop = ParticlePopulation(spec=spec, states=samples, log_weights=loglik)
-    log_norm = normalize(pop.log_weights)[0]
+    log_weights = loglik
+    log_norm = normalize(log_weights)[0]
     log_evidence = log_norm - math.log(n)
     diag = SmcDiagnostics()
 
@@ -215,24 +220,23 @@ def smc_run(
         noise_rng.standard_normal(out=z)
 
         if guided:
-            samples, shift = gem_core(pop.states, z, sigma_k, sigma_next, denoiser, denoised, data_grad, index)
+            states, shift = gem_core(states, z, sigma_k, sigma_next, denoised, guidance)
             if config.scheme == "tds":  # taken now, so that the shift is freed before the evaluation
                 transition = tds_transition_term(z, shift, sigma_k**2 - sigma_next**2)
-            denoised = data_grad = shift = None  # read: freed before the evaluation builds the next ones
+            denoised = guidance = shift = None  # read: freed before the evaluation builds the next ones
         else:
-            samples = heun_core(pop.states, z, sigma_k, sigma_next, denoiser, gamma, ctx)
-        require_finite(samples, k, "state")
+            states = heun_core(states, z, sigma_k, sigma_next, denoiser, gamma, ctx)
+        require_finite(states, k, "state")
 
-        denoised, ll_new, data_grad, index = evaluate(samples, sigma_next, k, guided and k > 1)
+        denoised, ll_new, guidance = evaluate(states, sigma_next, k, guided and k > 1)
         potentials = ll_new - loglik
         if config.scheme == "tds":
             potentials = potentials + transition
         require_finite(potentials, k, "weight")
 
-        pop = ParticlePopulation(spec, samples, pop.log_weights + potentials)
-        del samples  # pop holds them; after a resample this name would keep the old ones alive
+        log_weights = log_weights + potentials
         loglik = ll_new
-        new_norm, current_ess, weights = normalize(pop.log_weights)
+        new_norm, current_ess, weights = normalize(log_weights)
         log_evidence += new_norm - log_norm
         log_norm = new_norm
         fire = current_ess <= config.resample_threshold * n
@@ -241,15 +245,16 @@ def smc_run(
         diag.log_evidence_trace.append(log_evidence)
         if fire:
             # the whole particle moves: state, twist and what the next gem_core reads
-            pop = multinomial_resample(pop, weights, resample_rng)
+            pop = multinomial_resample(ParticlePopulation(spec, states, log_weights), weights, resample_rng)
+            states, log_weights, ancestors = pop.states, pop.log_weights, pop.ancestors
+            del pop  # else it would hold these states through the next evaluation
             log_norm = math.log(n)
-            a = pop.ancestors
-            loglik = loglik[a]
+            loglik = loglik[ancestors]
             if denoised is not None:
-                denoised, data_grad = denoised[a], data_grad[a]
+                denoised, guidance = denoised[ancestors], guidance[ancestors]
 
     diag.log_evidence = log_evidence
-    return pop, diag
+    return ParticlePopulation(spec, states, log_weights, ancestors if fire else None), diag
 
 
 def point_estimate(population: ParticlePopulation, mode: str = "best") -> Field:

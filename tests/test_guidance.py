@@ -166,8 +166,8 @@ def guidance_rows(x, sigma, den, obs, w):
     ctx = GuidanceContext(obs=obs, system=None, layout=SOLUTION_ONLY, weights=w)
     sigma_next = 0.5 * sigma
     denoised = den.denoise(x, sigma)
-    grad, index = data_log_likelihood_grad(ctx, denoised)
-    _, shift = gem_core(x, np.zeros_like(x), sigma, sigma_next, den, denoised, grad, index)
+    guidance = den.vjp(x, sigma, *data_log_likelihood_grad(ctx, denoised))
+    _, shift = gem_core(x, np.zeros_like(x), sigma, sigma_next, denoised, guidance)
     return shift / (sigma**2 - sigma_next**2)
 
 

@@ -105,10 +105,9 @@ def test_denoise_and_vjp_return_arrays_the_caller_owns(kind, sigma):
 def test_proposal_cores_leave_their_inputs_untouched(kind):
     den, ctx = denoisers()[kind], context()
     sigma_k, sigma_next = 1.3, 0.9
-    for grad in (np.zeros((N, SPEC.size)), rows(7)):  # the unguided step, then a guided one
+    for guidance in (np.zeros((N, SPEC.size)), den.vjp(rows(4), sigma_k, rows(7))):  # unguided, then guided
         assert_untouched(
-            lambda x, z, dn, g: gem_core(x, z, sigma_k, sigma_next, den, dn, g),
-            rows(4), rows(5), rows(6), grad,
+            lambda x, z, dn, g: gem_core(x, z, sigma_k, sigma_next, dn, g), rows(4), rows(5), rows(6), guidance
         )
     for nxt in (sigma_next, 0.0):
         assert_untouched(lambda x, z: heun_core(x, z, sigma_k, nxt, den, 0.2, ctx), rows(4), rows(5))

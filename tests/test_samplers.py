@@ -47,13 +47,14 @@ UNGUIDED = all_cell_context(np.zeros(9), weights=GuidanceWeights(beta=0.0, gamma
 
 def em_step(x, z, sigma_k, sigma_next, den):
     """The unguided Euler-Maruyama step: gem_core with a zero data-space gradient."""
-    return gem_core(x, z, sigma_k, sigma_next, den, den.denoise(x, sigma_k), np.zeros_like(x))
+    return gem_core(x, z, sigma_k, sigma_next, den.denoise(x, sigma_k), den.vjp(x, sigma_k, np.zeros_like(x)))
 
 
 def gem_step(x, z, sigma_k, sigma_next, den, ctx):
     """The guided step as smc_run takes it: the gradient of the twist at the reconstruction."""
     denoised = den.denoise(x, sigma_k)
-    return gem_core(x, z, sigma_k, sigma_next, den, denoised, *data_log_likelihood_grad(ctx, denoised))
+    guidance = den.vjp(x, sigma_k, *data_log_likelihood_grad(ctx, denoised))
+    return gem_core(x, z, sigma_k, sigma_next, denoised, guidance)
 
 
 def em_mean(x, sigma_k, sigma_next, den):
