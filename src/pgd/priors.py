@@ -158,8 +158,8 @@ class GaussianPrior:
         if not all(np.all(np.isfinite(p)) for p in parts):
             raise ValueError(f"{self.cov_kind} covariance must be finite")
         if self.cov_kind == "diagonal":
-            arr = np.asarray(self.cov, dtype=float)
-            if arr.shape != (d,) or np.any(arr < 0):
+            arr = None if isinstance(cov, FactoredCov) else np.asarray(cov, dtype=float)
+            if arr is None or arr.shape != (d,) or np.any(arr < 0):
                 raise ValueError("diagonal covariance must be a nonnegative (d,) vector")
             object.__setattr__(self, "cov", arr)
         elif isinstance(self.cov, FactoredCov):

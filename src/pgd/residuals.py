@@ -25,10 +25,9 @@ intermediates. A (N, C, H, W) state gives (N, R, H, W) residuals and
 validates nothing; the sampler's :class:`~pgd.guidance.GuidanceContext`
 validates the layout once, and :func:`residual` validates a
 :class:`~pgd.grid.Field`'s layout, calls the kernel and wraps the result.
-The data generator keeps its own copy of the reaction-diffusion kinetics,
-:func:`pgd.solvers._rd_rate`, which forms ``u*v*v`` where the kernel forms
-``ut * vt**2``; one copy shared in the generator's order would keep every
-dataset digest and move the kernel's gray_scott_2 residuals by about 2e-15 relative.
+:func:`add_reaction` is the one statement of the reaction-diffusion kinetics:
+the data generator :func:`pgd.solvers.simulate_rd` adds it into its rate, and
+the kernel into the same rate, which it subtracts from (terminal - initial) / horizon.
 """
 
 from __future__ import annotations
@@ -173,6 +172,23 @@ def default_layout(kind: str) -> StateLayout:
     return StateLayout(*KINDS[kind])
 
 
+def add_reaction(system: PdeSystem, states: np.ndarray, rate: np.ndarray) -> None:
+    """Add the reaction terms of species-first (species, ..., H, W) ``states`` into ``rate``, in place:
+    for gray_scott_2, feed (1 - u) - u v^2 into u and u v^2 - (feed + removal) v into v; for competitive_3,
+    s_i (1 - s_i - sum_{j != i} a_ij s_j) into each s_i. The data generator and the residual kernel call it."""
+    if system.kind == "gray_scott_2":
+        u, v = states
+        uvv = u * v * v
+        rate[0] -= uvv
+        rate[0] += system.feed * (1.0 - u)
+        rate[1] += uvv
+        rate[1] -= (system.feed + system.removal) * v
+    else:
+        mat = system.coupling_matrix
+        for i, r in enumerate(rate):
+            r += states[i] * (1.0 - states[i] - sum(mat[i, j] * states[j] for j in range(3) if j != i))
+
+
 def residual(system: PdeSystem, layout: StateLayout, x: Field) -> Field:
     """Pointwise residual field(s) of ``x``, one channel per governing equation.
 
@@ -239,18 +255,16 @@ def residual_sq_grad(
                 g[2 * i] = -scale * diff_2d(f, 0, h, boundary)
                 g[2 * i + 1] = -scale * diff_2d(f, 1, h, boundary)
     elif kind == "gray_scott_2":
-        du, dv, u0, v0, ut, vt = v[:6]
         horizon, feed, removal = system.horizon, system.feed, system.removal
         lap = laplacian_2d(v[4:6], h, boundary)
-        lap_u, lap_v = lap
-        vv = vt**2
-        uvv = ut * vv
         res = np.empty(x.shape[:-3] + (2,) + x.shape[-2:])
-        f_u, f_v = np.moveaxis(res, -3, 0)  # views: the last operation of each sum writes into res
-        np.subtract((ut - u0) / horizon - du * lap_u + uvv, feed * (1.0 - ut), out=f_u)
-        np.add((vt - v0) / horizon - dv * lap_v - uvv, (feed + removal) * vt, out=f_v)
+        rate = np.moveaxis(res, -3, 0)  # a species-first view: the rate, then the residual, is written into res
+        np.multiply(v[0:2], lap, out=rate)
+        add_reaction(system, v[4:6], rate)
+        np.subtract((v[4:6] - v[2:4]) / horizon, rate, out=rate)
         if grad:
-            uv2 = 2.0 * ut * vt
+            (du, dv, _, _, ut, vt), (f_u, f_v), (lap_u, lap_v) = v[:6], rate, lap
+            vv, uv2 = vt**2, 2.0 * ut * vt
             g[2] = -scale * f_u / horizon
             g[3] = -scale * f_v / horizon
             g[0] = -scale * lap_u * f_u
@@ -262,18 +276,16 @@ def residual_sq_grad(
             g[4] = scale * ((1.0 / horizon + vv + feed) * f_u - lap_fu - vv * f_v)
             g[5] = scale * (uv2 * f_u + (1.0 / horizon - uv2 + feed + removal) * f_v - lap_fv)
     elif kind == "competitive_3":
-        mat = system.coupling_matrix
-        diff, init, term = v[0:3], v[3:6], v[6:9]
-        horizon = system.horizon
+        diff, init, term, horizon = v[0:3], v[3:6], v[6:9], system.horizon
         faces, dterm = face_averages(diff, boundary), face_differences(ghost_lined(term, boundary))
         lined = face_flux_divergence([c * d for c, d in zip(faces, dterm)], h)  # its interior becomes the residual
         r = interior(lined)
         res = np.moveaxis(r, 0, -3)  # a view of the channel-first block
-        others = [sum(mat[i, j] * term[j] for j in range(3) if j != i) for i in range(3)]
-        for i in range(3):
-            np.subtract((term[i] - init[i]) / horizon, r[i], out=r[i])
-            r[i] -= term[i] * (1.0 - term[i] - others[i])
+        add_reaction(system, term, r)
+        np.subtract((term - init) / horizon, r, out=r)
         if grad:
+            mat = system.coupling_matrix
+            others = [sum(mat[i, j] * term[j] for j in range(3) if j != i) for i in range(3)]
             dr = face_differences(fill_ghosts(lined, boundary))
             coef_adj = interior(face_flux_adjoint_coef(face_products(dr, dterm), h, boundary))
             flux_r = interior(face_flux_divergence(face_products(dr, faces), h))

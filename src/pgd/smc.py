@@ -130,7 +130,9 @@ def normalize(log_weights: np.ndarray) -> tuple[float, float, np.ndarray]:
     lw = np.asarray(log_weights, dtype=float)
     m = np.max(lw)
     if not np.isfinite(m):
-        raise ValueError("cannot normalize degenerate weights: all weights vanish")
+        bad = np.flatnonzero(~(lw < np.inf))  # NaN or +inf; none when every log-weight is -inf
+        raise ValueError(f"cannot normalize: log-weight {bad[0]} is {lw[bad[0]]}, not finite" if bad.size
+                         else "cannot normalize degenerate weights: all weights vanish")
     w = np.exp(lw - m)
     s = w.sum()
     return float(m + math.log(s)), float(s * s / (w @ w)), w / s

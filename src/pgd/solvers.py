@@ -15,11 +15,13 @@ a^(-1/2) on both sides (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).
 
 This is the stand-in for an external simulation pipeline: targets are
 generated with the same finite-difference discretization used by the residual
-operators. Elliptic states satisfy the discrete equations to the solver's
-tolerance. Reaction-diffusion states do not: they are ``rd_steps`` explicit
-Euler steps (1,000 by default) across the system's ``horizon``, which the
-residual spans in one interval, so a true state leaves a residual. At the
-defaults on a 16 x 16 grid its RMS is about 1e-3 for gray_scott_2 and 3e-2 for competitive_3.
+operators, and with the same reaction kinetics, one function shared with the
+residual kernel (:func:`pgd.residuals.add_reaction`). Elliptic states satisfy
+the discrete equations to the solver's tolerance. Reaction-diffusion states do
+not: they are ``rd_steps`` explicit Euler steps (1,000 by default) across the
+system's ``horizon``, which the residual spans in one interval, so a true state
+leaves a residual. At the defaults on a 16 x 16 grid its RMS is about 1e-3 for
+gray_scott_2 and 3e-2 for competitive_3.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from .errors import SingularOperatorError, SolverConvergenceError, is_count, is_real, require_finite
 from .grid import DIRICHLET, PERIODIC, Field, GridSpec, Mask, face_averages, flux_divergence_faces
 from .grid import flux_divergence_2d, laplacian_2d  # flux_divergence_2d: unused; bench/tracer.py binds it
-from .residuals import ELLIPTIC_KINDS, RD_SPECIES, PdeSystem, StateLayout, default_layout
+from .residuals import ELLIPTIC_KINDS, RD_SPECIES, PdeSystem, StateLayout, add_reaction, default_layout
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +119,10 @@ class DatasetSpec:
         if kind not in ELLIPTIC_KINDS and kind not in RD_SPECIES:
             raise ValueError(f"no coefficient model for kind {kind!r}")
         self.layout.validate_for(self.system, self.grid)
-        if kind in RD_SPECIES and isinstance(self.coeff_model, ThresholdedGrf):
+        if isinstance(model := self.coeff_model, ThresholdedGrf) and kind in RD_SPECIES:
             raise ValueError(f"{kind} draws smooth diffusion fields; a ThresholdedGrf's levels would go unread")
+        if isinstance(model, ThresholdedGrf) and kind == "darcy" and min(model.low, model.high) <= 0:
+            raise ValueError(f"darcy's permeability levels must be positive, got low={model.low}, high={model.high}")
         if kind in RD_SPECIES and not is_count(self.rd_steps):
             raise ValueError(f"rd_steps must be an integer >= 1, got {self.rd_steps}")
 
@@ -365,17 +369,17 @@ def solve_elliptic(system: PdeSystem, a: Field) -> Field:
 def simulate_rd(system: PdeSystem, diffusion: Field, initial: Field, dt: float, steps: int) -> Field:
     """Explicit-Euler simulation over ``steps`` steps of ``dt``; returns the terminal state.
 
-    ``diffusion`` and ``initial`` are one (species, H, W) field each, or
-    batches of the same (..., species, H, W) shape on one grid, whose samples
-    are stepped together; the terminal state has the shape of ``initial``.
-    dt must be finite and positive, steps at least 1, diffusion nonnegative,
-    and 4 dt max(D) <= h^2. The run steps, in place, a species-first
-    (species, ..., H, W) copy of the state that it owns (a copy even where the
-    moved view is contiguous); each value takes the same operations in the
-    same order as in the (..., species, H, W) layout, so the result is the
-    same bit for bit. One finiteness pass per step covers the batch: a
-    non-finite state raises BlowUpError with the step and the flat index of
-    the first non-finite sample (0 for a single field) as ``particle``.
+    ``diffusion`` and ``initial`` are one (species, H, W) field each, or batches of the same
+    (..., species, H, W) shape on one grid, whose samples are stepped together; the terminal state
+    has the shape of ``initial``. dt must be finite and positive, steps at least 1, diffusion
+    nonnegative, and 4 dt max(D) <= h^2. Each step's rate is the kind's stencil (D lap u for
+    gray_scott_2; for competitive_3 the flux divergence from face averages of D formed once per
+    run) plus :func:`~pgd.residuals.add_reaction`, the kinetics the residual kernel reads. The run
+    steps, in place, a species-first (species, ..., H, W) copy of the state that it owns (a copy
+    even where the moved view is contiguous); each value takes the same operations in the same
+    order as in the (..., species, H, W) layout, so the result is the same bit for bit. One
+    finiteness pass per step covers the batch: a non-finite state raises BlowUpError with the step
+    and the flat index of the first non-finite sample (0 for a single field) as ``particle``.
     """
     if system.kind not in RD_SPECIES:
         raise ValueError(f"simulate_rd does not handle kind {system.kind!r}")
@@ -407,35 +411,16 @@ def simulate_rd(system: PdeSystem, diffusion: Field, initial: Field, dt: float, 
     faces = face_averages(d, PERIODIC) if system.kind == "competitive_3" else None  # once per run
     rows = np.moveaxis(state.reshape(species, -1, spec.height, spec.width), 1, 0)  # samples first, a view
     for step in range(1, steps + 1):
-        rate = _rd_rate(system, d, faces, state, h)
+        if faces is None:
+            rate = laplacian_2d(state, h, PERIODIC)
+            rate *= d
+        else:
+            rate = flux_divergence_faces(faces, state, h, PERIODIC)
+        add_reaction(system, state, rate)
         state += np.multiply(rate, dt, out=rate)
         del rate  # freed before the next step allocates: held, it let glibc trim the heap and refault it
         require_finite(rows, step, "state", unit="sample")
     return Field(spec, np.moveaxis(state, 0, -3))
-
-
-def _rd_rate(system: PdeSystem, d: np.ndarray, faces, state: np.ndarray, h: float) -> np.ndarray:
-    """Time derivative of species-first (species, ..., H, W) states, in a new array.
-
-    Each kind's stencil runs once on the species stack and the kinetics (gray_scott_2's own
-    ``u*v*v``) are added into its output; competitive_3 reads ``d`` only through ``faces``.
-    """
-    if system.kind == "gray_scott_2":
-        rate = laplacian_2d(state, h, PERIODIC)
-        rate *= d
-        u, v = state
-        uvv = u * v * v
-        rate[0] -= uvv
-        rate[0] += system.feed * (1.0 - u)
-        rate[1] += uvv
-        rate[1] -= (system.feed + system.removal) * v
-        return rate
-    mat = system.coupling_matrix
-    rate = flux_divergence_faces(faces, state, h, PERIODIC)
-    for i, r in enumerate(rate):
-        others = sum(mat[i, j] * state[j] for j in range(3) if j != i)
-        r += state[i] * (1.0 - state[i] - others)
-    return rate
 
 
 # ---------------------------------------------------------------------------

@@ -401,13 +401,18 @@ def test_periodic_shift_and_adjoint_equal_the_roll_formula(axis, step):
 
 
 def _gray_scott_per_species(system, layout, x):
-    """The gray_scott_2 residual and gradient with one Laplacian call per species: the reference."""
+    """The gray_scott_2 residual and gradient with one Laplacian call per species: the reference.
+
+    The residual is (terminal - initial) / horizon minus the rate, summed in the data generator's order:
+    u's diffusion, minus u v^2, plus feed (1 - u); v's diffusion, plus u v^2, minus (feed + removal) v.
+    """
     v = np.moveaxis(x.values, -3, 0)
     h, b = x.spec.spacing, x.spec.boundary
     du, dv, u0, v0, ut, vt = (v[c] for c in range(6))
     tau, feed, removal = system.horizon, system.feed, system.removal
-    f_u = (ut - u0) / tau - du * laplacian_2d(ut, h, b) + ut * vt**2 - feed * (1.0 - ut)
-    f_v = (vt - v0) / tau - dv * laplacian_2d(vt, h, b) - ut * vt**2 + (feed + removal) * vt
+    uvv = ut * vt * vt
+    f_u = (ut - u0) / tau - (du * laplacian_2d(ut, h, b) - uvv + feed * (1.0 - ut))
+    f_v = (vt - v0) / tau - (dv * laplacian_2d(vt, h, b) + uvv - (feed + removal) * vt)
     s = 2.0 / (2 * x.spec.cells)
     grad = [
         -s * laplacian_2d(ut, h, b) * f_u,
@@ -421,15 +426,17 @@ def _gray_scott_per_species(system, layout, x):
 
 
 def _competitive_per_species(system, layout, x):
-    """The competitive_3 residual and gradient with one flux-divergence call per species: the reference."""
+    """The competitive_3 residual and gradient with one flux-divergence call per species: the reference.
+
+    The residual is (terminal - initial) / horizon minus the rate, the flux divergence plus the
+    reaction, summed in the data generator's order.
+    """
     v = np.moveaxis(x.values, -3, 0)
     h, b, mat, tau = x.spec.spacing, x.spec.boundary, system.coupling_matrix, system.horizon
     diff, init, term = v[0:3], v[3:6], v[6:9]
     others = [sum(mat[i, j] * term[j] for j in range(3) if j != i) for i in range(3)]
-    res = [
-        (term[i] - init[i]) / tau - flux_divergence_2d(diff[i], term[i], h, b) - term[i] * (1.0 - term[i] - others[i])
-        for i in range(3)
-    ]
+    rate = [flux_divergence_2d(diff[i], term[i], h, b) + term[i] * (1.0 - term[i] - others[i]) for i in range(3)]
+    res = [(term[i] - init[i]) / tau - rate[i] for i in range(3)]
     s = 2.0 / (3 * x.spec.cells)
     grad = np.zeros_like(v)
     for i in range(3):

@@ -499,6 +499,12 @@ def test_prior_rejects_a_batched_mean(kind, cov):
         GaussianPrior(mean, kind, cov)
 
 
+def test_diagonal_prior_rejects_a_factored_cov():
+    # a FactoredCov is a dense covariance; as a diagonal one it is the wrong kind, not a bad number
+    with pytest.raises(ValueError, match=r"diagonal covariance must be a nonnegative \(d,\) vector"):
+        GaussianPrior(Field.zeros(SPEC_4X4), "diagonal", FactoredCov(0.1, np.eye(16)[:3], np.ones(3)))
+
+
 def test_diagonal_prior_rejects_a_nan_variance():
     with pytest.raises(ValueError, match="diagonal covariance must be finite"):
         GaussianPrior(Field.zeros(SPEC_4X4), "diagonal", np.full(16, np.nan))

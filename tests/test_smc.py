@@ -188,6 +188,15 @@ def test_normalize_rejects_degenerate_weights():
         pop.normalized_weights()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_normalize_names_a_non_finite_log_weight(bad):
+    # no weight vanished: the error names the entry that is not finite
+    pop = population_from(np.zeros((3, 9)), np.array([0.0, -1.0, bad]))
+    for call in (lambda: normalize(pop.log_weights), pop.normalized_weights):
+        with pytest.raises(ValueError, match=f"log-weight 2 is {bad}, not finite"):
+            call()
+
+
 def test_config_validation():
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=5, rho=3.0)
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 import pgd.solvers
 from pgd.errors import SingularOperatorError
 from pgd.grid import DIRICHLET, PERIODIC, Field, GridSpec, Mask, laplacian_2d
-from pgd.residuals import RD_SPECIES, PdeSystem, StateLayout, default_layout, residual
+from pgd.residuals import RD_SPECIES, PdeSystem, StateLayout, default_layout, residual, residual_sq_grad
 from pgd.solvers import (
     DatasetSpec,
     Observations,
@@ -196,6 +196,25 @@ def test_zero_diffusion_runs_the_reaction_only_euler_steps(system):
     np.testing.assert_array_equal(terminal.values, state)
 
 
+@pytest.mark.parametrize("system", [PdeSystem.gray_scott(), COMPETITIVE], ids=lambda s: s.kind)
+def test_residual_of_a_still_state_is_minus_the_generator_rate_bit_for_bit(system):
+    # the generator and the residual kernel share one statement of the kinetics: with equal initial
+    # and terminal snapshots the residual is minus the rate that one Euler step adds, in every bit.
+    # dt sits near the stability bound 4 dt max(D) = h^2, so a last-bit change in the rate shows
+    species = RD_SPECIES[system.kind]
+    rng = np.random.default_rng(33)
+    diffusion = 1e-4 * rng.uniform(0.5, 1.5, (2, species, 8, 8))
+    state = rng.uniform(0.1, 0.9, (2, species, 8, 8))
+    sub = GridSpec(8, 8, species, 1.0 / 8, PERIODIC)
+    dt = 0.99 * sub.spacing**2 / (4.0 * diffusion.max())
+    stepped = simulate_rd(system, Field(sub, diffusion), Field(sub, state), dt, 1).values
+    spec = sub.with_channels(3 * species)
+    x = np.concatenate([diffusion, state, state], axis=1)
+    for grad in (False, True):
+        res = residual_sq_grad(system, spec, x, grad=grad)[0]
+        np.testing.assert_array_equal(state + (-res) * dt, stepped)
+
+
 def test_negative_diffusion_is_rejected():
     sub = GridSpec(8, 8, 2, 1.0 / 8, PERIODIC)
     initial = Field(sub, np.stack([np.ones((8, 8)), np.zeros((8, 8))]))
@@ -252,6 +271,17 @@ def test_dataset_spec_rejects_thresholds_on_a_reaction_diffusion_kind(system):
     grid = GridSpec(8, 8, 3 * RD_SPECIES[system.kind], 1 / 8, PERIODIC)
     with pytest.raises(ValueError, match=f"{system.kind} draws smooth diffusion fields"):
         DatasetSpec(system, grid, 1, coeff_model=ThresholdedGrf(4.0, 3.0, 12.0))
+
+
+@pytest.mark.parametrize("low,high", [(-1.0, 2.0), (1.0, 0.0)])
+def test_dataset_spec_rejects_a_nonpositive_thresholded_darcy_permeability(low, high):
+    # solve_elliptic would reject it only after every sample's noise is drawn; for poisson and
+    # helmholtz the coefficient is a source term, so any finite levels stay allowed
+    grid = GridSpec(8, 8, 2, 1 / 9, DIRICHLET)
+    with pytest.raises(ValueError, match="darcy's permeability levels must be positive"):
+        DatasetSpec(PdeSystem.darcy(), grid, 2, ThresholdedGrf(4.0, low, high))
+    for system in (PdeSystem.poisson(), PdeSystem.helmholtz(2.0)):
+        DatasetSpec(system, grid, 2, ThresholdedGrf(4.0, low, high))
 
 
 @pytest.mark.parametrize("count", [0, 2.5])
