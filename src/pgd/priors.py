@@ -261,7 +261,7 @@ class GaussianDenoiser(Denoiser):
     def jacobian_block(self, index: np.ndarray, sigma: float, states: np.ndarray) -> np.ndarray:
         """A J A^T from the shrink factors and the basis columns at ``index``, in O(m^2 r); ``states`` is unread."""
         if self.prior.cov_kind != "dense":
-            return np.diag(_shrink(self.prior.cov[index], sigma))
+            return super().jacobian_block(index, sigma, states)
         scaled, f_iso = self._scaled_columns(index, sigma)
         block = scaled @ self.prior.cov.basis[:, index]
         block.flat[:: index.size + 1] += f_iso  # the diagonal

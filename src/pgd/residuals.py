@@ -10,10 +10,10 @@ snapshot. The divergence_free system penalizes the divergence of two
 two-channel vector snapshots.
 
 A system's kind alone fixes its state: the role and number of its channels
-(the slots are listed in :func:`residual_sq_grad`). ``KINDS`` writes out each
-kind's coefficient and solution channels, which :func:`default_layout` reads;
-a :class:`StateLayout` names only these two observation groups, and a layout
-used with a system must be that system's own.
+(the slots are listed in :func:`residual_sq_grad`). A kind's ``KINDS`` row is its
+one statement: its coefficient and solution channels, which :func:`default_layout`
+reads, its grid's boundary and the parameters its :class:`PdeSystem` takes. A
+:class:`StateLayout` names only the two channel groups, and a layout used with a system must be its own.
 
 Gradients are assembled from stencil adjoints and product-rule terms, never
 by automatic differentiation, so they can be cross-checked against finite
@@ -32,7 +32,8 @@ the kernel into the same rate, which it subtracts from (terminal - initial) / ho
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,27 +42,28 @@ from .grid import DIRICHLET, PERIODIC, Field, GridSpec, diff_2d, fill_ghosts, gh
 from .grid import face_averages, face_differences, face_flux_adjoint_coef, face_flux_divergence, face_products
 from .grid import flux_divergence_2d, flux_divergence_2d_adjoint_coef  # unused; bench/tracer.py binds them
 
-KINDS = {  # each system kind and its state's (coefficient channels, solution channels)
-    "darcy": ((0,), (1,)),
-    "poisson": ((0,), (1,)),
-    "helmholtz": ((0,), (1,)),
-    "divergence_free": ((0, 1), (2, 3)),
-    "gray_scott_2": ((0, 1, 2, 3), (4, 5)),
-    "competitive_3": ((0, 1, 2, 3, 4, 5), (6, 7, 8)),
+Kind = namedtuple("Kind", "coeff_channels solution_channels boundary params")  # boundary None: any boundary
+
+KINDS = {  # each kind's state channels, grid boundary and PdeSystem parameters: its one statement
+    "darcy": Kind((0,), (1,), DIRICHLET, ("source",)),
+    "poisson": Kind((0,), (1,), DIRICHLET, ()),
+    "helmholtz": Kind((0,), (1,), DIRICHLET, ("k_wave",)),
+    "divergence_free": Kind((0, 1), (2, 3), None, ()),
+    "gray_scott_2": Kind((0, 1, 2, 3), (4, 5), PERIODIC, ("feed", "removal", "horizon")),
+    "competitive_3": Kind((0, 1, 2, 3, 4, 5), (6, 7, 8), PERIODIC, ("horizon", "coupling")),
 }
 
-ELLIPTIC_KINDS = ("darcy", "poisson", "helmholtz")
-RD_SPECIES = {"gray_scott_2": 2, "competitive_3": 3}  # the reaction-diffusion kinds and their species counts
+ELLIPTIC_KINDS = tuple(kind for kind, row in KINDS.items() if row.boundary == DIRICHLET)
+RD_SPECIES = {kind: len(row.solution_channels) for kind, row in KINDS.items() if row.boundary == PERIODIC}
 
 
 @dataclass(frozen=True)
 class PdeSystem:
-    """A PDE family plus its scalar parameters.
+    """A PDE family plus the parameters its kind reads, as its ``KINDS`` row lists them; any other keeps its default.
 
-    darcy: constant source term ``source``; helmholtz: wavenumber ``k_wave``
-    (zero reduces it to poisson); gray_scott_2: feed/removal rates and the
-    horizon of the modeled snapshot pair; competitive_3: a 3x3 coupling
-    matrix with zero diagonal and the horizon; divergence_free: no parameters.
+    ``source``: darcy's constant source; ``k_wave``: helmholtz's wavenumber (zero reduces it to poisson);
+    ``feed``, ``removal``: gray_scott_2's rates; ``horizon``: the time between a reaction-diffusion state's
+    snapshots; ``coupling``: competitive_3's zero-diagonal 3x3 matrix, kept as a tuple of tuples.
     """
 
     kind: str
@@ -75,23 +77,24 @@ class PdeSystem:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown system kind {self.kind!r}")
-        for name in ("source", "k_wave", "feed", "removal", "horizon"):
-            if not (is_real(val := getattr(self, name)) and np.isfinite(val)):
-                raise ValueError(f"{name} must be a finite real number, got {val}")
-        if self.kind in RD_SPECIES and not self.horizon > 0:
+        reads = KINDS[self.kind].params
+        for f in fields(self)[1:]:
+            val = getattr(self, f.name)
+            if f.name != "coupling" and not (is_real(val) and np.isfinite(val)):
+                raise ValueError(f"{f.name} must be a finite real number, got {val}")
+            if f.name not in reads and not (val is f.default or is_real(val) and val == f.default):
+                raise ValueError(f"{self.kind} does not read {f.name}; leave it at its default {f.default}")
+        if "horizon" in reads and not self.horizon > 0:
             raise ValueError("horizon must be positive")
-        if self.kind == "competitive_3":
-            mat = np.asarray(self.coupling, dtype=float) if self.coupling is not None else None
-            if mat is None or mat.shape != (3, 3):
+        if "coupling" in reads:
+            mat = np.asarray(self.coupling, dtype=float)
+            if mat.shape != (3, 3):
                 raise ValueError("competitive_3 requires a 3x3 coupling matrix")
             if not np.all(np.isfinite(mat)):
                 raise ValueError("coupling entries must be finite")
             if np.any(np.diag(mat) != 0.0):
                 raise ValueError("coupling diagonal must be exactly zero")
-
-    @property
-    def coupling_matrix(self) -> np.ndarray:
-        return np.asarray(self.coupling, dtype=float)
+            object.__setattr__(self, "coupling", tuple(map(tuple, mat.tolist())))  # hashable, comparable
 
     @classmethod
     def darcy(cls, source: float = 1.0) -> "PdeSystem":
@@ -115,8 +118,7 @@ class PdeSystem:
 
     @classmethod
     def competitive(cls, coupling, horizon: float = 1.0) -> "PdeSystem":
-        mat = np.asarray(coupling, dtype=float)
-        return cls("competitive_3", coupling=tuple(map(tuple, mat)), horizon=horizon)
+        return cls("competitive_3", coupling=coupling, horizon=horizon)
 
 
 @dataclass(frozen=True)
@@ -159,17 +161,15 @@ class StateLayout:
                 f"{kind} layout needs coefficient channels {want.coeff_channels} "
                 f"and solution channels {want.solution_channels}"
             )
-        if kind in ELLIPTIC_KINDS and spec.boundary != DIRICHLET:
-            raise ValueError(f"{kind} requires dirichlet_zero boundary")
-        if kind in RD_SPECIES and spec.boundary != PERIODIC:
-            raise ValueError(f"{kind} requires periodic boundary")
+        if (boundary := KINDS[kind].boundary) not in (None, spec.boundary):
+            raise ValueError(f"{kind} requires {boundary} boundary")
 
 
 def default_layout(kind: str) -> StateLayout:
     """The layout of a ``kind`` state, the only one a system of that kind takes."""
     if kind not in KINDS:
         raise ValueError(f"unknown system kind {kind!r}")
-    return StateLayout(*KINDS[kind])
+    return StateLayout(KINDS[kind].coeff_channels, KINDS[kind].solution_channels)
 
 
 def add_reaction(system: PdeSystem, states: np.ndarray, rate: np.ndarray) -> None:
@@ -184,9 +184,9 @@ def add_reaction(system: PdeSystem, states: np.ndarray, rate: np.ndarray) -> Non
         rate[1] += uvv
         rate[1] -= (system.feed + system.removal) * v
     else:
-        mat = system.coupling_matrix
+        mat = system.coupling
         for i, r in enumerate(rate):
-            r += states[i] * (1.0 - states[i] - sum(mat[i, j] * states[j] for j in range(3) if j != i))
+            r += states[i] * (1.0 - states[i] - sum(mat[i][j] * states[j] for j in range(3) if j != i))
 
 
 def residual(system: PdeSystem, layout: StateLayout, x: Field) -> Field:
@@ -214,8 +214,8 @@ def residual_sq_grad(
     Channels sit in the system's fixed slots: coefficient a in 0 and solution
     u in 1 (elliptic); with s species, diffusion fields in [0, s), initial
     states in [s, 2s) and terminal states in [2s, 3s) (reaction-diffusion);
-    vector snapshots in (0, 1) and (2, 3) (divergence_free). The kind fixes
-    R: one elliptic equation, or one per snapshot or species. ``spec`` supplies
+    vector snapshots in (0, 1) and (2, 3) (divergence_free). R is the kind's
+    solution-channel count in ``KINDS``, one equation per solution. ``spec`` supplies
     the spacing and boundary; the state is assumed to match the system's
     layout, and nothing is checked for finiteness, so an overflow reaches the
     caller's located checks.
@@ -226,7 +226,7 @@ def residual_sq_grad(
     if grad:
         out = np.empty_like(x)  # every kind writes every channel of its layout
         g = np.moveaxis(out, -3, 0)  # writable channel-first view
-        equations = 2 if kind == "divergence_free" else RD_SPECIES.get(kind, 1)
+        equations = len(KINDS[kind].solution_channels)
         scale = 2.0 / (equations * spec.cells)
 
     if kind in ("poisson", "helmholtz"):
@@ -284,8 +284,8 @@ def residual_sq_grad(
         add_reaction(system, term, r)
         np.subtract((term - init) / horizon, r, out=r)
         if grad:
-            mat = system.coupling_matrix
-            others = [sum(mat[i, j] * term[j] for j in range(3) if j != i) for i in range(3)]
+            mat = system.coupling
+            others = [sum(mat[i][j] * term[j] for j in range(3) if j != i) for i in range(3)]
             dr = face_differences(fill_ghosts(lined, boundary))
             coef_adj = interior(face_flux_adjoint_coef(face_products(dr, dterm), h, boundary))
             flux_r = interior(face_flux_divergence(face_products(dr, faces), h))
@@ -293,9 +293,7 @@ def residual_sq_grad(
                 g[3 + i] = -scale * r[i] / horizon
                 g[i] = -scale * coef_adj[i]
                 own = scale * ((1.0 / horizon - (1.0 - 2.0 * term[i] - others[i])) * r[i] - flux_r[i])
-                cross = sum(scale * mat[j, i] * term[j] * r[j] for j in range(3) if j != i)
+                cross = sum(scale * mat[j][i] * term[j] * r[j] for j in range(3) if j != i)
                 g[6 + i] = own + cross
-    else:  # pragma: no cover - guarded by PdeSystem validation
-        raise ValueError(f"unknown system kind {kind!r}")
 
     return res, out if grad else None

@@ -2,8 +2,8 @@
 
 The engine propagates N particles with the guided Euler-Maruyama or churned
 second-order proposal, accumulates log-potentials under the tds or pbs
-weighting scheme, resamples multinomially when the effective sample size
-falls below a threshold fraction of N, and tracks a running log-evidence
+weighting scheme, resamples multinomially when the effective sample size is
+at most a threshold fraction of N (at 1.0, every step), and tracks a running log-evidence
 estimate (the normalizer of the underlying Feynman-Kac model). Each step's
 log-weights are exponentiated once, in :func:`normalize`, for the ESS, the
 evidence and the resample. The evidence increment is the difference of

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import SingularOperatorError, SolverConvergenceError, is_count, is_real, require_finite
 from .grid import DIRICHLET, PERIODIC, Field, GridSpec, Mask, face_averages, flux_divergence_faces
 from .grid import flux_divergence_2d, laplacian_2d  # flux_divergence_2d: unused; bench/tracer.py binds it
-from .residuals import ELLIPTIC_KINDS, RD_SPECIES, PdeSystem, StateLayout, add_reaction, default_layout
+from .residuals import ELLIPTIC_KINDS, KINDS, RD_SPECIES, PdeSystem, StateLayout, add_reaction, default_layout
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +322,7 @@ def solve_elliptic(system: PdeSystem, a: Field) -> Field:
     spec = a.spec
     if spec.channels != 1:
         raise ValueError(f"solve_elliptic takes a single-channel coefficient, got {spec.channels} channels")
-    if spec.boundary != DIRICHLET:
+    if spec.boundary != KINDS[system.kind].boundary:
         raise ValueError("elliptic solves require dirichlet_zero boundary")
     h = spec.spacing
     avals = a.channel(0)
@@ -386,7 +386,7 @@ def simulate_rd(system: PdeSystem, diffusion: Field, initial: Field, dt: float, 
     spec = initial.spec
     if diffusion.spec != spec:
         raise ValueError(f"diffusion is on {diffusion.spec} but the initial state is on {spec}")
-    if spec.boundary != PERIODIC:
+    if spec.boundary != KINDS[system.kind].boundary:
         raise ValueError("reaction-diffusion systems require periodic boundary")
     species = RD_SPECIES[system.kind]
     if spec.channels != species:

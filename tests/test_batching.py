@@ -432,7 +432,7 @@ def _competitive_per_species(system, layout, x):
     reaction, summed in the data generator's order.
     """
     v = np.moveaxis(x.values, -3, 0)
-    h, b, mat, tau = x.spec.spacing, x.spec.boundary, system.coupling_matrix, system.horizon
+    h, b, mat, tau = x.spec.spacing, x.spec.boundary, np.asarray(system.coupling), system.horizon
     diff, init, term = v[0:3], v[3:6], v[6:9]
     others = [sum(mat[i, j] * term[j] for j in range(3) if j != i) for i in range(3)]
     rate = [flux_divergence_2d(diff[i], term[i], h, b) + term[i] * (1.0 - term[i] - others[i]) for i in range(3)]

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pgd.grid import DIRICHLET, PERIODIC, Field, GridSpec, diff_2d, laplacian_2d
 from pgd.residuals import (
+    KINDS,
+    RD_SPECIES,
     PdeSystem,
     StateLayout,
     default_layout,
@@ -148,6 +152,68 @@ def test_boundary_rule_incompatibilities():
     x = Field.zeros(GridSpec(6, 6, 6, 0.5, DIRICHLET))
     with pytest.raises(ValueError):
         residual(PdeSystem.gray_scott(), default_layout("gray_scott_2"), x)
+
+
+# each kind's parameters and residual count, written out here apart from KINDS
+READS = {
+    "darcy": {"source"},
+    "poisson": set(),
+    "helmholtz": {"k_wave"},
+    "divergence_free": set(),
+    "gray_scott_2": {"feed", "removal", "horizon"},
+    "competitive_3": {"horizon", "coupling"},
+}
+EQUATIONS = {"darcy": 1, "poisson": 1, "helmholtz": 1, "divergence_free": 2, "gray_scott_2": 2, "competitive_3": 3}
+COUPLING = ((0.0, 1.5, 0.6), (0.4, 0.0, 1.7), (1.3, 0.5, 0.0))
+# a value away from each parameter's default, valid for a kind that reads it
+AWAY = {"source": 2.0, "k_wave": 3.0, "feed": 0.05, "removal": 0.07, "horizon": 2.0, "coupling": np.array(COUPLING)}
+PAIRS = [(kind, name) for kind in ALL_KINDS for name in AWAY]
+
+
+def test_kind_rows_list_the_parameters_each_kind_reads():
+    assert {kind: set(row.params) for kind, row in KINDS.items()} == READS
+    assert len(PAIRS) == 36 and sum(name in READS[kind] for kind, name in PAIRS) == 7
+
+
+@pytest.mark.parametrize("kind,name", PAIRS, ids=[f"{kind}-{name}" for kind, name in PAIRS])
+def test_a_system_takes_only_the_parameters_its_kind_reads(kind, name):
+    # an unread parameter set away from its default is an error, not a silent other system;
+    # an array coupling is rejected as cleanly as a number
+    base = {"coupling": COUPLING} if kind == "competitive_3" else {}
+    build = lambda: PdeSystem(kind, **{**base, name: AWAY[name]})
+    if name in READS[kind]:
+        assert getattr(build(), name) == (COUPLING if name == "coupling" else AWAY[name])
+    else:
+        with pytest.raises(ValueError, match=f"{kind} does not read {name}"):
+            build()
+
+
+def test_a_poisson_system_with_a_wavenumber_is_rejected_not_made_helmholtz():
+    with pytest.raises(ValueError, match="poisson does not read k_wave"):
+        PdeSystem("poisson", k_wave=3.0)
+    with pytest.raises(ValueError, match="poisson does not read k_wave"):
+        replace(PdeSystem.poisson(), k_wave=3.0)
+
+
+def test_a_competitive_system_built_with_an_array_coupling_hashes_and_compares():
+    direct = PdeSystem("competitive_3", coupling=np.array(COUPLING))
+    assert direct.coupling == COUPLING
+    assert direct == PdeSystem.competitive(np.array(COUPLING)) == PdeSystem.competitive(COUPLING)
+    assert hash(direct) == hash(PdeSystem.competitive(COUPLING))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_the_boundary_rule_and_the_residual_count_are_read_off_the_kind_row(kind):
+    system, layout, x = make_state(kind, np.random.default_rng(1))
+    other = replace(x.spec, boundary=PERIODIC if x.spec.boundary == DIRICHLET else DIRICHLET)
+    if kind == "divergence_free":  # any boundary will do
+        layout.validate_for(system, other)
+    else:
+        with pytest.raises(ValueError, match=f"{kind} requires {x.spec.boundary} boundary"):
+            layout.validate_for(system, other)
+    res, _ = residual_sq_grad(system, x.spec, x.values)
+    assert res.shape[-3] == len(KINDS[kind].solution_channels) == EQUATIONS[kind]
+    assert RD_SPECIES.get(kind) == (EQUATIONS[kind] if kind in ("gray_scott_2", "competitive_3") else None)
 
 
 def test_darcy_zero_solution_constant_source():

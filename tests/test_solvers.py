@@ -169,6 +169,15 @@ def test_simulate_rd_stability_guard():
         simulate_rd(PdeSystem.gray_scott(), diffusion, initial, dt=1.0, steps=10)
 
 
+def test_solvers_reject_the_other_boundary_with_their_own_message():
+    # the boundary each solver checks is its kind's row in KINDS; the messages stay the solvers' own
+    with pytest.raises(ValueError, match="elliptic solves require dirichlet_zero boundary"):
+        solve_elliptic(PdeSystem.poisson(), Field.zeros(GridSpec(6, 6, 1, 0.25, PERIODIC)))
+    sub = GridSpec(6, 6, 2, 0.25, DIRICHLET)
+    with pytest.raises(ValueError, match="reaction-diffusion systems require periodic boundary"):
+        simulate_rd(PdeSystem.gray_scott(), Field.zeros(sub), Field.zeros(sub), 1e-3, 1)
+
+
 COMPETITIVE = PdeSystem.competitive([[0.0, 1.5, 0.6], [0.4, 0.0, 1.7], [1.3, 0.5, 0.0]])
 
 
@@ -178,7 +187,7 @@ def _reaction_only_rate(system, s):
         u, v = s
         uvv = u * v * v
         return np.stack([-uvv + system.feed * (1.0 - u), uvv - (system.feed + system.removal) * v])
-    mat = system.coupling_matrix
+    mat = np.asarray(system.coupling)
     others = [sum(mat[i, j] * s[j] for j in range(3) if j != i) for i in range(3)]
     return np.stack([s[i] * (1.0 - s[i] - others[i]) for i in range(3)])
 
