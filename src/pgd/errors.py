@@ -1,4 +1,4 @@
-"""Exception types shared across the package, the located finiteness check, and the count and real-value checks."""
+"""Exception types shared across the package, the located finiteness check, and the checks of settings."""
 
 import numpy as np
 
@@ -36,6 +36,12 @@ def is_count(value, minimum: int = 1) -> bool:
 def is_real(value) -> bool:
     """Whether ``value`` is a Python or NumPy integer or float, not a bool; finiteness is the caller's check."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, (bool, np.bool_))
+
+
+def require_default(owner: str, name: str, value, default) -> None:
+    """Raise unless ``value`` is ``default``, or a real number equal to it: ``owner`` does not read ``name``."""
+    if not (value is default or is_real(value) and value == default):
+        raise ValueError(f"{owner} does not read {name}; leave it at its default {default}")
 
 
 def require_finite(rows: np.ndarray, step: int, what: str, unit: str = "particle") -> None:

@@ -27,18 +27,12 @@ Nothing here scatters it: the pair goes as it is to
 The particle engine does so right after it evaluates the likelihood and its
 gradient at the denoiser's reconstruction, and ``heun_core`` at its churned state.
 
-Two weighting schemes turn proposals into a particle system:
-
-- "pbs": potentials are likelihood ratios only; usable with any
-  proposal, including ones without a point-evaluable density.
-- "tds": adds the log-ratio of the unguided to the guided transition density
-  (:func:`tds_transition_term`), available only for proposals whose
-  transition is an explicit Gaussian. Both Gaussians share the step
-  variance, so the ratio is read off the step's draw and its guidance shift.
-
-Under ``pbs`` the twist is the point likelihood of the reconstruction. Under
-``tds`` its observation terms take the covariance of :func:`twist_covariance`,
-which adds the Tweedie posterior covariance from the denoiser's (m, m) block.
+The weighting schemes of :mod:`pgd.smc` read this module. Under ``pbs`` the
+twist is the point likelihood of the reconstruction. Under ``tds`` its
+observation terms take the covariance of :func:`twist_covariance`, which adds
+the Tweedie posterior covariance from the denoiser's (m, m) block, and the
+potential adds :func:`tds_transition_term`, the log-ratio of the unguided to
+the guided Gaussian transition, which only an explicit Gaussian step has.
 """
 
 from __future__ import annotations
@@ -75,15 +69,16 @@ class GuidanceContext:
     """Bundle of everything a guided step needs besides the state itself.
 
     Construction sets ``spec``, the grid spec of the full state: the grid
-    that both observation masks share, with the layout's channel count. When
-    the PDE term is on, it checks that there is a system and that the layout
-    is that system's own on ``spec``, since the residual kernel reads each
-    channel from the slot the system fixes for it. Then it checks the
-    observation groups against the layout and builds the observation
-    operator: ``index`` holds the flat state entry (channel * cells + cell),
-    none repeated, of each observed value of a weighted group, ``values`` the
-    observed values and ``variance`` the per-entry variance n / (2 weight) of
-    its group's mean-square term, where n counts the group's values.
+    that both observation masks share, with the layout's channel count. The
+    PDE term (omega > 0) needs a system. A given system is checked at every
+    omega, since its kind fixes each channel's slot and the layout routes the
+    observation groups at omega = 0 too: the layout must be its own on ``spec``.
+    Without a system any partition of the channels will do. Then it checks the
+    observation groups against the layout and builds the observation operator: ``index``
+    holds the flat state entry (channel * cells + cell), none repeated, of
+    each observed value of a weighted group, ``values`` the observed values
+    and ``variance`` the per-entry variance n / (2 weight) of its group's
+    mean-square term, where n counts the group's values.
     """
 
     obs: Observations
@@ -98,10 +93,10 @@ class GuidanceContext:
     def __post_init__(self):
         w = self.weights
         spec = self.obs.mask_u.spec.with_channels(self.layout.channel_count)
-        if w.omega > 0:
-            if self.system is None:
-                raise ValueError("omega > 0 requires a PDE system")
+        if self.system is not None:
             self.layout.validate_for(self.system, spec)
+        elif w.omega > 0:
+            raise ValueError("omega > 0 requires a PDE system")
         object.__setattr__(self, "spec", spec)
         cells = spec.cells
         index, values, variance = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0)]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,14 +39,16 @@ class NoiseSchedule:
 
     sigma_k interpolates sigma_min^(1/rho) .. sigma_max^(1/rho) linearly in
     k/K and raises to the rho-th power, so k = K sits at sigma_max and k = 0
-    at sigma_min. Construction checks that sigma_k^2 strictly increases in k,
-    so every step variance sigma_k^2 - sigma_{k-1}^2 is positive.
+    at sigma_min. Construction computes the K + 1 levels once, as ``levels``
+    (``levels[k]`` is sigma_k), and checks that sigma_k^2 strictly increases in
+    k, so every step variance sigma_k^2 - sigma_{k-1}^2 is positive.
     """
 
     sigma_max: float = 80.0
     sigma_min: float = 0.002
     steps: int = 200
     rho: float = 7.0
+    levels: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (is_real(self.sigma_max) and is_real(self.sigma_min) and np.isfinite(self.sigma_max)
@@ -56,19 +58,16 @@ class NoiseSchedule:
             raise ValueError("steps must be an integer >= 1")
         if not (is_real(self.rho) and np.isfinite(self.rho) and self.rho > 0):
             raise ValueError("rho must be finite and positive")
-        if not np.all(np.diff(np.square([self.sigma_at(k) for k in range(self.steps + 1)])) > 0):
+        lo, hi = self.sigma_min ** (1.0 / self.rho), self.sigma_max ** (1.0 / self.rho)
+        inner = (float((lo + (k / self.steps) * (hi - lo)) ** self.rho) for k in range(1, self.steps))
+        object.__setattr__(self, "levels", (float(self.sigma_min), *inner, float(self.sigma_max)))
+        if not np.all(np.diff(np.square(self.levels)) > 0):
             raise ValueError(f"noise levels do not strictly increase in k at rho={self.rho}")
 
     def sigma_at(self, k: int) -> float:
-        if not 0 <= k <= self.steps:
+        if not (is_count(k, 0) and k <= self.steps):
             raise ValueError(f"step index {k} outside 0..{self.steps}")
-        if k == 0:
-            return self.sigma_min
-        if k == self.steps:
-            return self.sigma_max
-        lo = self.sigma_min ** (1.0 / self.rho)
-        hi = self.sigma_max ** (1.0 / self.rho)
-        return float((lo + (k / self.steps) * (hi - lo)) ** self.rho)
+        return self.levels[k]
 
 
 class Denoiser(ABC):

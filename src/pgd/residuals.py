@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import is_count, is_real
+from .errors import is_count, is_real, require_default
 from .grid import DIRICHLET, PERIODIC, Field, GridSpec, diff_2d, fill_ghosts, ghost_lined, interior, laplacian_2d
 from .grid import face_averages, face_differences, face_flux_adjoint_coef, face_flux_divergence, face_products
 from .grid import flux_divergence_2d, flux_divergence_2d_adjoint_coef  # unused; bench/tracer.py binds them
@@ -82,8 +82,8 @@ class PdeSystem:
             val = getattr(self, f.name)
             if f.name != "coupling" and not (is_real(val) and np.isfinite(val)):
                 raise ValueError(f"{f.name} must be a finite real number, got {val}")
-            if f.name not in reads and not (val is f.default or is_real(val) and val == f.default):
-                raise ValueError(f"{self.kind} does not read {f.name}; leave it at its default {f.default}")
+            if f.name not in reads:
+                require_default(self.kind, f.name, val, f.default)
         if "horizon" in reads and not self.horizon > 0:
             raise ValueError("horizon must be positive")
         if "coupling" in reads:
@@ -128,8 +128,9 @@ class StateLayout:
     A system's kind fixes the role of every channel of its state (see
     :func:`residual_sq_grad`); the layout says only which channels each
     observation group reads. Together the groups list each channel 0..C-1
-    exactly once, so no state entry is observed twice. Without a system any
-    such layout will do; with one, :meth:`validate_for` requires ``default_layout(system.kind)``.
+    exactly once, so no state entry is observed twice; each group is kept as a
+    tuple of Python ints. Without a system any such layout will do; with one,
+    :meth:`validate_for` requires ``default_layout(system.kind)``.
     """
 
     coeff_channels: tuple[int, ...]
@@ -139,6 +140,8 @@ class StateLayout:
         channels = (*self.coeff_channels, *self.solution_channels)
         if not (all(is_count(c, 0) for c in channels) and sorted(channels) == list(range(len(channels)))):
             raise ValueError(f"layout {self} does not list each of the channels 0..C-1 exactly once")
+        for name in ("coeff_channels", "solution_channels"):  # hashable, and equal to the tuple layout
+            object.__setattr__(self, name, tuple(map(int, getattr(self, name))))
 
     @property
     def channel_count(self) -> int:
@@ -151,16 +154,12 @@ class StateLayout:
 
     def validate_for(self, system: PdeSystem, spec: GridSpec) -> None:
         """Check that the layout covers ``spec``'s channels and is the layout of the system's kind."""
-        if self.channel_count != spec.channels:
-            raise ValueError(
-                f"layout covers channels 0..{self.channel_count - 1} but the grid has {spec.channels} channels"
-            )
+        if (count := self.channel_count) != spec.channels:
+            raise ValueError(f"layout covers channels 0..{count - 1} but the grid has {spec.channels} channels")
         kind, want = system.kind, default_layout(system.kind)
         if self != want:
-            raise ValueError(
-                f"{kind} layout needs coefficient channels {want.coeff_channels} "
-                f"and solution channels {want.solution_channels}"
-            )
+            raise ValueError(f"{kind} layout needs coefficient channels {want.coeff_channels} "
+                             f"and solution channels {want.solution_channels}")
         if (boundary := KINDS[kind].boundary) not in (None, spec.boundary):
             raise ValueError(f"{kind} requires {boundary} boundary")
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import is_count, is_real, require_finite
+from .errors import is_count, is_real, require_default, require_finite
 from .grid import Field, GridSpec
 from .guidance import (
     GuidanceContext,
@@ -69,13 +69,17 @@ from .residuals import PdeSystem, StateLayout
 from .samplers import churn_gamma, gem_core, heun_core, noise_stream
 from .solvers import Observations
 
-PROPOSALS = ("gem", "sosag")
-SCHEMES = ("tds", "pbs")
+PROPOSALS = {"gem": ("tds", "pbs"), "sosag": ("pbs",)}  # each proposal and the schemes that weight it
 ESTIMATE_MODES = ("best", "weighted_mean")
 
 
 @dataclass(frozen=True)
 class SmcConfig:
+    """The settings of one run. ``gem`` (guided Euler-Maruyama) reads every field but ``s_churn``, which
+    keeps its default 2.0, and ``scheme`` ``tds`` or ``pbs`` weights it. ``sosag`` (churned Heun) reads
+    every field, but only ``pbs`` weights it, since it has no point-evaluable transition density for ``tds``.
+    """
+
     particle_count: int
     schedule: NoiseSchedule
     weights: GuidanceWeights = field(default_factory=GuidanceWeights)
@@ -88,18 +92,15 @@ class SmcConfig:
     def __post_init__(self):
         if not is_count(self.particle_count):
             raise ValueError("particle_count must be an integer >= 1")
-        if self.proposal not in PROPOSALS:
-            raise ValueError(f"proposal must be one of {PROPOSALS}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.scheme == "tds" and self.proposal != "gem":
-            raise ValueError(
-                "tds weighting needs a point-evaluable proposal density; "
-                "the churned second-order proposal only supports pbs"
-            )
+        if not (isinstance(self.proposal, str) and self.proposal in PROPOSALS):
+            raise ValueError(f"proposal must be one of {tuple(PROPOSALS)}")
+        if self.scheme not in (schemes := PROPOSALS[self.proposal]):
+            raise ValueError(f"{self.proposal} takes scheme {' or '.join(schemes)}, not {self.scheme!r}")
         if not (is_real(self.resample_threshold) and 0.0 < self.resample_threshold <= 1.0):
             raise ValueError("resample_threshold must lie in (0, 1]")
-        if not (is_real(self.s_churn) and self.s_churn >= 0):
+        if self.proposal == "gem":
+            require_default(self.proposal, "s_churn", self.s_churn, SmcConfig.s_churn)
+        elif not (is_real(self.s_churn) and self.s_churn >= 0):
             raise ValueError("s_churn must be nonnegative")
         if not is_count(self.seed, 0):
             raise ValueError("seed must be an integer >= 0")
@@ -192,9 +193,7 @@ def smc_run(
     guided = config.proposal == "gem"
 
     noise_rng = noise_stream(config.seed)
-    resample_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=int(config.seed), spawn_key=(1,))
-    )
+    resample_rng = np.random.default_rng(np.random.SeedSequence(entropy=int(config.seed), spawn_key=(1,)))
 
     def evaluate(x: np.ndarray, sigma: float, k: int, grad: bool):
         """(reconstruction, twist, guidance) at ``x`` and ``sigma``: the per-row twist of the
@@ -218,7 +217,7 @@ def smc_run(
     diag = SmcDiagnostics()
 
     for k in range(sched.steps, 0, -1):
-        sigma_k, sigma_next = sched.sigma_at(k), sched.sigma_at(k - 1)
+        sigma_k, sigma_next = sched.levels[k], sched.levels[k - 1]
         noise_rng.standard_normal(out=z)
 
         if guided:

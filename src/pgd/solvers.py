@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularOperatorError, SolverConvergenceError, is_count, is_real, require_finite
+from .errors import SingularOperatorError, SolverConvergenceError, is_count, is_real, require_default, require_finite
 from .grid import DIRICHLET, PERIODIC, Field, GridSpec, Mask, face_averages, flux_divergence_faces
 from .grid import flux_divergence_2d, laplacian_2d  # flux_divergence_2d: unused; bench/tracer.py binds it
 from .residuals import ELLIPTIC_KINDS, KINDS, RD_SPECIES, PdeSystem, StateLayout, add_reaction, default_layout
@@ -108,7 +108,7 @@ class DatasetSpec:
     sample_count: int
     coeff_model: SmoothGrf | ThresholdedGrf = field(default_factory=SmoothGrf)
     rng_seed: int = 0
-    rd_steps: int = 1000  # explicit steps over system.horizon
+    rd_steps: int = 1000  # explicit steps over system.horizon; read by gray_scott_2 and competitive_3 only
 
     def __post_init__(self):
         if not is_count(self.sample_count):
@@ -123,7 +123,9 @@ class DatasetSpec:
             raise ValueError(f"{kind} draws smooth diffusion fields; a ThresholdedGrf's levels would go unread")
         if isinstance(model, ThresholdedGrf) and kind == "darcy" and min(model.low, model.high) <= 0:
             raise ValueError(f"darcy's permeability levels must be positive, got low={model.low}, high={model.high}")
-        if kind in RD_SPECIES and not is_count(self.rd_steps):
+        if kind not in RD_SPECIES:
+            require_default(kind, "rd_steps", self.rd_steps, DatasetSpec.rd_steps)
+        elif not is_count(self.rd_steps):
             raise ValueError(f"rd_steps must be an integer >= 1, got {self.rd_steps}")
 
     @property

@@ -5,7 +5,7 @@ import pytest
 
 import pgd.samplers
 import pgd.smc
-from pgd.grid import DIRICHLET, Field, GridSpec, Mask
+from pgd.grid import DIRICHLET, PERIODIC, Field, GridSpec, Mask
 from pgd.guidance import (
     GuidanceContext,
     GuidanceWeights,
@@ -126,9 +126,10 @@ def test_context_requires_a_system_for_the_pde_term():
 
 def test_context_validates_the_layout_once_when_the_pde_term_is_on(monkeypatch):
     spec, x, layout, obs = poisson_case(5)
-    with pytest.raises(ValueError, match="layout needs"):
-        GuidanceContext(obs, PdeSystem.gray_scott(), layout, GuidanceWeights(omega=1.0))
-    GuidanceContext(obs, PdeSystem.gray_scott(), layout, GuidanceWeights(omega=0.0))
+    # a given system is checked at every omega, since the layout routes the observations at omega = 0 too
+    for omega in (1.0, 0.0):
+        with pytest.raises(ValueError, match="layout needs"):
+            GuidanceContext(obs, PdeSystem.gray_scott(), layout, GuidanceWeights(omega=omega))
     ctx = GuidanceContext(obs, PdeSystem.poisson(), layout, GuidanceWeights(omega=1.0))
     assert ctx.spec == spec and ctx.spec is ctx.spec
     calls = []
@@ -137,6 +138,41 @@ def test_context_validates_the_layout_once_when_the_pde_term_is_on(monkeypatch):
     log_likelihood(ctx, rows)
     log_likelihood(ctx, rows, grad=True)
     assert calls == []
+
+
+def observations_on_cells_1_5_9(layout, boundary=DIRICHLET):
+    """Both groups of ``layout`` observed on cells 1, 5 and 9 of an 8 x 8 grid with the given boundary."""
+    mask = Mask.from_indices(GridSpec(8, 8, 1, 1 / 9, boundary), [1, 5, 9])
+    rows = lambda channels: np.ones((len(channels), 3)) * np.reshape(channels, (-1, 1))  # each value is its channel
+    return Observations(mask, rows(layout.coeff_channels), mask, rows(layout.solution_channels), 0.0)
+
+
+DARCY, SWAPPED = default_layout("darcy"), StateLayout((1,), (0,))
+
+
+@pytest.mark.parametrize("omega", [0.0, 1e-3])
+def test_context_checks_a_given_system_at_every_omega(omega):
+    # a swapped darcy layout would compare the solution values with a's entries (index
+    # [1 5 9 65 69 73]) and the coefficient values with u's; darcy takes no periodic grid
+    w = GuidanceWeights(beta=1.0, gamma=1.0, omega=omega)
+    with pytest.raises(ValueError, match="darcy layout needs coefficient channels"):
+        GuidanceContext(observations_on_cells_1_5_9(SWAPPED), PdeSystem.darcy(), SWAPPED, w)
+    with pytest.raises(ValueError, match="darcy requires dirichlet_zero boundary"):
+        GuidanceContext(observations_on_cells_1_5_9(DARCY, PERIODIC), PdeSystem.darcy(), DARCY, w)
+    ctx = GuidanceContext(observations_on_cells_1_5_9(DARCY), PdeSystem.darcy(), DARCY, w)
+    np.testing.assert_array_equal(ctx.index, [65, 69, 73, 1, 5, 9])
+
+
+@pytest.mark.parametrize(
+    "layout", [SWAPPED, StateLayout((), (1, 0)), StateLayout((0, 1), ())], ids=["swapped", "solution", "coefficient"]
+)
+def test_context_without_a_system_takes_any_partition_of_the_channels(layout):
+    # no system fixes a channel's role, so the layout alone routes the observations, on any grid
+    obs = observations_on_cells_1_5_9(layout, PERIODIC)
+    ctx = GuidanceContext(obs, None, layout, GuidanceWeights(omega=0.0))
+    channels = layout.solution_channels + layout.coeff_channels  # the solution group comes first
+    np.testing.assert_array_equal(ctx.index, [c * 64 + cell for c in channels for cell in (1, 5, 9)])
+    np.testing.assert_array_equal(ctx.values, np.repeat(channels, 3))
 
 
 def test_data_grad_does_not_depend_on_memory_order_of_the_state():

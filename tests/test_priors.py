@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,6 +48,33 @@ def test_schedule_midpoint_frozen_value():
     # frozen from a direct evaluation of the warp formula in a separate script
     sched = NoiseSchedule(sigma_max=80.0, sigma_min=0.002, steps=10, rho=7.0)
     assert sched.sigma_at(5) == pytest.approx(2.515218976147159, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sigma_max,sigma_min,steps,rho",
+    [(80.0, 0.002, 200, 7.0), (80.0, 0.002, 10, 7.0), (3.0, 0.01, 60, 2.0), (2, 0, 5, 3.0), (5.0, 1.0, 1, 1.0)],
+)
+def test_schedule_levels_are_the_warp_formula_bit_for_bit(sigma_max, sigma_min, steps, rho):
+    # the levels are computed once, at construction; each equals the interpolation formula
+    # evaluated here apart, and sigma_at reads them after checking k
+    sched = NoiseSchedule(sigma_max=sigma_max, sigma_min=sigma_min, steps=steps, rho=rho)
+    lo, hi = sigma_min ** (1 / rho), sigma_max ** (1 / rho)
+    want = [sigma_min] + [(lo + k / steps * (hi - lo)) ** rho for k in range(1, steps)] + [sigma_max]  # exact ends
+    assert len(sched.levels) == steps + 1 and all(type(s) is float for s in sched.levels)
+    assert [a == b for a, b in zip(sched.levels, want)] == [True] * (steps + 1)
+    assert [sched.sigma_at(k) for k in range(steps + 1)] == list(sched.levels)
+    for k in (-1, steps + 1, 1.0):
+        with pytest.raises(ValueError, match=f"step index {k} outside 0..{steps}"):
+            sched.sigma_at(k)
+
+
+def test_schedule_levels_take_no_part_in_comparison():
+    sched = NoiseSchedule(steps=10)
+    assert "levels" not in repr(sched)
+    assert sched == NoiseSchedule(steps=10) and hash(sched) == hash(NoiseSchedule(steps=10))
+    assert replace(sched, rho=3.0).levels == NoiseSchedule(steps=10, rho=3.0).levels != sched.levels
+    with pytest.raises(TypeError):
+        NoiseSchedule(steps=10, levels=(0.0, 1.0))
 
 
 @settings(max_examples=30, deadline=None)

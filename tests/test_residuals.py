@@ -90,6 +90,22 @@ def test_layout_accepts_numpy_integers():
     assert StateLayout((np.int64(0),), (np.int32(1), 2)).channel_count == 3
 
 
+@pytest.mark.parametrize(
+    "coeff,solution",
+    [([0], [1]), (np.array([0]), np.array([1])), ((np.int64(0),), (np.int32(1),)), (range(1), range(1, 2))],
+    ids=["lists", "arrays", "numpy-ints", "ranges"],
+)
+def test_a_layout_keeps_its_groups_as_tuples_of_ints(coeff, solution):
+    # given as lists or NumPy integers, a layout equals the tuple layout, hashes like it and
+    # validates like it; a list layout once failed darcy's check naming its own channels
+    layout, want, grid = StateLayout(coeff, solution), StateLayout((0,), (1,)), GridSpec(4, 4, 2, 0.2, DIRICHLET)
+    assert layout == want and hash(layout) == hash(want)
+    assert all(type(c) is int for c in layout.coeff_channels + layout.solution_channels)
+    layout.validate_for(PdeSystem.darcy(), grid)
+    with pytest.raises(ValueError, match="darcy layout needs"):
+        StateLayout(solution, coeff).validate_for(PdeSystem.darcy(), grid)
+
+
 def test_layout_kind_mismatch_rejected():
     spec = GridSpec(6, 6, 2, 0.5, DIRICHLET)
     x = Field.zeros(spec)

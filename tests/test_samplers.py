@@ -263,15 +263,19 @@ def test_ode_heun_deterministic_regardless_of_seed():
 
 
 def test_mode_validation():
-    # The sampler mode is the smc proposal: each known one is accepted,
-    # an unknown one and negative churn are rejected.
+    # The sampler mode is the smc proposal: each known one is accepted, an
+    # unknown one is rejected, and only sosag, which reads the churn, takes
+    # one away from its default
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=5, rho=3.0)
     for proposal in ("gem", "sosag"):
-        assert SmcConfig(1, sched, proposal=proposal, s_churn=0.0).proposal == proposal
+        assert SmcConfig(1, sched, proposal=proposal).proposal == proposal
+    assert SmcConfig(1, sched, proposal="sosag", s_churn=0.0).s_churn == 0.0
+    with pytest.raises(ValueError, match="gem does not read s_churn"):
+        SmcConfig(1, sched, proposal="gem", s_churn=0.0)
     with pytest.raises(ValueError):
         SmcConfig(1, sched, proposal="rk4")
     with pytest.raises(ValueError):
-        SmcConfig(1, sched, proposal="gem", s_churn=-1.0)
+        SmcConfig(1, sched, proposal="sosag", s_churn=-1.0)
 
 
 def test_smc_run_single_particle_is_seed_deterministic():

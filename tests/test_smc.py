@@ -12,7 +12,7 @@ from pgd.errors import BlowUpError, NumericalError
 from pgd.grid import DIRICHLET, PERIODIC, Field, GridSpec, Mask
 from pgd.guidance import GuidanceContext, GuidanceWeights, data_log_likelihood_grad, log_likelihood, twist_covariance
 from pgd.priors import FactoredCov, GaussianDenoiser, GaussianPrior, GmmDenoiser, NoiseSchedule, fit_empirical_prior
-from pgd.residuals import PdeSystem, StateLayout, default_layout
+from pgd.residuals import PdeSystem, StateLayout, default_layout, residual_sq_grad
 from pgd.samplers import churn_gamma, gem_core, heun_core, noise_stream
 from pgd.smc import (
     ESTIMATE_MODES,
@@ -217,6 +217,41 @@ def test_config_validation():
         SmcConfig(particle_count=2, schedule=sched, s_churn=-1.0)
 
 
+# what each proposal reads of the two settings it might not, written out here apart from PROPOSALS,
+# and a value of each setting away from its default
+PROPOSAL_READS = {"gem": {"scheme"}, "sosag": {"s_churn"}}
+SETTING_AWAY = {"scheme": "tds", "s_churn": 0.0}
+SETTING_PAIRS = [(proposal, name) for proposal in PROPOSAL_READS for name in SETTING_AWAY]
+
+
+@pytest.mark.parametrize("proposal,name", SETTING_PAIRS, ids=[f"{p}-{n}" for p, n in SETTING_PAIRS])
+def test_a_config_takes_only_the_settings_its_proposal_reads(proposal, name):
+    # gem reads no churn and sosag has no tds weight: either set away from its default is an
+    # error naming the proposal and the setting, not a run that ignores it
+    sched = NoiseSchedule(steps=5)
+    build = lambda: SmcConfig(2, sched, proposal=proposal, **{name: SETTING_AWAY[name]})
+    if name in PROPOSAL_READS[proposal]:
+        assert getattr(build(), name) == SETTING_AWAY[name]
+    else:
+        with pytest.raises(ValueError, match=f"{proposal} (does not read|takes) {name}"):
+            build()
+
+
+def test_a_config_names_the_schemes_its_proposal_takes():
+    assert pgd.smc.PROPOSALS == {"gem": ("tds", "pbs"), "sosag": ("pbs",)}
+    sched = NoiseSchedule(steps=5)
+    with pytest.raises(ValueError, match="gem does not read s_churn; leave it at its default 2.0"):
+        SmcConfig(4, sched, proposal="gem", s_churn=7.0)
+    with pytest.raises(ValueError, match="sosag takes scheme pbs, not 'tds'"):
+        SmcConfig(4, sched, proposal="sosag", scheme="tds")
+    with pytest.raises(ValueError, match="gem takes scheme tds or pbs, not 'dps'"):
+        SmcConfig(4, sched, proposal="gem", scheme="dps")
+    with pytest.raises(ValueError, match="proposal must be one of"):  # an unhashable one too
+        SmcConfig(4, sched, proposal=["gem"])
+    for proposal, scheme in (("gem", "tds"), ("gem", "pbs"), ("sosag", "pbs")):
+        assert SmcConfig(4, sched, proposal=proposal, scheme=scheme, s_churn=2.0).scheme == scheme
+
+
 # Each single-chain sampler as (proposal, chain): em is gem with zero
 # weights, second_order is sosag with zero weights, and the ode chains are
 # sosag without churn.
@@ -322,6 +357,24 @@ def test_smc_run_builds_no_field(monkeypatch, proposal):
     cfg = SmcConfig(4, NoiseSchedule(sigma_max=3.0, sigma_min=0.01, steps=7), w, proposal, "pbs", seed=5)
     smc_run(cfg, den, obs, PdeSystem.poisson(), layout)
     assert built == []
+
+
+@pytest.mark.parametrize("proposal", ["gem", "sosag"])
+def test_run_steps_through_the_schedule_levels_without_sigma_at(monkeypatch, proposal):
+    # the step loop reads the levels that the schedule computed and checked once, at construction
+    den, obs, layout, w = poisson_problem()
+    sched = NoiseSchedule(sigma_max=3.0, sigma_min=0.01, steps=7, rho=3.0)
+    core = "gem_core" if proposal == "gem" else "heun_core"
+    original, seen = getattr(pgd.smc, core), []
+
+    def recording(x, z, sigma_k, sigma_next, *rest):
+        seen.append((sigma_k, sigma_next))
+        return original(x, z, sigma_k, sigma_next, *rest)
+
+    monkeypatch.setattr(pgd.smc, core, recording)
+    monkeypatch.setattr(NoiseSchedule, "sigma_at", lambda self, k: pytest.fail("the run called sigma_at"))
+    smc_run(SmcConfig(4, sched, w, proposal, seed=9), den, obs, PdeSystem.poisson(), layout)
+    assert seen == [(sched.levels[k], sched.levels[k - 1]) for k in range(7, 0, -1)]
 
 
 @pytest.mark.parametrize("proposal,scheme", [("gem", "pbs"), ("gem", "tds"), ("sosag", "pbs")])
@@ -623,6 +676,117 @@ def test_darcy_log_evidence_matches_the_marginal_likelihood():
     for seed in range(3):
         _, diag = smc_run(SmcConfig(64, sched, w, "gem", "tds", seed=seed), den, obs, system, layout)
         assert abs(diag.log_evidence + c0 - log_py) < 1.5, seed
+
+
+@functools.cache
+def poisson_oracle_problem():
+    """8 x 8 poisson: a dense prior fitted to 64 samples (lam = 0.1), the 65th as truth and 16
+    observations per group at sigma_o = 0.01, which beta = gamma = 8e4 weight as their likelihood."""
+    system, layout = PdeSystem.poisson(), default_layout("poisson")
+    data = generate_dataset(DatasetSpec(system, GridSpec(8, 8, 2, 1 / 9, DIRICHLET), 65, rng_seed=3))
+    den = GaussianDenoiser(fit_empirical_prior(data[:64], 0.1, "dense"))
+    return den, make_observations(data[64], layout, 16, 0.01, np.random.default_rng(3)), system, layout
+
+
+def poisson_oracle_context(omega):
+    den, obs, system, layout = poisson_oracle_problem()
+    return GuidanceContext(obs, system, layout, GuidanceWeights(beta=8e4, gamma=8e4, omega=omega))
+
+
+def residual_operator(ctx):
+    """The (n, d) matrix L of a linear residual with zero offset, one column per unit state."""
+    spec, d = ctx.spec, ctx.spec.size
+    res, _ = residual_sq_grad(ctx.system, spec, np.eye(d).reshape(d, spec.channels, spec.height, spec.width))
+    return res.reshape(d, -1).T
+
+
+def exact_linear_posterior(ctx, den):
+    """Mean and covariance of the target N(P^-1 b, P^-1) of a run on a linear system with zero offset.
+
+    P = S^-1 + A^T V^-1 A + (2 omega / n) L^T L and b = S^-1 mu + A^T V^-1 y, for the dense prior N(mu, S)
+    read off the denoiser's factors, the one-hot rows A at the context's ``index`` with its ``variance`` V
+    and ``values`` y, and the residual operator L of :func:`residual_operator`, whose n rows are the
+    residual entries of one state.
+    """
+    d, lmat, cov = ctx.spec.size, residual_operator(ctx), den.prior.cov
+    s_inv = np.eye(d) / cov.iso + cov.basis.T @ ((1 / cov.evals - 1 / cov.iso)[:, None] * cov.basis)
+    sel = np.eye(d)[ctx.index]
+    prec = s_inv + sel.T @ (sel / ctx.variance[:, None]) + (2 * ctx.weights.omega / lmat.shape[0]) * lmat.T @ lmat
+    b = s_inv @ den.prior.mean.flat() + sel.T @ (ctx.values / ctx.variance)
+    return np.linalg.solve(prec, b), np.linalg.inv(prec)
+
+
+def iid_mean_error_percentile(mean, cov, particles, repeats=200, seed=0):
+    """The 99th percentile, over ``repeats``, of the relative error of the mean of ``particles`` exact draws."""
+    rng, chol = np.random.default_rng(seed), np.linalg.cholesky(cov)
+    draws = (mean + rng.standard_normal((particles, mean.size)) @ chol.T for _ in range(repeats))
+    return np.percentile([np.linalg.norm(x.mean(axis=0) - mean) for x in draws], 99) / np.linalg.norm(mean)
+
+
+# the bound of the sampler test below at each omega, recorded from iid_mean_error_percentile at N = 128:
+# it depends on the exact posterior and N only, never on a sampler's output
+POISSON_ORACLE_PARTICLES = 128
+POISSON_ORACLE_BOUNDS = {0.0: 0.0320, 1e-2: 0.0289}
+
+
+@pytest.mark.parametrize("omega", [0.0, 1e-2, 1.0])
+def test_exact_linear_posterior_matches_a_brute_force_dense_posterior(omega):
+    # Two brute forces with the dense (d, d) prior covariance S. The information form takes the
+    # likelihood's precision and gain from log_likelihood's own gradient at the zero and unit states
+    # (the log-likelihood is quadratic), and inverts S densely. The gain form conditions N(mu, S) on the
+    # observations and on n pseudo-observations 0 = L x + e with e ~ N(0, n / (2 omega) I).
+    den, ctx = poisson_oracle_problem()[0], poisson_oracle_context(omega)
+    mean, cov = exact_linear_posterior(ctx, den)
+    d, mu, f = ctx.spec.size, den.prior.mean.flat(), den.prior.cov
+    s = f.iso * np.eye(d) + f.basis.T @ ((f.evals - f.iso)[:, None] * f.basis)
+    _, grads, index = log_likelihood(ctx, np.vstack([np.zeros(d), np.eye(d)]), grad=True)
+    if index is not None:  # without the PDE term the gradient comes at the observed entries only
+        grads, values = np.zeros((d + 1, d)), grads
+        grads[:, index] = values
+    info_prec = np.linalg.inv(s) + (grads[0] - grads[1:]).T
+    info_mean = np.linalg.solve(info_prec, np.linalg.solve(s, mu) + grads[0])
+    lmat = residual_operator(ctx)
+    h, noise, y = np.eye(d)[ctx.index], ctx.variance, ctx.values
+    if omega > 0:
+        n = lmat.shape[0]
+        h, noise, y = np.vstack([h, lmat]), np.concatenate([noise, np.full(n, n / (2 * omega))]), np.r_[y, np.zeros(n)]
+    gain = s @ h.T @ np.linalg.inv(h @ s @ h.T + np.diag(noise))
+    for got, want in ((mean, info_mean), (cov, np.linalg.inv(info_prec)), (mean, mu + gain @ (y - h @ mu)),
+                      (cov, s - gain @ h @ s)):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("omega", list(POISSON_ORACLE_BOUNDS))
+def test_the_poisson_oracle_bounds_are_the_iid_percentile(omega):
+    mean, cov = exact_linear_posterior(poisson_oracle_context(omega), poisson_oracle_problem()[0])
+    got = iid_mean_error_percentile(mean, cov, POISSON_ORACLE_PARTICLES)
+    assert got == pytest.approx(POISSON_ORACLE_BOUNDS[omega], rel=2e-3)
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [
+        pytest.param(0.0, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+            "gem/tds at N = 128, K = 50 lies 0.26-0.35 from the exact mean on run seeds 0-4, "
+            "8-11 times the i.i.d. bound 0.032"))),
+        pytest.param(1e-2, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+            "gem/tds at N = 128, K = 50 lies 0.26-0.31 from the exact mean on run seeds 0-4, "
+            "9-11 times the i.i.d. bound 0.029"))),
+    ],
+)
+def test_gem_tds_mean_matches_the_exact_poisson_posterior(omega):
+    # ROADMAP item 12: the weighted mean of a gem/tds run against the closed-form mean of its
+    # target, with the PDE term in it at omega > 0; at omega = 0.1 the sampler diverges silently
+    # (errors 3-15 on the same seeds), which ROADMAP item 4 addresses
+    den, obs, system, layout = poisson_oracle_problem()
+    ctx = poisson_oracle_context(omega)
+    mean, _ = exact_linear_posterior(ctx, den)
+    errors = []
+    for seed in range(5):
+        cfg = SmcConfig(POISSON_ORACLE_PARTICLES, NoiseSchedule(steps=50), ctx.weights, "gem", "tds", seed=seed)
+        est = point_estimate(smc_run(cfg, den, obs, system, layout)[0], "weighted_mean").flat()
+        errors.append(np.linalg.norm(est - mean) / np.linalg.norm(mean))
+    assert max(errors) <= POISSON_ORACLE_BOUNDS[omega], np.round(errors, 3)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

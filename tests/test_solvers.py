@@ -274,6 +274,29 @@ def test_dataset_spec_rejects_a_kind_without_a_coefficient_model():
         DatasetSpec(PdeSystem.divergence_free(), GridSpec(8, 8, 2, 1 / 9, DIRICHLET), 1)
 
 
+DATA_SYSTEMS = (PdeSystem.darcy(), PdeSystem.poisson(), PdeSystem.helmholtz(3.0), PdeSystem.gray_scott(), COMPETITIVE)
+RD_STEPS_CASES = [(system, steps) for system in DATA_SYSTEMS for steps in (1000, 999, 0, "banana")]
+
+
+@pytest.mark.parametrize(
+    "system,steps", RD_STEPS_CASES, ids=[f"{system.kind}-{steps}" for system, steps in RD_STEPS_CASES]
+)
+def test_dataset_spec_takes_rd_steps_only_for_a_reaction_diffusion_kind(system, steps):
+    # only simulate_rd reads rd_steps: an elliptic spec keeps the default 1000 and
+    # rejects any other value naming its kind, where it once generated a dataset
+    kind, rd = system.kind, system.kind in RD_SPECIES
+    grid = GridSpec(8, 8, 3 * RD_SPECIES[kind], 1 / 8, PERIODIC) if rd else GridSpec(8, 8, 2, 1 / 9, DIRICHLET)
+    build = lambda: DatasetSpec(system, grid, 2, rd_steps=steps)
+    if steps == 1000 or rd and steps == 999:
+        assert build().rd_steps == steps
+    elif rd:
+        with pytest.raises(ValueError, match="rd_steps must be an integer >= 1"):
+            build()
+    else:
+        with pytest.raises(ValueError, match=f"{kind} does not read rd_steps; leave it at its default 1000"):
+            build()
+
+
 @pytest.mark.parametrize("system", [PdeSystem.gray_scott(), COMPETITIVE], ids=lambda s: s.kind)
 def test_dataset_spec_rejects_thresholds_on_a_reaction_diffusion_kind(system):
     # the diffusion fields are smooth around a base; a threshold's levels would be ignored
