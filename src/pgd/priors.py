@@ -64,11 +64,6 @@ class NoiseSchedule:
         if not np.all(np.diff(np.square(self.levels)) > 0):
             raise ValueError(f"noise levels do not strictly increase in k at rho={self.rho}")
 
-    def sigma_at(self, k: int) -> float:
-        if not (is_count(k, 0) and k <= self.steps):
-            raise ValueError(f"step index {k} outside 0..{self.steps}")
-        return self.levels[k]
-
 
 class Denoiser(ABC):
     """Map (x, sigma) -> estimate of the clean state, with exact vjp access.

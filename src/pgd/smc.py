@@ -92,6 +92,9 @@ class SmcConfig:
     def __post_init__(self):
         if not is_count(self.particle_count):
             raise ValueError("particle_count must be an integer >= 1")
+        for name, kind in (("schedule", NoiseSchedule), ("weights", GuidanceWeights)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
         if not (isinstance(self.proposal, str) and self.proposal in PROPOSALS):
             raise ValueError(f"proposal must be one of {tuple(PROPOSALS)}")
         if self.scheme not in (schemes := PROPOSALS[self.proposal]):

@@ -119,7 +119,9 @@ class DatasetSpec:
         if kind not in ELLIPTIC_KINDS and kind not in RD_SPECIES:
             raise ValueError(f"no coefficient model for kind {kind!r}")
         self.layout.validate_for(self.system, self.grid)
-        if isinstance(model := self.coeff_model, ThresholdedGrf) and kind in RD_SPECIES:
+        if not isinstance(model := self.coeff_model, SmoothGrf):
+            raise ValueError(f"coeff_model must be a SmoothGrf or ThresholdedGrf, got {model!r}")
+        if isinstance(model, ThresholdedGrf) and kind in RD_SPECIES:
             raise ValueError(f"{kind} draws smooth diffusion fields; a ThresholdedGrf's levels would go unread")
         if isinstance(model, ThresholdedGrf) and kind == "darcy" and min(model.low, model.high) <= 0:
             raise ValueError(f"darcy's permeability levels must be positive, got low={model.low}, high={model.high}")

@@ -20,21 +20,9 @@ from pgd.samplers import gem_core
 from pgd.smc import SmcConfig, smc_run
 from pgd.solvers import Observations, make_observations, solve_elliptic
 
+from oracles import SOLUTION_ONLY, observations_on
+
 SPEC16 = GridSpec(4, 4, 1, 1.0)
-SOLUTION_ONLY = StateLayout(coeff_channels=(), solution_channels=(0,))
-
-
-def observations_single_channel(spec, idx, values, sigma_o=0.1):
-    """Observations of channel 0 as the solution group; empty coefficient group."""
-    mask_u = Mask.from_indices(spec, idx)
-    mask_a = Mask.from_indices(spec, [])
-    return Observations(
-        mask_a=mask_a,
-        values_a=np.zeros((0, 0)),
-        mask_u=mask_u,
-        values_u=np.asarray(values, dtype=float)[None, :],
-        sigma_o=sigma_o,
-    )
 
 
 def poisson_case(seed=0, n=8):
@@ -210,7 +198,7 @@ def guidance_rows(x, sigma, den, obs, w):
 def test_intermediate_equals_terminal_at_sigma_zero():
     rng = np.random.default_rng(6)
     x = Field(SPEC16, rng.standard_normal((1, 4, 4)))
-    obs = observations_single_channel(SPEC16, [1, 5, 9], rng.standard_normal(3))
+    obs = observations_on(SPEC16, [1, 5, 9], rng.standard_normal(3))
     den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC16), "diagonal", np.full(16, 1.0)))
     w = GuidanceWeights(beta=1.0, gamma=0.0, omega=0.0)
     a = intermediate_ll(x.flat(), 0.0, den, obs, w)
@@ -222,7 +210,7 @@ def test_intermediate_constant_for_degenerate_prior():
     rng = np.random.default_rng(7)
     mu = Field(SPEC16, rng.standard_normal((1, 4, 4)))
     den = GaussianDenoiser(GaussianPrior(mu, "diagonal", np.full(16, 0.0)))
-    obs = observations_single_channel(SPEC16, [0, 7], rng.standard_normal(2))
+    obs = observations_on(SPEC16, [0, 7], rng.standard_normal(2))
     w = GuidanceWeights(beta=1.0, gamma=0.0, omega=0.0)
     vals = [intermediate_ll(rng.standard_normal(16), 0.5, den, obs, w) for _ in range(4)]
     assert np.ptp(vals) < 1e-14
@@ -237,7 +225,7 @@ def test_intermediate_matches_conjugate_closed_form():
     x = Field(SPEC16, rng.standard_normal((1, 4, 4)))
     idx = np.array([2, 6, 11])
     y = rng.standard_normal(3)
-    obs = observations_single_channel(SPEC16, idx, y)
+    obs = observations_on(SPEC16, idx, y)
     den = GaussianDenoiser(GaussianPrior(Field.from_flat(SPEC16, mu), "diagonal", np.full(16, s)))
     w = GuidanceWeights(beta=beta, gamma=0.0, omega=0.0)
     got = intermediate_ll(x.flat(), sigma, den, obs, w)
@@ -250,7 +238,7 @@ def test_intermediate_matches_conjugate_closed_form():
 def test_guidance_zero_weights_is_zero():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((2, 16))
-    obs = observations_single_channel(SPEC16, [3], [0.4])
+    obs = observations_on(SPEC16, [3], [0.4])
     den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC16), "diagonal", np.full(16, 1.0)))
     w = GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0)
     assert np.all(guidance_rows(x, 0.7, den, obs, w) == 0.0)
@@ -259,7 +247,7 @@ def test_guidance_zero_weights_is_zero():
 def test_guidance_exact_mode_matches_finite_differences():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((1, 16))
-    obs = observations_single_channel(SPEC16, [1, 6, 12], rng.standard_normal(3))
+    obs = observations_on(SPEC16, [1, 6, 12], rng.standard_normal(3))
     cov = rng.standard_normal((16, 16))
     cov = cov @ cov.T / 4 + 0.5 * np.eye(16)
     den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC16), "dense", cov))
@@ -287,7 +275,7 @@ def test_tds_chain_reproduces_direct_path_weight(monkeypatch):
     cov = rng.standard_normal((d, d))
     cov = cov @ cov.T / d + 0.4 * np.eye(d)
     den = GaussianDenoiser(GaussianPrior(Field.zeros(SPEC16), "dense", cov))
-    obs = observations_single_channel(SPEC16, [3, 10], rng.standard_normal(2))
+    obs = observations_on(SPEC16, [3, 10], rng.standard_normal(2))
     w = GuidanceWeights(beta=1.9, gamma=0.0, omega=0.0)
     ctx = GuidanceContext(obs=obs, system=None, layout=SOLUTION_ONLY, weights=w)
 
@@ -314,7 +302,7 @@ def test_tds_chain_reproduces_direct_path_weight(monkeypatch):
         log_gd_path += -0.5 * np.sum((nxt - mean_gd) ** 2) / delta - 0.5 * d * np.log(2 * np.pi * delta)
     x0 = pop.states
     assert np.array_equal(x0[0], steps[-1][0])
-    sigma_min = sched.sigma_at(0)
+    sigma_min = sched.levels[0]
     x_hat = den.denoise(x0, sigma_min)
     twist = log_likelihood(ctx, x_hat[0], cov=twist_covariance(ctx, den, x0, sigma_min))
     direct = twist + log_em_path - log_gd_path
@@ -423,7 +411,7 @@ def test_observation_gradient_forms_no_state_sized_array():
     rng = np.random.default_rng(38)
     root = rng.standard_normal((spec.size, spec.size))
     den = GaussianDenoiser(GaussianPrior(Field.zeros(spec), "dense", root @ root.T / spec.size))
-    obs = observations_single_channel(spec, np.sort(rng.choice(spec.size, 12, replace=False)), rng.standard_normal(12))
+    obs = observations_on(spec, np.sort(rng.choice(spec.size, 12, replace=False)), rng.standard_normal(12))
     ctx = GuidanceContext(obs, None, SOLUTION_ONLY, GuidanceWeights(beta=600.0, gamma=0.0, omega=0.0))
     rows = rng.standard_normal((256, spec.size))
     cov = twist_covariance(ctx, den, rows, 0.5)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from pgd.grid import Field, GridSpec
 from pgd.priors import FactoredCov, GaussianDenoiser, GaussianPrior, GmmDenoiser, NoiseSchedule, fit_empirical_prior
 
+from oracles import dense_cov, tweedie_jacobian
+
 SPEC_4X4 = GridSpec(4, 4, 1, 1.0)  # flattened dimension 16
 
 
@@ -22,12 +24,6 @@ def score(den, x, sigma):
     return (den.denoise(x, sigma) - x) / sigma**2
 
 
-def dense_matrix(cov):
-    """The matrix iso * I + basis^T diag(evals - iso) basis of a factored covariance."""
-    d = cov.basis.shape[1]
-    return cov.iso * np.eye(d) + cov.basis.T @ np.diag(cov.evals - cov.iso) @ cov.basis
-
-
 def shrunk_cov_apply(samples, lam, v):
     """S v for S = (1 - lam) C^T C / n + lam t I, with C the centred samples and t = tr(C^T C / n) / d."""
     c = samples - samples.mean(axis=0)
@@ -38,16 +34,14 @@ def shrunk_cov_apply(samples, lam, v):
 
 def test_schedule_endpoints_exact():
     sched = NoiseSchedule(sigma_max=80.0, sigma_min=0.002, steps=10, rho=7.0)
-    assert sched.sigma_at(10) == 80.0
-    assert sched.sigma_at(0) == 0.002
-    with pytest.raises(ValueError):
-        sched.sigma_at(11)
+    assert sched.levels[10] == 80.0
+    assert sched.levels[0] == 0.002
 
 
 def test_schedule_midpoint_frozen_value():
     # frozen from a direct evaluation of the warp formula in a separate script
     sched = NoiseSchedule(sigma_max=80.0, sigma_min=0.002, steps=10, rho=7.0)
-    assert sched.sigma_at(5) == pytest.approx(2.515218976147159, rel=1e-12)
+    assert sched.levels[5] == pytest.approx(2.515218976147159, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -56,16 +50,12 @@ def test_schedule_midpoint_frozen_value():
 )
 def test_schedule_levels_are_the_warp_formula_bit_for_bit(sigma_max, sigma_min, steps, rho):
     # the levels are computed once, at construction; each equals the interpolation formula
-    # evaluated here apart, and sigma_at reads them after checking k
+    # evaluated here apart
     sched = NoiseSchedule(sigma_max=sigma_max, sigma_min=sigma_min, steps=steps, rho=rho)
     lo, hi = sigma_min ** (1 / rho), sigma_max ** (1 / rho)
     want = [sigma_min] + [(lo + k / steps * (hi - lo)) ** rho for k in range(1, steps)] + [sigma_max]  # exact ends
     assert len(sched.levels) == steps + 1 and all(type(s) is float for s in sched.levels)
     assert [a == b for a, b in zip(sched.levels, want)] == [True] * (steps + 1)
-    assert [sched.sigma_at(k) for k in range(steps + 1)] == list(sched.levels)
-    for k in (-1, steps + 1, 1.0):
-        with pytest.raises(ValueError, match=f"step index {k} outside 0..{steps}"):
-            sched.sigma_at(k)
 
 
 def test_schedule_levels_take_no_part_in_comparison():
@@ -85,7 +75,7 @@ def test_schedule_levels_take_no_part_in_comparison():
 )
 def test_schedule_strictly_decreasing(steps, rho, sigma_max):
     sched = NoiseSchedule(sigma_max=sigma_max, sigma_min=0.002, steps=steps, rho=rho)
-    sig = np.array([sched.sigma_at(k) for k in range(steps + 1)])
+    sig = np.array(sched.levels)
     assert np.all(np.diff(sig) > 0)  # increasing in k means decreasing toward k=0
     assert sig[0] == sched.sigma_min and sig[-1] == sched.sigma_max
 
@@ -111,7 +101,7 @@ def test_schedule_rejects_a_zero_variance_step(kwargs):
 def test_schedule_rejects_a_step_count_that_is_not_a_positive_integer(steps):
     with pytest.raises(ValueError, match="steps must be an integer >= 1"):
         NoiseSchedule(steps=steps)
-    assert NoiseSchedule(steps=np.int64(3)).sigma_at(3) == NoiseSchedule().sigma_max
+    assert NoiseSchedule(steps=np.int64(3)).levels[3] == NoiseSchedule().sigma_max
 
 
 def test_gaussian_denoise_unit_prior_halves():
@@ -411,14 +401,14 @@ def test_fit_identical_fields_gives_identity_covariance():
     prior = fit_empirical_prior([f, f, f], lam=0.5, cov_kind="dense")
     assert np.allclose(prior.mean.flat(), 2.5)
     # zero empirical part; unit fallback trace scale
-    assert np.allclose(dense_matrix(prior.cov), 0.5 * np.eye(16))
+    assert np.allclose(dense_cov(prior.cov), 0.5 * np.eye(16))
 
 
 def test_fit_full_shrinkage_is_scaled_identity():
     rng = np.random.default_rng(8)
     fields = [Field(SPEC_4X4, rng.standard_normal((1, 4, 4))) for _ in range(20)]
     prior = fit_empirical_prior(fields, lam=1.0, cov_kind="dense")
-    cov = dense_matrix(prior.cov)
+    cov = dense_cov(prior.cov)
     offdiag = cov - np.diag(np.diag(cov))
     assert np.allclose(offdiag, 0.0)
     assert np.allclose(np.diag(cov), cov[0, 0])
@@ -469,7 +459,7 @@ def test_fitted_dense_denoiser_matches_the_shrunk_covariance(n, lam):
     x = rng.standard_normal((3, 16))
     cot = rng.standard_normal((3, 16))
     for sigma in (0.0, 0.3, 5.0):
-        jac = cov @ np.linalg.inv(cov + sigma**2 * np.eye(16))
+        jac = tweedie_jacobian(cov, sigma)
         want = mu + (x - mu) @ jac.T
         assert np.allclose(den.denoise(x, sigma), want, rtol=1e-10, atol=1e-10)
         assert np.allclose(den.vjp(x, sigma, cot), cot @ jac, rtol=1e-10, atol=1e-10)

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from pgd.errors import BlowUpError
-from pgd.grid import Field, GridSpec, Mask
+from pgd.grid import Field, GridSpec
 from pgd.guidance import GuidanceContext, GuidanceWeights, data_log_likelihood_grad
 from pgd.priors import Denoiser, GaussianDenoiser, GaussianPrior, NoiseSchedule
-from pgd.residuals import StateLayout
 from pgd.samplers import churn_gamma, gem_core, heun_core, noise_stream
 from pgd.smc import SmcConfig, smc_run
-from pgd.solvers import Observations
+
+from oracles import SOLUTION_ONLY, observations_on
 
 SPEC9 = GridSpec(3, 3, 1, 1.0)
-SOLUTION_ONLY = StateLayout(coeff_channels=(), solution_channels=(0,))
 
 
 class IdentityDenoiser(Denoiser):
@@ -29,17 +28,9 @@ class IdentityDenoiser(Denoiser):
 
 def all_cell_context(y_star, beta=0.5, weights=None):
     """Observe every cell of the 3x3 grid with target values y_star."""
-    mask = Mask.from_indices(SPEC9, np.arange(9))
-    empty = Mask.from_indices(SPEC9, [])
-    obs = Observations(
-        mask_a=empty,
-        values_a=np.zeros((0, 0)),
-        mask_u=mask,
-        values_u=np.asarray(y_star, dtype=float)[None, :],
-        sigma_o=0.0,
-    )
     w = weights or GuidanceWeights(beta=beta, gamma=0.0, omega=0.0)
-    return GuidanceContext(obs=obs, system=None, layout=SOLUTION_ONLY, weights=w)
+    return GuidanceContext(obs=observations_on(SPEC9, np.arange(9), y_star, sigma_o=0.0), system=None,
+                           layout=SOLUTION_ONLY, weights=w)
 
 
 UNGUIDED = all_cell_context(np.zeros(9), weights=GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0))
@@ -73,15 +64,15 @@ def test_em_step_fixed_point_denoiser_adds_only_noise():
     den = IdentityDenoiser(9)
     x = np.linspace(-1, 1, 9)
     # stubbed draw z = 0: output equals the input exactly
-    sample, shift = em_step(x, np.zeros(9), sched.sigma_at(5), sched.sigma_at(4), den)
+    sample, shift = em_step(x, np.zeros(9), sched.levels[5], sched.levels[4], den)
     assert np.array_equal(sample, x)
     assert not shift.any()
     # with live draws the deviation has std sqrt(sigma_k^2 - sigma_{k-1}^2)
     rng = np.random.default_rng(0)
     k = 5
-    sample, _ = em_step(x, rng.standard_normal((4000, 9)), sched.sigma_at(k), sched.sigma_at(k - 1), den)
+    sample, _ = em_step(x, rng.standard_normal((4000, 9)), sched.levels[k], sched.levels[k - 1], den)
     draws = sample - x
-    expected_std = np.sqrt(sched.sigma_at(k) ** 2 - sched.sigma_at(k - 1) ** 2)
+    expected_std = np.sqrt(sched.levels[k] ** 2 - sched.levels[k - 1] ** 2)
     assert np.std(draws) == pytest.approx(expected_std, rel=0.05)
 
 
@@ -93,7 +84,7 @@ def test_em_step_gaussian_mean_matches_conditional_oracle():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(9)
     k = 6
-    s_k, s_n = sched.sigma_at(k), sched.sigma_at(k - 1)
+    s_k, s_n = sched.levels[k], sched.levels[k - 1]
     delta = s_k**2 - s_n**2
     mean, _ = em_step(x, np.zeros(9), s_k, s_n, den)  # a zero draw samples the mean
     want = x - delta * x / (s_k**2 + 1.0)
@@ -110,7 +101,7 @@ def test_em_chain_recovers_gaussian_prior():
     x = sched.sigma_max * rng.standard_normal((n, 9))
     for k in range(sched.steps, 0, -1):
         z = rng.standard_normal((n, 9))
-        x, _ = em_step(x, z, sched.sigma_at(k), sched.sigma_at(k - 1), den)
+        x, _ = em_step(x, z, sched.levels[k], sched.levels[k - 1], den)
     se = 1.0 / np.sqrt(n)
     assert np.all(np.abs(x.mean(axis=0)) < 4 * se)
     assert np.all(np.abs(x.var(axis=0) - 1.0) < 0.05)
@@ -137,7 +128,7 @@ def test_gem_zero_weights_reduces_to_em_bit_exactly():
     for den, ctx in zero_weight_cases():
         x = rng.standard_normal((3, 9))
         for k in (8, 4, 1):
-            s_k, s_n = sched.sigma_at(k), sched.sigma_at(k - 1)
+            s_k, s_n = sched.levels[k], sched.levels[k - 1]
             z = rng.standard_normal((3, 9))
             sample, shift = gem_step(x, z, s_k, s_n, den, ctx)
             want = np.sqrt(s_k**2 - s_n**2) * z + em_mean(x, s_k, s_n, den)
@@ -149,7 +140,7 @@ def test_heun_zero_weights_reduces_to_churned_heun_bit_exactly():
     # trapezoidal corrector unless sigma_next = 0; zero weights add nothing.
     sched = NoiseSchedule(sigma_max=2.0, sigma_min=0.01, steps=8, rho=3.0)
     gamma = churn_gamma(2.0, sched.steps)
-    levels = [(sched.sigma_at(8), sched.sigma_at(7)), (sched.sigma_at(1), sched.sigma_at(0)), (0.5, 0.0)]
+    levels = [(sched.levels[8], sched.levels[7]), (sched.levels[1], sched.levels[0]), (0.5, 0.0)]
     rng = np.random.default_rng(6)
     for den, ctx in zero_weight_cases():
         x = rng.standard_normal((3, 9))
@@ -174,7 +165,7 @@ def test_gem_guided_mean_strictly_closer_to_target():
     x = sched.sigma_max * rng.standard_normal((1, 9))
     for k in range(sched.steps, 0, -1):
         z = rng.standard_normal((1, 9))
-        s_k, s_n = sched.sigma_at(k), sched.sigma_at(k - 1)
+        s_k, s_n = sched.levels[k], sched.levels[k - 1]
         mean_em = em_mean(x, s_k, s_n, den)
         x, shift = gem_step(x, z, s_k, s_n, den, ctx)
         assert np.linalg.norm(mean_em + shift - y_star) < np.linalg.norm(mean_em - y_star)
@@ -193,7 +184,7 @@ def test_gem_mean_pair_differs_by_scaled_gradient():
     ctx = all_cell_context(y_star, beta=beta)
     x = rng.standard_normal((3, 9))
     k = 7
-    s_k, s_n = sched.sigma_at(k), sched.sigma_at(k - 1)
+    s_k, s_n = sched.levels[k], sched.levels[k - 1]
     _, shift = gem_step(x, rng.standard_normal((3, 9)), s_k, s_n, den, ctx)
     c = s / (s + s_k**2)
     grad = c * 2.0 * beta / 9 * (y_star - c * x)
@@ -203,7 +194,7 @@ def test_gem_mean_pair_differs_by_scaled_gradient():
 def heun_chain(x, sched, den, gamma, draws, ctx=UNGUIDED):
     """Reference loop of heun_core from k = K down to 1 with the given draws."""
     for k in range(sched.steps, 0, -1):
-        x = heun_core(x, draws(), sched.sigma_at(k), sched.sigma_at(k - 1), den, gamma, ctx)
+        x = heun_core(x, draws(), sched.levels[k], sched.levels[k - 1], den, gamma, ctx)
     return x
 
 
@@ -228,7 +219,7 @@ def test_sosag_fixed_point_denoiser_returns_churned_state_plus_guidance():
     gamma = churn_gamma(2.0, sched.steps)
     x = np.zeros((1, 9))
     k = 5
-    s_k, s_n = sched.sigma_at(k), sched.sigma_at(k - 1)
+    s_k, s_n = sched.levels[k], sched.levels[k - 1]
     z = np.random.default_rng(8).standard_normal((1, 9))
     out = heun_core(x, z, s_k, s_n, den, gamma, ctx)
     # reproduce the churned state from the same draw
@@ -247,7 +238,7 @@ def test_sosag_chain_recovers_gaussian_prior_with_churn():
     x = sched.sigma_max * rng.standard_normal((n, 9))
     for k in range(sched.steps, 0, -1):
         z = rng.standard_normal((n, 9))
-        x = heun_core(x, z, sched.sigma_at(k), sched.sigma_at(k - 1), den, gamma, UNGUIDED)
+        x = heun_core(x, z, sched.levels[k], sched.levels[k - 1], den, gamma, UNGUIDED)
     se = 1.0 / np.sqrt(n)
     assert np.all(np.abs(x.mean(axis=0)) < 4 * se)
     assert np.all(np.abs(x.var(axis=0) - 1.0) < 0.05)
