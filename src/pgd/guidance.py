@@ -30,20 +30,22 @@ gradient at the denoiser's reconstruction, and ``heun_core`` at its churned stat
 The weighting schemes of :mod:`pgd.smc` read this module. Under ``pbs`` the
 twist is the point likelihood of the reconstruction. Under ``tds`` its
 observation terms take the covariance of :func:`twist_covariance`, which adds
-the Tweedie posterior covariance from the denoiser's (m, m) block, and the
-potential adds :func:`tds_transition_term`, the log-ratio of the unguided to
-the guided Gaussian transition, which only an explicit Gaussian step has.
+the Tweedie posterior covariance from the denoiser's (m, m) block and is
+applied as its inverse by :func:`twist_solve`, and the potential adds
+:func:`tds_transition_term`, the log-ratio of the unguided to the guided
+Gaussian transition, which only an explicit Gaussian step has.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import is_real
 from .grid import GridSpec
-from .priors import Denoiser
+from .priors import Denoiser, LevelFactors
 from .residuals import PdeSystem, StateLayout, residual_sq_grad
 from .residuals import residual  # unused here; bench/tracer.py binds it until ROADMAP item 1 re-maps it
 from .solvers import Observations
@@ -118,7 +120,7 @@ class GuidanceContext:
 
 
 def log_likelihood(
-    ctx: GuidanceContext, rows: np.ndarray, grad: bool = False, cov: np.ndarray | None = None
+    ctx: GuidanceContext, rows: np.ndarray, grad: bool = False, twist: Callable[[np.ndarray], np.ndarray] | None = None
 ) -> float | np.ndarray | tuple[float | np.ndarray, np.ndarray, np.ndarray | None]:
     """Weighted negative mean-square misfits of clean states (constant dropped).
 
@@ -127,16 +129,17 @@ def log_likelihood(
     gradient with respect to the rows as the pair of the module docstring.
 
     With r = y - A x, the observation terms are -1/2 r^T V^-1 r, or, given
-    ``cov`` = C of :func:`twist_covariance`, log N(y; A x, C) as -1/2 r^T r~
-    with gradient A^T r~ (C held constant); all rows take r~ = C^-1 r from one inverse.
+    ``twist``, the map r -> r C^-1 of :func:`twist_solve` for the tds twist's
+    covariance C, log N(y; A x, C) as -1/2 r^T r~ with gradient A^T r~
+    (C held constant), where all rows take r~ = r C^-1 from that one map.
     """
     rows = np.asarray(rows, dtype=float)
     r = ctx.values - rows[..., ctx.index]
-    if cov is None:
+    if twist is None:
         total = -np.sum(r * r / (2.0 * ctx.variance), axis=-1)
         gain = r / ctx.variance if grad else None
     else:
-        gain = r @ np.linalg.inv(cov)
+        gain = twist(r)
         total = -0.5 * np.sum(r * gain, axis=-1)
     cotangent, index = gain, ctx.index
     if ctx.weights.omega > 0:
@@ -158,20 +161,46 @@ def data_log_likelihood_grad(ctx: GuidanceContext, rows: np.ndarray) -> tuple[np
     return log_likelihood(ctx, rows, grad=True)[1:]
 
 
-def twist_covariance(ctx: GuidanceContext, denoiser: Denoiser, states: np.ndarray, sigma: float) -> np.ndarray:
+def twist_covariance(
+    ctx: GuidanceContext, denoiser: Denoiser, states: np.ndarray, sigma: float, factors: LevelFactors | None = None
+) -> np.ndarray:
     """Observation covariance C_k = V + sigma_k^2 sym(A J_k A^T) of the tds twist, as (m, m).
 
     J_k is the denoiser Jacobian, so sigma_k^2 J_k is the Tweedie posterior
     covariance of the clean state; the twist log N(y; A x_hat, C_k) is exact
     for Gaussian priors with linear observations and is the point likelihood
     at sigma = 0. The denoiser's ``jacobian_block`` gives A J_k A^T: exact from
-    the factors of a :class:`~pgd.priors.GaussianDenoiser`, and by default (as for a
+    the level's ``factors`` of a :class:`~pgd.priors.GaussianDenoiser`, and by default (as for a
     :class:`~pgd.priors.GmmDenoiser`) one vjp at the mean of the ``states`` rows.
     """
-    ajat = denoiser.jacobian_block(ctx.index, sigma, states)
+    ajat = denoiser.jacobian_block(ctx.index, sigma, states, factors)
     cov = sigma**2 * 0.5 * (ajat + ajat.T)
     cov.flat[:: ctx.index.size + 1] += ctx.variance  # the diagonal
     return cov
+
+
+def twist_solve(
+    ctx: GuidanceContext, denoiser: Denoiser, states: np.ndarray, sigma: float, factors: LevelFactors | None = None
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The map r -> r C_k^-1 on (..., m) rows, for C_k of :func:`twist_covariance`.
+
+    Given the denoiser's ``factors`` at sigma with r < m modes, C_k = diag(e) + U^T D U, with
+    U their (r, m) basis columns at the observed entries, D = sigma^2 diag(f - f_iso) and
+    e = V + sigma^2 ``factors.diag``. Then C_k^-1 = E^-1 - E^-1 U^T K^-1 D U E^-1 through the
+    (r, r) capacitance K = I_r + D U E^-1 U^T: this push-through form of Woodbury's identity
+    needs no D^-1, so a mode at or below the isotropic level needs no rule of its own. A
+    diagonal prior has r = 0 and an empty K: its C_k = diag(e) is solved elementwise.
+    Otherwise, and without factors, it takes one inverse of the (m, m) C_k.
+    """
+    m = ctx.index.size
+    if factors is None or factors.cols.shape[0] >= m:
+        inverse = np.linalg.inv(twist_covariance(ctx, denoiser, states, sigma, factors))
+        return lambda r: r @ inverse
+    e = ctx.variance + sigma**2 * factors.diag
+    du = sigma**2 * factors.scaled.T  # D U, (r, m)
+    back = np.linalg.solve(np.eye(len(du)) + (du / e) @ factors.cols.T, du) / e  # K^-1 D U E^-1
+    cols = factors.cols / e  # U E^-1
+    return lambda r: r / e - (r @ back.T) @ cols
 
 
 def tds_transition_term(z: np.ndarray, shift: np.ndarray, step_var: float) -> np.ndarray:

@@ -19,6 +19,14 @@ A ``"dense"`` covariance is stored factored, as :class:`FactoredCov`: an
 isotropic level plus r orthonormal eigenpairs, so the denoiser applies it in
 O(d r) per state and no d x d matrix is kept. A fitted prior has r <= n (the
 sample count), with no cap on d; a hand-built (d, d) matrix has r = d.
+
+A :class:`GaussianDenoiser`'s Jacobian depends on sigma only: its factors at
+a level, :class:`LevelFactors`, are formed once per level by ``smc_run`` and
+read by ``denoise``, ``vjp``, ``jacobian_block`` and the tds twist; a call
+given none forms its own. The shapes pick the products, with no tuned
+constant: the Jacobian applies to N rows through a (d, d) product formed once
+where d^2 r + N d^2 < 2 N d r, and the twist solves through an (r, r)
+capacitance where r < m (:func:`~pgd.guidance.twist_solve`).
 """
 
 from __future__ import annotations
@@ -75,6 +83,13 @@ class Denoiser(ABC):
 
     dim: int
 
+    def level_factors(self, sigma: float, index: np.ndarray | None = None, rows: int = 0) -> LevelFactors | None:
+        """The factors that the calls at noise level sigma share, or None, as here, where the Jacobian
+        depends on the state: each call then works alone. ``index`` holds the observed entries and ``rows``
+        counts the states that the dense Jacobian is applied to at this level. A denoiser that returns a
+        set takes it as the ``factors`` of ``denoise``, ``vjp`` and ``jacobian_block`` at that sigma."""
+        return None
+
     @abstractmethod
     def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
         """Posterior-mean estimate of the clean state; batches over leading axes."""
@@ -83,7 +98,8 @@ class Denoiser(ABC):
     def dense_vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray) -> np.ndarray:
         """J(x, sigma)^T @ cotangent for J the Jacobian of denoise in x and a full (..., d) cotangent."""
 
-    def vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+    def vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray, index: np.ndarray | None = None,
+            factors: LevelFactors | None = None) -> np.ndarray:
         """J(x, sigma)^T A^T cotangent, (..., d), for the one-hot rows A at the distinct entries ``index``.
 
         The cotangent is (..., m), its values at ``index``; without ``index`` it
@@ -99,7 +115,8 @@ class Denoiser(ABC):
             cotangent = full
         return self.dense_vjp(x, sigma, cotangent)
 
-    def jacobian_block(self, index: np.ndarray, sigma: float, states: np.ndarray) -> np.ndarray:
+    def jacobian_block(self, index: np.ndarray, sigma: float, states: np.ndarray,
+                       factors: LevelFactors | None = None) -> np.ndarray:
         """A J A^T, (m, m), for the one-hot rows A at the distinct entries ``index``: one vjp of A at the mean state."""
         return self.vjp(states.mean(axis=0), sigma, np.eye(index.size), index)[:, index]
 
@@ -190,12 +207,33 @@ def _shrink(lam, sigma: float) -> np.ndarray:
         return np.where(denom > 0, lam / np.where(denom > 0, denom, 1.0), 0.0)
 
 
+@dataclass(frozen=True)
+class LevelFactors:
+    """A :class:`GaussianDenoiser`'s Jacobian J at one noise level: f_iso I + basis^T diag(low) basis.
+
+    ``shrink`` holds f, per mode for a dense S (low = f - f_iso) and per entry for a diagonal S
+    (J = diag(f): no modes, f_iso = 0). ``gram`` is basis^T diag(low) basis where the shapes pick it.
+    At observed entries, A J A^T = diag(``diag``) + ``scaled`` ``cols``, with ``cols`` the (r, m) basis
+    columns there and ``scaled`` = cols^T diag(low); all three are None without entries.
+    """
+
+    shrink: np.ndarray
+    f_iso: float
+    low: np.ndarray
+    gram: np.ndarray | None
+    cols: np.ndarray | None = None
+    scaled: np.ndarray | None = None
+    diag: np.ndarray | None = None
+
+
 class GaussianDenoiser(Denoiser):
     """Exact posterior-mean denoiser mu + S (S + sigma^2 I)^{-1} (x - mu).
 
-    The Jacobian S (S + sigma^2 I)^{-1} shares the eigenvectors of S. A dense S applies through its
-    factored form as f_iso v + ((v basis^T) (f_r - f_iso)) basis, at O(d r) per state; the f_iso v
-    term is skipped where f_iso is 0, as for every covariance given as a (d, d) matrix (iso = 0).
+    The Jacobian S (S + sigma^2 I)^{-1} shares the eigenvectors of S and depends on sigma only, so each
+    method reads it from the :class:`LevelFactors` it is given, or forms them. A dense S applies through
+    its factored form as f_iso v + ((v basis^T) (f_r - f_iso)) basis, at O(d r) per state, or as
+    f_iso v + v gram where the set holds the (d, d) product; the f_iso v term is skipped where f_iso is 0,
+    as for every covariance given as a (d, d) matrix (iso = 0).
     """
 
     def __init__(self, prior: GaussianPrior):
@@ -203,62 +241,78 @@ class GaussianDenoiser(Denoiser):
         self.dim = prior.dim
         self._mu = prior.mean.flat()
 
-    def _apply_jacobian(self, vec: np.ndarray, sigma: float, own: bool = False) -> np.ndarray:
+    def level_factors(self, sigma: float, index: np.ndarray | None = None, rows: int = 0) -> LevelFactors:
+        """The factors at sigma and ``index``. The (d, d) ``gram`` is formed where it and one apply to ``rows``
+        states cost fewer multiply-adds, d^2 r + rows d^2, than the 2 rows d r of two (rows, d) (d, r)
+        products, as ``multi_dot`` compares orders: for r = d, where rows > d."""
+        cov, dense = self.prior.cov, self.prior.cov_kind == "dense"
+        f = _shrink(cov.evals if dense else cov, sigma)
+        f_iso = float(_shrink(cov.iso, sigma)) if dense else 0.0
+        low, basis = (f - f_iso, cov.basis) if dense else (np.zeros(0), np.zeros((0, self.dim)))
+        gram = (basis.T * low) @ basis if self.dim * (low.size + rows) < 2 * low.size * rows else None
+        if index is None:
+            return LevelFactors(f, f_iso, low, gram)
+        cols = basis[:, index]
+        diag = np.full(index.size, f_iso) if dense else f[index]
+        return LevelFactors(f, f_iso, low, gram, cols, cols.T * low, diag)
+
+    def _apply_jacobian(self, vec: np.ndarray, factors: LevelFactors, own: bool = False) -> np.ndarray:
         """J vec; with ``own`` the caller gives up ``vec``, and it is scaled in place."""
-        cov = self.prior.cov
         scratch = vec if own else None
         if self.prior.cov_kind != "dense":
-            return np.multiply(vec, _shrink(cov, sigma), out=scratch)
-        f, f_iso = _shrink(cov.evals, sigma), float(_shrink(cov.iso, sigma))  # r modes and the isotropic level
-        out = ((vec @ cov.basis.T) * (f - f_iso)) @ cov.basis
-        if f_iso:  # 0 for a covariance given as a (d, d) matrix
-            out += np.multiply(f_iso, vec, out=scratch)
+            return np.multiply(vec, factors.shrink, out=scratch)
+        if factors.gram is not None:
+            out = vec @ factors.gram
+        else:
+            basis = self.prior.cov.basis
+            out = ((vec @ basis.T) * factors.low) @ basis
+        if factors.f_iso:  # 0 for a covariance given as a (d, d) matrix
+            out += np.multiply(factors.f_iso, vec, out=scratch)
         return out
 
-    def _scaled_columns(self, index: np.ndarray, sigma: float) -> tuple[np.ndarray, float]:
-        """cols^T diag(f_r - f_iso), (m, r), for the basis columns cols at ``index``, and f_iso: the dense J's
-        rows at ``index`` are f_iso A + that times the basis."""
-        cov = self.prior.cov
-        f_iso = float(_shrink(cov.iso, sigma))
-        return cov.basis[:, index].T * (_shrink(cov.evals, sigma) - f_iso), f_iso
-
-    def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
+    def denoise(self, x: np.ndarray, sigma: float, factors: LevelFactors | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = self._apply_jacobian(x - self._mu, sigma, own=True)
+        if factors is None:
+            factors = self.level_factors(sigma, rows=math.prod(x.shape[:-1]))
+        out = self._apply_jacobian(x - self._mu, factors, own=True)
         out += self._mu
         return out
 
     def dense_vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray) -> np.ndarray:
-        # the Jacobian S (S + sigma^2 I)^{-1} is symmetric and x-independent
-        return self._apply_jacobian(np.asarray(cotangent, dtype=float), sigma)
+        return self.vjp(x, sigma, cotangent)
 
-    def vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
-        """J^T A^T g from the m entries of g; ``x`` is unread.
+    def vjp(self, x: np.ndarray, sigma: float, cotangent: np.ndarray, index: np.ndarray | None = None,
+            factors: LevelFactors | None = None) -> np.ndarray:
+        """J^T A^T g from the m entries of g; ``x`` is unread, since J is symmetric and x-independent.
 
-        A dense S gives f_iso A^T g + (g scaled) basis, with ``scaled`` from
-        :meth:`_scaled_columns`, and multi_dot orders that product by its shapes: at N rows
-        (g scaled) basis costs N r (m + d) multiply-adds and g (scaled basis) m d (N + r), against
-        2 N d r for :meth:`dense_vjp` of the scattered g. A diagonal S, or no ``index``, takes the
-        base class's scatter and :meth:`dense_vjp`.
+        Without ``index`` it applies J to the full g. A dense S gives f_iso A^T g + (g scaled) basis,
+        with ``scaled`` from :class:`LevelFactors`, and multi_dot orders that product by its shapes: at
+        N rows (g scaled) basis costs N r (m + d) multiply-adds and g (scaled basis) m d (N + r), against
+        2 N d r for J applied to the scattered g. A diagonal S gives f[index] g, scattered.
         """
-        if index is None or self.prior.cov_kind != "dense":
-            return super().vjp(x, sigma, cotangent, index)
         g = np.asarray(cotangent, dtype=float)
         lead = g.shape[:-1]
-        scaled, f_iso = self._scaled_columns(index, sigma)
-        out = np.linalg.multi_dot([g.reshape(math.prod(lead), index.size), scaled, self.prior.cov.basis])
+        if factors is None:
+            factors = self.level_factors(sigma, index, math.prod(lead) if index is None else 0)
+        if index is None:
+            return self._apply_jacobian(g, factors)
+        if self.prior.cov_kind != "dense":
+            out = np.zeros(lead + (self.dim,))
+            out[..., index] = factors.diag * g
+            return out
+        out = np.linalg.multi_dot([g.reshape(math.prod(lead), index.size), factors.scaled, self.prior.cov.basis])
         out = out.reshape(lead + (self.dim,))
-        if f_iso:  # 0 for a covariance given as a (d, d) matrix
-            out[..., index] += f_iso * g
+        if factors.f_iso:  # 0 for a covariance given as a (d, d) matrix
+            out[..., index] += factors.f_iso * g
         return out
 
-    def jacobian_block(self, index: np.ndarray, sigma: float, states: np.ndarray) -> np.ndarray:
-        """A J A^T from the shrink factors and the basis columns at ``index``, in O(m^2 r); ``states`` is unread."""
-        if self.prior.cov_kind != "dense":
-            return super().jacobian_block(index, sigma, states)
-        scaled, f_iso = self._scaled_columns(index, sigma)
-        block = scaled @ self.prior.cov.basis[:, index]
-        block.flat[:: index.size + 1] += f_iso  # the diagonal
+    def jacobian_block(self, index: np.ndarray, sigma: float, states: np.ndarray,
+                       factors: LevelFactors | None = None) -> np.ndarray:
+        """A J A^T as diag + scaled cols, in O(m^2 r), from the factors at ``index``; ``states`` is unread."""
+        if factors is None:
+            factors = self.level_factors(sigma, index)
+        block = factors.scaled @ factors.cols
+        block.flat[:: index.size + 1] += factors.diag  # the diagonal
         return block
 
 

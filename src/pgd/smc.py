@@ -12,21 +12,25 @@ log N after a resample, which resets the weights to zero.
 
 The pbs scheme weights with the point twist, the likelihood of the denoiser's
 reconstruction. The tds scheme weights and guides with the twist
-log N(y; A x_hat, C_k), whose observation covariance
-:func:`~pgd.guidance.twist_covariance` adds the Tweedie posterior covariance
-of the clean state, once per noise level; it is exact for Gaussian priors
+log N(y; A x_hat, C_k), whose observation covariance C_k adds the Tweedie
+posterior covariance of the clean state; :func:`~pgd.guidance.twist_solve`
+applies C_k^-1 once per noise level. It is exact for Gaussian priors
 with linear observations. Its incremental weight also carries the log-ratio
 of the unguided to the guided Gaussian transition (Wu et al., 2023), read off
 the step's draw and the guidance shift that :func:`~pgd.samplers.gem_core`
 returns. Additive constants, the twist's normalizer among them, are dropped,
 so the log-evidence estimate is defined up to a constant.
 
-Each noise level is evaluated once: one routine denoises the states, checks
-the reconstruction, and computes the twist together with, under ``gem`` when
+Each noise level is evaluated once. One routine forms the denoiser's factor
+set for the level (:meth:`~pgd.priors.Denoiser.level_factors`; a denoiser whose
+Jacobian depends on the state has none), denoises the states, checks the
+reconstruction, and computes the twist together with, under ``gem`` when
 another step follows, its data-space gradient from the same solve, pulled
 back at once through the denoiser's vjp at the same states and noise level.
-That guidance and the reconstruction are what the next ``gem_core`` reads;
-the run keeps them only until then, and keeps none under ``sosag``. A
+The denoise, the twist's solve and the vjp read that one set, so nothing in
+it is formed twice in a level. That guidance and the reconstruction are what
+the next ``gem_core`` reads; the run keeps them only until then, and keeps
+none under ``sosag``. A
 resample moves each drawn particle's state and twist, and under ``gem`` its
 reconstruction and guidance too. The states and log-weights are plain
 arrays, so the previous states are freed as soon as the proposal returns.
@@ -62,7 +66,7 @@ from .guidance import (
     GuidanceWeights,
     log_likelihood,
     tds_transition_term,
-    twist_covariance,
+    twist_solve,
 )
 from .priors import Denoiser, NoiseSchedule
 from .residuals import PdeSystem, StateLayout
@@ -202,13 +206,14 @@ def smc_run(
         """(reconstruction, twist, guidance) at ``x`` and ``sigma``: the per-row twist of the
         reconstruction (a blow-up is located at step k) and, only if ``grad``, the reconstruction and
         the twist's data-space gradient pulled back through the denoiser at (x, sigma), which ``gem_core`` reads."""
-        x_hat = denoiser.denoise(x, sigma)
+        factors = denoiser.level_factors(sigma, ctx.index, len(x))
+        x_hat = denoiser.denoise(x, sigma) if factors is None else denoiser.denoise(x, sigma, factors)
         require_finite(x_hat, k, "reconstruction")
-        cov = twist_covariance(ctx, denoiser, x, sigma) if config.scheme == "tds" else None
+        twist = twist_solve(ctx, denoiser, x, sigma, factors) if config.scheme == "tds" else None
         if grad:
-            twist, cotangent, index = log_likelihood(ctx, x_hat, grad=True, cov=cov)
-            return x_hat, twist, denoiser.vjp(x, sigma, cotangent, index)
-        return None, log_likelihood(ctx, x_hat, cov=cov), None
+            value, cotangent, index = log_likelihood(ctx, x_hat, grad=True, twist=twist)
+            return x_hat, value, denoiser.vjp(x, sigma, cotangent, index, factors)
+        return None, log_likelihood(ctx, x_hat, twist=twist), None
 
     states = sched.sigma_max * noise_rng.standard_normal((n, d))
     z = np.empty((n, d))

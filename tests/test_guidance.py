@@ -13,6 +13,7 @@ from pgd.guidance import (
     log_likelihood,
     tds_transition_term,
     twist_covariance,
+    twist_solve,
 )
 from pgd.priors import GaussianDenoiser, GaussianPrior, GmmDenoiser, NoiseSchedule, fit_empirical_prior
 from pgd.residuals import KINDS, PdeSystem, StateLayout, default_layout, residual
@@ -304,7 +305,7 @@ def test_tds_chain_reproduces_direct_path_weight(monkeypatch):
     assert np.array_equal(x0[0], steps[-1][0])
     sigma_min = sched.levels[0]
     x_hat = den.denoise(x0, sigma_min)
-    twist = log_likelihood(ctx, x_hat[0], cov=twist_covariance(ctx, den, x0, sigma_min))
+    twist = log_likelihood(ctx, x_hat[0], twist=twist_solve(ctx, den, x0, sigma_min))
     direct = twist + log_em_path - log_gd_path
     assert pop.log_weights[0] == pytest.approx(direct, abs=1e-8)
 
@@ -414,10 +415,10 @@ def test_observation_gradient_forms_no_state_sized_array():
     obs = observations_on(spec, np.sort(rng.choice(spec.size, 12, replace=False)), rng.standard_normal(12))
     ctx = GuidanceContext(obs, None, SOLUTION_ONLY, GuidanceWeights(beta=600.0, gamma=0.0, omega=0.0))
     rows = rng.standard_normal((256, spec.size))
-    cov = twist_covariance(ctx, den, rows, 0.5)
+    twist = twist_solve(ctx, den, rows, 0.5)
     tracemalloc.start()
     try:
-        value, grad, index = log_likelihood(ctx, rows, grad=True, cov=cov)
+        value, grad, index = log_likelihood(ctx, rows, grad=True, twist=twist)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

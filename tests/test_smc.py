@@ -9,7 +9,8 @@ import pgd.samplers
 import pgd.smc
 from pgd.errors import BlowUpError, NumericalError
 from pgd.grid import DIRICHLET, PERIODIC, Field, GridSpec, Mask
-from pgd.guidance import GuidanceContext, GuidanceWeights, data_log_likelihood_grad, log_likelihood, twist_covariance
+from pgd.guidance import (GuidanceContext, GuidanceWeights, data_log_likelihood_grad, log_likelihood, twist_covariance,
+                          twist_solve)
 from pgd.priors import FactoredCov, GaussianDenoiser, GaussianPrior, GmmDenoiser, NoiseSchedule, fit_empirical_prior
 from pgd.residuals import PdeSystem, StateLayout, default_layout
 from pgd.samplers import churn_gamma, gem_core, heun_core, noise_stream
@@ -796,7 +797,7 @@ def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):
     ctx = GuidanceContext(obs=obs, system=None, layout=layout, weights=w)
 
     def twist_log(x, sigma):
-        return log_likelihood(ctx, den.denoise(x, sigma), cov=twist_covariance(ctx, den, x, sigma))
+        return log_likelihood(ctx, den.denoise(x, sigma), twist=twist_solve(ctx, den, x, sigma))
 
     # closed form: A picks coefficient cells in channel 0, solution cells in channel 1
     rows = np.concatenate([9 + idx_u, idx_a])
@@ -814,7 +815,7 @@ def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):
     # at sigma = 0 the reconstruction is the state, C is V and the twist is the point likelihood
     c0 = twist_covariance(ctx, den, states, 0.0)
     assert np.array_equal(c0, np.diag(ctx.variance))
-    value, grad, index = log_likelihood(ctx, states, grad=True, cov=c0)
+    value, grad, index = log_likelihood(ctx, states, grad=True, twist=twist_solve(ctx, den, states, 0.0))
     point, point_grad, point_index = log_likelihood(ctx, states, grad=True)
     assert index is point_index is ctx.index  # without a PDE term the gradient lives on the observed entries
     assert np.allclose(value, [log_likelihood(ctx, row) for row in states], rtol=1e-12)
@@ -824,7 +825,8 @@ def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):
     no_obs = GuidanceWeights(beta=0.0, gamma=0.0, omega=0.0)
     empty = GuidanceContext(obs=obs, system=None, layout=layout, weights=no_obs)
     c_empty = twist_covariance(empty, den, states, sigma)
-    value, grad, index = log_likelihood(empty, den.denoise(states, sigma), grad=True, cov=c_empty)
+    twist = twist_solve(empty, den, states, sigma)
+    value, grad, index = log_likelihood(empty, den.denoise(states, sigma), grad=True, twist=twist)
     assert c_empty.shape == (0, 0) and value.shape == (6,) and not value.any() and not grad.any()
     assert grad.shape == (6, 0) and index.size == 0 and not den.vjp(states, sigma, grad, index).any()
 
@@ -869,16 +871,16 @@ def test_tds_twist_matches_an_eigendecomposed_gaussian_at_small_variance(sigma_o
 
     sigmas, calls = [], []
 
-    def recording_covariance(ctx, denoiser, x, sigma):
+    def recording_solve(ctx, denoiser, x, sigma, factors=None):
         sigmas.append(sigma)
-        return twist_covariance(ctx, denoiser, x, sigma)
+        return twist_solve(ctx, denoiser, x, sigma, factors)
 
-    def recording_log_likelihood(ctx, rows, grad=False, cov=None):
-        out = log_likelihood(ctx, rows, grad=grad, cov=cov)
+    def recording_log_likelihood(ctx, rows, grad=False, twist=None):
+        out = log_likelihood(ctx, rows, grad=grad, twist=twist)
         calls.append((sigmas[-1], rows.copy(), out if grad else (out, None, None)))
         return out
 
-    monkeypatch.setattr(pgd.smc, "twist_covariance", recording_covariance)
+    monkeypatch.setattr(pgd.smc, "twist_solve", recording_solve)
     monkeypatch.setattr(pgd.smc, "log_likelihood", recording_log_likelihood)
     sched = NoiseSchedule(sigma_max=3.0, sigma_min=0.01, steps=8, rho=2.0)
     smc_run(SmcConfig(4, sched, w, "gem", "tds", seed=3), den, obs, None, SOLUTION_ONLY)
