@@ -164,7 +164,6 @@ class Mask:
 # ---------------------------------------------------------------------------
 
 
-_HEAD, _TAIL = slice(None, -1), slice(1, None)  # all lines but the last; all but the first
 _FIRST, _LAST = slice(None, 1), slice(-1, None)
 
 
@@ -172,19 +171,25 @@ def _axis_slices(axis: int, sl: slice) -> tuple:
     return (Ellipsis, sl, slice(None)) if axis == 0 else (Ellipsis, sl)
 
 
-def shift(a: np.ndarray, axis: int, step: int, boundary: str) -> np.ndarray:
-    """Return b with b[idx] = a[idx + step] along ``axis`` (step in {-1, +1}).
+def shift(a: np.ndarray, axis: int, step: int, boundary: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Return b with b[idx] = a[idx + step] along ``axis`` (step in {-1, +1}), in ``out`` if given.
 
     ``a`` is (..., H, W); axis 0 is the row axis (-2) and axis 1 the column
-    axis (-1), so leading batch axes are never mixed. The interior is one
-    slice copy; the vacated edge line is filled with the opposite edge of
-    ``a`` (periodic) or with zeros. The adjoint is the shift by ``-step``.
+    axis (-1), so leading batch axes are never mixed. The interior is one flat
+    copy of the whole C-contiguous batch, offset by W (rows) or 1 (columns); the
+    only lines it fills across a row end or a particle boundary are the vacated
+    edge lines, which are then filled with the opposite edge of ``a`` (periodic)
+    or with zeros. A strided ``a`` is copied to contiguous first; ``out`` is
+    C-contiguous. The adjoint is the shift by ``-step``.
     """
     if step not in (-1, 1):
         raise ValueError("step must be -1 or +1")
-    body, src, edge, wrap = (_HEAD, _TAIL, _LAST, _FIRST) if step == 1 else (_TAIL, _HEAD, _FIRST, _LAST)
-    out = np.empty_like(a)
-    out[_axis_slices(axis, body)] = a[_axis_slices(axis, src)]
+    a = np.ascontiguousarray(a)
+    out = np.empty_like(a) if out is None else out
+    n = a.shape[-1] if axis == 0 else 1  # the flat offset of one line
+    ahead, behind = slice(n, None), slice(-n)  # all but the first line's worth of entries; all but the last
+    body, src, edge, wrap = (behind, ahead, _LAST, _FIRST) if step == 1 else (ahead, behind, _FIRST, _LAST)
+    out.reshape(-1)[body] = a.reshape(-1)[src]
     out[_axis_slices(axis, edge)] = a[_axis_slices(axis, wrap)] if boundary == PERIODIC else 0.0
     return out
 
@@ -196,17 +201,18 @@ def shift(a: np.ndarray, axis: int, step: int, boundary: str) -> np.ndarray:
 
 def laplacian_2d(a: np.ndarray, h: float, boundary: str) -> np.ndarray:
     """5-point Laplacian (neighbors minus 4x center) / h^2."""
-    total = shift(a, 0, 1, boundary)  # summed in place, left to right
-    total += shift(a, 0, -1, boundary)
-    total += shift(a, 1, 1, boundary)
-    total += shift(a, 1, -1, boundary)
-    total -= 4.0 * a
+    a = np.ascontiguousarray(a)  # copied once here, not in each shift
+    total, scratch = shift(a, 0, 1, boundary), np.empty_like(a)
+    for axis, step in ((0, -1), (1, 1), (1, -1)):  # summed in place, left to right, through one scratch buffer
+        total += shift(a, axis, step, boundary, scratch)
+    total -= np.multiply(a, 4.0, out=scratch)
     total /= h * h
     return total
 
 
 def diff_2d(a: np.ndarray, axis: int, h: float, boundary: str) -> np.ndarray:
     """Central difference (a[idx+1] - a[idx-1]) / (2h) along ``axis``."""
+    a = np.ascontiguousarray(a)  # copied once here, not in each shift
     return (shift(a, axis, 1, boundary) - shift(a, axis, -1, boundary)) / (2.0 * h)
 
 

@@ -146,11 +146,13 @@ def log_likelihood(
         spec = ctx.spec
         x = rows.reshape(rows.shape[:-1] + (spec.channels, spec.height, spec.width))
         res, res_grad = residual_sq_grad(ctx.system, spec, x, grad=grad)
-        if grad:  # scaled in the kernel's own array, into which the gain is added; index repeats no entry
-            cotangent, index = np.multiply(res_grad, -ctx.weights.omega, out=res_grad).reshape(rows.shape), None
+        if grad:  # scaled into rows in one pass: in place where the kernel's gradient is in row order, else (the
+            # species-first one of gray_scott_2) into a new C-ordered array; index repeats no entry
+            own = res_grad if res_grad.flags.c_contiguous else None
+            cotangent, index = np.multiply(res_grad, -ctx.weights.omega, out=own, order="C").reshape(rows.shape), None
             cotangent[..., ctx.index] += gain
-        # squared first: the kernel's residual may be a view that a reshape would copy
-        total = total - ctx.weights.omega * np.mean((res**2).reshape(rows.shape[:-1] + (-1,)), axis=-1)
+        # squared into C order: the kernel's residual may be a species-first view that a reshape would copy
+        total = total - ctx.weights.omega * np.mean(np.square(res, order="C").reshape(rows.shape[:-1] + (-1,)), axis=-1)
     if rows.ndim == 1:
         total = float(total)
     return (total, cotangent, index) if grad else total

@@ -21,9 +21,13 @@ differences. The sampler's residuals are one kernel, :func:`residual_sq_grad`,
 on plain (..., C, H, W) state arrays: it returns the residual and, when
 asked, the gradient of its mean square, built from the residual's own
 intermediates. A (N, C, H, W) state gives (N, R, H, W) residuals and
-(N, C, H, W) gradients, each row equal to the single-state result. It
-validates nothing; the sampler's :class:`~pgd.guidance.GuidanceContext`
-validates the layout once, and :func:`residual` validates a
+(N, C, H, W) gradients, each row equal to the single-state result. The
+gray_scott_2 kernel reads one C-contiguous species-first copy of the state,
+so each of its terms works on contiguous (N, H, W) blocks, and builds its
+gradient in place in that copy; it returns both arrays as views of
+species-first blocks. The kernel never writes to the state, and it validates
+nothing; the sampler's :class:`~pgd.guidance.GuidanceContext` validates the
+layout once, and :func:`residual` validates a
 :class:`~pgd.grid.Field`'s layout, calls the kernel and wraps the result.
 :func:`add_reaction` is the one statement of the reaction-diffusion kinetics:
 the data generator :func:`pgd.solvers.simulate_rd` adds it into its rate, and
@@ -209,7 +213,9 @@ def residual_sq_grad(
     every state channel, shaped like ``x``, or None). m counts the residual
     entries of one state. The gradient reuses the residual's intermediates:
     darcy and competitive_3 form the face averages and the face differences
-    of u and of the residual once each. A residual held in one array is returned as a view.
+    of u and of the residual once each. A residual held in one array is returned as a view;
+    gray_scott_2 works in a species-first copy of ``x`` (:mod:`pgd.residuals`), which becomes its gradient.
+    The caller owns both arrays: neither shares memory with ``x``, which is never written.
     Channels sit in the system's fixed slots: coefficient a in 0 and solution
     u in 1 (elliptic); with s species, diffusion fields in [0, s), initial
     states in [s, 2s) and terminal states in [2s, 3s) (reaction-diffusion);
@@ -222,9 +228,8 @@ def residual_sq_grad(
     h, boundary = spec.spacing, spec.boundary
     v = np.moveaxis(x, -3, 0)  # channel-first view: v[c] is (..., H, W)
     kind = system.kind
-    if grad:
-        out = np.empty_like(x)  # every kind writes every channel of its layout
-        g = np.moveaxis(out, -3, 0)  # writable channel-first view
+    if grad:  # every kind writes every channel of its layout; gray_scott_2 into its working copy
+        g = None if kind == "gray_scott_2" else np.moveaxis(np.empty_like(x), -3, 0)  # writable channel-first view
         equations = len(KINDS[kind].solution_channels)
         scale = 2.0 / (equations * spec.cells)
 
@@ -255,25 +260,38 @@ def residual_sq_grad(
                 g[2 * i + 1] = -scale * diff_2d(f, 1, h, boundary)
     elif kind == "gray_scott_2":
         horizon, feed, removal = system.horizon, system.feed, system.removal
-        lap = laplacian_2d(v[4:6], h, boundary)
-        res = np.empty(x.shape[:-3] + (2,) + x.shape[-2:])
-        rate = np.moveaxis(res, -3, 0)  # a species-first view: the rate, then the residual, is written into res
-        np.multiply(v[0:2], lap, out=rate)
-        add_reaction(system, v[4:6], rate)
-        np.subtract((v[4:6] - v[2:4]) / horizon, rate, out=rate)
-        if grad:
-            (du, dv, _, _, ut, vt), (f_u, f_v), (lap_u, lap_v) = v[:6], rate, lap
-            vv, uv2 = vt**2, 2.0 * ut * vt
-            g[2] = -scale * f_u / horizon
-            g[3] = -scale * f_v / horizon
-            g[0] = -scale * lap_u * f_u
-            g[1] = -scale * lap_v * f_v
-            # lap is not read again: its buffer holds what the second Laplacian reads
-            np.multiply(du, f_u, out=lap_u)
-            np.multiply(dv, f_v, out=lap_v)
-            lap_fu, lap_fv = laplacian_2d(lap, h, boundary)
-            g[4] = scale * ((1.0 / horizon + vv + feed) * f_u - lap_fu - vv * f_v)
-            g[5] = scale * (uv2 * f_u + (1.0 / horizon - uv2 + feed + removal) * f_v - lap_fv)
+        v = v.copy()  # the species-first working copy (always a copy: it is written): contiguous (..., H, W) blocks
+        diff, init, term = v[0:2], v[2:4], v[4:6]
+        lap = laplacian_2d(term, h, boundary)
+        rate = np.multiply(diff, lap)  # the rate, then the residual
+        add_reaction(system, term, rate)
+        np.subtract(term, init, out=init)  # init is not read again
+        np.divide(init, horizon, out=init)
+        np.subtract(init, rate, out=rate)
+        res = np.moveaxis(rate, 0, -3)  # a view of the species-first block
+        if grad:  # built in v, each channel once its state is read for the last time
+            g, (f_u, f_v) = v, rate
+            uv2, vv = 2.0 * term[0] * term[1], term[1] ** 2
+            np.multiply(diff, rate, out=init)  # what the second Laplacian reads
+            np.multiply(np.multiply(lap, -scale, out=g[0:2]), rate, out=g[0:2])
+            del lap  # freed before the second Laplacian allocates
+            lap_fu, lap_fv = laplacian_2d(init, h, boundary)
+            np.divide(np.multiply(rate, -scale, out=g[2:4]), horizon, out=g[2:4])
+            # g[4] = scale * ((1 / horizon + vv + feed) * f_u - lap_fu - vv * f_v), left to right
+            gu, gv = np.add(vv, 1.0 / horizon, out=g[4]), g[5]
+            gu += feed
+            gu *= f_u
+            gu -= lap_fu
+            gu -= np.multiply(vv, f_v, out=vv)
+            gu *= scale
+            # g[5] = scale * (uv2 * f_u + (1 / horizon - uv2 + feed + removal) * f_v - lap_fv), left to right
+            np.subtract(1.0 / horizon, uv2, out=gv)
+            gv += feed
+            gv += removal
+            gv *= f_v
+            np.add(np.multiply(uv2, f_u, out=uv2), gv, out=gv)
+            gv -= lap_fv
+            gv *= scale
     elif kind == "competitive_3":
         diff, init, term, horizon = v[0:3], v[3:6], v[6:9], system.horizon
         faces, dterm = face_averages(diff, boundary), face_differences(ghost_lined(term, boundary))
@@ -295,4 +313,4 @@ def residual_sq_grad(
                 cross = sum(scale * mat[j][i] * term[j] * r[j] for j in range(3) if j != i)
                 g[6 + i] = own + cross
 
-    return res, out if grad else None
+    return res, np.moveaxis(g, 0, -3) if grad else None

@@ -28,11 +28,12 @@ reconstruction, and computes the twist together with, under ``gem`` when
 another step follows, its data-space gradient from the same solve, pulled
 back at once through the denoiser's vjp at the same states and noise level.
 The denoise, the twist's solve and the vjp read that one set, so nothing in
-it is formed twice in a level. That guidance and the reconstruction are what
-the next ``gem_core`` reads; the run keeps them only until then, and keeps
-none under ``sosag``. A
-resample moves each drawn particle's state and twist, and under ``gem`` its
-reconstruction and guidance too. The states and log-weights are plain
+it is formed twice in a level, and its factors at the observed entries are
+formed only for a reader: the tds twist, or a vjp of the observed entries
+alone (omega = 0). That guidance and the reconstruction are what the next
+``gem_core`` reads; the run keeps them only until then, and keeps none under
+``sosag``. A resample moves each drawn particle's state and twist, and under
+``gem`` its reconstruction and guidance too. The states and log-weights are plain
 arrays, so the previous states are freed as soon as the proposal returns.
 
 Particles evolve as rows of an (N, d) array. All of a run's Gaussian noise
@@ -206,7 +207,8 @@ def smc_run(
         """(reconstruction, twist, guidance) at ``x`` and ``sigma``: the per-row twist of the
         reconstruction (a blow-up is located at step k) and, only if ``grad``, the reconstruction and
         the twist's data-space gradient pulled back through the denoiser at (x, sigma), which ``gem_core`` reads."""
-        factors = denoiser.level_factors(sigma, ctx.index, len(x))
+        observed = config.scheme == "tds" or (grad and ctx.weights.omega == 0)  # the twist or an indexed vjp
+        factors = denoiser.level_factors(sigma, ctx.index if observed else None, len(x))
         x_hat = denoiser.denoise(x, sigma) if factors is None else denoiser.denoise(x, sigma, factors)
         require_finite(x_hat, k, "reconstruction")
         twist = twist_solve(ctx, denoiser, x, sigma, factors) if config.scheme == "tds" else None

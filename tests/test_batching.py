@@ -162,6 +162,33 @@ def _pad(a, mode):
     return np.pad(a, [(0, 0)] * (a.ndim - 2) + [(1, 1), (1, 1)], mode=mode)
 
 
+def _padded_shift(a, boundary, axis, step):
+    """The oracle of test_shift_on_a_batch_matches_slices_of_a_padded_array on any (..., H, W) array."""
+    padded = _pad(a, "wrap" if boundary == PERIODIC else "constant")
+    rows, cols = a.shape[-2:]
+    dr, dc = (step, 0) if axis == 0 else (0, step)
+    return padded[..., 1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols]
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_flat_shifts_and_the_laplacian_match_a_padded_array_on_strided_and_non_square_inputs(boundary):
+    """shift copies the contiguous batch flat, so each case here has a line end or a particle boundary
+    that the copy crosses: the non-square FACE_SHAPES, and strided views (a species-first pair of an
+    (N, 6, H, W) batch, one channel of that batch and a transposed batch), copied once. The
+    Laplacian is the padded neighbours summed in its own order, left to right."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((BATCH, 6, H, W))
+    cases = [rng.standard_normal(shape) for shape in FACE_SHAPES]
+    cases += [np.moveaxis(x, -3, 0)[4:6], x[:, 1], np.swapaxes(rng.standard_normal((BATCH, W, H)), -1, -2)]
+    for a in cases:
+        before, check = a.copy(), lambda got, want: np.testing.assert_array_equal(got, want, err_msg=str(a.shape))
+        s = {(axis, step): _padded_shift(a, boundary, axis, step) for axis in (0, 1) for step in (1, -1)}
+        for (axis, step), want in s.items():
+            check(shift(a, axis, step, boundary), want)
+        check(laplacian_2d(a, 0.25, boundary), (s[0, 1] + s[0, -1] + s[1, 1] + s[1, -1] - 4.0 * a) / (0.25 * 0.25))
+        check(a, before)
+
+
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 def test_face_differences_and_averages_match_a_padded_array(boundary):
     """Independent oracle: differences and sums of neighbours in a ghost-padded array, read off

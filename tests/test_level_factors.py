@@ -121,3 +121,34 @@ def test_smc_run_forms_each_level_factor_set_once(prior, monkeypatch):
     sched = NoiseSchedule(sigma_max=3.0, sigma_min=0.01, steps=5, rho=2.0)
     smc_run(SmcConfig(4, sched, WEIGHTS, "gem", "tds", seed=1), den, obs, None, layout)
     assert sigmas == list(reversed(sched.levels))
+
+
+@pytest.mark.parametrize("proposal,scheme,omega", [("gem", "pbs", 1e-3), ("gem", "tds", 1e-3), ("gem", "pbs", 0.0),
+                                                   ("sosag", "pbs", 1e-3)])
+def test_smc_run_forms_the_observed_entry_factors_only_where_they_are_read(proposal, scheme, omega, monkeypatch):
+    """The tds twist and a vjp of the observed entries alone (omega = 0, a level with a next gem step) read
+    them; the full cotangent of the PDE term does not. Passing the entries everywhere changes no bit."""
+    den, obs, layout = darcy_problem(8, "fitted")
+    sched = NoiseSchedule(sigma_max=3.0, sigma_min=0.01, steps=5, rho=2.0)
+    config = SmcConfig(4, sched, GuidanceWeights(beta=100.0, gamma=100.0, omega=omega), proposal, scheme, seed=1)
+    index = GuidanceContext(obs, PdeSystem.darcy(), layout, config.weights).index
+    original, given = GaussianDenoiser.level_factors, []
+
+    def recording(self, sigma, entries=None, rows=0):
+        given.append(entries is not None)
+        return original(self, sigma, entries, rows)
+
+    def always(self, sigma, entries=None, rows=0):
+        return original(self, sigma, index, rows)
+
+    monkeypatch.setattr(GaussianDenoiser, "level_factors", recording)
+    pop, diag = smc_run(config, den, obs, PdeSystem.darcy(), layout)
+    if proposal == "sosag" or omega > 0 and scheme == "pbs":
+        assert given and not any(given)
+    else:
+        assert given == [True] * sched.steps + [scheme == "tds"]  # the last level takes no gradient
+    monkeypatch.setattr(GaussianDenoiser, "level_factors", always)
+    want_pop, want_diag = smc_run(config, den, obs, PdeSystem.darcy(), layout)
+    np.testing.assert_array_equal(pop.states, want_pop.states)
+    np.testing.assert_array_equal(pop.log_weights, want_pop.log_weights)
+    assert diag == want_diag and np.all(np.isfinite(pop.states))

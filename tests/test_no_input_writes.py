@@ -1,6 +1,7 @@
 """The denoiser's methods (``denoise``, ``vjp`` and ``jacobian_block``), the
-proposal cores and the reaction-diffusion time stepper never write to an
-array they are given, and the denoiser returns arrays that its caller owns.
+proposal cores, the reaction-diffusion time stepper and the residual kernel
+never write to an array they are given, and the denoiser and the residual
+kernel return arrays that their caller owns.
 
 They work in place on arrays they allocate themselves or that the denoiser
 returned to them; each test hands them inputs, keeps copies, and checks every
@@ -10,6 +11,8 @@ input bit for bit after the call.
 array itself): it steps a species-first copy of the state in place, and a
 single field's or a one-sample batch's species-first view is already
 contiguous, so a copy made only when needed would step the caller's state.
+The gray_scott_2 residual kernel works in a species-first copy of its state
+in the same way.
 """
 
 import numpy as np
@@ -18,7 +21,7 @@ import pytest
 from pgd.grid import PERIODIC, Field, GridSpec, Mask
 from pgd.guidance import GuidanceContext, GuidanceWeights
 from pgd.priors import FactoredCov, GaussianDenoiser, GaussianPrior, GmmDenoiser, fit_empirical_prior
-from pgd.residuals import RD_SPECIES, PdeSystem, default_layout
+from pgd.residuals import KINDS, RD_SPECIES, PdeSystem, default_layout, residual_sq_grad
 from pgd.samplers import gem_core, heun_core
 from pgd.solvers import Observations, simulate_rd
 
@@ -129,3 +132,49 @@ def test_simulate_rd_leaves_its_inputs_untouched(kind, batch):
         lambda d, x: simulate_rd(RD_SYSTEMS[kind], Field(spec, d), Field(spec, x), 1e-2, 5),
         rng.uniform(1e-4, 3e-4, shape), rng.uniform(0.1, 0.9, shape),
     )
+
+
+KERNEL_SYSTEMS = {
+    **RD_SYSTEMS,
+    "darcy": PdeSystem.darcy(),
+    "poisson": PdeSystem.poisson(),
+    "helmholtz": PdeSystem.helmholtz(1.3),
+    "divergence_free": PdeSystem.divergence_free(),
+}
+BATCHES = [(), (1,), (3,)]
+
+
+def kernel_problem(kind, batch):
+    """(system, spec, states) on a non-square grid; a one-state batch's species-first view is contiguous."""
+    spec = GridSpec(4, 5, default_layout(kind).channel_count, 1 / 6, KINDS[kind].boundary or PERIODIC)
+    states = np.random.default_rng(24).uniform(0.1, 0.9, batch + (spec.channels, spec.height, spec.width))
+    return KERNEL_SYSTEMS[kind], spec, states
+
+
+@pytest.mark.parametrize("grad", [False, True], ids=["value", "grad"])
+@pytest.mark.parametrize("batch", BATCHES, ids=["single", "one-sample", "three-sample"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_the_residual_kernel_leaves_its_input_untouched_and_returns_arrays_the_caller_owns(kind, batch, grad):
+    # log_likelihood scales a row-ordered gradient in place, so neither array may alias the state
+    system, spec, x = kernel_problem(kind, batch)
+    out = []
+    assert_untouched(lambda s: out.extend(residual_sq_grad(system, spec, s, grad=grad)), x)
+    res, gradient = out
+    assert (gradient is not None) == grad
+    assert res.shape == batch + (len(KINDS[kind].solution_channels), spec.height, spec.width)
+    assert not any(np.shares_memory(a, x) for a in out if a is not None)
+
+
+@pytest.mark.parametrize("grad", [False, True], ids=["value", "grad"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_strided_state_gives_the_residual_and_gradient_of_its_contiguous_copy(kind, grad):
+    system, spec, x = kernel_problem(kind, (3,))
+    want = residual_sq_grad(system, spec, x, grad=grad)
+    wide = np.zeros(x.shape[:-1] + (2 * spec.width,))
+    wide[..., ::2] = x
+    species_first = np.moveaxis(np.moveaxis(x, -3, 0).copy(), 0, -3)  # its species-first view is contiguous
+    for strided in (wide[..., ::2], species_first, np.repeat(x, 2, axis=-3)[:, ::2]):
+        got = []
+        assert_untouched(lambda s: got.extend(residual_sq_grad(system, spec, s, grad=grad)), strided)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)

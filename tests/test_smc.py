@@ -959,11 +959,13 @@ def working_set_problem(kind):
 
 @pytest.mark.parametrize("kind,proposal,bound", [("gray_scott_2", "sosag", 8.0), ("darcy", "gem", 11.0)])
 def test_a_run_holds_only_the_arrays_that_a_later_line_reads(kind, proposal, bound):
-    # The tracemalloc peak of a run, in (N, d) float64 arrays; it reads 7.35 and 10.29 here. The sosag run
-    # peaks in the gray_scott_2 kernel of heun_core's guidance: the run holds the states and the draw,
-    # heun_core the churned state and its reconstruction, the kernel its gradient and about 2 arrays of
-    # temporaries. The gem run peaks in darcy's kernel, whose face buffers alone add about 6.6 arrays,
-    # while the run holds the new states, the draw and their reconstruction, and no earlier states.
+    # The tracemalloc peak of a run, in (N, d) float64 arrays; it reads 7.23 and 10.30 here. The sosag run
+    # peaks in heun_core's second denoise: the run holds the states and the draw, heun_core the churned
+    # state, its slope, the guidance and the Euler state, and the denoise its output. The gray_scott_2
+    # kernel of heun_core's guidance peaks at 6.51: its species-first working copy, which becomes its
+    # gradient, and about 1.3 arrays of temporaries. The gem run peaks in darcy's kernel, whose face buffers
+    # alone add about 6.6 arrays, while the run holds the new states, the draw and their reconstruction,
+    # and no earlier states.
     den, obs, system, layout = working_set_problem(kind)
     w = GuidanceWeights(beta=100.0, gamma=100.0, omega=1e-3)
     cfg = SmcConfig(32, NoiseSchedule(steps=6), w, proposal, "pbs", seed=3)
