@@ -146,13 +146,15 @@ def log_likelihood(
         spec = ctx.spec
         x = rows.reshape(rows.shape[:-1] + (spec.channels, spec.height, spec.width))
         res, res_grad = residual_sq_grad(ctx.system, spec, x, grad=grad)
+        # the value first, squared into C order: the kernel's residual may be a species-first view that a reshape
+        # would copy; it is then freed, so that it is not alive beside a species-first gradient's row-order copy
+        total = total - ctx.weights.omega * np.mean(np.square(res, order="C").reshape(rows.shape[:-1] + (-1,)), axis=-1)
+        del res
         if grad:  # scaled into rows in one pass: in place where the kernel's gradient is in row order, else (the
             # species-first one of gray_scott_2) into a new C-ordered array; index repeats no entry
             own = res_grad if res_grad.flags.c_contiguous else None
             cotangent, index = np.multiply(res_grad, -ctx.weights.omega, out=own, order="C").reshape(rows.shape), None
             cotangent[..., ctx.index] += gain
-        # squared into C order: the kernel's residual may be a species-first view that a reshape would copy
-        total = total - ctx.weights.omega * np.mean(np.square(res, order="C").reshape(rows.shape[:-1] + (-1,)), axis=-1)
     if rows.ndim == 1:
         total = float(total)
     return (total, cotangent, index) if grad else total

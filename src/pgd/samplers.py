@@ -27,9 +27,12 @@ evaluated, so it computes its own gradient, the (cotangent, index) pair of
 :func:`~pgd.guidance.log_likelihood`, and passes it to
 :meth:`~pgd.priors.Denoiser.vjp` unscattered.
 
-The cores never write to their inputs. They work in place only on arrays
-they allocate or that the denoiser returned to them, in the operand order of
-the plain expressions.
+A core writes only the buffers the run gives up, in the operand order of the
+plain expressions: the states ``x``, whose buffer takes the new states, and
+the arrays the denoiser returned. ``heun_core`` also forms its churned state
+in the draw ``z``; ``gem_core`` leaves ``z`` as drawn, since
+:func:`~pgd.guidance.tds_transition_term` reads it after the step. Neither
+writes the denoiser's own arrays or the context's.
 """
 
 from __future__ import annotations
@@ -63,16 +66,18 @@ def gem_core(
     unguided mean is x + delta (denoised - x) / sigma_k^2, the guidance shift
     is delta times ``guidance``, the data-space gradient pulled back through
     the denoiser at (x, sigma_k), and the sample is
-    sqrt(delta) z + (shift + unguided mean).
+    sqrt(delta) z + (shift + unguided mean). The mean is formed in
+    ``denoised``'s buffer, the shift in ``guidance``'s and the sample in
+    ``x``'s; ``z`` is left as it was.
     """
     delta = sigma_k**2 - sigma_next**2
-    mean = denoised - x
+    mean = np.subtract(denoised, x, out=denoised)
     mean *= delta
     mean /= sigma_k**2
     mean += x
-    shift = delta * guidance
+    shift = np.multiply(delta, guidance, out=guidance)
     np.add(shift, mean, out=mean)
-    sample = math.sqrt(delta) * z
+    sample = np.multiply(math.sqrt(delta), z, out=x)
     sample += mean
     return sample, shift
 
@@ -95,17 +100,18 @@ def heun_core(
     denoiser at the churned state of the data-space gradient at its
     reconstruction, scaled by the unjittered sigma_k^2 - sigma_next^2.
 
-    The vjp comes first, so its cotangent is freed before the Heun buffers
-    exist; the slopes and the increment reuse the buffers of the denoises and the vjp.
+    The churned state is formed in ``z``'s buffer, and the Euler and final
+    states in ``x``'s. The vjp comes first, so its cotangent is freed before
+    the slopes exist; they and the increment reuse the buffers of the denoises and the vjp.
     """
     sigma_hat = sigma_k * (1.0 + gamma_k)
-    x_hat = math.sqrt(max(sigma_hat**2 - sigma_k**2, 0.0)) * z
+    x_hat = np.multiply(math.sqrt(max(sigma_hat**2 - sigma_k**2, 0.0)), z, out=z)
     x_hat += x
     denoised_hat = denoiser.denoise(x_hat, sigma_hat)
     grad = denoiser.vjp(x_hat, sigma_hat, *data_log_likelihood_grad(ctx, denoised_hat))
     d_cur = np.subtract(x_hat, denoised_hat, out=denoised_hat)
     d_cur /= sigma_hat
-    x_new = (sigma_next - sigma_hat) * d_cur
+    x_new = np.multiply(sigma_next - sigma_hat, d_cur, out=x)
     x_new += x_hat
     if sigma_next != 0.0:
         d_next = denoiser.denoise(x_new, sigma_next)

@@ -37,15 +37,17 @@ UNGUIDED = all_cell_context(np.zeros(9), weights=GuidanceWeights(beta=0.0, gamma
 
 
 def em_step(x, z, sigma_k, sigma_next, den):
-    """The unguided Euler-Maruyama step: gem_core with a zero data-space gradient."""
-    return gem_core(x, z, sigma_k, sigma_next, den.denoise(x, sigma_k), den.vjp(x, sigma_k, np.zeros_like(x)))
+    """The unguided Euler-Maruyama step: gem_core with a zero data-space gradient, on a copy of x,
+    whose buffer gem_core's sample takes."""
+    denoised, guidance = den.denoise(x, sigma_k), den.vjp(x, sigma_k, np.zeros_like(x))
+    return gem_core(x.copy(), z, sigma_k, sigma_next, denoised, guidance)
 
 
 def gem_step(x, z, sigma_k, sigma_next, den, ctx):
-    """The guided step as smc_run takes it: the gradient of the twist at the reconstruction."""
+    """The guided step as smc_run takes it: the gradient of the twist at the reconstruction, on a copy of x."""
     denoised = den.denoise(x, sigma_k)
     guidance = den.vjp(x, sigma_k, *data_log_likelihood_grad(ctx, denoised))
-    return gem_core(x, z, sigma_k, sigma_next, denoised, guidance)
+    return gem_core(x.copy(), z, sigma_k, sigma_next, denoised, guidance)
 
 
 def em_mean(x, sigma_k, sigma_next, den):
@@ -70,7 +72,8 @@ def test_em_step_fixed_point_denoiser_adds_only_noise():
     # with live draws the deviation has std sqrt(sigma_k^2 - sigma_{k-1}^2)
     rng = np.random.default_rng(0)
     k = 5
-    sample, _ = em_step(x, rng.standard_normal((4000, 9)), sched.levels[k], sched.levels[k - 1], den)
+    rows = np.tile(x, (4000, 1))  # the states take the draw's shape: gem_core writes its sample in their buffer
+    sample, _ = em_step(rows, rng.standard_normal((4000, 9)), sched.levels[k], sched.levels[k - 1], den)
     draws = sample - x
     expected_std = np.sqrt(sched.levels[k] ** 2 - sched.levels[k - 1] ** 2)
     assert np.std(draws) == pytest.approx(expected_std, rel=0.05)
@@ -221,7 +224,7 @@ def test_sosag_fixed_point_denoiser_returns_churned_state_plus_guidance():
     k = 5
     s_k, s_n = sched.levels[k], sched.levels[k - 1]
     z = np.random.default_rng(8).standard_normal((1, 9))
-    out = heun_core(x, z, s_k, s_n, den, gamma, ctx)
+    out = heun_core(x.copy(), z.copy(), s_k, s_n, den, gamma, ctx)  # it writes into both buffers
     # reproduce the churned state from the same draw
     s_hat = s_k * (1 + gamma)
     x_hat = x + np.sqrt(s_hat**2 - s_k**2) * z

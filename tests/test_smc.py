@@ -834,8 +834,9 @@ def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):
     calls = []
 
     def recording_gem_core(x, z, sigma_k, sigma_next, *args):
+        before = x.copy()  # gem_core writes its sample into x
         out = pgd.samplers.gem_core(x, z, sigma_k, sigma_next, *args)
-        calls.append((x.copy(), sigma_k, sigma_k**2 - sigma_next**2, out[1]))
+        calls.append((before, sigma_k, sigma_k**2 - sigma_next**2, out[1]))
         return out
 
     monkeypatch.setattr(pgd.smc, "gem_core", recording_gem_core)
@@ -957,15 +958,15 @@ def working_set_problem(kind):
     return GaussianDenoiser(prior), obs, system, layout
 
 
-@pytest.mark.parametrize("kind,proposal,bound", [("gray_scott_2", "sosag", 8.0), ("darcy", "gem", 11.0)])
+@pytest.mark.parametrize("kind,proposal,bound", [("gray_scott_2", "sosag", 6.0), ("darcy", "gem", 11.0)])
 def test_a_run_holds_only_the_arrays_that_a_later_line_reads(kind, proposal, bound):
-    # The tracemalloc peak of a run, in (N, d) float64 arrays; it reads 7.23 and 10.30 here. The sosag run
-    # peaks in heun_core's second denoise: the run holds the states and the draw, heun_core the churned
-    # state, its slope, the guidance and the Euler state, and the denoise its output. The gray_scott_2
-    # kernel of heun_core's guidance peaks at 6.51: its species-first working copy, which becomes its
-    # gradient, and about 1.3 arrays of temporaries. The gem run peaks in darcy's kernel, whose face buffers
-    # alone add about 6.6 arrays, while the run holds the new states, the draw and their reconstruction,
-    # and no earlier states.
+    # The tracemalloc peak of a run, in (N, d) float64 arrays; it reads 5.51 and 10.30 here. The sosag run
+    # peaks in the gray_scott_2 kernel of heun_core's guidance: the run holds the states and the draw, whose
+    # buffer holds the churned state, heun_core the churned state's reconstruction, and the kernel 2.34
+    # arrays: its species-first working copy, which becomes its gradient, and temporaries. heun_core's
+    # second denoise reads 5.24: the Euler state is in the states' buffer. The gem run peaks in darcy's
+    # kernel, whose face buffers alone add about 6.6 arrays, while the run holds the new states, the draw
+    # and their reconstruction, and no earlier states.
     den, obs, system, layout = working_set_problem(kind)
     w = GuidanceWeights(beta=100.0, gamma=100.0, omega=1e-3)
     cfg = SmcConfig(32, NoiseSchedule(steps=6), w, proposal, "pbs", seed=3)
