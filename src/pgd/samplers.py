@@ -27,12 +27,12 @@ evaluated, so it computes its own gradient, the (cotangent, index) pair of
 :func:`~pgd.guidance.log_likelihood`, and passes it to
 :meth:`~pgd.priors.Denoiser.vjp` unscattered.
 
-A core writes only the buffers the run gives up, in the operand order of the
-plain expressions: the states ``x``, whose buffer takes the new states, and
-the arrays the denoiser returned. ``heun_core`` also forms its churned state
-in the draw ``z``; ``gem_core`` leaves ``z`` as drawn, since
-:func:`~pgd.guidance.tds_transition_term` reads it after the step. Neither
-writes the denoiser's own arrays or the context's.
+The cores work in place only on arrays they allocate, that the denoiser
+returned to them, or that the run gives up, in the operand order of the plain
+expressions. ``gem_core`` writes none of its inputs. ``heun_core`` forms its
+churned state in the draw ``z``'s buffer and its new states in the states
+``x``'s, which the run reads no more. Neither writes the denoiser's own arrays
+or the context's.
 """
 
 from __future__ import annotations
@@ -66,18 +66,16 @@ def gem_core(
     unguided mean is x + delta (denoised - x) / sigma_k^2, the guidance shift
     is delta times ``guidance``, the data-space gradient pulled back through
     the denoiser at (x, sigma_k), and the sample is
-    sqrt(delta) z + (shift + unguided mean). The mean is formed in
-    ``denoised``'s buffer, the shift in ``guidance``'s and the sample in
-    ``x``'s; ``z`` is left as it was.
+    sqrt(delta) z + (shift + unguided mean).
     """
     delta = sigma_k**2 - sigma_next**2
-    mean = np.subtract(denoised, x, out=denoised)
+    mean = denoised - x
     mean *= delta
     mean /= sigma_k**2
     mean += x
-    shift = np.multiply(delta, guidance, out=guidance)
+    shift = delta * guidance
     np.add(shift, mean, out=mean)
-    sample = np.multiply(math.sqrt(delta), z, out=x)
+    sample = math.sqrt(delta) * z
     sample += mean
     return sample, shift
 
@@ -100,9 +98,11 @@ def heun_core(
     denoiser at the churned state of the data-space gradient at its
     reconstruction, scaled by the unjittered sigma_k^2 - sigma_next^2.
 
-    The churned state is formed in ``z``'s buffer, and the Euler and final
-    states in ``x``'s. The vjp comes first, so its cotangent is freed before
-    the slopes exist; they and the increment reuse the buffers of the denoises and the vjp.
+    ``x`` and ``z`` are writable float64 arrays of one shape: the churned
+    state is formed in ``z``'s buffer, and the Euler and final states in
+    ``x``'s, which the returned states share. The vjp comes first, so its
+    cotangent is freed before the slopes exist; they and the increment reuse
+    the buffers of the denoises and the vjp.
     """
     sigma_hat = sigma_k * (1.0 + gamma_k)
     x_hat = np.multiply(math.sqrt(max(sigma_hat**2 - sigma_k**2, 0.0)), z, out=z)

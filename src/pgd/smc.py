@@ -33,9 +33,9 @@ formed only for a reader: the tds twist, or a vjp of the observed entries
 alone (omega = 0). That guidance and the reconstruction are what the next
 ``gem_core`` reads; the run keeps them only until then, and keeps none under
 ``sosag``. A resample moves each drawn particle's state and twist, and under
-``gem`` its reconstruction and guidance too. The proposal writes the new states into
-the previous states' buffer, and ``gem_core`` its mean and shift into those of the
-reconstruction and the guidance.
+``gem`` its reconstruction and guidance too. The states and log-weights are plain
+arrays: under ``gem`` the previous states are freed as soon as the proposal returns,
+and under ``sosag`` the proposal writes the new states into their buffer.
 
 Particles evolve as rows of an (N, d) array. All of a run's Gaussian noise
 comes from the seed's :func:`~pgd.samplers.noise_stream`: one (N, d) draw for
@@ -187,10 +187,9 @@ def smc_run(
     pre-resampling), moving state and twist together, and under ``gem`` the
     reconstruction and guidance that the next ``gem_core`` reads. The module
     docstring describes the twists, the log-evidence and the noise stream.
-    Each step refills one (N, d) buffer ``z`` in place, and the proposal
-    core may use it until the next draw: ``heun_core`` forms its churned
-    state there, and ``gem_core`` leaves it as drawn, since the tds
-    transition term reads it after the proposal.
+    Each step refills one (N, d) buffer ``z`` in place, which is safe:
+    ``gem_core`` and the tds transition term only read it within the step,
+    and ``heun_core`` forms its churned state there, which no later line reads.
     """
     ctx = GuidanceContext(obs=obs, system=system, layout=layout, weights=config.weights)
     spec = ctx.spec

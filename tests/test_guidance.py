@@ -192,7 +192,7 @@ def guidance_rows(x, sigma, den, obs, w):
     sigma_next = 0.5 * sigma
     denoised = den.denoise(x, sigma)
     guidance = den.vjp(x, sigma, *data_log_likelihood_grad(ctx, denoised))
-    _, shift = gem_core(x.copy(), np.zeros_like(x), sigma, sigma_next, denoised, guidance)  # its sample overwrites x
+    _, shift = gem_core(x, np.zeros_like(x), sigma, sigma_next, denoised, guidance)
     return shift / (sigma**2 - sigma_next**2)
 
 
@@ -283,12 +283,11 @@ def test_tds_chain_reproduces_direct_path_weight(monkeypatch):
     steps = []
 
     def recording_gem_core(x, z, sigma_k, sigma_next, *args):
-        delta = sigma_k**2 - sigma_next**2
-        # the unguided mean from the denoiser itself, taken before gem_core writes its sample into x;
-        # the guided one adds the shift
-        mean_em = x[0] + delta * (den.denoise(x[0], sigma_k) - x[0]) / sigma_k**2
         out = pgd.samplers.gem_core(x, z, sigma_k, sigma_next, *args)
-        steps.append((out[0][0].copy(), mean_em, mean_em + out[1][0], delta))  # the next step overwrites the sample
+        delta = sigma_k**2 - sigma_next**2
+        # the unguided mean from the denoiser itself; the guided one adds the shift
+        mean_em = x[0] + delta * (den.denoise(x[0], sigma_k) - x[0]) / sigma_k**2
+        steps.append((out[0][0], mean_em, mean_em + out[1][0], delta))
         return out
 
     monkeypatch.setattr(pgd.smc, "gem_core", recording_gem_core)

@@ -1,10 +1,11 @@
-"""The denoiser's methods (``denoise``, ``vjp`` and ``jacobian_block``), the
-reaction-diffusion time stepper and the residual kernel never write to an
-array they are given, and the denoiser and the residual kernel return arrays
-that their caller owns.
+"""The denoiser's methods (``denoise``, ``vjp`` and ``jacobian_block``),
+``gem_core``, the reaction-diffusion time stepper and the residual kernel
+never write to an array they are given, and the denoiser and the residual
+kernel return arrays that their caller owns.
 
-They work in place on arrays they allocate themselves; each test hands them
-inputs, keeps copies, and checks every input bit for bit after the call.
+They work in place on arrays they allocate themselves or that the denoiser
+returned to them; each test hands them inputs, keeps copies, and checks every
+input bit for bit after the call.
 ``simulate_rd`` is checked through the arrays that its fields wrap (a
 :class:`~pgd.grid.Field` of C-contiguous float64 values holds the caller's
 array itself): it steps a species-first copy of the state in place, and a
@@ -13,10 +14,10 @@ contiguous, so a copy made only when needed would step the caller's state.
 The gray_scott_2 residual kernel works in a species-first copy of its state
 in the same way.
 
-The proposal cores write only the buffers that :func:`~pgd.smc.smc_run` gives
-up to them: the states, whose buffer takes the new states, ``heun_core``'s
-draw, and what the denoiser returned. ``gem_core`` leaves its draw as it was,
-and neither core writes the denoiser's own arrays or the context's.
+``heun_core`` writes only the buffers that :func:`~pgd.smc.smc_run` gives up
+to it: its states, whose buffer takes the new states, its draw, and what the
+denoiser returned. Neither proposal core writes the denoiser's own arrays or
+the context's.
 """
 
 import numpy as np
@@ -110,18 +111,17 @@ def test_denoise_and_vjp_return_arrays_the_caller_owns(kind, sigma):
 
 @pytest.mark.parametrize("kind", ["diagonal", "dense"])
 def test_proposal_cores_leave_their_inputs_untouched(kind):
-    # A core writes only the buffers that smc_run gives up: the new states come back in the states' buffer,
-    # and gem_core leaves the draw bit for bit, since the tds weight reads it afterwards. Neither core
-    # writes the denoiser's own arrays or the context's.
+    # gem_core writes none of its inputs. heun_core writes only the buffers that smc_run gives up: its new
+    # states come back in the states' buffer. Neither core writes the denoiser's own arrays or the context's.
     den, ctx = denoisers()[kind], context()
     sigma_k, sigma_next = 1.3, 0.9
     theirs = held_arrays(den) + held_arrays(ctx)
     assert len(theirs) >= 10  # the walk reaches the prior's arrays and the observation operator's
     before = [a.copy() for a in theirs]
     for guidance in (np.zeros((N, SPEC.size)), den.vjp(rows(4), sigma_k, rows(7))):  # unguided, then guided
-        x, z = rows(4), rows(5)
-        assert np.shares_memory(gem_core(x, z, sigma_k, sigma_next, rows(6), guidance)[0], x)
-        np.testing.assert_array_equal(z, rows(5))
+        assert_untouched(
+            lambda x, z, dn, g: gem_core(x, z, sigma_k, sigma_next, dn, g), rows(4), rows(5), rows(6), guidance
+        )
     for nxt in (sigma_next, 0.0):
         x = rows(4)
         assert np.shares_memory(heun_core(x, rows(5), sigma_k, nxt, den, 0.2, ctx), x)

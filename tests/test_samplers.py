@@ -37,17 +37,15 @@ UNGUIDED = all_cell_context(np.zeros(9), weights=GuidanceWeights(beta=0.0, gamma
 
 
 def em_step(x, z, sigma_k, sigma_next, den):
-    """The unguided Euler-Maruyama step: gem_core with a zero data-space gradient, on a copy of x,
-    whose buffer gem_core's sample takes."""
-    denoised, guidance = den.denoise(x, sigma_k), den.vjp(x, sigma_k, np.zeros_like(x))
-    return gem_core(x.copy(), z, sigma_k, sigma_next, denoised, guidance)
+    """The unguided Euler-Maruyama step: gem_core with a zero data-space gradient."""
+    return gem_core(x, z, sigma_k, sigma_next, den.denoise(x, sigma_k), den.vjp(x, sigma_k, np.zeros_like(x)))
 
 
 def gem_step(x, z, sigma_k, sigma_next, den, ctx):
-    """The guided step as smc_run takes it: the gradient of the twist at the reconstruction, on a copy of x."""
+    """The guided step as smc_run takes it: the gradient of the twist at the reconstruction."""
     denoised = den.denoise(x, sigma_k)
     guidance = den.vjp(x, sigma_k, *data_log_likelihood_grad(ctx, denoised))
-    return gem_core(x.copy(), z, sigma_k, sigma_next, denoised, guidance)
+    return gem_core(x, z, sigma_k, sigma_next, denoised, guidance)
 
 
 def em_mean(x, sigma_k, sigma_next, den):
@@ -72,8 +70,7 @@ def test_em_step_fixed_point_denoiser_adds_only_noise():
     # with live draws the deviation has std sqrt(sigma_k^2 - sigma_{k-1}^2)
     rng = np.random.default_rng(0)
     k = 5
-    rows = np.tile(x, (4000, 1))  # the states take the draw's shape: gem_core writes its sample in their buffer
-    sample, _ = em_step(rows, rng.standard_normal((4000, 9)), sched.levels[k], sched.levels[k - 1], den)
+    sample, _ = em_step(x, rng.standard_normal((4000, 9)), sched.levels[k], sched.levels[k - 1], den)
     draws = sample - x
     expected_std = np.sqrt(sched.levels[k] ** 2 - sched.levels[k - 1] ** 2)
     assert np.std(draws) == pytest.approx(expected_std, rel=0.05)
@@ -156,7 +153,7 @@ def test_heun_zero_weights_reduces_to_churned_heun_bit_exactly():
             if s_n != 0.0:
                 d_next = (want - den.denoise(want, s_n)) / s_n
                 want = x_hat + (s_n - s_hat) * 0.5 * (d_cur + d_next)
-            assert np.array_equal(heun_core(x, z, s_k, s_n, den, gamma, ctx), want)
+            assert np.array_equal(heun_core(x.copy(), z, s_k, s_n, den, gamma, ctx), want)  # it writes into x
 
 
 def test_gem_guided_mean_strictly_closer_to_target():
@@ -195,7 +192,9 @@ def test_gem_mean_pair_differs_by_scaled_gradient():
 
 
 def heun_chain(x, sched, den, gamma, draws, ctx=UNGUIDED):
-    """Reference loop of heun_core from k = K down to 1 with the given draws."""
+    """Reference loop of heun_core from k = K down to 1 with the given draws, on a copy of x, whose buffer
+    heun_core's states take."""
+    x = x.copy()
     for k in range(sched.steps, 0, -1):
         x = heun_core(x, draws(), sched.levels[k], sched.levels[k - 1], den, gamma, ctx)
     return x

@@ -834,9 +834,8 @@ def test_covariance_twist_on_dense_gaussian_prior(monkeypatch):
     calls = []
 
     def recording_gem_core(x, z, sigma_k, sigma_next, *args):
-        before = x.copy()  # gem_core writes its sample into x
         out = pgd.samplers.gem_core(x, z, sigma_k, sigma_next, *args)
-        calls.append((before, sigma_k, sigma_k**2 - sigma_next**2, out[1]))
+        calls.append((x.copy(), sigma_k, sigma_k**2 - sigma_next**2, out[1]))
         return out
 
     monkeypatch.setattr(pgd.smc, "gem_core", recording_gem_core)
@@ -958,7 +957,7 @@ def working_set_problem(kind):
     return GaussianDenoiser(prior), obs, system, layout
 
 
-@pytest.mark.parametrize("kind,proposal,bound", [("gray_scott_2", "sosag", 6.0), ("darcy", "gem", 11.0)])
+@pytest.mark.parametrize("kind,proposal,bound", [("gray_scott_2", "sosag", 5.75), ("darcy", "gem", 11.0)])
 def test_a_run_holds_only_the_arrays_that_a_later_line_reads(kind, proposal, bound):
     # The tracemalloc peak of a run, in (N, d) float64 arrays; it reads 5.51 and 10.30 here. The sosag run
     # peaks in the gray_scott_2 kernel of heun_core's guidance: the run holds the states and the draw, whose
