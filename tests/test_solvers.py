@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from pgd.solvers import (
     generate_dataset,
     make_observations,
     simulate_rd,
+    smooth_grf_2d,
     solve_elliptic,
 )
 
@@ -564,6 +566,37 @@ def test_generated_dataset_matches_recorded_digest(kind):
     samples = generate_dataset(spec)
     rows = [x.values[list(spec.layout.coeff_channels)] if kind == "darcy" else x.values for x in samples]
     assert _digest(rows) == DATASET_DIGESTS[kind]
+
+
+# SHA-256 of both channels of DIGEST_SPECS["darcy"]'s samples, so the CG solution is pinned bit for bit too.
+# Recorded while each CG update still allocated its own temporaries.
+DARCY_BOTH_CHANNELS_DIGEST = "8aa53cb2910af59a363920ceea7ff6b8802345750b51ce7f6b8365d939261cb8"
+
+
+def test_generated_darcy_dataset_matches_recorded_digest_in_both_channels():
+    assert _digest(x.values for x in generate_dataset(DIGEST_SPECS["darcy"])) == DARCY_BOTH_CHANNELS_DIGEST
+
+
+@pytest.mark.parametrize("side,count,bound", [(16, 65, 12.9), (48, 8, 12.4)])
+def test_a_darcy_solve_holds_only_its_iterates_faces_and_one_operator_apply(side, count, bound):
+    # The tracemalloc peak of one darcy solve, in (S, H, W) float64 arrays, at darcy_gem_pbs's set-up
+    # (65 samples at 16 x 16) and at elliptic_datagen's shapes (8 at 48 x 48). It reads 12.41 and 11.71
+    # here, in the operator apply: the right-hand side, x, r, p and the step buffer, the two ghost-lined
+    # face averages, a^(-1/2) and the operator's ghost-lined temporaries. It read 13.44 and 13.08 when
+    # each CG update allocated its own temporaries and the previous z and Ap stayed alive through it.
+    spec = GridSpec(side, side, 1, 1 / (side + 1), DIRICHLET)
+    g = smooth_grf_2d(np.random.default_rng(3).standard_normal((count, side, side)), 4.0)
+    a = Field(spec, np.exp(0.5 * g)[:, None])  # darcy's smooth permeability
+    solve_elliptic(PdeSystem.darcy(), a)  # the sine basis is formed once per size, before the traced solve
+    tracemalloc.start()
+    try:
+        u = solve_elliptic(PdeSystem.darcy(), a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(u.values))
+    arrays = peak / (count * side * side * 8)
+    assert arrays <= bound, f"peak {peak} bytes: {arrays:.2f} (S, H, W) arrays"
 
 
 @pytest.mark.parametrize("kind", sorted(DATASET_DIGESTS))
